@@ -121,6 +121,20 @@ def _vector_from_json(value, dim: int, what: str) -> np.ndarray:
     return vec
 
 
+def _count(value, what: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigurationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, what: str) -> float:
+    # the upper limit also rejects inf and integers too large for a float
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not 0 < value <= sys.float_info.max):
+        raise ConfigurationError(f"{what} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class Scenario:
     """A validated manifest, ready to run."""
@@ -153,16 +167,18 @@ def load_scenario(doc: dict) -> Scenario:
         )
     holo_map = HoloMap(domain, target, components, label=name)
     sampler = _require(doc, "sampler", "manifest")
-    if "seed" not in sampler:
-        raise ConfigurationError("sampler must carry an explicit seed (reproducibility)")
+    if not isinstance(sampler, dict) or "seed" not in sampler:
+        raise ConfigurationError("sampler must be an object with an explicit seed (reproducibility)")
+    seed = _count(sampler["seed"], "sampler seed", minimum=0)
+    count = _count(sampler.get("count", 20), "sampler count", minimum=1)
     radius = sampler.get("radius")
     radii = sampler.get("radii")
     if (radius is None) == (radii is None):
         raise ConfigurationError("sampler needs exactly one of 'radius' or 'radii'")
     if radii is not None:
-        radii = tuple(float(r) for r in radii)
-        if len(radii) != domain.dim:
-            raise ConfigurationError(f"sampler radii must have {domain.dim} entries")
+        if not isinstance(radii, (list, tuple)) or len(radii) != domain.dim:
+            raise ConfigurationError(f"sampler radii must be a list of {domain.dim} entries")
+        radii = tuple(_positive(r, "sampler radii entry") for r in radii)
     checks = _require(doc, "checks", "manifest")
     if not isinstance(checks, list) or not checks:
         raise ConfigurationError("manifest needs a nonempty list of checks")
@@ -173,10 +189,10 @@ def load_scenario(doc: dict) -> Scenario:
         domain=domain,
         target=target,
         holo_map=holo_map,
-        count=int(sampler.get("count", 20)),
-        radius=None if radius is None else float(radius),
+        count=count,
+        radius=None if radius is None else _positive(radius, "sampler radius"),
         radii=radii,
-        seed=int(sampler["seed"]),
+        seed=seed,
         checks=checks,
         constants=doc.get("constants", {}),
     )
@@ -215,7 +231,7 @@ def _probe_charts(scenario: Scenario, points: np.ndarray):
 # kind -> ((facts field for K, sign), (facts field for kappa, sign))
 _CONSTANT_RULES = {
     "schwarz": (("hol_sec_min", -1.0), ("hol_sec_max", -1.0)),
-    "volume": (("scalar", -1.0), ("ricci_max", -1.0)),
+    "volume": (("scalar", -1.0), ("ricci_m_max", -1.0)),
     "royden": (("ricci_min", -1.0), ("hol_sec_max", -1.0)),
     ("hoop", "volume"): (("ricci_min", 1.0), ("ricci_max", 1.0)),
     ("hoop", "stretching"): (("hol_sec_min", 1.0), ("hol_sec_max", 1.0)),
@@ -251,7 +267,10 @@ def _resolve_constant(scenario, check, const_name, rule, chart, chart_points):
     facts_field, sign = rule
     facts = getattr(chart, "facts", None)
     if facts is not None:
-        return bounds_mod.Constant.analytic(const_name, sign * getattr(facts, facts_field))
+        value = getattr(facts, facts_field)
+        if facts_field == "ricci_m_max":  # m = domain dimension; the volume check rejects m > n
+            value = value[min(scenario.domain.dim, chart.dim) - 1]
+        return bounds_mod.Constant.analytic(const_name, sign * value)
     lo, hi = _sampled_range(chart, chart_points, facts_field, scenario.seed)
     value = lo if facts_field.endswith("_min") or facts_field == "scalar" else hi
     return bounds_mod.Constant.sampled(const_name, sign * value)
@@ -556,7 +575,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
             raise ConfigurationError("--points must be at least 1")
         scenario.count = args.points
     if args.seed is not None:
-        scenario.seed = args.seed
+        scenario.seed = _count(args.seed, "--seed", minimum=0)
     if args.tol is not None:
         if args.tol <= 0:
             raise ConfigurationError("--tol must be positive")

@@ -33,9 +33,9 @@ from .errors import ConfigurationError, DomainError, FrameError, MetricError
 from .jets import (
     MAX_HOLOMORPHIC_VARS,
     WirtingerJet,
-    compose,
     derivative,
     jet_constant,
+    jet_mat_mul,
     variable_jets,
 )
 from .linalg import check_positive_definite, frame_normalizer
@@ -101,23 +101,29 @@ class Polydisk(Domain):
 # -- charts --------------------------------------------------------------------
 
 
-def _as_jet_function(source, dim: int, what: str) -> Callable:
-    """Normalize an expression AST / text / number / callable to a jet callable."""
+def _as_jet_function(source, dim: int, what: str, check: Callable) -> Callable:
+    """Normalize an expression AST / text / number / callable to a callable
+    returning jets; ``check(ast, dim, what)`` validates expressions."""
     if isinstance(source, (int, float, complex)) and not isinstance(source, bool):
         value = complex(source)
-        return lambda zs: value
+        return lambda zs: jet_constant(value, zs[0].num_vars, zs[0].order)
     if isinstance(source, str):
         source = expressions.parse(source)
-    if isinstance(
-        source,
-        (expressions.Num, expressions.Imag, expressions.Var, expressions.Neg,
-         expressions.BinOp, expressions.Pow, expressions.Call),
-    ):
-        expressions.check_dimension(source, dim, what)
-        return expressions.compiled(source)
-    if callable(source):
-        return source
-    raise ConfigurationError(f"{what} must be an expression or a callable")
+    if isinstance(source, expressions.Node):
+        check(source, dim, what)
+        fn = expressions.compiled(source)
+    elif callable(source):
+        fn = source
+    else:
+        raise ConfigurationError(f"{what} must be an expression or a callable")
+
+    def as_jet(zs) -> WirtingerJet:
+        val = fn(zs)
+        if isinstance(val, WirtingerJet):
+            return val
+        return jet_constant(complex(val), zs[0].num_vars, zs[0].order)
+
+    return as_jet
 
 
 class KahlerChart:
@@ -150,6 +156,11 @@ class KahlerChart:
         """m×m nested list of g_{a b̄} jets of the given order at ``point``."""
         raise NotImplementedError
 
+    def pullback_jets(self, fjets: Sequence[WirtingerJet], order: int) -> list[list[WirtingerJet]]:
+        """Jets of f*ω: the chart's defining function evaluated on ``fjets``, the
+        components of a holomorphic f as jets of order >= ``order + 2``."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label!r} dim={self.dim}>"
 
@@ -159,22 +170,30 @@ class PotentialChart(KahlerChart):
 
     def __init__(self, dim: int, potential, domain: Domain | None = None, label: str = "chart"):
         super().__init__(dim, domain, label)
-        self._potential = _as_jet_function(potential, dim, "potential")
+        self._potential = _as_jet_function(potential, dim, "potential", expressions.check_dimension)
 
-    def potential_jet(self, point, order: int) -> WirtingerJet:
-        pt = self.require_inside(point)
-        phi = self._potential(variable_jets(pt, self.dim, order))
-        if not isinstance(phi, WirtingerJet):
-            phi = jet_constant(complex(phi), self.dim, order)
+    def _potential_on(self, zs: Sequence[WirtingerJet]) -> WirtingerJet:
+        phi = self._potential(zs)
         defect = np.max(np.abs((phi - phi.conj()).coeffs))
         if defect > REALNESS_TOL * (1.0 + float(np.max(np.abs(phi.coeffs)))):
             raise MetricError(f"{self.label}: potential is not real-valued (defect {defect:.3e})")
         return phi
 
+    def potential_jet(self, point, order: int) -> WirtingerJet:
+        pt = self.require_inside(point)
+        return self._potential_on(variable_jets(pt, self.dim, order))
+
+    def pullback_jets(self, fjets, order: int) -> list[list[WirtingerJet]]:
+        # f*ω = √−1 ∂∂̄(φ∘f) for holomorphic f
+        self.require_inside([fj.value for fj in fjets])
+        phi = self._potential_on([fj.truncated(order + 2) for fj in fjets])
+        m = phi.num_vars
+        dphi = [phi.d_dz(a) for a in range(m)]
+        return [[dphi[a].d_dzbar(b) for b in range(m)] for a in range(m)]
+
     def metric_jets(self, point, order: int) -> list[list[WirtingerJet]]:
-        phi = self.potential_jet(point, order + 2)
-        dphi = [phi.d_dz(a) for a in range(self.dim)]
-        return [[dphi[a].d_dzbar(b) for b in range(self.dim)] for a in range(self.dim)]
+        pt = self.require_inside(point)
+        return self.pullback_jets(variable_jets(pt, self.dim, order + 2), order)
 
 
 class ComponentChart(KahlerChart):
@@ -186,24 +205,24 @@ class ComponentChart(KahlerChart):
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise ConfigurationError(f"{label}: component matrix must be {dim}x{dim}")
         self._entries = [
-            [_as_jet_function(entry, dim, f"metric component ({a + 1},{b + 1})")
+            [_as_jet_function(entry, dim, f"metric component ({a + 1},{b + 1})",
+                              expressions.check_dimension)
              for b, entry in enumerate(row)]
             for a, row in enumerate(entries)
         ]
 
+    def pullback_jets(self, fjets, order: int) -> list[list[WirtingerJet]]:
+        # (f*h)_{μν̄} = Σ_{i,j} ∂_μ f^i · (h_{i ȷ̄} ∘ f) · conj(∂_ν f^j)
+        self.require_inside([fj.value for fj in fjets])
+        zs = [fj.truncated(order) for fj in fjets]
+        h = [[fn(zs) for fn in row] for row in self._entries]
+        df = [[fj.d_dz(mu).truncated(order) for fj in fjets] for mu in range(fjets[0].num_vars)]
+        df_bar = [[d.conj() for d in row] for row in zip(*df)]
+        return jet_mat_mul(jet_mat_mul(df, h), df_bar)
+
     def metric_jets(self, point, order: int) -> list[list[WirtingerJet]]:
-        pt = self.require_inside(point)
-        zs = variable_jets(pt, self.dim, order)
-        out = []
-        for row in self._entries:
-            jets_row = []
-            for fn in row:
-                val = fn(zs)
-                if not isinstance(val, WirtingerJet):
-                    val = jet_constant(complex(val), self.dim, order)
-                jets_row.append(val)
-            out.append(jets_row)
-        return out
+        zs = variable_jets(self.require_inside(point), self.dim, order)
+        return [[fn(zs) for fn in row] for row in self._entries]
 
 
 def pullback_metric_jets(
@@ -212,37 +231,20 @@ def pullback_metric_jets(
     """Jets of the pulled-back form f*h given jets of the map components.
 
     ``component_jets`` are the target coordinates of the map as jets in
-    the source variables, of order at least ``order + 1`` (one order is
-    spent on the differentials).  Entry (μ,ν) of the result is
-    Σ_{i,j} (∂f^i/∂z^μ) · (h_{i ȷ̄} ∘ f) · conj(∂f^j/∂z^ν).
+    the source variables, of order at least ``order + 2`` (a potential
+    spends two orders on ∂∂̄).  The target chart evaluates its defining
+    function on them; see :meth:`KahlerChart.pullback_jets`.
     """
     fjets = list(component_jets)
     if len(fjets) != target.dim:
         raise ConfigurationError(
             f"map has {len(fjets)} components, target dimension is {target.dim}"
         )
-    if fjets[0].order < order + 1:
+    if fjets[0].order < order + 2:
         raise ConfigurationError(
-            f"pullback to order {order} needs component jets of order {order + 1}"
+            f"pullback to order {order} needs component jets of order {order + 2}"
         )
-    image = np.array([fj.value for fj in fjets])
-    h = target.metric_jets(image, order)
-    disp = [fj.truncated(order) - fj.value for fj in fjets]
-    h_along = [[compose(h[i][j], disp) for j in range(target.dim)] for i in range(target.dim)]
-    df = [[fj.d_dz(mu).truncated(order) for mu in range(fjets[0].num_vars)] for fj in fjets]
-    m_src = fjets[0].num_vars
-    n_tgt = target.dim
-    out = []
-    for mu in range(m_src):
-        row = []
-        for nu in range(m_src):
-            acc = jet_constant(0.0, m_src, order)
-            for i in range(n_tgt):
-                for j in range(n_tgt):
-                    acc = acc + df[i][mu] * h_along[i][j] * df[j][nu].conj()
-            row.append(acc)
-        out.append(row)
-    return out
+    return target.pullback_jets(fjets, order)
 
 
 @dataclass(frozen=True)
@@ -276,11 +278,12 @@ class ChartMap:
     def pull_vector(self, vector, at_w) -> np.ndarray:
         return np.linalg.solve(self.jacobian(at_w), np.asarray(vector, dtype=complex))
 
-    def component_jets(self, w_point, order: int) -> list[WirtingerJet]:
-        ws = variable_jets(np.asarray(w_point, dtype=complex), self.dim, order)
+    def on_jets(self, ws: Sequence[WirtingerJet]) -> list[WirtingerJet]:
+        """z = ψ(w) evaluated on jets ``ws`` of the w coordinates."""
+        num_vars, order = ws[0].num_vars, ws[0].order
         out = []
         for i in range(self.dim):
-            acc = jet_constant(self.base[i], self.dim, order)
+            acc = jet_constant(self.base[i], num_vars, order)
             for mu in range(self.dim):
                 if self.linear[i, mu] != 0:
                     acc = acc + self.linear[i, mu] * ws[mu]
@@ -289,6 +292,9 @@ class ChartMap:
                         acc = acc + 0.5 * self.quad[i, mu, k] * ws[mu] * ws[k]
             out.append(acc)
         return out
+
+    def component_jets(self, w_point, order: int) -> list[WirtingerJet]:
+        return self.on_jets(variable_jets(np.asarray(w_point, dtype=complex), self.dim, order))
 
 
 class PulledBackChart(KahlerChart):
@@ -303,9 +309,13 @@ class PulledBackChart(KahlerChart):
         self.source = source
         self.change = change
 
+    def pullback_jets(self, fjets, order: int) -> list[list[WirtingerJet]]:
+        self.require_inside([fj.value for fj in fjets])
+        return self.source.pullback_jets(self.change.on_jets(fjets), order)
+
     def metric_jets(self, point, order: int) -> list[list[WirtingerJet]]:
         pt = self.require_inside(point)
-        return pullback_metric_jets(self.source, self.change.component_jets(pt, order + 1), order)
+        return self.pullback_jets(variable_jets(pt, self.dim, order + 2), order)
 
 
 # -- pointwise curvature data ----------------------------------------------------
@@ -407,8 +417,9 @@ class CurvatureFacts:
 
     ``hol_sec_min``/``hol_sec_max`` bound the normalized holomorphic
     sectional curvature R(v, v̄, v, v̄)/|v|⁴; ``ricci_min``/``ricci_max``
-    bound the Ricci form against the metric.  Bound modules treat these
-    as certified hypotheses, in contrast to sampled estimates.
+    bound the Ricci form against the metric; ``ricci_m_max[m - 1]`` is the
+    largest Σ_γ R(E_γ, Ē_γ, v, v̄) over m orthonormal E_γ and unit v in their
+    span.  Bound modules treat these as certified hypotheses.
     """
 
     hol_sec_min: float
@@ -416,6 +427,7 @@ class CurvatureFacts:
     ricci_min: float
     ricci_max: float
     scalar: float
+    ricci_m_max: tuple[float, ...]
 
     @property
     def constant_hol_sec(self) -> bool:
@@ -454,7 +466,7 @@ def _build_flat(dim: int = 1) -> KahlerChart:
 
 
 def _facts_flat(dim: int = 1) -> CurvatureFacts:
-    return CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0)
+    return CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim)
 
 
 def _build_poincare_disk(a: float = 1.0) -> KahlerChart:
@@ -465,7 +477,7 @@ def _build_poincare_disk(a: float = 1.0) -> KahlerChart:
 
 
 def _facts_poincare_disk(a: float = 1.0) -> CurvatureFacts:
-    return CurvatureFacts(-2.0 / a, -2.0 / a, -2.0 / a, -2.0 / a, -2.0 / a)
+    return CurvatureFacts(-2.0 / a, -2.0 / a, -2.0 / a, -2.0 / a, -2.0 / a, (-2.0 / a,))
 
 
 def _build_poincare_polydisk(dim: int = 2, a: float = 1.0) -> KahlerChart:
@@ -484,8 +496,10 @@ def _build_poincare_polydisk(dim: int = 2, a: float = 1.0) -> KahlerChart:
 
 
 def _facts_poincare_polydisk(dim: int = 2, a: float = 1.0) -> CurvatureFacts:
-    # H is minimized on a single factor and maximized on the diagonal
-    return CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a)
+    # H is minimized on a single factor and maximized on the diagonal; Ric_m
+    # is largest on m − 1 axes plus the diagonal of the remaining factors
+    ricci_m = tuple(-2.0 / (a * (dim - m + 1)) for m in range(1, dim + 1))
+    return CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a, ricci_m)
 
 
 def _build_complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> KahlerChart:
@@ -498,7 +512,9 @@ def _build_complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> KahlerChart:
 
 def _facts_complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> CurvatureFacts:
     ric = -(dim + 1.0) / c
-    return CurvatureFacts(-2.0 / c, -2.0 / c, ric, ric, dim * ric)
+    # constant H: Ric_m = (m + 1)·H/2 on every m-dimensional subspace
+    ricci_m = tuple(-(m + 1.0) / c for m in range(1, dim + 1))
+    return CurvatureFacts(-2.0 / c, -2.0 / c, ric, ric, dim * ric, ricci_m)
 
 
 def _build_fubini_study(dim: int = 1, c: float = 1.0) -> KahlerChart:
@@ -510,7 +526,8 @@ def _build_fubini_study(dim: int = 1, c: float = 1.0) -> KahlerChart:
 
 def _facts_fubini_study(dim: int = 1, c: float = 1.0) -> CurvatureFacts:
     ric = (dim + 1.0) / c
-    return CurvatureFacts(2.0 / c, 2.0 / c, ric, ric, dim * ric)
+    ricci_m = tuple((m + 1.0) / c for m in range(1, dim + 1))
+    return CurvatureFacts(2.0 / c, 2.0 / c, ric, ric, dim * ric, ricci_m)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Each check computes its two sides along maximally independent paths:
 the left side by jet differentiation of the assembled global scalar
-(energy, log-volume, log of the stretch barrier), the right side by
-covariant tensor assembly from curvature, adapted frames, and the map
-Hessian.  The only shared ingredient is metric evaluation, so an error
-in either path shows up as a residual instead of cancelling.
+(energy, log-volume, log of the stretch barrier), whose pulled-back form
+is φ∘f or h∘f evaluated on the map's jets; the right side by tensor
+assembly from curvature, adapted frames, and the map Hessian.  The only
+shared ingredient is the chart's defining function (potential φ or
+metric entries h), so an error in either path shows up as a residual.
 
 Residuals are reported scaled by 1/(1 + |LHS| + |RHS|); the default
 tolerance of 1e-6 reflects order-4 jets in double precision.
@@ -124,14 +125,14 @@ def _hessian_of(jet, dim: int) -> np.ndarray:
 
 def _energy_jet(f: HoloMap, point):
     """Jets of ‖∂f‖² = tr(g^{-1}·f*h) at the point, order 2."""
-    a_jets = pullback_metric_jets(f.target, f.component_jets(point, 3), 2)
+    a_jets = pullback_metric_jets(f.target, f.component_jets(point, 4), 2)
     g_jets = f.domain.metric_jets(point, 2)
     return jet_mat_trace(jet_mat_mul(jet_mat_inv(g_jets), a_jets))
 
 
 def _log_volume_jet(f: HoloMap, point):
     """Jets of log D = log det(f*h) − log det g at the point, order 2."""
-    a_jets = pullback_metric_jets(f.target, f.component_jets(point, 3), 2)
+    a_jets = pullback_metric_jets(f.target, f.component_jets(point, 4), 2)
     g_jets = f.domain.metric_jets(point, 2)
     return jet_mat_det(a_jets).log() - jet_mat_det(g_jets).log()
 
@@ -269,7 +270,7 @@ def log_w_sides(f: HoloMap, point, v) -> tuple[float, float]:
     renormalized = normal_chart(f.domain, point, frame=e_frame)
     pulled = precompose(f, renormalized.change)
     origin = np.zeros(f.m)
-    a_jets = pullback_metric_jets(f.target, pulled.component_jets(origin, 3), 2)
+    a_jets = pullback_metric_jets(f.target, pulled.component_jets(origin, 4), 2)
     g_jets = renormalized.metric_jets(origin, 2)
     c_jets = [[entry.conj() for entry in row] for row in jet_mat_inv(g_jets)]
     acc = None
@@ -334,7 +335,9 @@ def sandwich_check(a_mat, g_mat, s: int) -> tuple[float, float, float]:
         (np.einsum("b,ab,a->", c_inv[s, :], a_mat, c_inv[:, s]) / c_inv[s, s]).real
     )
     sup, inf = float(vals[-1]), float(vals[0])
-    assert inf - 1e-10 * (1.0 + abs(sup)) <= middle <= sup + 1e-10 * (1.0 + abs(sup))
+    slack = 1e-10 * (1.0 + abs(sup))
+    if not inf - slack <= middle <= sup + slack:
+        raise DegenerateInputError(f"Rayleigh quotient {middle:.6e} outside [{inf:.6e}, {sup:.6e}]")
     return middle, sup, inf
 
 

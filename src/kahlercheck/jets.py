@@ -343,6 +343,10 @@ def compose(outer: WirtingerJet, inner: Sequence[WirtingerJet]) -> WirtingerJet:
     one variable space and have zero constant term; the result is then
     exact to the smaller of the two orders, because displacement jets
     are nilpotent.
+
+    Charts pull back by evaluating their defining function on the map's
+    jets, so the package composes no jets; this is the tests' reference
+    for that pullback, and the benchmark's tracer wraps it by name.
     """
     inner = list(inner)
     if len(inner) != outer.num_vars:
@@ -436,14 +440,6 @@ def _wirtinger_op(f: Callable, k: int, h: float, sign: float) -> Callable:
     return op
 
 
-def _dz_op(f: Callable, k: int, h: float) -> Callable:
-    return _wirtinger_op(f, k, h, -1.0)
-
-
-def _dzbar_op(f: Callable, k: int, h: float) -> Callable:
-    return _wirtinger_op(f, k, h, +1.0)
-
-
 def fd_cross_check(
     field: Callable[[np.ndarray], complex],
     point: Sequence[complex],
@@ -468,10 +464,10 @@ def fd_cross_check(
     f = field
     for k, reps in enumerate(ta):
         for _ in range(reps):
-            f = _dz_op(f, k, step)
+            f = _wirtinger_op(f, k, step, -1.0)
     for k, reps in enumerate(tb):
         for _ in range(reps):
-            f = _dzbar_op(f, k, step)
+            f = _wirtinger_op(f, k, step, +1.0)
     return f(pt)
 
 
@@ -482,10 +478,6 @@ def fd_cross_check(
 
 
 JetMatrix = list  # list[list[WirtingerJet]]
-
-
-def jet_mat_from(entries) -> JetMatrix:
-    return [list(row) for row in entries]
 
 
 def jet_mat_mul(A: JetMatrix, B: JetMatrix) -> JetMatrix:

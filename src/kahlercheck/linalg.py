@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateInputError, FrameError, MetricError
+from .errors import FrameError, MetricError
 
 HERMITIAN_TOL = 1e-10
 DEFINITENESS_FLOOR = 1e-10
@@ -48,7 +48,11 @@ def check_positive_definite(g: np.ndarray, label: str = "metric") -> np.ndarray:
 
 def frame_normalizer(g: np.ndarray) -> np.ndarray:
     """Columns of the result are a g-orthonormal frame: ``C.T @ g @ C.conj() = I``."""
-    g = check_positive_definite(g)
+    return cholesky_frame(check_positive_definite(g))
+
+
+def cholesky_frame(g: np.ndarray) -> np.ndarray:
+    """:func:`frame_normalizer` for a ``g`` that :func:`check_positive_definite` returned."""
     chol = np.linalg.cholesky(g)  # g = L L^H
     return scipy.linalg.solve_triangular(chol, np.eye(len(g), dtype=complex), lower=True).T
 
@@ -89,9 +93,3 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
-
-def solve_columns(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        raise DegenerateInputError("singular matrix in change of frame") from None

@@ -15,7 +15,7 @@ g-unitary when ``E.T @ G @ conj(E) = I``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -26,35 +26,17 @@ from .geometry import (
     ChartMap,
     KahlerChart,
     PulledBackChart,
+    _as_jet_function,
     christoffel,
     metric_at,
     normal_chart,
 )
 from .jets import WirtingerJet, derivative, jet_constant, variable_jets
-from .linalg import frame_normalizer, haar_unitary, rng_for
+from .linalg import cholesky_frame, haar_unitary, rng_for
 
 HOLOMORPHY_TOL = 1e-12
 RANK_RELATIVE_FLOOR = 1e-10
 RANK_ABSOLUTE_FLOOR = 1e-30
-
-
-def _as_component(source, dim: int, what: str) -> Callable:
-    """Normalize a map component to a jet callable; expressions must be conj-free."""
-    if isinstance(source, (int, float, complex)) and not isinstance(source, bool):
-        value = complex(source)
-        return lambda zs: value
-    if isinstance(source, str):
-        source = expressions.parse(source)
-    if isinstance(
-        source,
-        (expressions.Num, expressions.Imag, expressions.Var, expressions.Neg,
-         expressions.BinOp, expressions.Pow, expressions.Call),
-    ):
-        expressions.check_holomorphic(source, dim, what)
-        return expressions.compiled(source)
-    if callable(source):
-        return source
-    raise ConfigurationError(f"{what} must be an expression or a callable")
 
 
 class HoloMap:
@@ -71,7 +53,8 @@ class HoloMap:
         self.target = target
         self.label = label
         self._components = [
-            _as_component(c, domain.dim, f"{label} component {i + 1}")
+            _as_jet_function(c, domain.dim, f"{label} component {i + 1}",
+                             expressions.check_holomorphic)
             for i, c in enumerate(components)
         ]
 
@@ -90,8 +73,6 @@ class HoloMap:
         jets = []
         for i, fn in enumerate(self._components):
             val = fn(zs)
-            if not isinstance(val, WirtingerJet):
-                val = jet_constant(complex(val), self.m, order)
             bar_mass = _antiholomorphic_mass(val)
             if bar_mass > HOLOMORPHY_TOL * (1.0 + float(np.max(np.abs(val.coeffs)))):
                 raise HolomorphyError(
@@ -173,15 +154,17 @@ def _phase_normalized(u: np.ndarray, vh: np.ndarray, paired: int):
 
 def map_point_data(f: HoloMap, point) -> MapPointData:
     """Pullback form, stretch spectrum, and adapted frames at a point."""
-    p_mat = pushforward(f, point)
+    jets = f.component_jets(point, 1)
+    p_mat = np.array([[jets[i].d_dz(a).value for a in range(f.m)] for i in range(f.n)])
     pt = np.asarray(point, dtype=complex)
-    image = np.array([complex(x) for x in f.image_point(point)])
+    image = np.array([jet.value for jet in jets])
     g = metric_at(f.domain, pt)
     h = metric_at(f.target, image)
     pullback = p_mat.T @ h @ np.conj(p_mat)
     pullback = 0.5 * (pullback + pullback.conj().T)
-    cg = frame_normalizer(g)
-    ch = frame_normalizer(h)
+    # metric_at has validated g and h
+    cg = cholesky_frame(g)
+    ch = cholesky_frame(h)
     normalized = scipy.linalg.solve(ch, p_mat @ cg)
     u, s, vh = np.linalg.svd(normalized)
     u, v = _phase_normalized(u, vh, paired=len(s))
@@ -277,8 +260,7 @@ def precompose(f: HoloMap, change: ChartMap, label: str | None = None) -> HoloMa
 
     def component(i):
         def fn(ws):
-            zs = _chart_map_on_jets(change, ws)
-            return f._components[i](zs)
+            return f._components[i](change.on_jets(ws))
 
         return fn
 
@@ -297,12 +279,7 @@ def postcompose(g_map: HoloMap, f: HoloMap, label: str | None = None) -> HoloMap
 
     def component(j):
         def fn(zs):
-            inner = [c(zs) for c in f._components]
-            inner = [
-                v if isinstance(v, WirtingerJet) else jet_constant(complex(v), f.m, zs[0].order)
-                for v in inner
-            ]
-            return g_map._components[j](inner)
+            return g_map._components[j]([c(zs) for c in f._components])
 
         return fn
 
@@ -312,20 +289,6 @@ def postcompose(g_map: HoloMap, f: HoloMap, label: str | None = None) -> HoloMap
         [component(j) for j in range(g_map.n)],
         label=label or f"{g_map.label}∘{f.label}",
     )
-
-
-def _chart_map_on_jets(change: ChartMap, ws: list) -> list:
-    out = []
-    for i in range(change.dim):
-        acc = jet_constant(change.base[i], ws[0].num_vars, ws[0].order)
-        for mu in range(change.dim):
-            if change.linear[i, mu] != 0:
-                acc = acc + change.linear[i, mu] * ws[mu]
-            for k in range(change.dim):
-                if change.quad[i, mu, k] != 0:
-                    acc = acc + 0.5 * change.quad[i, mu, k] * ws[mu] * ws[k]
-        out.append(acc)
-    return out
 
 
 def catalog_isometry(chart: KahlerChart, seed: int = 0) -> HoloMap:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kahlercheck
 from kahlercheck.bounds import BoundReport, Constant
 from kahlercheck.cli import (
     chart_from_spec,
@@ -346,3 +350,65 @@ def test_main_curvature_subcommand(capsys):
     assert main(["curvature", "volume_ball_equality"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["charts"][0]["facts"]["scalar"] == -6.0
+
+
+@pytest.mark.parametrize("sampler", [
+    {"count": -5, "radius": 0.8, "seed": 7},
+    {"count": 0, "radius": 0.8, "seed": 7},
+    {"count": 2.5, "radius": 0.8, "seed": 7},
+    {"count": "6", "radius": 0.8, "seed": 7},
+    {"count": True, "radius": 0.8, "seed": 7},
+    {"count": 6, "radius": 0, "seed": 7},
+    {"count": 6, "radius": -0.8, "seed": 7},
+    {"count": 6, "radius": float("nan"), "seed": 7},
+    {"count": 6, "radius": float("inf"), "seed": 7},
+    {"count": 6, "radius": "0.8", "seed": 7},
+    {"count": 6, "radii": [-0.5], "seed": 7},
+    {"count": 6, "radii": 0.5, "seed": 7},
+    {"count": 6, "radius": 0.8, "seed": -1},
+    {"count": 6, "radius": 0.8, "seed": "7"},
+    [6, 0.8, 7],
+])
+def test_main_bad_sampler_exits_two_without_traceback(tmp_path, capsys, sampler):
+    path = tmp_path / "bad_sampler.json"
+    path.write_text(json.dumps(manifest(sampler=sampler)))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_main_negative_seed_override_exits_two(capsys):
+    assert main(["run", "boch1_flat_to_ball", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_volume_bound_uses_m_ricci_of_target(tmp_path, capsys):
+    # an isometric disk in the 2-ball sits exactly on the bound (K/(m·κ))^m = 1
+    # with K = 2 and κ = −max Ric_1 = 2; the full Ricci curvature (κ = 3)
+    # would give 2/3
+    doc = manifest(domain={"catalog": "complex_hyperbolic_ball", "params": {"dim": 1}},
+                   target={"catalog": "complex_hyperbolic_ball", "params": {"dim": 2}},
+                   map=["z1", "0"], sampler={"count": 8, "radius": 0.7, "seed": 3},
+                   checks=[{"kind": "volume"}])
+    path = tmp_path / "volume.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)["checks"][0]
+    assert report["verdict"] == "passed" and report["equality_case"]
+    assert report["bound"] == pytest.approx(1.0, abs=1e-12)
+    assert report["observed"] == pytest.approx(1.0, abs=1e-9)
+    kappa = {c["name"]: c for c in report["constants"]}["kappa"]
+    assert kappa == {"name": "kappa", "value": 2.0, "source": "analytic"}
+
+
+def test_python_dash_m_kahlercheck_runs_cleanly():
+    # same environment as criterion 12: the child imports this copy of the package
+    import_root = str(Path(kahlercheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "kahlercheck", "catalog", "list"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "scenario:boch1_flat_to_ball" in proc.stdout

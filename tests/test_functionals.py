@@ -264,3 +264,26 @@ def test_k_ricci_result_frames_are_orthonormal():
     assert isinstance(out, KRicciExtremes)
     e = out.max_frame.vectors
     np.testing.assert_allclose(e.T @ cp.g @ np.conj(e), np.eye(1), atol=1e-10)
+
+
+@pytest.mark.parametrize("name, params, point", [
+    ("flat", {"dim": 2}, [0.3, -0.2j]),
+    ("poincare_disk", {"a": 1.5}, [0.3 - 0.1j]),
+    ("poincare_polydisk", {"dim": 2, "a": 1.25}, [0.2, -0.3j]),
+    ("poincare_polydisk", {"dim": 3, "a": 0.8}, [0.1, 0.2j, -0.3]),
+    ("complex_hyperbolic_ball", {"dim": 3, "c": 2.0}, [0.2, 0.1j, -0.3]),
+    ("fubini_study", {"dim": 3, "c": 1.5}, [0.5, -0.4j, 0.3]),
+])
+def test_catalog_m_ricci_facts_match_search(name, params, point):
+    from kahlercheck.geometry import catalog_facts
+
+    facts = catalog_facts(name, **params)
+    cp = cp_at(name, point, **params)
+    dim = len(point)
+    assert len(facts.ricci_m_max) == dim
+    assert facts.ricci_m_max[-1] == facts.ricci_max
+    for m in range(1, dim + 1):
+        out = k_ricci_extremes(cp, k=m, restarts=4, iterations=200, seed=m)
+        # the fixed-step search approaches the largest value from below
+        assert out.max_eig <= facts.ricci_m_max[m - 1] + 1e-9
+        assert out.max_eig == pytest.approx(facts.ricci_m_max[m - 1], rel=5e-3, abs=1e-9)

@@ -25,7 +25,7 @@ from kahlercheck.geometry import (
     normal_chart,
     pullback_metric_jets,
 )
-from kahlercheck.jets import variable_jets
+from kahlercheck.jets import compose, jet_constant, variable_jets
 from kahlercheck.linalg import g_orthonormalize
 
 
@@ -321,6 +321,83 @@ def test_pullback_rejects_low_order_jets():
     jets = variable_jets([0.0], 1, 1)
     with pytest.raises(ConfigurationError):
         pullback_metric_jets(chart, jets, 1)
+
+
+def compose_pullback(target, fjets, order):
+    """Σ ∂f · compose(h, displacement) · conj(∂f): metric jets at the image,
+    composed with the displacement jets of the map."""
+    image = np.array([fj.value for fj in fjets])
+    h = target.metric_jets(image, order)
+    disp = [fj.truncated(order) - fj.value for fj in fjets]
+    m = fjets[0].num_vars
+    df = [[fj.d_dz(mu).truncated(order) for mu in range(m)] for fj in fjets]
+    out = [[jet_constant(0.0, m, order) for _ in range(m)] for _ in range(m)]
+    for i in range(target.dim):
+        for j in range(target.dim):
+            h_along = compose(h[i][j], disp)
+            for mu in range(m):
+                for nu in range(m):
+                    out[mu][nu] = out[mu][nu] + df[i][mu] * h_along * df[j][nu].conj()
+    return out
+
+
+def pullback_roster():
+    """(target chart, image radius it accepts) for the pullback comparison."""
+    charts = [(catalog("poincare_disk", a=1.5), 0.5)]
+    for dim in (1, 2, 3):
+        charts += [
+            (catalog("flat", dim=dim), 1.0),
+            (catalog("poincare_polydisk", dim=dim, a=1.25), 0.5),
+            (catalog("complex_hyperbolic_ball", dim=dim, c=2.0), 0.5),
+            (catalog("fubini_study", dim=dim, c=1.5), 1.0),
+        ]
+    expression = ComponentChart(
+        2, [["2 + abs2(z1)", "0.3*z1*conj(z2)"], ["0.3*z2*conj(z1)", "1 + abs2(z2)^2"]],
+        Ball(2), label="expression")
+    ball = catalog("complex_hyperbolic_ball", dim=2, c=1.0)
+    normal = normal_chart(ball, np.array([0.2, -0.1j]))
+    return charts + [(expression, 0.5), (normal, 0.3)]
+
+
+def map_jets(rng, source_dim, target_dim, radius, order):
+    """Components of a random holomorphic quadratic map as jets at a random point."""
+    ws = variable_jets(0.1 * rng.normal(size=source_dim), source_dim, order)
+    image = rng.normal(size=target_dim) + 1j * rng.normal(size=target_dim)
+    image *= radius / np.linalg.norm(image)
+    out = []
+    for i in range(target_dim):
+        lin = rng.normal(size=source_dim) + 1j * rng.normal(size=source_dim)
+        acc = jet_constant(image[i], source_dim, order)
+        for mu in range(source_dim):
+            shift = ws[mu] - ws[mu].value
+            acc = acc + 0.5 * lin[mu] * shift + 0.2 * lin[mu] * shift * shift
+        out.append(acc)
+    return out
+
+
+def test_pullback_matches_compose_reference():
+    rng = np.random.default_rng(21)
+    order = 2
+    for chart, radius in pullback_roster():
+        for source_dim in (1, 2):
+            fjets = map_jets(rng, source_dim, chart.dim, radius, order + 2)
+            got = pullback_metric_jets(chart, fjets, order)
+            want = compose_pullback(chart, fjets, order)
+            for mu in range(source_dim):
+                for nu in range(source_dim):
+                    np.testing.assert_allclose(
+                        got[mu][nu].coeffs, want[mu][nu].coeffs, rtol=0, atol=1e-13,
+                        err_msg=f"{chart.label}, source dimension {source_dim}")
+
+
+def test_pullback_rejects_image_outside_target():
+    rng = np.random.default_rng(22)
+    for chart, _ in pullback_roster():
+        if isinstance(chart.domain, FullSpace) and not isinstance(chart, PulledBackChart):
+            continue
+        fjets = map_jets(rng, 1, chart.dim, 3.0, 4)
+        with pytest.raises(DomainError):
+            pullback_metric_jets(chart, fjets, 2)
 
 
 # -- catalog ----------------------------------------------------------------------

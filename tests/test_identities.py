@@ -258,6 +258,19 @@ def test_sandwich_rejects_bad_inputs():
         sandwich_check(eye, eye, 2)  # index out of range
 
 
+def test_sandwich_raises_when_quotient_leaves_pencil_range(monkeypatch):
+    # the claim must hold as a raised error, not an assert that -O strips
+    import kahlercheck.identities as identities
+
+    def shifted(a, g):
+        vals = np.linalg.eigvalsh(a)
+        return vals + 10.0, None
+
+    monkeypatch.setattr(identities, "pencil_eigh", shifted)
+    with pytest.raises(DegenerateInputError):
+        sandwich_check(np.diag([1.0, 4.0]).astype(complex), np.eye(2, dtype=complex), 0)
+
+
 # -- sphere averaging ------------------------------------------------------------
 
 
