@@ -21,7 +21,7 @@ from .functionals import bisectional
 from .geometry import curvature_tensor
 from .identities import CheckReport
 from .linalg import rng_for
-from .maps import HoloMap, map_point_data, sigma_k
+from .maps import HoloMap, map_point_data, point_contexts, sigma_k
 
 ANALYTIC = "analytic"
 SAMPLED = "sampled"
@@ -107,15 +107,6 @@ def _report(kind, constants, observed, bound, tol, points, reverse=False,
     )
 
 
-def _as_points(points, dim: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != dim or len(pts) == 0:
-        raise ConfigurationError(f"points must have shape (k, {dim}) with k >= 1")
-    return pts
-
-
 # -- Schwarz-type upper bounds ---------------------------------------------------
 
 
@@ -125,13 +116,13 @@ def schwarz_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value < 0:
         raise ConfigurationError("K must be nonnegative (it bounds −H from above)")
-    pts = _as_points(points, f.m)
-    observed = max(float(map_point_data(f, p).singular_sq[0]) for p in pts)
+    contexts = point_contexts(f, points, 1)
+    observed = max(float(ctx.data.singular_sq[0]) for ctx in contexts)
     bound = k.value / kappa_val
     notes = _provenance_notes(k, kappa)
     if bound == 0 and observed > tol:
         notes.append("hypotheses force a constant map; any stretching fails the bound")
-    return _report("schwarz", (k, kappa), observed, bound, tol, len(pts), notes=notes)
+    return _report("schwarz", (k, kappa), observed, bound, tol, len(contexts), notes=notes)
 
 
 def volume_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
@@ -142,16 +133,16 @@ def volume_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
         raise ConfigurationError("K must be nonnegative (it bounds −S from above)")
     if f.m > f.n:
         raise ConfigurationError(f"volume bound needs m <= n, got m={f.m}, n={f.n}")
-    pts = _as_points(points, f.m)
+    contexts = point_contexts(f, points, 1)
     observed = 0.0
-    for p in pts:
-        data = map_point_data(f, p)
+    for ctx in contexts:
+        data = ctx.data
         observed = max(observed, float(np.prod(data.singular_sq)) if data.rank == f.m else 0.0)
     bound = (k.value / (f.m * kappa_val)) ** f.m
     notes = _provenance_notes(k, kappa)
     if bound == 0 and observed > tol:
         notes.append("hypotheses force degeneracy; any full-rank sample fails the bound")
-    return _report("volume", (k, kappa), observed, bound, tol, len(pts), notes=notes)
+    return _report("volume", (k, kappa), observed, bound, tol, len(contexts), notes=notes)
 
 
 def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
@@ -160,17 +151,17 @@ def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value < 0:
         raise ConfigurationError("K must be nonnegative (it bounds −Ric from above)")
-    pts = _as_points(points, f.m)
+    contexts = point_contexts(f, points, 1)
     observed, rank = 0.0, 0
-    for p in pts:
-        data = map_point_data(f, p)
+    for ctx in contexts:
+        data = ctx.data
         observed = max(observed, float(np.sum(data.singular_sq)))
         rank = max(rank, data.rank)
     coefficient = Fraction(2 * rank, rank + 1)
     bound = float(coefficient) * k.value / kappa_val
     notes = _provenance_notes(k, kappa)
     notes.append(f"rank d={rank}, coefficient 2d/(d+1) = {coefficient}")
-    return _report("royden", (k, kappa), observed, bound, tol, len(pts),
+    return _report("royden", (k, kappa), observed, bound, tol, len(contexts),
                    coefficient=str(coefficient), notes=notes)
 
 
@@ -276,12 +267,12 @@ def hoop_check(f: HoloMap, points, mode: str, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value <= 0:
         raise ConfigurationError("hoop bounds need K > 0 (positively curved domain)")
-    pts = _as_points(points, f.m)
+    contexts = point_contexts(f, points, 1)
     if mode == "volume" and f.m > f.n:
         raise ConfigurationError(f"volume mode needs m <= n, got m={f.m}, n={f.n}")
     observed = 0.0
-    for p in pts:
-        data = map_point_data(f, p)
+    for ctx in contexts:
+        data = ctx.data
         if mode == "volume":
             value = float(np.prod(data.singular_sq)) ** (1.0 / f.m) if data.rank == f.m else 0.0
         else:
@@ -294,7 +285,7 @@ def hoop_check(f: HoloMap, points, mode: str, k: Constant, kappa: Constant,
     bound = k.value / kappa_val
     notes = _provenance_notes(k, kappa)
     notes.append("sampled maximum underestimates the true maximum; a failure is advisory")
-    return _report(f"hoop[{mode}]", (k, kappa), observed, bound, tol, len(pts),
+    return _report(f"hoop[{mode}]", (k, kappa), observed, bound, tol, len(contexts),
                    reverse=True, notes=notes)
 
 
@@ -322,7 +313,7 @@ def degeneracy_profile(f: HoloMap, directions, radii) -> tuple[DegeneracyRow, ..
         raise ConfigurationError("need at least one radius")
     if any(r < 0 for r in radii):
         raise ConfigurationError("radii must be nonnegative")
-    dirs = _as_points(directions, f.m)
+    dirs = np.array([ray.point for ray in point_contexts(f, directions, 0)])
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0):
         raise DegenerateInputError("ray directions must be nonzero")

@@ -57,12 +57,17 @@ from .geometry import (
 )
 from .identities import CheckReport
 from .linalg import pencil_eigh, rng_for
-from .maps import HoloMap
+from .maps import HoloMap, point_contexts
 
 SCHEMA_VERSION = 1
 DEFAULT_PROBE_ORDER = 2
 SAMPLER_STREAM = 37
 CURVATURE_STREAM = 83
+# cap on every sample count a manifest or flag can ask for
+MAX_SAMPLE_COUNT = 100_000
+# sample points a sampled hypothesis constant and the curvature report read
+CONSTANT_PROBE_POINTS = 12
+CURVATURE_REPORT_POINTS = 20
 
 
 # -- manifest loading -------------------------------------------------------------
@@ -121,10 +126,16 @@ def _vector_from_json(value, dim: int, what: str) -> np.ndarray:
     return vec
 
 
-def _count(value, what: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ConfigurationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+def _count(value, what: str, minimum: int, maximum: int | None = None) -> int:
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum
+            or (maximum is not None and value > maximum)):
+        limit = f" and <= {maximum}" if maximum is not None else ""
+        raise ConfigurationError(f"{what} must be an integer >= {minimum}{limit}, got {value!r}")
     return int(value)
+
+
+def _sample_count(value, what: str, minimum: int = 1) -> int:
+    return _count(value, what, minimum, MAX_SAMPLE_COUNT)
 
 
 def _positive(value, what: str) -> float:
@@ -133,6 +144,34 @@ def _positive(value, what: str) -> float:
             or not 0 < value <= sys.float_info.max):
         raise ConfigurationError(f"{what} must be a finite positive number, got {value!r}")
     return float(value)
+
+
+def _checked_spec(check) -> dict:
+    """A copy of one check spec with its tolerance, counts and seed validated."""
+    if not isinstance(check, dict):
+        raise ConfigurationError("check spec must be an object")
+    kind = _require(check, "kind", "check spec")
+    if not isinstance(kind, str):
+        raise ConfigurationError(f"check kind must be a string, got {kind!r}")
+    spec = dict(check)
+    if "tolerance" in spec:
+        spec["tolerance"] = _positive(spec["tolerance"], f"{kind} tolerance")
+    if "seed" in spec:
+        spec["seed"] = _count(spec["seed"], f"{kind} seed", minimum=0)
+    if "hypothesis_samples" in spec:
+        spec["hypothesis_samples"] = _sample_count(
+            spec["hypothesis_samples"], f"{kind} hypothesis_samples", minimum=0)
+    if "count" in spec:
+        spec["count"] = _sample_count(spec["count"], f"{kind} count", minimum=2)
+    if "counts" in spec:
+        counts = spec["counts"]
+        if isinstance(counts, list):
+            if len(counts) != 3:
+                raise ConfigurationError(f"{kind} counts must be one count or a list of 3")
+            spec["counts"] = tuple(_sample_count(c, f"{kind} counts entry") for c in counts)
+        else:
+            spec["counts"] = _sample_count(counts, f"{kind} counts")
+    return spec
 
 
 @dataclass
@@ -170,7 +209,7 @@ def load_scenario(doc: dict) -> Scenario:
     if not isinstance(sampler, dict) or "seed" not in sampler:
         raise ConfigurationError("sampler must be an object with an explicit seed (reproducibility)")
     seed = _count(sampler["seed"], "sampler seed", minimum=0)
-    count = _count(sampler.get("count", 20), "sampler count", minimum=1)
+    count = _sample_count(sampler.get("count", 20), "sampler count")
     radius = sampler.get("radius")
     radii = sampler.get("radii")
     if (radius is None) == (radii is None):
@@ -182,8 +221,7 @@ def load_scenario(doc: dict) -> Scenario:
     checks = _require(doc, "checks", "manifest")
     if not isinstance(checks, list) or not checks:
         raise ConfigurationError("manifest needs a nonempty list of checks")
-    for check in checks:
-        _require(check, "kind", "check spec")
+    checks = [_checked_spec(check) for check in checks]
     return Scenario(
         name=name,
         domain=domain,
@@ -238,14 +276,15 @@ _CONSTANT_RULES = {
 }
 
 
-def _sampled_range(chart: KahlerChart, points, quantity: str, seed: int):
+def _sampled_range(curvatures, quantity: str, seed: int):
+    """Range of a curvature quantity over an iterable of :class:`CurvaturePoint`."""
     lo, hi = np.inf, -np.inf
     rng = rng_for(seed, CURVATURE_STREAM)
-    for point in points:
-        cp = curvature_tensor(chart, point)
+    for cp in curvatures:
         if quantity.startswith("hol_sec"):
+            dim = len(cp.g)
             for _ in range(8):
-                z = rng.normal(size=chart.dim) + 1j * rng.normal(size=chart.dim)
+                z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
                 value = holo_sectional(cp, z)[1]
                 lo, hi = min(lo, value), max(hi, value)
         elif quantity.startswith("ricci"):
@@ -257,7 +296,13 @@ def _sampled_range(chart: KahlerChart, points, quantity: str, seed: int):
     return lo, hi
 
 
-def _resolve_constant(scenario, check, const_name, rule, chart, chart_points):
+def _curvatures(contexts, role: str):
+    """Curvature at each context's point (domain) or image (target), built on demand."""
+    return (ctx.domain_curvature if role == "domain" else ctx.target_curvature
+            for ctx in contexts)
+
+
+def _resolve_constant(scenario, check, const_name, rule, chart, curvatures):
     """Check params and scenario constants are trusted analytic; catalog facts
     are analytic; anything else falls back to sampled (advisory) estimates."""
     if const_name in check:
@@ -271,18 +316,20 @@ def _resolve_constant(scenario, check, const_name, rule, chart, chart_points):
         if facts_field == "ricci_m_max":  # m = domain dimension; the volume check rejects m > n
             value = value[min(scenario.domain.dim, chart.dim) - 1]
         return bounds_mod.Constant.analytic(const_name, sign * value)
-    lo, hi = _sampled_range(chart, chart_points, facts_field, scenario.seed)
+    lo, hi = _sampled_range(curvatures, facts_field, scenario.seed)
     value = lo if facts_field.endswith("_min") or facts_field == "scalar" else hi
     return bounds_mod.Constant.sampled(const_name, sign * value)
 
 
-def resolve_bound_constants(scenario, check, kind, points):
+def resolve_bound_constants(scenario, check, kind, contexts):
+    """(K, κ) for a bound check; a sampled fallback reads the first sample contexts."""
     key = (kind, check.get("mode", "volume")) if kind == "hoop" else kind
     k_rule, kappa_rule = _CONSTANT_RULES[key]
-    probe = points[: min(len(points), 12)]
-    images = np.array([scenario.holo_map.image_point(p) for p in probe])
-    k = _resolve_constant(scenario, check, "K", k_rule, scenario.domain, probe)
-    kappa = _resolve_constant(scenario, check, "kappa", kappa_rule, scenario.target, images)
+    probe = contexts[:CONSTANT_PROBE_POINTS]
+    k = _resolve_constant(scenario, check, "K", k_rule, scenario.domain,
+                          _curvatures(probe, "domain"))
+    kappa = _resolve_constant(scenario, check, "kappa", kappa_rule, scenario.target,
+                              _curvatures(probe, "target"))
     return k, kappa
 
 
@@ -297,65 +344,64 @@ def _direction(scenario, check):
     return vec
 
 
-def _run_identity(scenario, check, points):
+def _run_identity(scenario, check, contexts):
     kind = check["kind"]
     verify = {"boch1": ident_mod.verify_boch1,
               "boch2": ident_mod.verify_boch2,
               "log_w": ident_mod.verify_log_w}[kind]
-    tol = float(check.get("tolerance", ident_mod.DEFAULT_TOL))
-    return verify(scenario.holo_map, points, _direction(scenario, check), tol)
+    tol = check.get("tolerance", ident_mod.DEFAULT_TOL)
+    return verify(scenario.holo_map, contexts, _direction(scenario, check), tol)
 
 
-def _run_bound(scenario, check, points):
+def _run_bound(scenario, check, contexts):
     kind = check["kind"]
-    tol = float(check.get("tolerance", 1e-8))
-    k, kappa = resolve_bound_constants(scenario, check, kind, points)
+    tol = check.get("tolerance", 1e-8)
+    k, kappa = resolve_bound_constants(scenario, check, kind, contexts)
     if kind == "hoop":
         mode = check.get("mode", "volume")
-        return bounds_mod.hoop_check(scenario.holo_map, points, mode, k, kappa, tol)
+        return bounds_mod.hoop_check(scenario.holo_map, contexts, mode, k, kappa, tol)
     runner = {"schwarz": bounds_mod.schwarz_bound_report,
               "volume": bounds_mod.volume_bound_report,
               "royden": bounds_mod.royden_bound_report}[kind]
-    return runner(scenario.holo_map, points, k, kappa, tol)
+    return runner(scenario.holo_map, contexts, k, kappa, tol)
 
 
-def _run_three_circle(scenario, check, points):
+def _run_three_circle(scenario, check, contexts):
     radii = _require(check, "radii", "three_circle check")
-    counts = check.get("counts", 64)
-    if isinstance(counts, list):
-        counts = tuple(int(c) for c in counts)
     return bounds_mod.three_circle_check(
         scenario.holo_map,
         tuple(float(r) for r in radii),
-        counts,
-        tol=float(check.get("tolerance", 1e-9)),
-        seed=int(check.get("seed", scenario.seed)),
+        check.get("counts", 64),
+        tol=check.get("tolerance", 1e-9),
+        seed=check.get("seed", scenario.seed),
     )
 
 
-def _run_psh(scenario, check, points):
+def _run_psh(scenario, check, contexts):
     return ident_mod.psh_check(
         _require(check, "quantity", "psh check"),
         scenario.holo_map,
-        points,
-        tol=float(check.get("tolerance", 1e-8)),
-        hypothesis_samples=int(check.get("hypothesis_samples", 3)),
-        seed=int(check.get("seed", scenario.seed)),
+        contexts,
+        tol=check.get("tolerance", 1e-8),
+        hypothesis_samples=check.get("hypothesis_samples", 3),
+        seed=check.get("seed", scenario.seed),
     )
 
 
-def _run_averaging(scenario, check, points):
+def _run_averaging(scenario, check, contexts):
     weights = _require(check, "weights", "averaging check")
-    anchor = (_vector_from_json(check["point"], scenario.domain.dim, "averaging point")
-              if "point" in check else points[0])
-    cp = curvature_tensor(scenario.domain, anchor)
+    if "point" in check:
+        anchor = _vector_from_json(check["point"], scenario.domain.dim, "averaging point")
+        cp = curvature_tensor(scenario.domain, anchor)
+    else:
+        cp = contexts[0].domain_curvature
     kappa = check.get("kappa")
     return ident_mod.averaging_identity_check(
         cp,
         [float(w) for w in weights],
-        tol=float(check.get("tolerance", 1e-9)),
-        count=int(check.get("count", 20000)),
-        seed=int(check.get("seed", scenario.seed)),
+        tol=check.get("tolerance", 1e-9),
+        count=check.get("count", 20000),
+        seed=check.get("seed", scenario.seed),
         kappa=None if kappa is None else float(kappa),
     )
 
@@ -374,11 +420,22 @@ _RUNNERS = {
 }
 
 
-def run_check(scenario: Scenario, check: dict, points: np.ndarray):
+# jet order of the map at the sample points each kind reads; other kinds read ∂f alone
+_JET_ORDERS = {kind: ident_mod.IDENTITY_JET_ORDER for kind in ("boch1", "boch2", "log_w", "psh")}
+
+
+def _scenario_jet_order(scenario: Scenario) -> int:
+    """The one jet order of a scenario's sample contexts: the highest any check needs."""
+    return max(_JET_ORDERS.get(check["kind"], 1) for check in scenario.checks)
+
+
+def run_check(scenario: Scenario, check: dict, contexts):
+    """Run one check on the scenario's sample points (an array, or their contexts)."""
     kind = check["kind"]
     if kind not in _RUNNERS:
         raise ConfigurationError(f"unknown check kind {kind!r}; known: {', '.join(sorted(_RUNNERS))}")
-    return _RUNNERS[kind](scenario, check, points)
+    contexts = point_contexts(scenario.holo_map, contexts, _scenario_jet_order(scenario))
+    return _RUNNERS[kind](scenario, check, contexts)
 
 
 # -- report assembly ----------------------------------------------------------------
@@ -448,10 +505,12 @@ def run_scenario(scenario: Scenario, details: bool = False) -> tuple[dict, int]:
     """Execute all checks in declaration order; report document plus exit code."""
     points = sample_points(scenario)
     _probe_charts(scenario, points)
+    # one context per sample point, shared by every check and dropped on return
+    contexts = point_contexts(scenario.holo_map, points, _scenario_jet_order(scenario))
     checks_json = []
     tally = {"passed": 0, "failed": 0, "advisory": 0}
     for check in scenario.checks:
-        report = run_check(scenario, check, points)
+        report = run_check(scenario, check, contexts)
         verdict = classify(report)
         tally[verdict] += 1
         doc = (check_report_json(report, details) if isinstance(report, CheckReport)
@@ -472,11 +531,9 @@ def curvature_report(scenario: Scenario) -> dict:
     """Closed-form facts where available plus sampled curvature ranges."""
     points = sample_points(scenario)
     _probe_charts(scenario, points)
-    probe = points[: min(len(points), 20)]
-    images = np.array([scenario.holo_map.image_point(p) for p in probe])
+    probe = point_contexts(scenario.holo_map, points[:CURVATURE_REPORT_POINTS], 0)
     charts = []
-    for role, chart, pts in (("domain", scenario.domain, probe),
-                             ("target", scenario.target, images)):
+    for role, chart in (("domain", scenario.domain), ("target", scenario.target)):
         entry = {"role": role, "label": chart.label, "dim": chart.dim}
         family = getattr(chart, "family", None)
         if family is not None:
@@ -494,10 +551,10 @@ def curvature_report(scenario: Scenario) -> dict:
             }
         sampled = {}
         for quantity in ("hol_sec", "ricci", "scalar"):
-            lo, hi = _sampled_range(chart, pts, quantity, scenario.seed)
+            lo, hi = _sampled_range(_curvatures(probe, role), quantity, scenario.seed)
             sampled[quantity] = {"min": lo, "max": hi}
         entry["sampled"] = sampled
-        entry["points_sampled"] = len(pts)
+        entry["points_sampled"] = len(probe)
         charts.append(entry)
     return {
         "schema": SCHEMA_VERSION,
@@ -571,15 +628,12 @@ def shipped_scenario(name: str) -> Scenario:
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.points is not None:
-        if args.points < 1:
-            raise ConfigurationError("--points must be at least 1")
-        scenario.count = args.points
+        scenario.count = _sample_count(args.points, "--points")
     if args.seed is not None:
         scenario.seed = _count(args.seed, "--seed", minimum=0)
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigurationError("--tol must be positive")
-        scenario.checks = [{**check, "tolerance": args.tol} for check in scenario.checks]
+        tol = _positive(args.tol, "--tol")
+        scenario.checks = [{**check, "tolerance": tol} for check in scenario.checks]
     if args.order is not None:
         if not 1 <= args.order <= 6:
             raise ConfigurationError("--order must be between 1 and 6")

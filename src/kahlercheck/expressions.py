@@ -30,6 +30,9 @@ import numpy as np
 from .errors import HolomorphyError, ParseError
 
 FUNCTIONS = ("conj", "abs2", "log", "exp")
+# deepest expression accepted: parenthesized or call levels while parsing, and
+# operator levels of the tree, which evaluation and printing recurse over
+MAX_NESTING = 100
 
 
 # -- AST -----------------------------------------------------------------------------
@@ -116,6 +119,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -136,9 +140,21 @@ class _Parser:
         kind, val, at = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", position=at)
+        if _depth(node) > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", position=0)
         return node
 
     def expr(self) -> Node:
+        # every nesting ('(' or a call) re-enters here
+        self.level += 1
+        if self.level > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels",
+                             position=self.peek()[2])
+        node = self._sum()
+        self.level -= 1
+        return node
+
+    def _sum(self) -> Node:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
@@ -305,17 +321,32 @@ def compiled(node: Node):
 # -- static validation --------------------------------------------------------------------
 
 
+def _children(node: Node) -> tuple:
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    return ()
+
+
 def _walk(node: Node):
-    yield node
-    if isinstance(node, Neg):
-        yield from _walk(node.arg)
-    elif isinstance(node, BinOp):
-        yield from _walk(node.left)
-        yield from _walk(node.right)
-    elif isinstance(node, Pow):
-        yield from _walk(node.base)
-    elif isinstance(node, Call):
-        yield from _walk(node.arg)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
+
+
+def _depth(node: Node) -> int:
+    """Levels of the tree, counted without recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return deepest
 
 
 def max_variable(node: Node) -> int:

@@ -33,12 +33,12 @@ from .errors import ConfigurationError, DomainError, FrameError, MetricError
 from .jets import (
     MAX_HOLOMORPHIC_VARS,
     WirtingerJet,
-    derivative,
+    derivative_block,
     jet_constant,
     jet_mat_mul,
     variable_jets,
 )
-from .linalg import check_positive_definite, frame_normalizer
+from .linalg import check_positive_definite, cholesky_frame
 
 KAHLER_TOL = 1e-8
 REALNESS_TOL = 1e-10
@@ -332,56 +332,53 @@ class CurvaturePoint:
     riem: np.ndarray  # riem[a, b, c, d] = R_{a b̄ c d̄}
 
 
-def _metric_derivative_data(chart: KahlerChart, point, order: int):
-    gjets = chart.metric_jets(point, order)
-    m = chart.dim
-    g = check_positive_definite(
-        np.array([[gjets[a][b].value for b in range(m)] for a in range(m)]),
-        f"{chart.label}: metric",
-    )
-    units = np.eye(m, dtype=int)
-    zero = (0,) * m
-    dg = np.array(
-        [[[derivative(gjets[a][b], units[c], zero) for b in range(m)] for a in range(m)]
-         for c in range(m)]
-    )
-    kahler_defect = float(np.max(np.abs(dg - dg.transpose(1, 0, 2)))) if m > 1 else 0.0
+def _metric_value(chart: KahlerChart, gjets) -> np.ndarray:
+    """Validated metric matrix from a grid of metric jets."""
+    g = np.array([[entry.value for entry in row] for row in gjets])
+    return check_positive_definite(g, f"{chart.label}: metric")
+
+
+def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:
+    """dg[c, a, b] = ∂g_{a b̄}/∂z^c, after the Kähler symmetry check."""
+    dg = np.ascontiguousarray(derivative_block(gjets, "grad").transpose(2, 0, 1))
+    kahler_defect = float(np.max(np.abs(dg - dg.transpose(1, 0, 2)))) if chart.dim > 1 else 0.0
     if kahler_defect > KAHLER_TOL:
         raise MetricError(
             f"{chart.label}: metric violates the Kähler condition (defect {kahler_defect:.3e})"
         )
-    return gjets, g, np.linalg.inv(g), dg
+    return dg
+
+
+def _christoffel_from(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    return np.einsum("gad,db->bag", dg, g_inv)
+
+
+def _curvature_point(chart: KahlerChart, point, gjets, g: np.ndarray) -> CurvaturePoint:
+    """Curvature data from metric jets of order >= 2 and the validated metric ``g``."""
+    dg = _metric_gradient(chart, gjets)
+    g_inv = np.linalg.inv(g)
+    ddg = derivative_block(gjets, "levi")
+    correction = np.einsum("gam,mr,dbr->abgd", dg, g_inv, np.conj(dg))
+    return CurvaturePoint(point=np.asarray(point, dtype=complex), g=g, g_inv=g_inv,
+                          gamma=_christoffel_from(dg, g_inv), riem=-ddg + correction)
 
 
 def metric_at(chart: KahlerChart, point) -> np.ndarray:
     """Validated metric matrix g_{a b̄}(point)."""
-    gjets = chart.metric_jets(point, 0)
-    m = chart.dim
-    g = np.array([[gjets[a][b].value for b in range(m)] for a in range(m)])
-    return check_positive_definite(g, f"{chart.label}: metric")
+    return _metric_value(chart, chart.metric_jets(point, 0))
 
 
 def christoffel(chart: KahlerChart, point) -> np.ndarray:
     """Γ^b_{a c} as gamma[b, a, c]; Kähler-symmetric in (a, c)."""
-    _, _, g_inv, dg = _metric_derivative_data(chart, point, 1)
-    return np.einsum("gad,db->bag", dg, g_inv)
+    gjets = chart.metric_jets(point, 1)
+    g = _metric_value(chart, gjets)
+    return _christoffel_from(_metric_gradient(chart, gjets), np.linalg.inv(g))
 
 
 def curvature_tensor(chart: KahlerChart, point) -> CurvaturePoint:
     """Curvature data at a point, with the lowered tensor R_{a b̄ c d̄}."""
-    gjets, g, g_inv, dg = _metric_derivative_data(chart, point, 2)
-    m = chart.dim
-    units = np.eye(m, dtype=int)
-    ddg = np.array(
-        [[[[derivative(gjets[a][b], units[c], units[d]) for d in range(m)] for c in range(m)]
-          for b in range(m)]
-         for a in range(m)]
-    )
-    gamma = np.einsum("gad,db->bag", dg, g_inv)
-    correction = np.einsum("gam,mr,dbr->abgd", dg, g_inv, np.conj(dg))
-    riem = -ddg + correction
-    pt = np.asarray(point, dtype=complex)
-    return CurvaturePoint(point=pt, g=g, g_inv=g_inv, gamma=gamma, riem=riem)
+    gjets = chart.metric_jets(point, 2)
+    return _curvature_point(chart, point, gjets, _metric_value(chart, gjets))
 
 
 def normal_chart(chart: KahlerChart, point, frame: np.ndarray | None = None) -> PulledBackChart:
@@ -393,9 +390,12 @@ def normal_chart(chart: KahlerChart, point, frame: np.ndarray | None = None) -> 
     normalizer of g(point) is used.  The coordinate change is available
     as the ``change`` attribute of the result.
     """
-    cp = curvature_tensor(chart, point)
+    return _normal_chart_at(chart, curvature_tensor(chart, point), frame)
+
+
+def _normal_chart_at(chart: KahlerChart, cp: CurvaturePoint, frame) -> PulledBackChart:
     if frame is None:
-        b = frame_normalizer(cp.g)
+        b = cholesky_frame(cp.g)
     else:
         b = np.asarray(frame, dtype=complex)
         if b.shape != (chart.dim, chart.dim):

@@ -7,6 +7,8 @@ is φ∘f or h∘f evaluated on the map's jets; the right side by tensor
 assembly from curvature, adapted frames, and the map Hessian.  The only
 shared ingredient is the chart's defining function (potential φ or
 metric entries h), so an error in either path shows up as a residual.
+At each point both sides read one :class:`~kahlercheck.maps.PointContext`,
+shared with the other checks of a scenario, but different fields of it.
 
 Residuals are reported scaled by 1/(1 + |LHS| + |RHS|); the default
 tolerance of 1e-6 reflects order-4 jets in double precision.
@@ -25,18 +27,23 @@ from .errors import (
     RankError,
 )
 from .functionals import bisectional, ricci
-from .geometry import (
-    CurvaturePoint,
-    curvature_tensor,
-    normal_chart,
-    pullback_metric_jets,
+from .geometry import CurvaturePoint, pullback_metric_jets
+from .jets import derivative_block, jet_mat_inv
+from .linalg import (
+    check_hermitian,
+    check_positive_definite,
+    frame_normalizer,
+    pencil_eigh,
+    rayleigh_quotient,
+    rng_for,
 )
-from .jets import derivative, jet_mat_det, jet_mat_inv, jet_mat_mul, jet_mat_trace
-from .linalg import check_hermitian, check_positive_definite, frame_normalizer, pencil_eigh, rng_for
-from .maps import HoloMap, map_hessian, map_point_data, precompose
+from .maps import HoloMap, PointContext, point_contexts, precompose
 
 DEFAULT_TOL = 1e-6
 GAP_FLOOR = 1e-8
+# the identities differentiate the pulled-back metric twice, and a
+# potential spends two more orders on ∂∂̄
+IDENTITY_JET_ORDER = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,15 +68,6 @@ class CheckReport:
     skipped_points: int = 0
     notes: tuple[str, ...] = ()
     details: tuple[float, ...] | None = None
-
-
-def _as_points(points, dim: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ConfigurationError(f"points must have shape (k, {dim}), got {pts.shape}")
-    return pts
 
 
 def _as_vector(v, dim: int) -> np.ndarray:
@@ -116,25 +114,9 @@ def _aggregate(kind, residuals, pts, tol, skipped, notes) -> CheckReport:
     )
 
 
-def _hessian_of(jet, dim: int) -> np.ndarray:
-    units = np.eye(dim, dtype=int)
-    return np.array(
-        [[derivative(jet, units[c], units[d]) for d in range(dim)] for c in range(dim)]
-    )
-
-
-def _energy_jet(f: HoloMap, point):
-    """Jets of ‖∂f‖² = tr(g^{-1}·f*h) at the point, order 2."""
-    a_jets = pullback_metric_jets(f.target, f.component_jets(point, 4), 2)
-    g_jets = f.domain.metric_jets(point, 2)
-    return jet_mat_trace(jet_mat_mul(jet_mat_inv(g_jets), a_jets))
-
-
-def _log_volume_jet(f: HoloMap, point):
-    """Jets of log D = log det(f*h) − log det g at the point, order 2."""
-    a_jets = pullback_metric_jets(f.target, f.component_jets(point, 4), 2)
-    g_jets = f.domain.metric_jets(point, 2)
-    return jet_mat_det(a_jets).log() - jet_mat_det(g_jets).log()
+def _levi_form(jet, v) -> float:
+    """Complex Hessian of a jet at its base point applied to (v, v̄)."""
+    return float(np.einsum("cd,c,d->", derivative_block(jet, "levi"), v, np.conj(v)).real)
 
 
 # -- energy identity -------------------------------------------------------------
@@ -147,26 +129,27 @@ def boch1_sides(f: HoloMap, point, v) -> tuple[float, float]:
     target curvature acting on the ∂f-image of v, plus the domain
     curvature operator R_{vv̄} paired against f*h.
     """
-    v = _as_vector(v, f.m)
-    hess_e = _hessian_of(_energy_jet(f, point), f.m)
-    lhs = float(np.einsum("cd,c,d->", hess_e, v, np.conj(v)).real)
+    return _boch1(PointContext(f, point, IDENTITY_JET_ORDER), v)
 
-    data = map_point_data(f, point)
-    cp_m = curvature_tensor(f.domain, point)
-    cp_n = curvature_tensor(f.target, data.image)
+
+def _boch1(ctx: PointContext, v) -> tuple[float, float]:
+    v = _as_vector(v, ctx.map.m)
+    lhs = _levi_form(ctx.energy_jet, v)
+
+    data = ctx.data
     g_inv = np.linalg.inv(data.g)
     p_mat = data.pushforward
     pv = p_mat @ v
 
-    hess_f = map_hessian(f, point)
-    hv = np.einsum("iab,b->ia", hess_f, v)
+    hv = np.einsum("iab,b->ia", ctx.map_hessian, v)
     t1 = np.einsum("ia,ij,jb->ab", hv, data.h, np.conj(hv))
     term1 = float(np.trace(t1 @ g_inv).real)
 
-    x2 = np.einsum("ijkl,ia,jb,k,l->ab", cp_n.riem, p_mat, np.conj(p_mat), pv, np.conj(pv))
+    x2 = np.einsum("ijkl,ia,jb,k,l->ab", ctx.target_curvature.riem, p_mat, np.conj(p_mat),
+                   pv, np.conj(pv))
     term2 = float(np.trace(x2 @ g_inv).real)
 
-    s_vv = np.einsum("abcd,a,b->cd", cp_m.riem, v, np.conj(v))
+    s_vv = np.einsum("abcd,a,b->cd", ctx.domain_curvature.riem, v, np.conj(v))
     t3 = np.einsum("ab,gb->ag", s_vv, np.conj(g_inv)) @ data.pullback
     term3 = float(np.trace(t3 @ g_inv).real)
 
@@ -174,10 +157,23 @@ def boch1_sides(f: HoloMap, point, v) -> tuple[float, float]:
 
 
 def verify_boch1(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Energy identity over a batch of points with a fixed direction."""
-    pts = _as_points(points, f.m)
-    residuals = [_scaled_residual(*boch1_sides(f, p, v)) for p in pts]
-    return _aggregate("boch1", residuals, pts, tol, skipped=0, notes=())
+    """Energy identity over a batch of points (or contexts) with a fixed direction."""
+    return _verify("boch1", _boch1, f, points, v, tol, skips=())
+
+
+def _verify(kind, sides, f, points, v, tol, skips) -> CheckReport:
+    """Residuals of ``sides(ctx, v)`` over the points; errors in ``skips`` skip a point loudly."""
+    residuals, kept, notes, skipped = [], [], [], 0
+    for ctx in point_contexts(f, points, IDENTITY_JET_ORDER):
+        try:
+            lhs, rhs = sides(ctx, v)
+        except skips as err:
+            skipped += 1
+            notes.append(f"skipped: {err}")
+            continue
+        residuals.append(_scaled_residual(lhs, rhs))
+        kept.append(ctx.point)
+    return _aggregate(kind, residuals, kept, tol, skipped, notes)
 
 
 # -- log-volume identity ---------------------------------------------------------
@@ -191,26 +187,27 @@ def boch2_sides(f: HoloMap, point, v) -> tuple[float, float]:
     the map Hessian weighted by inverse stretches, the partial target
     curvature along the frame, and the domain Ricci form on v.
     """
+    return _boch2(PointContext(f, point, IDENTITY_JET_ORDER), v)
+
+
+def _boch2(ctx: PointContext, v) -> tuple[float, float]:
+    f = ctx.map
     if f.m > f.n:
         raise ConfigurationError(f"log-volume identity needs m <= n, got m={f.m}, n={f.n}")
     v = _as_vector(v, f.m)
-    data = map_point_data(f, point)
+    data = ctx.data
     if data.rank < f.m:
         raise RankError(
-            f"rank {data.rank} < {f.m} at {np.asarray(point)}; log D is singular here"
+            f"rank {data.rank} < {f.m} at {ctx.point}; log D is singular here"
         )
 
-    hess_d = _hessian_of(_log_volume_jet(f, point), f.m)
-    lhs = float(np.einsum("cd,c,d->", hess_d, v, np.conj(v)).real)
+    lhs = _levi_form(ctx.log_volume_jet, v)
 
-    cp_m = curvature_tensor(f.domain, point)
-    cp_n = curvature_tensor(f.target, data.image)
     e_frame, t_frame = data.domain_frame, data.target_frame
     pv = data.pushforward @ v
 
-    hess_f = map_hessian(f, point)
     f_tilde = np.einsum(
-        "ij,jmn,ma,n->ia", np.linalg.inv(t_frame), hess_f, e_frame, v
+        "ij,jmn,ma,n->ia", np.linalg.inv(t_frame), ctx.map_hessian, e_frame, v
     )
     term1 = float(
         np.sum(np.abs(f_tilde[f.m :, :]) ** 2 / data.singular_sq[None, :]).real
@@ -218,28 +215,18 @@ def boch2_sides(f: HoloMap, point, v) -> tuple[float, float]:
 
     t_m = t_frame[:, : f.m]
     term2 = float(
-        np.einsum("ijkl,ia,ja,k,l->", cp_n.riem, t_m, np.conj(t_m), pv, np.conj(pv)).real
+        np.einsum("ijkl,ia,ja,k,l->", ctx.target_curvature.riem, t_m, np.conj(t_m),
+                  pv, np.conj(pv)).real
     )
 
-    term3 = float(np.einsum("cd,c,d->", ricci(cp_m), v, np.conj(v)).real)
+    term3 = float(np.einsum("cd,c,d->", ricci(ctx.domain_curvature), v, np.conj(v)).real)
 
     return lhs, term1 - term2 + term3
 
 
 def verify_boch2(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
     """Log-volume identity over a batch; rank-deficient points are skipped loudly."""
-    pts = _as_points(points, f.m)
-    residuals, kept, notes, skipped = [], [], [], 0
-    for p in pts:
-        try:
-            lhs, rhs = boch2_sides(f, p, v)
-        except RankError as err:
-            skipped += 1
-            notes.append(f"skipped: {err}")
-            continue
-        residuals.append(_scaled_residual(lhs, rhs))
-        kept.append(p)
-    return _aggregate("boch2", residuals, kept, tol, skipped, notes)
+    return _verify("boch2", _boch2, f, points, v, tol, skips=RankError)
 
 
 # -- stretch-barrier identity ----------------------------------------------------
@@ -254,43 +241,41 @@ def log_w_sides(f: HoloMap, point, v) -> tuple[float, float]:
     the curvature difference along the top directions plus the normal
     Hessian components weighted by 1/W.
     """
+    return _log_w(PointContext(f, point, IDENTITY_JET_ORDER), v)
+
+
+def _log_w(ctx: PointContext, v) -> tuple[float, float]:
+    f = ctx.map
     v = _as_vector(v, f.m)
-    data = map_point_data(f, point)
+    data = ctx.data
     top = float(data.singular_sq[0])
     if data.rank < 1:
-        raise RankError(f"∂f vanishes at {np.asarray(point)}")
+        raise RankError(f"∂f vanishes at {ctx.point}")
     if f.m >= 2:
         gap = (top - float(data.singular_sq[1])) / top
         if gap < GAP_FLOOR:
             raise MultiplicityError(
-                f"top stretch nearly repeated at {np.asarray(point)} (relative gap {gap:.2e})"
+                f"top stretch nearly repeated at {ctx.point} (relative gap {gap:.2e})"
             )
 
     e_frame, t_frame = data.domain_frame, data.target_frame
-    renormalized = normal_chart(f.domain, point, frame=e_frame)
+    renormalized = ctx.normal_chart
     pulled = precompose(f, renormalized.change)
     origin = np.zeros(f.m)
-    a_jets = pullback_metric_jets(f.target, pulled.component_jets(origin, 4), 2)
+    a_jets = pullback_metric_jets(f.target, pulled.component_jets(origin, IDENTITY_JET_ORDER), 2)
     g_jets = renormalized.metric_jets(origin, 2)
     c_jets = [[entry.conj() for entry in row] for row in jet_mat_inv(g_jets)]
-    acc = None
-    for a in range(f.m):
-        for b in range(f.m):
-            term = c_jets[0][b] * a_jets[a][b] * c_jets[a][0]
-            acc = term if acc is None else acc + term
-    w_jet = acc * c_jets[0][0].reciprocal()
-    v_tilde = np.linalg.solve(e_frame, v)
-    hess_w = _hessian_of(w_jet.log(), f.m)
-    lhs = float(np.einsum("cd,c,d->", hess_w, v_tilde, np.conj(v_tilde)).real)
+    w_jet = rayleigh_quotient(a_jets, c_jets, 0)
+    lhs = _levi_form(w_jet.log(), np.linalg.solve(e_frame, v))
 
-    cp_m = curvature_tensor(f.domain, point)
-    cp_n = curvature_tensor(f.target, data.image)
     e1, t1 = e_frame[:, 0], t_frame[:, 0]
     pv = data.pushforward @ v
-    r_dom = float(np.einsum("abcd,a,b,c,d->", cp_m.riem, e1, np.conj(e1), v, np.conj(v)).real)
-    r_tgt = float(np.einsum("ijkl,i,j,k,l->", cp_n.riem, t1, np.conj(t1), pv, np.conj(pv)).real)
-    hess_f = map_hessian(f, point)
-    f_tilde = np.einsum("ij,jmn,m,n->i", np.linalg.inv(t_frame), hess_f, e_frame[:, 0], v)
+    r_dom = float(np.einsum("abcd,a,b,c,d->", ctx.domain_curvature.riem, e1, np.conj(e1),
+                            v, np.conj(v)).real)
+    r_tgt = float(np.einsum("ijkl,i,j,k,l->", ctx.target_curvature.riem, t1, np.conj(t1),
+                            pv, np.conj(pv)).real)
+    f_tilde = np.einsum("ij,jmn,m,n->i", np.linalg.inv(t_frame), ctx.map_hessian,
+                        e_frame[:, 0], v)
     term3 = float(np.sum(np.abs(f_tilde[1:]) ** 2) / top)
 
     return lhs, r_dom - r_tgt + term3
@@ -298,18 +283,7 @@ def log_w_sides(f: HoloMap, point, v) -> tuple[float, float]:
 
 def verify_log_w(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
     """Top-stretch identity over a batch; tied or rank-0 points are skipped loudly."""
-    pts = _as_points(points, f.m)
-    residuals, kept, notes, skipped = [], [], [], 0
-    for p in pts:
-        try:
-            lhs, rhs = log_w_sides(f, p, v)
-        except (RankError, MultiplicityError) as err:
-            skipped += 1
-            notes.append(f"skipped: {err}")
-            continue
-        residuals.append(_scaled_residual(lhs, rhs))
-        kept.append(p)
-    return _aggregate("log_w", residuals, kept, tol, skipped, notes)
+    return _verify("log_w", _log_w, f, points, v, tol, skips=(RankError, MultiplicityError))
 
 
 # -- Rayleigh sandwich -----------------------------------------------------------
@@ -330,10 +304,7 @@ def sandwich_check(a_mat, g_mat, s: int) -> tuple[float, float, float]:
     vals, _ = pencil_eigh(a_mat, g_mat)
     if vals[0] < -1e-10 * max(1.0, float(vals[-1])):
         raise ConfigurationError("sandwich numerator must be positive semidefinite")
-    c_inv = np.conj(np.linalg.inv(g_mat))
-    middle = float(
-        (np.einsum("b,ab,a->", c_inv[s, :], a_mat, c_inv[:, s]) / c_inv[s, s]).real
-    )
+    middle = float(rayleigh_quotient(a_mat, np.conj(np.linalg.inv(g_mat)), s).real)
     sup, inf = float(vals[-1]), float(vals[0])
     slack = 1e-10 * (1.0 + abs(sup))
     if not inf - slack <= middle <= sup + slack:
@@ -449,15 +420,13 @@ def psh_check(
         raise ConfigurationError(
             f"unknown quantity {quantity!r}; choose from {PSH_QUANTITIES}"
         )
-    pts = _as_points(points, f.m)
     rng = rng_for(seed, 41)
     hypothesis_notes: list[str] = []
     residuals, kept, notes, skipped = [], [], [], 0
     worst_eig = np.inf
-    for p in pts:
-        data = map_point_data(f, p)
-        cp_m = curvature_tensor(f.domain, p)
-        cp_n = curvature_tensor(f.target, data.image)
+    for ctx in point_contexts(f, points, IDENTITY_JET_ORDER):
+        p, data = ctx.point, ctx.data
+        cp_m, cp_n = ctx.domain_curvature, ctx.target_curvature
         for _ in range(hypothesis_samples):
             x = rng.normal(size=f.m) + 1j * rng.normal(size=f.m)
             y = rng.normal(size=f.m) + 1j * rng.normal(size=f.m)
@@ -481,10 +450,10 @@ def psh_check(
                 skipped += 1
                 notes.append(f"skipped: rank {data.rank} < {f.m} at {p}")
                 continue
-            scalar = _log_volume_jet(f, p)
+            scalar = ctx.log_volume_jet
         else:
-            scalar = (1.0 + _energy_jet(f, p)).log()
-        hess = _hessian_of(scalar, f.m)
+            scalar = (1.0 + ctx.energy_jet).log()
+        hess = derivative_block(scalar, "levi")
         hess = 0.5 * (hess + hess.conj().T)
         low = float(np.linalg.eigvalsh(hess)[0])
         worst_eig = min(worst_eig, low)

@@ -67,7 +67,9 @@ class _JetSpace:
         self._deg_start = np.searchsorted(self.degree, np.arange(order + 2))
         self._mul_table = None
         self._conj_perm = None
+        self._antiholomorphic = None
         self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._block_tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- lazily built tables ------------------------------------------------
 
@@ -99,6 +101,38 @@ class _JetSpace:
                 perm[i] = self.index[e[m:] + e[:m]]
             self._conj_perm = perm
         return self._conj_perm
+
+    @property
+    def antiholomorphic(self) -> np.ndarray:
+        """Ranks of the monomials that carry a barred variable."""
+        if self._antiholomorphic is None:
+            m = self.num_vars
+            self._antiholomorphic = np.array(
+                [i for i, e in enumerate(self.monomials) if any(e[m:])], dtype=np.intp
+            )
+        return self._antiholomorphic
+
+    def block_table(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """(rank, factorial) arrays behind a block of partials at the base point.
+
+        ``"grad"`` is ∂/∂z^a (shape m), ``"levi"`` is ∂²/∂z^a∂z̄^b and
+        ``"hess"`` is ∂²/∂z^a∂z^b (shape m×m).  Low-degree ranks agree across
+        orders, so one table serves every jet that carries the block.
+        """
+        if kind not in self._block_tables:
+            m = self.num_vars
+            units = np.eye(2 * m, dtype=np.intp)
+            if kind == "grad":
+                exps = [units[a] for a in range(m)]
+            elif kind == "levi":
+                exps = [units[a] + units[m + b] for a in range(m) for b in range(m)]
+            else:  # "hess"
+                exps = [units[a] + units[b] for a in range(m) for b in range(m)]
+            shape = (m,) if kind == "grad" else (m, m)
+            ranks = np.array([self.index[tuple(e)] for e in exps], dtype=np.intp)
+            fact = np.array([math.prod(map(math.factorial, e)) for e in exps], dtype=np.float64)
+            self._block_tables[kind] = (ranks.reshape(shape), fact.reshape(shape))
+        return self._block_tables[kind]
 
     def diff_table(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
         """Map lower-space ranks to (source rank here, multiplicity)."""
@@ -414,6 +448,36 @@ def derivative(jet: WirtingerJet, a: Sequence[int], b: Sequence[int]) -> complex
     for x in ta + tb:
         fact *= math.factorial(x)
     return complex(jet.coeffs[jet.space.index[ta + tb]]) * fact
+
+
+_BLOCK_DEGREE = {"grad": 1, "levi": 2, "hess": 2}
+
+
+def derivative_block(jets, kind: str) -> np.ndarray:
+    """A block of partials (see :meth:`_JetSpace.block_table`) of every jet at once.
+
+    ``jets`` is a jet or a nested list of jets over the same variables; the
+    result has the list's shape followed by the block's shape.  Entries agree
+    with :func:`derivative`.
+    """
+    if kind not in _BLOCK_DEGREE:
+        raise ConfigurationError(f"unknown derivative block {kind!r}")
+    first = jets
+    while not isinstance(first, WirtingerJet):
+        first = first[0]
+    space = _space(first.num_vars, _BLOCK_DEGREE[kind])
+    ranks, fact = space.block_table(kind)
+    # C order, like an array built entry by entry: einsum's rounding follows the layout
+    return np.ascontiguousarray(_stacked_coeffs(jets, space.size)[..., ranks]) * fact
+
+
+def _stacked_coeffs(jets, size: int) -> np.ndarray:
+    """Leading ``size`` coefficients of each jet, in the nesting of ``jets``."""
+    if isinstance(jets, WirtingerJet):
+        if jets.space.size < size:
+            raise OrderError(f"jet of order {jets.order} is too short for this derivative block")
+        return jets.coeffs[:size]
+    return np.array([_stacked_coeffs(j, size) for j in jets])
 
 
 # -- independent finite-difference oracle ----------------------------------------------

@@ -6,6 +6,9 @@ covariant Hessian, and the composition operations the identity checks
 rely on.  The central construction is :func:`map_point_data`: the
 stretch spectrum of ∂f at a point as the Hermitian-definite pencil
 (A, g), together with adapted unitary frames in which ∂f is diagonal.
+All of it, and the curvature and jets the identity checks read, comes
+from one :class:`PointContext` per (map, point), which the checks of a
+scenario share.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
@@ -15,6 +18,7 @@ g-unitary when ``E.T @ G @ conj(E) = I``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,15 +28,26 @@ from . import expressions
 from .errors import ConfigurationError, DomainError, HolomorphyError, MetricError
 from .geometry import (
     ChartMap,
+    CurvaturePoint,
     KahlerChart,
     PulledBackChart,
     _as_jet_function,
-    christoffel,
-    metric_at,
-    normal_chart,
+    _curvature_point,
+    _metric_value,
+    _normal_chart_at,
+    pullback_metric_jets,
 )
-from .jets import WirtingerJet, derivative, jet_constant, variable_jets
-from .linalg import cholesky_frame, haar_unitary, rng_for
+from .jets import (
+    WirtingerJet,
+    derivative_block,
+    jet_constant,
+    jet_mat_det,
+    jet_mat_inv,
+    jet_mat_mul,
+    jet_mat_trace,
+    variable_jets,
+)
+from .linalg import cholesky_frame, haar_unitary, rayleigh_quotient, rng_for
 
 HOLOMORPHY_TOL = 1e-12
 RANK_RELATIVE_FLOOR = 1e-10
@@ -95,15 +110,13 @@ class HoloMap:
 
 
 def _antiholomorphic_mass(jet: WirtingerJet) -> float:
-    m = jet.num_vars
-    mask = np.array([any(e[m:]) for e in jet.space.monomials])
-    return float(np.max(np.abs(jet.coeffs[mask]))) if mask.any() else 0.0
+    ranks = jet.space.antiholomorphic
+    return float(np.max(np.abs(jet.coeffs[ranks]))) if ranks.size else 0.0
 
 
 def pushforward(f: HoloMap, point) -> np.ndarray:
     """Matrix of first derivatives, P[i, α] = ∂f^i/∂z^α."""
-    jets = f.component_jets(point, 1)
-    return np.array([[jets[i].d_dz(a).value for a in range(f.m)] for i in range(f.n)])
+    return PointContext(f, point, 1).pushforward
 
 
 @dataclass(frozen=True)
@@ -154,40 +167,7 @@ def _phase_normalized(u: np.ndarray, vh: np.ndarray, paired: int):
 
 def map_point_data(f: HoloMap, point) -> MapPointData:
     """Pullback form, stretch spectrum, and adapted frames at a point."""
-    jets = f.component_jets(point, 1)
-    p_mat = np.array([[jets[i].d_dz(a).value for a in range(f.m)] for i in range(f.n)])
-    pt = np.asarray(point, dtype=complex)
-    image = np.array([jet.value for jet in jets])
-    g = metric_at(f.domain, pt)
-    h = metric_at(f.target, image)
-    pullback = p_mat.T @ h @ np.conj(p_mat)
-    pullback = 0.5 * (pullback + pullback.conj().T)
-    # metric_at has validated g and h
-    cg = cholesky_frame(g)
-    ch = cholesky_frame(h)
-    normalized = scipy.linalg.solve(ch, p_mat @ cg)
-    u, s, vh = np.linalg.svd(normalized)
-    u, v = _phase_normalized(u, vh, paired=len(s))
-    domain_frame = cg @ v
-    target_frame = ch @ u
-    singular_sq = np.zeros(f.m)
-    singular_sq[: len(s)] = s[: f.m] ** 2
-    threshold = RANK_RELATIVE_FLOOR * max(float(singular_sq[0]) if f.m else 0.0,
-                                          RANK_ABSOLUTE_FLOOR)
-    rank = int(np.count_nonzero(singular_sq > threshold))
-    return MapPointData(
-        point=pt,
-        image=image,
-        pushforward=p_mat,
-        pullback=pullback,
-        singular_sq=singular_sq,
-        domain_frame=domain_frame,
-        target_frame=target_frame,
-        g=g,
-        h=h,
-        rank=rank,
-        threshold=threshold,
-    )
+    return PointContext(f, point, 1).data
 
 
 def volume_ratio(f: HoloMap, point) -> float:
@@ -233,22 +213,157 @@ def map_hessian(f: HoloMap, point) -> np.ndarray:
     f^i_{α,β} = ∂²f^i/∂z^α∂z^β − Γ^γ_{αβ} ∂f^i/∂z^γ + Γ^i_{jk} f^j_α f^k_β,
     with the target symbols contracted symmetrically on both derivative slots.
     """
-    jets = f.component_jets(point, 2)
-    m, n = f.m, f.n
-    p_mat = np.array([[jets[i].d_dz(a).value for a in range(m)] for i in range(n)])
-    units = np.eye(m, dtype=int)
-    zero = (0,) * m
-    raw = np.array(
-        [[[derivative(jets[i], units[a] + units[b], zero) for b in range(m)]
-          for a in range(m)]
-         for i in range(n)]
-    )
-    gamma_dom = christoffel(f.domain, point)
-    image = np.array([j.value for j in jets])
-    gamma_tgt = christoffel(f.target, image)
-    correction_dom = np.einsum("gab,ig->iab", gamma_dom, p_mat)
-    correction_tgt = np.einsum("ijk,ja,kb->iab", gamma_tgt, p_mat, p_mat)
-    return raw - correction_dom + correction_tgt
+    return PointContext(f, point, 2).map_hessian
+
+
+# -- the local data of a map at one point -------------------------------------------
+
+
+class PointContext:
+    """Everything the checks read of one map at one domain point.
+
+    Each piece is computed on first use and kept: the map's component
+    jets (of order ``order``), the image, g and h, the stretch data, both
+    curvature points, the covariant map Hessian, the pulled-back form
+    f*h and the energy and log-volume jets built on it, and the normal
+    chart that log_w renormalizes in.  Lower orders are read off the one
+    set of component jets, and each metric is evaluated once per chart,
+    at order ``order - 2`` (curvature raises it to 2 when asked for).
+
+    A context belongs to whoever built it: ``run_scenario`` builds one per
+    sample point, hands the list to every check and drops it on return.
+    """
+
+    def __init__(self, f: HoloMap, point, order: int):
+        self.map = f
+        self.point = np.asarray(point, dtype=complex)
+        self.order = order
+        self._metric_jets: dict[str, list] = {}
+
+    def _chart_metric_jets(self, role: str, order: int):
+        """Metric jets of the domain at the point or of the target at the image."""
+        have = self._metric_jets.get(role)
+        if have is None or have[0][0].order < order:
+            chart, at = ((self.map.domain, self.point) if role == "domain"
+                         else (self.map.target, self.image))
+            have = self._metric_jets[role] = chart.metric_jets(at, max(order, self.order - 2))
+        return have
+
+    @cached_property
+    def component_jets(self) -> list[WirtingerJet]:
+        return self.map.component_jets(self.point, self.order)
+
+    @cached_property
+    def image(self) -> np.ndarray:
+        return np.array([jet.value for jet in self.component_jets])
+
+    @cached_property
+    def pushforward(self) -> np.ndarray:
+        """P[i, α] = ∂f^i/∂z^α."""
+        return derivative_block(self.component_jets, "grad")
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _metric_value(self.map.domain, self._chart_metric_jets("domain", 0))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return _metric_value(self.map.target, self._chart_metric_jets("target", 0))
+
+    @cached_property
+    def data(self) -> MapPointData:
+        """Pullback form, stretch spectrum and adapted frames of ∂f."""
+        f, p_mat, g, h = self.map, self.pushforward, self.g, self.h
+        pullback = p_mat.T @ h @ np.conj(p_mat)
+        pullback = 0.5 * (pullback + pullback.conj().T)
+        cg = cholesky_frame(g)
+        ch = cholesky_frame(h)
+        normalized = scipy.linalg.solve(ch, p_mat @ cg)
+        u, s, vh = np.linalg.svd(normalized)
+        u, v = _phase_normalized(u, vh, paired=len(s))
+        domain_frame = cg @ v
+        target_frame = ch @ u
+        singular_sq = np.zeros(f.m)
+        singular_sq[: len(s)] = s[: f.m] ** 2
+        threshold = RANK_RELATIVE_FLOOR * max(float(singular_sq[0]) if f.m else 0.0,
+                                              RANK_ABSOLUTE_FLOOR)
+        rank = int(np.count_nonzero(singular_sq > threshold))
+        return MapPointData(
+            point=self.point,
+            image=self.image,
+            pushforward=p_mat,
+            pullback=pullback,
+            singular_sq=singular_sq,
+            domain_frame=domain_frame,
+            target_frame=target_frame,
+            g=g,
+            h=h,
+            rank=rank,
+            threshold=threshold,
+        )
+
+    @cached_property
+    def domain_curvature(self) -> CurvaturePoint:
+        return _curvature_point(self.map.domain, self.point,
+                                self._chart_metric_jets("domain", 2), self.g)
+
+    @cached_property
+    def target_curvature(self) -> CurvaturePoint:
+        return _curvature_point(self.map.target, self.image,
+                                self._chart_metric_jets("target", 2), self.h)
+
+    @cached_property
+    def map_hessian(self) -> np.ndarray:
+        p_mat = self.pushforward
+        raw = derivative_block(self.component_jets, "hess")
+        correction_dom = np.einsum("gab,ig->iab", self.domain_curvature.gamma, p_mat)
+        correction_tgt = np.einsum("ijk,ja,kb->iab", self.target_curvature.gamma, p_mat, p_mat)
+        return raw - correction_dom + correction_tgt
+
+    @cached_property
+    def pullback_jets(self) -> list[list[WirtingerJet]]:
+        """Jets of f*h, order 2."""
+        return pullback_metric_jets(self.map.target, self.component_jets, 2)
+
+    @cached_property
+    def energy_jet(self) -> WirtingerJet:
+        """Jet of ‖∂f‖² = tr(g^{-1}·f*h), order 2."""
+        g_jets = self._chart_metric_jets("domain", 2)
+        return jet_mat_trace(jet_mat_mul(jet_mat_inv(g_jets), self.pullback_jets))
+
+    @cached_property
+    def log_volume_jet(self) -> WirtingerJet:
+        """Jet of log D = log det(f*h) − log det g, order 2."""
+        g_jets = self._chart_metric_jets("domain", 2)
+        return jet_mat_det(self.pullback_jets).log() - jet_mat_det(g_jets).log()
+
+    @cached_property
+    def normal_chart(self) -> PulledBackChart:
+        """Normal coordinates at the point whose axes are the adapted domain frame."""
+        return _normal_chart_at(self.map.domain, self.domain_curvature, self.data.domain_frame)
+
+
+def point_contexts(f: HoloMap, points, order: int) -> list[PointContext]:
+    """One context per sample point, for checks that need jets of order ``order``.
+
+    ``points`` is a (k, m) array (one point may be given as a flat row)
+    or a list of contexts already built for ``f`` at that order or above.
+    """
+    if isinstance(points, (list, tuple)) and points and isinstance(points[0], PointContext):
+        for ctx in points:
+            if not isinstance(ctx, PointContext) or ctx.map is not f:
+                raise ConfigurationError(f"contexts were built for another map than {f.label}")
+            if ctx.order < order:
+                raise ConfigurationError(
+                    f"contexts carry jets of order {ctx.order}, this check needs {order}"
+                )
+        return list(points)
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != f.m or len(pts) == 0:
+        raise ConfigurationError(f"points must have shape (k, {f.m}) with k >= 1, got {pts.shape}")
+    return [PointContext(f, p, order) for p in pts]
 
 
 # -- composition ---------------------------------------------------------------
@@ -367,10 +482,9 @@ class StretchBarrier:
 
     def __init__(self, holo_map: HoloMap, anchor):
         self.map = holo_map
-        self.anchor_data = map_point_data(holo_map, anchor)
-        self.domain_chart = normal_chart(
-            holo_map.domain, anchor, frame=self.anchor_data.domain_frame
-        )
+        anchor_ctx = PointContext(holo_map, anchor, 1)
+        self.anchor_data = anchor_ctx.data
+        self.domain_chart = anchor_ctx.normal_chart
 
     def chart_point(self, w) -> np.ndarray:
         """Anchored coordinates → original chart coordinates."""
@@ -384,9 +498,7 @@ class StretchBarrier:
         jac = change.jacobian(w)
         a_here = jac.T @ data.pullback @ np.conj(jac)
         g_here = jac.T @ data.g @ np.conj(jac)
-        c_inv = np.conj(np.linalg.inv(g_here))
-        num = np.einsum("b,ab,a->", c_inv[0, :], a_here, c_inv[:, 0])
-        val = num / c_inv[0, 0]
+        val = complex(rayleigh_quotient(a_here, np.conj(np.linalg.inv(g_here)), 0))
         if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
             raise MetricError(f"barrier value has spurious imaginary part {val.imag:.3e}")
         return float(val.real)

@@ -412,3 +412,131 @@ def test_python_dash_m_kahlercheck_runs_cleanly():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "scenario:boch1_flat_to_ball" in proc.stdout
+
+
+BOCH1 = {"kind": "boch1", "tolerance": 1e-6}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"checks": [{"kind": "boch1", "tolerance": -1}]},
+    {"checks": [{"kind": "boch1", "tolerance": 0}]},
+    {"checks": [{"kind": "boch1", "tolerance": float("nan")}]},
+    {"checks": [{"kind": "boch1", "tolerance": float("inf")}]},
+    {"checks": [{"kind": "boch1", "tolerance": "1e-6"}]},
+    {"checks": [{"kind": "boch1", "tolerance": True}]},
+    {"checks": [{"kind": "psh", "quantity": "log1p_energy", "hypothesis_samples": -1}]},
+    {"checks": [{"kind": "psh", "quantity": "log1p_energy", "hypothesis_samples": 2.5}]},
+    {"checks": [{"kind": "psh", "quantity": "log1p_energy", "seed": -3}]},
+    {"checks": [{"kind": "averaging", "weights": [1.0], "count": 1}]},
+    {"checks": [{"kind": "averaging", "weights": [1.0], "count": 10**15}]},
+    {"checks": [{"kind": "three_circle", "radii": [0.2, 0.4, 0.8], "counts": 0}]},
+    {"checks": [{"kind": "three_circle", "radii": [0.2, 0.4, 0.8], "counts": [8, 8]}]},
+    {"checks": [{"kind": "three_circle", "radii": [0.2, 0.4, 0.8], "counts": [8, "8", 8]}]},
+    {"checks": [{"kind": "three_circle", "radii": [0.2, 0.4, 0.8], "counts": 10**15}]},
+    {"checks": [{"kind": ["boch1"]}]},
+    {"checks": ["boch1"]},
+    {"sampler": {"count": 10**15, "radius": 0.8, "seed": 7}},
+    {"map": ["(" * 3000 + "z1" + ")" * 3000, "0"]},
+    {"map": [" + ".join(["z1"] * 3000), "0"]},
+])
+def test_main_bad_check_spec_exits_two_without_traceback(tmp_path, capsys, overrides):
+    path = tmp_path / "bad_check.json"
+    path.write_text(json.dumps(manifest(**overrides)))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "inf"], ["--tol", "nan"], ["--tol", "-1"], ["--tol", "0"],
+    ["--points", "0"], ["--points", str(10**15)],
+])
+def test_main_bad_overrides_exit_two(capsys, flags):
+    assert main(["run", "boch1_flat_to_ball", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tolerance", [-1, 0, float("nan"), float("inf"), "1e-6", None])
+def test_tolerances_are_validated_when_the_manifest_loads(tolerance):
+    with pytest.raises(ConfigurationError, match="tolerance"):
+        load_scenario(manifest(checks=[{"kind": "boch1", "tolerance": tolerance}]))
+
+
+def test_load_scenario_leaves_the_manifest_untouched():
+    doc = manifest(checks=[{"kind": "boch1", "tolerance": 1}])
+    sc = load_scenario(doc)
+    assert sc.checks == [{"kind": "boch1", "tolerance": 1.0}]
+    assert type(sc.checks[0]["tolerance"]) is float
+    assert doc["checks"] == [{"kind": "boch1", "tolerance": 1}]
+
+
+def _check_texts(checks, **overrides):
+    doc, _ = run_scenario(load_scenario(manifest(checks=checks, **overrides)), details=True)
+    return [render_json(entry) for entry in doc["checks"]]
+
+
+@pytest.mark.parametrize("checks,overrides", [
+    ([{"kind": "boch1", "direction": [1.0, [0.5, -0.25]], "tolerance": 1e-6},
+      {"kind": "boch2", "direction": [1.0, [0.5, -0.25]], "tolerance": 1e-6},
+      {"kind": "log_w", "direction": [1.0, [0.5, -0.25]], "tolerance": 1e-6},
+      {"kind": "psh", "quantity": "log1p_energy", "tolerance": 1e-8}],
+     {"domain": {"catalog": "fubini_study", "params": {"dim": 2, "c": 1.2}},
+      "target": {"catalog": "poincare_polydisk", "params": {"dim": 2, "a": 0.9}},
+      "map": ["0.3*z1 + 0.1*z2^2", "0.2*z2 - 0.1*z1*z2"],
+      "sampler": {"count": 4, "radius": 0.8, "seed": 5}}),
+    ([{"kind": "schwarz"}, {"kind": "volume"}, {"kind": "royden"}],
+     {"domain": {"catalog": "poincare_disk", "params": {"a": 1.3}},
+      "target": {"catalog": "complex_hyperbolic_ball", "params": {"dim": 2, "c": 0.8}},
+      "map": ["0.5*z1", "0.3*z1^2"],
+      "sampler": {"count": 8, "radius": 0.9, "seed": 11}}),
+])
+def test_checks_sharing_contexts_match_checks_run_alone(checks, overrides):
+    # a check's report may not depend on which other checks read the shared contexts first
+    alone = [_check_texts([check], **overrides)[0] for check in checks]
+    assert _check_texts(checks, **overrides) == alone
+    assert _check_texts(checks[::-1], **overrides) == alone[::-1]
+
+
+def test_bound_reports_match_alongside_identity_checks():
+    # an identity check raises the scenario's jet order; the bound reads the same numbers
+    overrides = {"target": {"catalog": "complex_hyperbolic_ball", "params": {"dim": 2}}}
+    for kind in ("schwarz", "volume", "royden"):
+        alone = _check_texts([{"kind": kind}], **overrides)
+        mixed = _check_texts([BOCH1, {"kind": kind}], **overrides)
+        assert mixed[1] == alone[0]
+
+
+def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkeypatch):
+    # per sample point: the domain metric, the target metric at the image and the
+    # renormalized domain metric of log_w; the map at the point and, precomposed, at
+    # log_w's normal origin.  _probe_charts adds 2 metric and 1 map evaluation.
+    from kahlercheck import geometry, maps
+
+    calls = {"metric_jets": 0, "component_jets": 0}
+
+    def counted(cls, name):
+        original = cls.__dict__[name]
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls in (geometry.PotentialChart, geometry.ComponentChart, geometry.PulledBackChart):
+        counted(cls, "metric_jets")
+    counted(maps.HoloMap, "component_jets")
+    direction = [1.0, [0.5, -0.25]]
+    checks = [{"kind": kind, "direction": direction} for kind in ("boch1", "boch2", "log_w")]
+    checks.append({"kind": "psh", "quantity": "log1p_energy"})
+    count = 5
+    doc, status = run_scenario(load_scenario(manifest(
+        domain={"catalog": "flat", "params": {"dim": 2}},
+        target={"catalog": "complex_hyperbolic_ball", "params": {"dim": 3}},
+        map=["0.4*z1 + 0.1*z2^2", "0.25*z2", "0.1*z1*z2"],
+        sampler={"count": count, "radius": 0.7, "seed": 3},
+        checks=checks)))
+    assert status == 0
+    assert all(entry["points_checked"] == count for entry in doc["checks"])
+    assert calls["metric_jets"] <= 3 * count + 2
+    assert calls["component_jets"] <= 2 * count + 1

@@ -183,3 +183,15 @@ _asts = st.recursive(_atoms, _extend, max_leaves=25)
 @given(_asts)
 def test_print_parse_round_trip(node):
     assert parse(to_text(node)) == node
+
+
+def test_nesting_limit_raises_parse_error():
+    from kahlercheck.expressions import MAX_NESTING
+
+    assert parse("(" * 50 + "z1" + ")" * 50) == Var("z", 0)
+    assert parse("exp(" * 50 + "z1" + ")" * 50) is not None
+    for text in ("(" * 3000 + "z1" + ")" * 3000,
+                 "log(" * (MAX_NESTING + 1) + "z1" + ")" * (MAX_NESTING + 1),
+                 " + ".join(["z1"] * 3000)):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse(text)

@@ -9,6 +9,7 @@ from kahlercheck.errors import ConfigurationError, OrderError, SingularJetError
 from kahlercheck.jets import (
     WirtingerJet,
     derivative,
+    derivative_block,
     fd_cross_check,
     jet_constant,
     jet_mat_det,
@@ -201,3 +202,41 @@ def test_jet_matrix_inverse_and_det():
     ident = [[c if i == j else jet_constant(0.0, 2, 3) for j in range(m)] for i in range(m)]
     assert jet_mat_det(ident).value == pytest.approx(8.0)
     assert jet_mat_trace(ident).value == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("m,order", [(1, 2), (2, 2), (2, 4), (3, 3)])
+def test_derivative_block_matches_derivative(m, order):
+    rng = np.random.default_rng(17)
+    grid = [[random_jet(rng, m, order) for _ in range(2)] for _ in range(3)]
+    units = np.eye(m, dtype=int)
+    zero = (0,) * m
+    grad = derivative_block(grid, "grad")
+    levi = derivative_block(grid, "levi")
+    hess = derivative_block(grid, "hess")
+    assert grad.shape == (3, 2, m) and levi.shape == hess.shape == (3, 2, m, m)
+    for i in range(3):
+        for j in range(2):
+            jet = grid[i][j]
+            for a in range(m):
+                assert grad[i, j, a] == derivative(jet, units[a], zero)
+                for b in range(m):
+                    assert levi[i, j, a, b] == derivative(jet, units[a], units[b])
+                    assert hess[i, j, a, b] == derivative(jet, units[a] + units[b], zero)
+    assert np.array_equal(derivative_block(grid[0][0], "levi"), levi[0, 0])
+
+
+def test_derivative_block_needs_the_order():
+    jet = jet_variable(0, 0.3, 2, 1)
+    assert np.array_equal(derivative_block(jet, "grad"), [1.0, 0.0])
+    with pytest.raises(OrderError):
+        derivative_block(jet, "levi")
+    with pytest.raises(ConfigurationError):
+        derivative_block(jet, "curl")
+
+
+def test_antiholomorphic_ranks_mark_barred_monomials():
+    space = jet_constant(0.0, 2, 3).space
+    barred = set(space.antiholomorphic.tolist())
+    for rank, exps in enumerate(space.monomials):
+        assert (rank in barred) == any(exps[2:])
+    assert jet_constant(0.0, 2, 0).space.antiholomorphic.size == 0

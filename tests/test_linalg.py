@@ -77,3 +77,27 @@ def test_validation_rejects_bad_metrics():
         check_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(MetricError):
         check_positive_definite(np.diag([1.0, -2.0]).astype(complex))
+
+
+def test_rayleigh_quotient_reads_numbers_and_jets_alike():
+    from kahlercheck.jets import jet_constant, jet_mat_inv, variable_jets
+    from kahlercheck.linalg import rayleigh_quotient
+
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    g = x @ x.conj().T + 3 * np.eye(3)
+    y = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    a = y @ y.conj().T
+    c = np.conj(np.linalg.inv(g))
+    for s in range(3):
+        want = np.einsum("b,ab,a->", c[s, :], a, c[:, s]) / c[s, s]
+        assert rayleigh_quotient(a, c, s) == pytest.approx(want, rel=1e-13)
+    # the same body on jets: g and a as functions of one variable z, at z = 0.2
+    zs = variable_jets([0.2], 1, 2)
+    g_jets = [[jet_constant(g[i, j], 1, 2) + (i == j) * zs[0] * zs[0].conj()
+               for j in range(3)] for i in range(3)]
+    a_jets = [[jet_constant(a[i, j], 1, 2) for j in range(3)] for i in range(3)]
+    c_jets = [[entry.conj() for entry in row] for row in jet_mat_inv(g_jets)]
+    g_here = g + 0.04 * np.eye(3)
+    want = rayleigh_quotient(a, np.conj(np.linalg.inv(g_here)), 1)
+    assert rayleigh_quotient(a_jets, c_jets, 1).value == pytest.approx(want, rel=1e-12)

@@ -18,6 +18,7 @@ from kahlercheck.geometry import ChartMap, PulledBackChart, catalog, normal_char
 from kahlercheck.linalg import pencil_eigh, rng_for
 from kahlercheck.maps import (
     HoloMap,
+    PointContext,
     StretchBarrier,
     barrier_w,
     catalog_isometry,
@@ -25,6 +26,7 @@ from kahlercheck.maps import (
     map_hessian,
     map_point_data,
     max_norm,
+    point_contexts,
     postcompose,
     precompose,
     pushforward,
@@ -366,3 +368,34 @@ def test_barrier_minorizes_max_norm_nearby():
         assert w_val <= top + 1e-12
         slack.append(top - w_val)
     assert max(slack) > 1e-8  # strict somewhere, the bound is not vacuous
+
+
+def test_point_context_reads_what_the_public_functions_compute():
+    f = HoloMap(catalog("fubini_study", dim=2, c=1.1), catalog("complex_hyperbolic_ball", dim=3),
+                ["0.3*z1 + 0.1*z2^2", "0.2*z2", "0.1*z1*z2 - 0.05*z1^2"])
+    point = np.array([0.2 - 0.1j, -0.15 + 0.3j])
+    ctx = PointContext(f, point, 4)
+    data, want = ctx.data, map_point_data(f, point)
+    for field in ("image", "pushforward", "pullback", "singular_sq", "domain_frame",
+                  "target_frame", "g", "h"):
+        assert np.array_equal(getattr(data, field), getattr(want, field)), field
+    assert np.array_equal(ctx.map_hessian, map_hessian(f, point))
+    assert np.array_equal(ctx.pushforward, pushforward(f, point))
+    assert ctx.data is data and ctx.component_jets[0].order == 4
+    assert np.array_equal(ctx.normal_chart.change.linear, data.domain_frame)
+
+
+def test_point_contexts_take_points_or_contexts_of_the_same_map():
+    f = HoloMap(FLAT2, FLAT2, ["z1", "z2"])
+    g = HoloMap(FLAT2, FLAT2, ["z2", "z1"])
+    contexts = point_contexts(f, np.array([[0.1, 0.2], [0.3, 0.0]]), 1)
+    assert [c.order for c in contexts] == [1, 1]
+    assert point_contexts(f, contexts, 1) == contexts
+    assert len(point_contexts(f, [0.1, 0.2], 1)) == 1
+    with pytest.raises(ConfigurationError):
+        point_contexts(g, contexts, 1)
+    with pytest.raises(ConfigurationError):
+        point_contexts(f, contexts, 4)
+    for bad in (np.zeros((0, 2)), np.zeros((3, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(ConfigurationError):
+            point_contexts(f, bad, 1)
