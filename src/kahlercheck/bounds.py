@@ -21,10 +21,12 @@ from .functionals import bisectional
 from .geometry import curvature_tensor
 from .identities import CheckReport
 from .linalg import rng_for
-from .maps import HoloMap, map_point_data, point_contexts, sigma_k
+from .maps import HoloMap, point_contexts, sigma_k, stretch_data
 
 ANALYTIC = "analytic"
 SAMPLED = "sampled"
+# sphere points per stacked stretch pass: bounds the contexts alive at once
+SPHERE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -116,13 +118,13 @@ def schwarz_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value < 0:
         raise ConfigurationError("K must be nonnegative (it bounds −H from above)")
-    contexts = point_contexts(f, points, 1)
-    observed = max(float(ctx.data.singular_sq[0]) for ctx in contexts)
+    data = stretch_data(point_contexts(f, points, 1))
+    observed = max(float(d.singular_sq[0]) for d in data)
     bound = k.value / kappa_val
     notes = _provenance_notes(k, kappa)
     if bound == 0 and observed > tol:
         notes.append("hypotheses force a constant map; any stretching fails the bound")
-    return _report("schwarz", (k, kappa), observed, bound, tol, len(contexts), notes=notes)
+    return _report("schwarz", (k, kappa), observed, bound, tol, len(data), notes=notes)
 
 
 def volume_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
@@ -133,16 +135,15 @@ def volume_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
         raise ConfigurationError("K must be nonnegative (it bounds −S from above)")
     if f.m > f.n:
         raise ConfigurationError(f"volume bound needs m <= n, got m={f.m}, n={f.n}")
-    contexts = point_contexts(f, points, 1)
+    data = stretch_data(point_contexts(f, points, 1))
     observed = 0.0
-    for ctx in contexts:
-        data = ctx.data
-        observed = max(observed, float(np.prod(data.singular_sq)) if data.rank == f.m else 0.0)
+    for d in data:
+        observed = max(observed, float(np.prod(d.singular_sq)) if d.rank == f.m else 0.0)
     bound = (k.value / (f.m * kappa_val)) ** f.m
     notes = _provenance_notes(k, kappa)
     if bound == 0 and observed > tol:
         notes.append("hypotheses force degeneracy; any full-rank sample fails the bound")
-    return _report("volume", (k, kappa), observed, bound, tol, len(contexts), notes=notes)
+    return _report("volume", (k, kappa), observed, bound, tol, len(data), notes=notes)
 
 
 def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
@@ -151,17 +152,16 @@ def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value < 0:
         raise ConfigurationError("K must be nonnegative (it bounds −Ric from above)")
-    contexts = point_contexts(f, points, 1)
+    data = stretch_data(point_contexts(f, points, 1))
     observed, rank = 0.0, 0
-    for ctx in contexts:
-        data = ctx.data
-        observed = max(observed, float(np.sum(data.singular_sq)))
-        rank = max(rank, data.rank)
+    for d in data:
+        observed = max(observed, float(np.sum(d.singular_sq)))
+        rank = max(rank, d.rank)
     coefficient = Fraction(2 * rank, rank + 1)
     bound = float(coefficient) * k.value / kappa_val
     notes = _provenance_notes(k, kappa)
     notes.append(f"rank d={rank}, coefficient 2d/(d+1) = {coefficient}")
-    return _report("royden", (k, kappa), observed, bound, tol, len(contexts),
+    return _report("royden", (k, kappa), observed, bound, tol, len(data),
                    coefficient=str(coefficient), notes=notes)
 
 
@@ -195,7 +195,8 @@ def three_circle_data(f: HoloMap, radii, counts, seed: int = 0) -> tuple[float, 
     maxima = []
     for r, count in zip((r1, r2, r3), counts):
         samples = _sphere_points(r, f.m, count, seed)
-        top = max(float(map_point_data(f, p).singular_sq[0]) for p in samples)
+        top = max(float(d.singular_sq[0]) for start in range(0, count, SPHERE_CHUNK)
+                  for d in stretch_data(point_contexts(f, samples[start:start + SPHERE_CHUNK], 1)))
         maxima.append(math.sqrt(top))
     return tuple(maxima)
 
@@ -271,12 +272,11 @@ def hoop_check(f: HoloMap, points, mode: str, k: Constant, kappa: Constant,
     if mode == "volume" and f.m > f.n:
         raise ConfigurationError(f"volume mode needs m <= n, got m={f.m}, n={f.n}")
     observed = 0.0
-    for ctx in contexts:
-        data = ctx.data
+    for d in stretch_data(contexts):
         if mode == "volume":
-            value = float(np.prod(data.singular_sq)) ** (1.0 / f.m) if data.rank == f.m else 0.0
+            value = float(np.prod(d.singular_sq)) ** (1.0 / f.m) if d.rank == f.m else 0.0
         else:
-            value = float(data.singular_sq[0])
+            value = float(d.singular_sq[0])
         observed = max(observed, value)
     if observed == 0.0:
         raise DegenerateInputError(
@@ -321,8 +321,8 @@ def degeneracy_profile(f: HoloMap, directions, radii) -> tuple[DegeneracyRow, ..
     rows = []
     for r in radii:
         min_sq, sigma = np.inf, np.inf
-        for u in dirs:
-            vals = map_point_data(f, r * u).singular_sq
+        for data in stretch_data(point_contexts(f, r * dirs, 1)):
+            vals = data.singular_sq
             min_sq = min(min_sq, float(vals[-1]))
             sigma = min(sigma, sigma_k(vals, f.m - 1))
         rows.append(DegeneracyRow(radius=r, min_stretch_sq=min_sq, sigma_second=sigma))

@@ -86,12 +86,12 @@ def _region_from_spec(spec, dim: int):
     if kind == "full":
         return FullSpace(dim)
     if kind == "ball":
-        return Ball(dim, float(spec.get("radius", 1.0)))
+        return Ball(dim, _positive(spec.get("radius", 1.0), "ball region radius"))
     if kind == "polydisk":
         radii = spec.get("radii")
-        if radii is None or len(radii) != dim:
+        if not isinstance(radii, list) or len(radii) != dim:
             raise ConfigurationError(f"polydisk region needs {dim} radii")
-        return Polydisk(dim, tuple(float(r) for r in radii))
+        return Polydisk(dim, tuple(_positive(r, "polydisk region radius") for r in radii))
     raise ConfigurationError(f"unknown region kind {kind!r}")
 
 
@@ -101,7 +101,7 @@ def chart_from_spec(spec: dict, role: str) -> KahlerChart:
         raise ConfigurationError(f"{role} spec must be an object")
     if "catalog" in spec:
         return catalog(spec["catalog"], **spec.get("params", {}))
-    dim = int(_require(spec, "dim", f"{role} spec"))
+    dim = _count(_require(spec, "dim", f"{role} spec"), f"{role} dim", minimum=1)
     region = _region_from_spec(spec.get("region"), dim)
     label = spec.get("label", role)
     if "potential" in spec:
@@ -112,16 +112,19 @@ def chart_from_spec(spec: dict, role: str) -> KahlerChart:
 
 
 def _complex_from_json(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigurationError(f"{what} entries must be numbers or [re, im] pairs")
+    if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise ConfigurationError(f"{what} entries must be numbers or [re, im] pairs")
+        return complex(_finite(value[0], f"{what} entry"), _finite(value[1], f"{what} entry"))
+    return complex(_finite(value, f"{what} entry"))
 
 
-def _vector_from_json(value, dim: int, what: str) -> np.ndarray:
+def _vector_from_json(value, dim: int | None, what: str) -> np.ndarray:
+    """A complex vector from numbers and [re, im] pairs; ``dim=None`` accepts any length."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{what} must be a list of numbers or [re, im] pairs")
     vec = np.array([_complex_from_json(v, what) for v in value], dtype=complex)
-    if vec.shape != (dim,):
+    if dim is not None and vec.shape != (dim,):
         raise ConfigurationError(f"{what} must have {dim} entries, got {len(vec)}")
     return vec
 
@@ -138,16 +141,29 @@ def _sample_count(value, what: str, minimum: int = 1) -> int:
     return _count(value, what, minimum, MAX_SAMPLE_COUNT)
 
 
-def _positive(value, what: str) -> float:
-    # the upper limit also rejects inf and integers too large for a float
+def _finite(value, what: str, positive: bool = False) -> float:
+    """The one validator of a real number read from a manifest or a flag."""
+    # the magnitude limit also rejects NaN, inf and integers too large for a float
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not 0 < value <= sys.float_info.max):
-        raise ConfigurationError(f"{what} must be a finite positive number, got {value!r}")
+            or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
+        sign = "positive " if positive else ""
+        raise ConfigurationError(f"{what} must be a finite {sign}number, got {value!r}")
     return float(value)
 
 
+def _positive(value, what: str) -> float:
+    return _finite(value, what, positive=True)
+
+
+def _finite_list(value, what: str, length: int | None = None) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or (length is not None and len(value) != length):
+        size = f"{length} " if length is not None else ""
+        raise ConfigurationError(f"{what} must be a list of {size}numbers, got {value!r}")
+    return tuple(_finite(v, f"{what} entry") for v in value)
+
+
 def _checked_spec(check) -> dict:
-    """A copy of one check spec with its tolerance, counts and seed validated."""
+    """A copy of one check spec with its numbers, counts and seed validated."""
     if not isinstance(check, dict):
         raise ConfigurationError("check spec must be an object")
     kind = _require(check, "kind", "check spec")
@@ -171,6 +187,19 @@ def _checked_spec(check) -> dict:
             spec["counts"] = tuple(_sample_count(c, f"{kind} counts entry") for c in counts)
         else:
             spec["counts"] = _sample_count(counts, f"{kind} counts")
+    if kind == "hoop" and spec.get("mode", "volume") not in bounds_mod.HOOP_MODES:
+        raise ConfigurationError(f"hoop mode must be one of {bounds_mod.HOOP_MODES}, "
+                                 f"got {spec['mode']!r}")
+    for name in ("K", "kappa"):
+        if name in spec:
+            spec[name] = _finite(spec[name], f"{kind} {name}")
+    if "weights" in spec:
+        spec["weights"] = _finite_list(spec["weights"], f"{kind} weights")
+    if "radii" in spec:
+        spec["radii"] = _finite_list(spec["radii"], f"{kind} radii", length=3)
+    for name in ("direction", "point"):
+        if name in spec:  # the length is checked against the domain when the check runs
+            _vector_from_json(spec[name], None, f"{kind} {name}")
     return spec
 
 
@@ -200,6 +229,8 @@ def load_scenario(doc: dict) -> Scenario:
     domain = chart_from_spec(_require(doc, "domain", "manifest"), "domain")
     target = chart_from_spec(_require(doc, "target", "manifest"), "target")
     components = _require(doc, "map", "manifest")
+    if not isinstance(components, list):
+        raise ConfigurationError("map must be a list of component expressions")
     if len(components) != target.dim:
         raise ConfigurationError(
             f"map has {len(components)} components but the target dimension is {target.dim}"
@@ -222,6 +253,10 @@ def load_scenario(doc: dict) -> Scenario:
     if not isinstance(checks, list) or not checks:
         raise ConfigurationError("manifest needs a nonempty list of checks")
     checks = [_checked_spec(check) for check in checks]
+    constants = doc.get("constants", {})
+    if not isinstance(constants, dict):
+        raise ConfigurationError("constants must be an object of named numbers")
+    constants = {name: _finite(value, f"constant {name}") for name, value in constants.items()}
     return Scenario(
         name=name,
         domain=domain,
@@ -232,13 +267,17 @@ def load_scenario(doc: dict) -> Scenario:
         radii=radii,
         seed=seed,
         checks=checks,
-        constants=doc.get("constants", {}),
+        constants=constants,
     )
 
 
 def load_manifest(path: str) -> Scenario:
     with open(path, encoding="utf-8") as handle:
-        return load_scenario(json.load(handle))
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise ConfigurationError(f"{path}: manifest nests too deeply to parse") from None
+    return load_scenario(doc)
 
 
 def sample_points(scenario: Scenario) -> np.ndarray:
@@ -306,9 +345,9 @@ def _resolve_constant(scenario, check, const_name, rule, chart, curvatures):
     """Check params and scenario constants are trusted analytic; catalog facts
     are analytic; anything else falls back to sampled (advisory) estimates."""
     if const_name in check:
-        return bounds_mod.Constant.analytic(const_name, float(check[const_name]))
+        return bounds_mod.Constant.analytic(const_name, check[const_name])
     if const_name in scenario.constants:
-        return bounds_mod.Constant.analytic(const_name, float(scenario.constants[const_name]))
+        return bounds_mod.Constant.analytic(const_name, scenario.constants[const_name])
     facts_field, sign = rule
     facts = getattr(chart, "facts", None)
     if facts is not None:
@@ -370,7 +409,7 @@ def _run_three_circle(scenario, check, contexts):
     radii = _require(check, "radii", "three_circle check")
     return bounds_mod.three_circle_check(
         scenario.holo_map,
-        tuple(float(r) for r in radii),
+        radii,
         check.get("counts", 64),
         tol=check.get("tolerance", 1e-9),
         seed=check.get("seed", scenario.seed),
@@ -398,11 +437,11 @@ def _run_averaging(scenario, check, contexts):
     kappa = check.get("kappa")
     return ident_mod.averaging_identity_check(
         cp,
-        [float(w) for w in weights],
+        weights,
         tol=check.get("tolerance", 1e-9),
         count=check.get("count", 20000),
         seed=check.get("seed", scenario.seed),
-        kappa=None if kappa is None else float(kappa),
+        kappa=kappa,
     )
 
 

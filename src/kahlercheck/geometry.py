@@ -332,10 +332,19 @@ class CurvaturePoint:
     riem: np.ndarray  # riem[a, b, c, d] = R_{a b̄ c d̄}
 
 
+def _metric_matrix(gjets) -> np.ndarray:
+    """The metric matrix read off a grid of metric jets, not yet validated."""
+    return np.array([[entry.value for entry in row] for row in gjets])
+
+
+def _validated_metric(chart: KahlerChart, g: np.ndarray) -> np.ndarray:
+    """``g``, one matrix or a stack of them, checked positive definite and symmetrized."""
+    return check_positive_definite(g, f"{chart.label}: metric")
+
+
 def _metric_value(chart: KahlerChart, gjets) -> np.ndarray:
     """Validated metric matrix from a grid of metric jets."""
-    g = np.array([[entry.value for entry in row] for row in gjets])
-    return check_positive_definite(g, f"{chart.label}: metric")
+    return _validated_metric(chart, _metric_matrix(gjets))
 
 
 def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:

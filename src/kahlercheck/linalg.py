@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztrtrs
 
 from .errors import FrameError, MetricError
 
@@ -29,20 +30,36 @@ def hermitian_inner(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> complex:
     return complex(np.asarray(u) @ g @ np.asarray(v).conj())
 
 
+def _raise_first(failing, values, label: str, message: str):
+    """MetricError for the first flagged matrix; in a stack it is named by its flat index."""
+    bad = np.flatnonzero(failing)
+    if bad.size:
+        k = int(bad[0])
+        name = label if np.ndim(failing) == 0 else f"{label} (matrix {k})"
+        raise MetricError(f"{name} {message.format(np.ravel(values)[k])}")
+
+
 def check_hermitian(g: np.ndarray, label: str = "metric") -> np.ndarray:
+    """Validate and return the symmetrized matrix, or stack of matrices ``(..., n, n)``."""
     g = np.asarray(g, dtype=complex)
-    defect = np.max(np.abs(g - g.conj().T)) if g.size else 0.0
-    if defect > HERMITIAN_TOL:
-        raise MetricError(f"{label} is not Hermitian (defect {defect:.3e})")
-    return 0.5 * (g + g.conj().T)
+    g_h = np.conj(g).swapaxes(-1, -2)
+    defect = np.max(np.abs(g - g_h), axis=(-2, -1)) if g.size else np.zeros(g.shape[:-2])
+    # the negated test also fails NaN and inf entries
+    _raise_first(~(defect <= HERMITIAN_TOL), defect, label, "is not Hermitian (defect {:.3e})")
+    return 0.5 * (g + g_h)
 
 
 def check_positive_definite(g: np.ndarray, label: str = "metric") -> np.ndarray:
-    """Validate and return the symmetrized matrix; eigenvalue floor 1e-10."""
+    """Validate and return the symmetrized matrix or stack; eigenvalue floor 1e-10.
+
+    A stack ``(..., n, n)`` is checked in one call: first every matrix
+    for its Hermitian defect, then every one for definiteness.  An
+    error names the first matrix that fails.
+    """
     g = check_hermitian(g, label)
-    smallest = scipy.linalg.eigvalsh(g)[0]
-    if smallest <= DEFINITENESS_FLOOR:
-        raise MetricError(f"{label} is not positive definite (min eigenvalue {smallest:.3e})")
+    smallest = np.linalg.eigvalsh(g)[..., 0]
+    _raise_first(~(smallest > DEFINITENESS_FLOOR), smallest, label,
+                 "is not positive definite (min eigenvalue {:.3e})")
     return g
 
 
@@ -52,9 +69,18 @@ def frame_normalizer(g: np.ndarray) -> np.ndarray:
 
 
 def cholesky_frame(g: np.ndarray) -> np.ndarray:
-    """:func:`frame_normalizer` for a ``g`` that :func:`check_positive_definite` returned."""
-    chol = np.linalg.cholesky(g)  # g = L L^H
-    return scipy.linalg.solve_triangular(chol, np.eye(len(g), dtype=complex), lower=True).T
+    """:func:`frame_normalizer` for a ``g`` (or stack) that :func:`check_positive_definite` returned."""
+    chol = np.linalg.cholesky(g)  # g = L L^H, matrix by matrix
+    n = chol.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    factors = chol.reshape(-1, n, n)
+    frames = np.empty(factors.shape, dtype=complex)
+    for k, lower in enumerate(factors):
+        # L^{-1} from the Fortran-ordered view L.T, as scipy's solve_triangular
+        # solves a C-ordered factor; the frame is its transpose
+        inverse, _ = ztrtrs(lower.T, eye, lower=0, trans=1)
+        frames[k] = inverse.T
+    return frames.reshape(chol.shape)
 
 
 def g_orthonormalize(g: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -64,10 +90,7 @@ def g_orthonormalize(g: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     spectrum = scipy.linalg.eigvalsh(gram)
     if spectrum[0] <= 1e-12 * max(spectrum[-1], 1.0):
         raise FrameError("frame vectors are linearly dependent")
-    chol = np.linalg.cholesky(gram)
-    coeff = scipy.linalg.solve_triangular(chol, np.eye(vectors.shape[1], dtype=complex),
-                                          lower=True).T
-    return vectors @ coeff
+    return vectors @ cholesky_frame(gram)
 
 
 def pencil_eigh(a: np.ndarray, g: np.ndarray):

@@ -3,12 +3,17 @@
 A map is stored as jet callables for its target components, so the
 same object yields the pushforward, the pulled-back metric form, the
 covariant Hessian, and the composition operations the identity checks
-rely on.  The central construction is :func:`map_point_data`: the
-stretch spectrum of ∂f at a point as the Hermitian-definite pencil
-(A, g), together with adapted unitary frames in which ∂f is diagonal.
-All of it, and the curvature and jets the identity checks read, comes
-from one :class:`PointContext` per (map, point), which the checks of a
-scenario share.
+rely on.  The central construction is :func:`stretch_data`: the stretch
+spectrum of ∂f as the Hermitian-definite pencil (A, g), together with
+adapted unitary frames in which ∂f is diagonal, for all of a check's
+sample points at once.  The jets are evaluated point by point; the
+metric validation, f*h, the Cholesky frames, the solve and the SVD then
+run once over the stacked matrices, and only the phase normalization
+and the rank rule go row by row, so a point's data is the same alone or
+in any stack.  :func:`map_point_data` and ``PointContext.data`` are its
+one-point form.  All of it, and the curvature and jets the identity
+checks read, lives on one :class:`PointContext` per (map, point), which
+the checks of a scenario share.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
@@ -22,7 +27,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import expressions
 from .errors import ConfigurationError, DomainError, HolomorphyError, MetricError
@@ -33,8 +37,9 @@ from .geometry import (
     PulledBackChart,
     _as_jet_function,
     _curvature_point,
-    _metric_value,
+    _metric_matrix,
     _normal_chart_at,
+    _validated_metric,
     pullback_metric_jets,
 )
 from .jets import (
@@ -239,6 +244,7 @@ class PointContext:
         self.point = np.asarray(point, dtype=complex)
         self.order = order
         self._metric_jets: dict[str, list] = {}
+        self._data: MapPointData | None = None
 
     def _chart_metric_jets(self, role: str, order: int):
         """Metric jets of the domain at the point or of the target at the image."""
@@ -264,43 +270,20 @@ class PointContext:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return _metric_value(self.map.domain, self._chart_metric_jets("domain", 0))
+        return _validated_metric(self.map.domain, self._metric_matrix("domain"))
 
     @cached_property
     def h(self) -> np.ndarray:
-        return _metric_value(self.map.target, self._chart_metric_jets("target", 0))
+        return _validated_metric(self.map.target, self._metric_matrix("target"))
 
-    @cached_property
+    def _metric_matrix(self, role: str) -> np.ndarray:
+        """g at the point (``"domain"``) or h at the image (``"target"``), not yet validated."""
+        return _metric_matrix(self._chart_metric_jets(role, 0))
+
+    @property
     def data(self) -> MapPointData:
         """Pullback form, stretch spectrum and adapted frames of ∂f."""
-        f, p_mat, g, h = self.map, self.pushforward, self.g, self.h
-        pullback = p_mat.T @ h @ np.conj(p_mat)
-        pullback = 0.5 * (pullback + pullback.conj().T)
-        cg = cholesky_frame(g)
-        ch = cholesky_frame(h)
-        normalized = scipy.linalg.solve(ch, p_mat @ cg)
-        u, s, vh = np.linalg.svd(normalized)
-        u, v = _phase_normalized(u, vh, paired=len(s))
-        domain_frame = cg @ v
-        target_frame = ch @ u
-        singular_sq = np.zeros(f.m)
-        singular_sq[: len(s)] = s[: f.m] ** 2
-        threshold = RANK_RELATIVE_FLOOR * max(float(singular_sq[0]) if f.m else 0.0,
-                                              RANK_ABSOLUTE_FLOOR)
-        rank = int(np.count_nonzero(singular_sq > threshold))
-        return MapPointData(
-            point=self.point,
-            image=self.image,
-            pushforward=p_mat,
-            pullback=pullback,
-            singular_sq=singular_sq,
-            domain_frame=domain_frame,
-            target_frame=target_frame,
-            g=g,
-            h=h,
-            rank=rank,
-            threshold=threshold,
-        )
+        return self._data if self._data is not None else stretch_data([self])[0]
 
     @cached_property
     def domain_curvature(self) -> CurvaturePoint:
@@ -364,6 +347,61 @@ def point_contexts(f: HoloMap, points, order: int) -> list[PointContext]:
     if pts.ndim != 2 or pts.shape[1] != f.m or len(pts) == 0:
         raise ConfigurationError(f"points must have shape (k, {f.m}) with k >= 1, got {pts.shape}")
     return [PointContext(f, p, order) for p in pts]
+
+
+def _stacked_metric(contexts, role: str, chart: KahlerChart) -> np.ndarray:
+    """g (or h) of every context, validated in one stacked call and kept on each context."""
+    stack = _validated_metric(chart, np.array([ctx._metric_matrix(role) for ctx in contexts]))
+    name = "g" if role == "domain" else "h"
+    for ctx, matrix in zip(contexts, stack):
+        ctx.__dict__.setdefault(name, matrix)
+    return stack
+
+
+def stretch_data(contexts: Sequence[PointContext]) -> list[MapPointData]:
+    """Pullback form, stretch spectrum and adapted frames of ∂f at every context.
+
+    The contexts belong to one map.  Pushforwards and the raw g and h are
+    read per point; validation, f*h, the Cholesky frames, the solve and
+    the SVD then run once over the stack.  The phase normalization and
+    the rank rule stay per row, so a point's data does not depend on the
+    points stacked with it.  Each result is kept on its context, and
+    contexts that have theirs already are not recomputed.
+    """
+    if any(ctx.map is not contexts[0].map for ctx in contexts):
+        raise ConfigurationError("stretch data stacks the contexts of one map")
+    todo = [ctx for ctx in contexts if ctx._data is None]
+    if todo:
+        f = todo[0].map
+        p_mat = np.array([ctx.pushforward for ctx in todo])
+        g = _stacked_metric(todo, "domain", f.domain)
+        h = _stacked_metric(todo, "target", f.target)
+        pullback = p_mat.swapaxes(-1, -2) @ h @ np.conj(p_mat)
+        pullback = 0.5 * (pullback + np.conj(pullback).swapaxes(-1, -2))
+        cg = cholesky_frame(g)
+        ch = cholesky_frame(h)
+        u_all, s_all, vh_all = np.linalg.svd(np.linalg.solve(ch, p_mat @ cg))
+        for k, ctx in enumerate(todo):
+            s = s_all[k]
+            u, v = _phase_normalized(u_all[k], vh_all[k], paired=len(s))
+            singular_sq = np.zeros(f.m)
+            singular_sq[: len(s)] = s[: f.m] ** 2
+            threshold = RANK_RELATIVE_FLOOR * max(float(singular_sq[0]) if f.m else 0.0,
+                                                  RANK_ABSOLUTE_FLOOR)
+            ctx._data = MapPointData(
+                point=ctx.point,
+                image=ctx.image,
+                pushforward=ctx.pushforward,
+                pullback=pullback[k],
+                singular_sq=singular_sq,
+                domain_frame=cg[k] @ v,
+                target_frame=ch[k] @ u,
+                g=g[k],
+                h=h[k],
+                rank=int(np.count_nonzero(singular_sq > threshold)),
+                threshold=threshold,
+            )
+    return [ctx._data for ctx in contexts]
 
 
 # -- composition ---------------------------------------------------------------

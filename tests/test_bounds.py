@@ -417,3 +417,21 @@ def test_degeneracy_profile_validation():
     g = HoloMap(ball(2, 1.0), FLAT2, ["z1", "z2"])
     with pytest.raises(ConfigurationError):
         degeneracy_profile(g, eye, [0.5])
+
+
+def test_sphere_and_ray_samples_stack_one_svd_per_radius(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    f = HoloMap(FLAT2, catalog("flat", dim=3), ["z1", "z1*z2", "0.5*z2^2"])
+    rays = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0j], [1.0, 1.0]])
+    degeneracy_profile(f, rays, [0.5, 1.0, 2.0])
+    assert shapes == [(4, 3, 2)] * 3
+    shapes.clear()
+    three_circle_data(f, (0.5, 1.0, 2.0), (5, 6, 7))
+    assert shapes == [(5, 3, 2), (6, 3, 2), (7, 3, 2)]

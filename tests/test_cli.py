@@ -447,6 +447,66 @@ def test_main_bad_check_spec_exits_two_without_traceback(tmp_path, capsys, overr
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+BAD_PARAMETERS = {
+    "K_string": {"checks": [{"kind": "schwarz", "K": "abc"}]},
+    "K_nan": {"checks": [{"kind": "schwarz", "K": float("nan")}]},
+    "K_true": {"checks": [{"kind": "volume", "K": True}]},
+    "kappa_inf": {"checks": [{"kind": "royden", "kappa": float("inf")}]},
+    "kappa_huge_integer": {"checks": [{"kind": "schwarz", "kappa": 10**400}]},
+    "constants_string": {"constants": {"K": "abc"}},
+    "constants_null": {"constants": {"kappa": None}},
+    "constants_list": {"constants": [1.0]},
+    "weights_string": {"checks": [{"kind": "averaging", "weights": ["1"]}]},
+    "weights_number": {"checks": [{"kind": "averaging", "weights": 1.0}]},
+    "averaging_kappa_string": {"checks": [{"kind": "averaging", "weights": [1.0], "kappa": "2"}]},
+    "radii_string": {"checks": [{"kind": "three_circle", "radii": [0.2, "0.4", 0.8]}]},
+    "radii_nan": {"checks": [{"kind": "three_circle", "radii": [0.2, float("nan"), 0.8]}]},
+    "radii_two": {"checks": [{"kind": "three_circle", "radii": [0.2, 0.4]}]},
+    "direction_string": {"checks": [{"kind": "boch1", "direction": [["1", 0]]}]},
+    "direction_number": {"checks": [{"kind": "boch1", "direction": 1.0}]},
+    "direction_bool": {"checks": [{"kind": "boch1", "direction": [True]}]},
+    "point_string": {"checks": [{"kind": "averaging", "weights": [1.0], "point": ["0"]}]},
+    "point_triple": {"checks": [{"kind": "averaging", "weights": [1.0], "point": [[0, 0, 0]]}]},
+    "hoop_mode": {"checks": [{"kind": "hoop", "mode": "area"}]},
+    "hoop_mode_list": {"checks": [{"kind": "hoop", "mode": ["volume"]}]},
+    "region_radius_string": {"domain": {"dim": 1, "potential": "abs2(z1)",
+                                        "region": {"kind": "ball", "radius": "1"}}},
+    "chart_dim_string": {"domain": {"dim": "1", "potential": "abs2(z1)"}},
+    "map_number": {"map": 5},
+    "deep_json": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PARAMETERS))
+def test_main_bad_parameter_exits_two_without_traceback(tmp_path, capsys, name):
+    bad = BAD_PARAMETERS[name]
+    path = tmp_path / "bad_parameter.json"
+    path.write_text(bad if isinstance(bad, str) else json.dumps(manifest(**bad)))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bound_checks_of_a_scenario_share_one_stacked_svd(monkeypatch):
+    # schwarz, volume and royden read one stretch computation over all k sample points
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    count = 9
+    doc, status = run_scenario(load_scenario(manifest(
+        domain={"catalog": "poincare_disk", "params": {"a": 1.3}},
+        map=["0.5*z1", "0.3*z1^2"],
+        sampler={"count": count, "radius": 0.9, "seed": 11},
+        checks=[{"kind": "schwarz"}, {"kind": "volume"}, {"kind": "royden"}])))
+    assert status == 0 and [c["points_checked"] for c in doc["checks"]] == [count] * 3
+    assert shapes == [(count, 2, 1)]
+
+
 @pytest.mark.parametrize("flags", [
     ["--tol", "inf"], ["--tol", "nan"], ["--tol", "-1"], ["--tol", "0"],
     ["--points", "0"], ["--points", str(10**15)],

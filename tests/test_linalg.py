@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kahlercheck.errors import FrameError, MetricError
 from kahlercheck.linalg import (
     check_positive_definite,
+    cholesky_frame,
     frame_normalizer,
     g_orthonormalize,
     haar_unitary,
@@ -77,6 +79,45 @@ def test_validation_rejects_bad_metrics():
         check_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(MetricError):
         check_positive_definite(np.diag([1.0, -2.0]).astype(complex))
+
+
+def test_stacked_check_names_the_first_bad_matrix():
+    rng = np.random.default_rng(8)
+    stack = np.array([random_metric(rng, 3) for _ in range(6)])
+    np.testing.assert_array_equal(check_positive_definite(stack),
+                                  [check_positive_definite(g) for g in stack])
+    stack[3] = np.diag([1.0, -0.5, 2.0])
+    stack[5] = np.diag([1.0, 0.0, 1.0])
+    with pytest.raises(MetricError, match=r"^g \(matrix 3\) is not positive definite "
+                                          r"\(min eigenvalue -5\.000e-01\)$"):
+        check_positive_definite(stack, "g")
+    with pytest.raises(MetricError, match=r"^g is not positive definite \(min eigenvalue"):
+        check_positive_definite(stack[3], "g")
+    with pytest.raises(MetricError, match=r"^g \(matrix 1\) is not positive definite"):
+        check_positive_definite(stack[2:].reshape(2, 2, 3, 3), "g")
+    # Hermitian defects, NaN and inf entries are caught before any decomposition
+    stack[4, 0, 1] += 1.0
+    with pytest.raises(MetricError, match=r"^g \(matrix 4\) is not Hermitian \(defect 1\.000e\+00\)$"):
+        check_positive_definite(stack, "g")
+    for entry in (np.nan, np.inf):
+        stack[1, 2, 2] = entry
+        with pytest.raises(MetricError, match=r"^g \(matrix 1\) is not Hermitian"), \
+                np.errstate(invalid="ignore"):  # inf − inf
+            check_positive_definite(stack, "g")
+
+
+def test_stacked_cholesky_frame_equals_the_per_matrix_result():
+    rng = np.random.default_rng(9)
+    for dim in (1, 2, 3):
+        stack = check_positive_definite(np.array([random_metric(rng, dim) for _ in range(5)]))
+        frames = cholesky_frame(stack)
+        eye = np.eye(dim, dtype=complex)
+        for g, frame in zip(stack, frames):
+            assert np.array_equal(frame, cholesky_frame(g))
+            want = scipy.linalg.solve_triangular(np.linalg.cholesky(g), eye, lower=True).T
+            assert np.array_equal(frame, want)
+            np.testing.assert_allclose(frame.T @ g @ frame.conj(), eye, atol=1e-12)
+        assert cholesky_frame(stack[:4].reshape(2, 2, dim, dim)).shape == (2, 2, dim, dim)
 
 
 def test_rayleigh_quotient_reads_numbers_and_jets_alike():

@@ -8,13 +8,15 @@ congruence invariance of the pencil (A, g) under chart changes.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kahlercheck.errors import (
     ConfigurationError,
     DomainError,
     HolomorphyError,
+    MetricError,
 )
-from kahlercheck.geometry import ChartMap, PulledBackChart, catalog, normal_chart
+from kahlercheck.geometry import ChartMap, PotentialChart, PulledBackChart, catalog, normal_chart
 from kahlercheck.linalg import pencil_eigh, rng_for
 from kahlercheck.maps import (
     HoloMap,
@@ -24,6 +26,7 @@ from kahlercheck.maps import (
     catalog_isometry,
     energy_density,
     map_hessian,
+    _phase_normalized,
     map_point_data,
     max_norm,
     point_contexts,
@@ -31,6 +34,7 @@ from kahlercheck.maps import (
     precompose,
     pushforward,
     sigma_k,
+    stretch_data,
     volume_ratio,
 )
 
@@ -399,3 +403,90 @@ def test_point_contexts_take_points_or_contexts_of_the_same_map():
     for bad in (np.zeros((0, 2)), np.zeros((3, 1)), np.zeros((2, 2, 2))):
         with pytest.raises(ConfigurationError):
             point_contexts(f, bad, 1)
+
+
+# -- the stacked stretch path -------------------------------------------------------
+
+DATA_FIELDS = ("point", "image", "pushforward", "pullback", "singular_sq", "domain_frame",
+               "target_frame", "g", "h", "rank", "threshold")
+
+STRETCH_CASES = {
+    # m < n
+    "curve_into_ball": (catalog("flat", dim=1), catalog("complex_hyperbolic_ball", dim=2),
+                        ["0.4*z1", "0.3*z1^2"]),
+    # m = n, with a rank drop on the line z1 = 0
+    "fold": (catalog("fubini_study", dim=2, c=1.1), catalog("poincare_polydisk", dim=2, a=0.9),
+             ["0.3*z1^2", "0.2*z2 - 0.1*z1*z2"]),
+    # m > n
+    "surface_onto_disk": (catalog("flat", dim=2), catalog("poincare_disk", a=1.2),
+                          ["0.3*z1 + 0.2*z2^2"]),
+}
+
+
+def _per_point_reference(f, point):
+    """The one-point computation of the stretch data with scipy's per-matrix calls."""
+    ctx = PointContext(f, point, 1)
+    p_mat, g, h = ctx.pushforward, ctx.g, ctx.h
+    pullback = p_mat.T @ h @ np.conj(p_mat)
+    eye = np.eye(len(g), dtype=complex)
+    cg = scipy.linalg.solve_triangular(np.linalg.cholesky(g), eye, lower=True).T
+    ch = scipy.linalg.solve_triangular(np.linalg.cholesky(h), np.eye(len(h), dtype=complex),
+                                       lower=True).T
+    u, s, vh = np.linalg.svd(scipy.linalg.solve(ch, p_mat @ cg))
+    u, v = _phase_normalized(u, vh, paired=len(s))
+    return 0.5 * (pullback + pullback.conj().T), s, cg @ v, ch @ u
+
+
+@pytest.mark.parametrize("name", sorted(STRETCH_CASES))
+def test_stretch_data_on_k_points_matches_one_point_contexts(name):
+    domain, target, components = STRETCH_CASES[name]
+    f = HoloMap(domain, target, components)
+    points = random_points(0.3, 7, f.m, seed=5)
+    if name == "fold":
+        points[2, 0] = 0.0  # ∂f drops to rank 1 here
+    contexts = point_contexts(f, points, 1)
+    stacked = stretch_data(contexts)
+    assert len(stacked) == len(points)
+    for ctx, data, point in zip(contexts, stacked, points):
+        assert ctx.data is data
+        alone = PointContext(f, point, 1).data
+        for field in DATA_FIELDS:
+            assert np.array_equal(getattr(data, field), getattr(alone, field)), field
+        pullback, s, domain_frame, target_frame = _per_point_reference(f, point)
+        np.testing.assert_allclose(data.pullback, pullback, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(data.singular_sq[: len(s)], s[: f.m] ** 2, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(data.domain_frame, domain_frame, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(data.target_frame, target_frame, rtol=0, atol=1e-12)
+    if name == "fold":
+        assert [d.rank for d in stacked].count(1) == 1 and stacked[2].rank == 1
+
+
+def test_stretch_data_of_one_context_is_the_one_point_wrapper():
+    f = HoloMap(catalog("complex_hyperbolic_ball", dim=2), catalog("fubini_study", dim=3),
+                ["0.3*z1", "0.2*z2", "0.1*z1*z2"])
+    point = np.array([0.1 + 0.2j, -0.3j])
+    (data,) = stretch_data(point_contexts(f, point, 1))
+    want = map_point_data(f, point)
+    for field in DATA_FIELDS:
+        assert np.array_equal(getattr(data, field), getattr(want, field)), field
+
+
+def test_stretch_data_keeps_what_contexts_already_carry():
+    f = HoloMap(FLAT2, catalog("complex_hyperbolic_ball", dim=2), ["0.3*z1", "0.2*z1*z2"])
+    contexts = point_contexts(f, random_points(0.4, 4, 2, seed=2), 1)
+    first = contexts[1].data
+    stacked = stretch_data(contexts)
+    assert stacked[1] is first
+    assert stretch_data(contexts[::-1]) == stacked[::-1]
+    with pytest.raises(ConfigurationError):
+        stretch_data(contexts[:1] + point_contexts(HoloMap(FLAT2, FLAT2, ["z2", "z1"]),
+                                                   [0.1, 0.2], 1))
+
+
+def test_stretch_data_names_the_first_point_with_a_bad_metric():
+    # the potential's metric 1 − 4|z1|² is positive only inside |z1| < 1/2
+    domain = PotentialChart(1, "abs2(z1) - abs2(z1)^2", None, "bent")
+    f = HoloMap(domain, FLAT1, ["z1"])
+    contexts = point_contexts(f, np.array([[0.1], [0.2], [0.6], [0.7]]), 1)
+    with pytest.raises(MetricError, match=r"bent: metric \(matrix 2\) is not positive definite"):
+        stretch_data(contexts)
