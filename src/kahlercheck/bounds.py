@@ -21,12 +21,10 @@ from .functionals import bisectional
 from .geometry import curvature_tensor
 from .identities import CheckReport
 from .linalg import rng_for
-from .maps import HoloMap, point_contexts, sigma_k, stretch_data
+from .maps import STACK_CHUNK, HoloMap, point_contexts, sigma_k, stretch_data
 
 ANALYTIC = "analytic"
 SAMPLED = "sampled"
-# sphere points per stacked stretch pass: bounds the contexts alive at once
-SPHERE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -195,8 +193,9 @@ def three_circle_data(f: HoloMap, radii, counts, seed: int = 0) -> tuple[float, 
     maxima = []
     for r, count in zip((r1, r2, r3), counts):
         samples = _sphere_points(r, f.m, count, seed)
-        top = max(float(d.singular_sq[0]) for start in range(0, count, SPHERE_CHUNK)
-                  for d in stretch_data(point_contexts(f, samples[start:start + SPHERE_CHUNK], 1)))
+        # one stack at a time, so only one chunk of contexts and stretch data is alive
+        top = max(float(d.singular_sq[0]) for start in range(0, count, STACK_CHUNK)
+                  for d in stretch_data(point_contexts(f, samples[start:start + STACK_CHUNK], 1)))
         maxima.append(math.sqrt(top))
     return tuple(maxima)
 

@@ -27,7 +27,10 @@ passed / failed / advisory checks.  Floats are written with 17
 significant digits and complex values as [re, im] pairs, so a report is
 byte-identical across runs of the same manifest and seed.  Exit status:
 0 when no check failed (advisory outcomes do not gate), 1 on check
-failure, 2 on a configuration problem.
+failure, 2 on a configuration problem (a bad manifest, flag or chart, or
+input the checks reject), 3 on any other error, which is a fault of the
+program and is reported as one line on stderr.  So 1 only ever means
+that a certifiable check failed.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .geometry import (
     Polydisk,
     PotentialChart,
     ComponentChart,
+    _finite,
     catalog,
     curvature_tensor,
 )
@@ -60,7 +64,6 @@ from .linalg import pencil_eigh, rng_for
 from .maps import HoloMap, point_contexts
 
 SCHEMA_VERSION = 1
-DEFAULT_PROBE_ORDER = 2
 SAMPLER_STREAM = 37
 CURVATURE_STREAM = 83
 # cap on every sample count a manifest or flag can ask for
@@ -141,16 +144,6 @@ def _sample_count(value, what: str, minimum: int = 1) -> int:
     return _count(value, what, minimum, MAX_SAMPLE_COUNT)
 
 
-def _finite(value, what: str, positive: bool = False) -> float:
-    """The one validator of a real number read from a manifest or a flag."""
-    # the magnitude limit also rejects NaN, inf and integers too large for a float
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
-        sign = "positive " if positive else ""
-        raise ConfigurationError(f"{what} must be a finite {sign}number, got {value!r}")
-    return float(value)
-
-
 def _positive(value, what: str) -> float:
     return _finite(value, what, positive=True)
 
@@ -217,7 +210,6 @@ class Scenario:
     seed: int
     checks: list[dict]
     constants: dict = field(default_factory=dict)
-    probe_order: int = DEFAULT_PROBE_ORDER
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -293,14 +285,6 @@ def sample_points(scenario: Scenario) -> np.ndarray:
     pts = raw * (0.4 * scales)[None, :]
     caps = np.minimum(1.0, scales[None, :] / np.maximum(np.abs(pts), 1e-12))
     return pts * caps
-
-
-def _probe_charts(scenario: Scenario, points: np.ndarray):
-    # expression-defined metrics are validated up front: realness of the
-    # potential and Hermitian-ness would otherwise only surface mid-run
-    order = scenario.probe_order
-    scenario.domain.metric_jets(points[0], order)
-    scenario.target.metric_jets(scenario.holo_map.image_point(points[0]), order)
 
 
 # -- hypothesis constants ----------------------------------------------------------
@@ -543,8 +527,8 @@ def bound_report_json(report) -> dict:
 def run_scenario(scenario: Scenario, details: bool = False) -> tuple[dict, int]:
     """Execute all checks in declaration order; report document plus exit code."""
     points = sample_points(scenario)
-    _probe_charts(scenario, points)
-    # one context per sample point, shared by every check and dropped on return
+    # one context per sample point, shared by every check and dropped on return; the
+    # first evaluation of a stack validates both charts at all of its points
     contexts = point_contexts(scenario.holo_map, points, _scenario_jet_order(scenario))
     checks_json = []
     tally = {"passed": 0, "failed": 0, "advisory": 0}
@@ -569,7 +553,6 @@ def run_scenario(scenario: Scenario, details: bool = False) -> tuple[dict, int]:
 def curvature_report(scenario: Scenario) -> dict:
     """Closed-form facts where available plus sampled curvature ranges."""
     points = sample_points(scenario)
-    _probe_charts(scenario, points)
     probe = point_contexts(scenario.holo_map, points[:CURVATURE_REPORT_POINTS], 0)
     charts = []
     for role, chart in (("domain", scenario.domain), ("target", scenario.target)):
@@ -673,10 +656,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.tol is not None:
         tol = _positive(args.tol, "--tol")
         scenario.checks = [{**check, "tolerance": tol} for check in scenario.checks]
-    if args.order is not None:
-        if not 1 <= args.order <= 6:
-            raise ConfigurationError("--order must be between 1 and 6")
-        scenario.probe_order = args.order
     return scenario
 
 
@@ -700,7 +679,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="override every check tolerance")
         p.add_argument("--seed", type=int, default=None, help="override the sampler seed")
         p.add_argument("--points", type=int, default=None, help="override the sample count")
-        p.add_argument("--order", type=int, default=None, help="jet order for chart validation probes")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         if with_details:
             p.add_argument("--details", action="store_true", help="include per-point residuals")
@@ -732,6 +710,10 @@ def main(argv=None) -> int:
     except (KahlerCheckError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a fault of the program, never a check's verdict
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return 3
 
 
 if __name__ == "__main__":

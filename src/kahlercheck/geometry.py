@@ -22,7 +22,7 @@ the tensor invariant under passage to normal coordinates.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,9 +33,12 @@ from .errors import ConfigurationError, DomainError, FrameError, MetricError
 from .jets import (
     MAX_HOLOMORPHIC_VARS,
     WirtingerJet,
+    at_point,
     derivative_block,
+    first_bad,
     jet_constant,
     jet_mat_mul,
+    jet_values,
     variable_jets,
 )
 from .linalg import check_positive_definite, cholesky_frame
@@ -54,19 +57,20 @@ class Domain:
     dim: int
 
     def contains(self, point) -> bool:
-        raise NotImplementedError
-
-    def _accepts(self, point) -> np.ndarray | None:
         pt = np.asarray(point, dtype=complex)
-        return pt if pt.shape == (self.dim,) else None
+        return pt.shape == (self.dim,) and bool(self.inside(pt[None, :])[0])
+
+    def inside(self, points: np.ndarray) -> np.ndarray:
+        """One bool per row of a (k, dim) array of points."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class FullSpace(Domain):
     dim: int
 
-    def contains(self, point) -> bool:
-        return self._accepts(point) is not None
+    def inside(self, points: np.ndarray) -> np.ndarray:
+        return np.ones(len(points), dtype=bool)
 
     def __str__(self) -> str:
         return "all of C^%d" % self.dim
@@ -77,9 +81,8 @@ class Ball(Domain):
     dim: int
     radius: float = 1.0
 
-    def contains(self, point) -> bool:
-        pt = self._accepts(point)
-        return pt is not None and float(np.sum(np.abs(pt) ** 2)) < self.radius**2
+    def inside(self, points: np.ndarray) -> np.ndarray:
+        return np.sum(np.abs(points) ** 2, axis=-1) < self.radius**2
 
     def __str__(self) -> str:
         return "|z| < %g" % self.radius
@@ -90,9 +93,8 @@ class Polydisk(Domain):
     dim: int
     radii: tuple[float, ...]
 
-    def contains(self, point) -> bool:
-        pt = self._accepts(point)
-        return pt is not None and bool(np.all(np.abs(pt) < np.asarray(self.radii)))
+    def inside(self, points: np.ndarray) -> np.ndarray:
+        return np.all(np.abs(points) < np.asarray(self.radii), axis=-1)
 
     def __str__(self) -> str:
         return "polydisk with radii %s" % (self.radii,)
@@ -106,7 +108,7 @@ def _as_jet_function(source, dim: int, what: str, check: Callable) -> Callable:
     returning jets; ``check(ast, dim, what)`` validates expressions."""
     if isinstance(source, (int, float, complex)) and not isinstance(source, bool):
         value = complex(source)
-        return lambda zs: jet_constant(value, zs[0].num_vars, zs[0].order)
+        return lambda zs: jet_constant(value, zs[0].num_vars, zs[0].order, zs[0].points)
     if isinstance(source, str):
         source = expressions.parse(source)
     if isinstance(source, expressions.Node):
@@ -121,7 +123,7 @@ def _as_jet_function(source, dim: int, what: str, check: Callable) -> Callable:
         val = fn(zs)
         if isinstance(val, WirtingerJet):
             return val
-        return jet_constant(complex(val), zs[0].num_vars, zs[0].order)
+        return jet_constant(complex(val), zs[0].num_vars, zs[0].order, zs[0].points)
 
     return as_jet
 
@@ -143,22 +145,31 @@ class KahlerChart:
         self.label = label
 
     def require_inside(self, point) -> np.ndarray:
+        """``point`` of shape (dim,), or a stack of shape (k, dim), checked inside the domain."""
         pt = np.asarray(point, dtype=complex)
-        if pt.shape != (self.dim,):
+        if pt.ndim not in (1, 2) or pt.shape[-1] != self.dim:
             raise DomainError(
                 f"{self.label}: point has {pt.shape} coordinates, chart has dimension {self.dim}"
             )
-        if not self.domain.contains(pt):
-            raise DomainError(f"{self.label}: point {pt} is outside the domain ({self.domain})")
+        rows = pt.reshape(-1, self.dim)
+        bad = first_bad(~self.domain.inside(rows))
+        if bad is not None:
+            raise DomainError(f"{self.label}: point {rows[bad]} is outside the domain "
+                              f"({self.domain}){at_point(pt.shape[:-1], bad)}")
         return pt
 
     def metric_jets(self, point, order: int) -> list[list[WirtingerJet]]:
-        """m×m nested list of g_{a b̄} jets of the given order at ``point``."""
+        """m×m nested list of g_{a b̄} jets of the given order at ``point``.
+
+        ``point`` may be a stack of shape (k, dim); the jets are then stacked
+        too, evaluated in one sweep and validated at every point.
+        """
         raise NotImplementedError
 
     def pullback_jets(self, fjets: Sequence[WirtingerJet], order: int) -> list[list[WirtingerJet]]:
         """Jets of f*ω: the chart's defining function evaluated on ``fjets``, the
-        components of a holomorphic f as jets of order >= ``order + 2``."""
+        components of a holomorphic f as jets of order >= ``order + 2``, at one
+        point or stacked."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -174,9 +185,11 @@ class PotentialChart(KahlerChart):
 
     def _potential_on(self, zs: Sequence[WirtingerJet]) -> WirtingerJet:
         phi = self._potential(zs)
-        defect = np.max(np.abs((phi - phi.conj()).coeffs))
-        if defect > REALNESS_TOL * (1.0 + float(np.max(np.abs(phi.coeffs)))):
-            raise MetricError(f"{self.label}: potential is not real-valued (defect {defect:.3e})")
+        defect = np.max(np.abs((phi - phi.conj()).coeffs), axis=0)
+        bad = first_bad(defect > REALNESS_TOL * (1.0 + np.max(np.abs(phi.coeffs), axis=0)))
+        if bad is not None:
+            raise MetricError(f"{self.label}: potential is not real-valued "
+                              f"(defect {np.ravel(defect)[bad]:.3e}){at_point(phi.points, bad)}")
         return phi
 
     def potential_jet(self, point, order: int) -> WirtingerJet:
@@ -185,7 +198,7 @@ class PotentialChart(KahlerChart):
 
     def pullback_jets(self, fjets, order: int) -> list[list[WirtingerJet]]:
         # f*ω = √−1 ∂∂̄(φ∘f) for holomorphic f
-        self.require_inside([fj.value for fj in fjets])
+        self.require_inside(jet_values(fjets))
         phi = self._potential_on([fj.truncated(order + 2) for fj in fjets])
         m = phi.num_vars
         dphi = [phi.d_dz(a) for a in range(m)]
@@ -213,7 +226,7 @@ class ComponentChart(KahlerChart):
 
     def pullback_jets(self, fjets, order: int) -> list[list[WirtingerJet]]:
         # (f*h)_{μν̄} = Σ_{i,j} ∂_μ f^i · (h_{i ȷ̄} ∘ f) · conj(∂_ν f^j)
-        self.require_inside([fj.value for fj in fjets])
+        self.require_inside(jet_values(fjets))
         zs = [fj.truncated(order) for fj in fjets]
         h = [[fn(zs) for fn in row] for row in self._entries]
         df = [[fj.d_dz(mu).truncated(order) for fj in fjets] for mu in range(fjets[0].num_vars)]
@@ -283,7 +296,7 @@ class ChartMap:
         num_vars, order = ws[0].num_vars, ws[0].order
         out = []
         for i in range(self.dim):
-            acc = jet_constant(self.base[i], num_vars, order)
+            acc = jet_constant(self.base[i], num_vars, order, ws[0].points)
             for mu in range(self.dim):
                 if self.linear[i, mu] != 0:
                     acc = acc + self.linear[i, mu] * ws[mu]
@@ -310,7 +323,7 @@ class PulledBackChart(KahlerChart):
         self.change = change
 
     def pullback_jets(self, fjets, order: int) -> list[list[WirtingerJet]]:
-        self.require_inside([fj.value for fj in fjets])
+        self.require_inside(jet_values(fjets))
         return self.source.pullback_jets(self.change.on_jets(fjets), order)
 
     def metric_jets(self, point, order: int) -> list[list[WirtingerJet]]:
@@ -333,8 +346,12 @@ class CurvaturePoint:
 
 
 def _metric_matrix(gjets) -> np.ndarray:
-    """The metric matrix read off a grid of metric jets, not yet validated."""
-    return np.array([[entry.value for entry in row] for row in gjets])
+    """The metric matrix read off a grid of metric jets, not yet validated.
+
+    Stacked jets give the stack of matrices, of shape (k, m, m).
+    """
+    values = np.array([[entry.coeffs[0] for entry in row] for row in gjets])
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0)) if gjets[0][0].points else values
 
 
 def _validated_metric(chart: KahlerChart, g: np.ndarray) -> np.ndarray:
@@ -447,16 +464,25 @@ class CurvatureFacts:
         return self.ricci_min == self.ricci_max
 
 
+def _finite(value, what: str, positive: bool = False) -> float:
+    """The one validator of a real number read from a manifest, a flag or chart parameters."""
+    # the magnitude limit also rejects NaN, inf and integers too large for a float
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
+        sign = "positive " if positive else ""
+        raise ConfigurationError(f"{what} must be a finite {sign}number, got {value!r}")
+    return float(value)
+
+
 def _require_positive(params: dict, key: str) -> float:
-    val = float(params[key])
-    if not val > 0 or not math.isfinite(val):
-        raise ConfigurationError(f"parameter {key} must be positive, got {params[key]!r}")
-    return val
+    return _finite(params[key], f"parameter {key}", positive=True)
 
 
 def _require_dim(params: dict) -> int:
     dim = params["dim"]
-    if dim != int(dim) or not 1 <= int(dim) <= MAX_HOLOMORPHIC_VARS:
+    integral = (isinstance(dim, (int, np.integer))
+                or isinstance(dim, (float, np.floating)) and float(dim).is_integer())
+    if isinstance(dim, bool) or not integral or not 1 <= dim <= MAX_HOLOMORPHIC_VARS:
         raise ConfigurationError(
             f"dim must be an integer between 1 and {MAX_HOLOMORPHIC_VARS}, got {dim!r}"
         )

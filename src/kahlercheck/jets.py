@@ -16,6 +16,18 @@ written in ``z`` and ``conj(z)`` be evaluated on arbitrary input jets
 Storage is dense over all monomials of total degree <= order, which is
 what keeps the multiplication kernel a single fancy-indexed
 accumulation.  That choice caps the tool at 4 holomorphic variables.
+
+A jet may carry a trailing point axis: the coefficients of a jet at one
+base point have shape ``(size,)``, those of a stack of jets at k base
+points have shape ``(size, k)``, column j being the jet at point j.
+Every operation acts on axis 0 and treats the columns alike, so a
+stacked evaluation is one sweep over the expression for all k points
+and gives each point bit for bit the jet it gets alone.  Per-point
+scalars (an array of shape ``(k,)``) broadcast along the last axis, a
+constant built inside an operation takes its operand's point shape
+(:attr:`WirtingerJet.points`), and jets of different point shapes do
+not mix.  A check on the values (a singular constant term) runs at
+every point and names the first bad one.
 """
 
 from __future__ import annotations
@@ -33,6 +45,10 @@ MAX_ORDER = 8
 
 # Constant terms smaller than this make division and log ill-posed.
 SINGULAR_FLOOR = 1e-12
+# flattened multiplication tables are kept for stacks up to this many coefficient
+# products, and for this many stack sizes per space
+_KEPT_TABLE_ENTRIES = 1 << 16
+_KEPT_TABLE_COUNTS = 32
 
 
 def _bounded_exponents(nslots: int, order: int) -> list[tuple[int, ...]]:
@@ -66,6 +82,7 @@ class _JetSpace:
         # first rank of each degree, used to cut multiplication loops early
         self._deg_start = np.searchsorted(self.degree, np.arange(order + 2))
         self._mul_table = None
+        self._flat_mul_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._conj_perm = None
         self._antiholomorphic = None
         self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -91,6 +108,24 @@ class _JetSpace:
                 np.array(K, dtype=np.intp),
             )
         return self._mul_table
+
+    def flat_mul_table(self, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:attr:`mul_table` over ``length`` flattened coefficients: a stack of
+        ``length // size`` points in C order.
+
+        Rank r of point j sits at r * count + j, so each point keeps the
+        one-point table's order of accumulation.
+        """
+        tables = self._flat_mul_tables.get(length)
+        if tables is None:
+            count = length // self.size
+            cols = np.arange(count)
+            tables = tuple((t[:, None] * count + cols).ravel() for t in self.mul_table)
+            if len(tables[0]) <= _KEPT_TABLE_ENTRIES:
+                if len(self._flat_mul_tables) >= _KEPT_TABLE_COUNTS:
+                    self._flat_mul_tables.clear()
+                self._flat_mul_tables[length] = tables
+        return tables
 
     @property
     def conj_perm(self) -> np.ndarray:
@@ -184,34 +219,55 @@ class WirtingerJet:
         return self.space.order
 
     @property
-    def value(self) -> complex:
-        """Constant term, i.e. the value at the base point."""
-        return complex(self.coeffs[0])
+    def points(self) -> tuple[int, ...]:
+        """Trailing point shape: ``()`` at one point, ``(k,)`` for a stack of k."""
+        return self.coeffs.shape[1:]
+
+    @property
+    def value(self):
+        """Constant term: the value at the base point, one per point for a stack."""
+        return self.coeffs[0]
+
+    def at(self, index: int) -> "WirtingerJet":
+        """The jet at point ``index`` of a stack."""
+        return WirtingerJet(self.space, np.ascontiguousarray(self.coeffs[:, index]))
 
     def __repr__(self) -> str:
-        return f"WirtingerJet(m={self.num_vars}, order={self.order}, value={self.value:.6g})"
+        where = f"points={self.points[0]}" if self.points else f"value={self.value:.6g}"
+        return f"WirtingerJet(m={self.num_vars}, order={self.order}, {where})"
 
     # -- ring structure --------------------------------------------------------
 
     def _coerced(self, other) -> "WirtingerJet | None":
+        """``other`` as a jet of at most this jet's order, or None for a scalar."""
         if isinstance(other, WirtingerJet):
+            if other.space is self.space:  # the common case: same variables and order
+                if other.coeffs.shape != self.coeffs.shape:
+                    raise ConfigurationError("jet arithmetic requires jets at the same points")
+                return other
             if other.num_vars != self.num_vars:
                 raise ConfigurationError("jet arithmetic requires matching variable counts")
-            lo = min(self.order, other.order)
-            return other.truncated(lo)
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+            if other.coeffs.shape[1:] != self.coeffs.shape[1:]:
+                raise ConfigurationError("jet arithmetic requires jets at the same points")
+            return other.truncated(min(self.space.order, other.space.order))
+        if isinstance(other, (int, float, complex, np.number)):
             return None  # scalar fast path
+        if isinstance(other, np.ndarray):
+            if other.shape != self.coeffs.shape[1:]:
+                raise ConfigurationError(
+                    f"per-point scalars of shape {other.shape} do not match the jet's points"
+                )
+            return None  # one scalar per point, broadcast along the last axis
         return NotImplemented  # type: ignore[return-value]
 
     def truncated(self, order: int) -> "WirtingerJet":
-        if order == self.order:
+        if order == self.space.order:
             return self
-        if order > self.order:
-            target = _space(self.num_vars, order)
-            coeffs = np.zeros(target.size, dtype=complex)
+        target = _space(self.num_vars, order)
+        if order > self.space.order:
+            coeffs = np.zeros((target.size,) + self.coeffs.shape[1:], dtype=complex)
             coeffs[: self.space.size] = self.coeffs
             return WirtingerJet(target, coeffs)
-        target = _space(self.num_vars, order)
         return WirtingerJet(target, self.coeffs[: target.size].copy())
 
     def __add__(self, other):
@@ -222,7 +278,7 @@ class WirtingerJet:
             coeffs = self.coeffs.copy()
             coeffs[0] += other
             return WirtingerJet(self.space, coeffs)
-        lhs = self.truncated(rhs.order)
+        lhs = self if rhs.space is self.space else self.truncated(rhs.space.order)
         return WirtingerJet(lhs.space, lhs.coeffs + rhs.coeffs)
 
     __radd__ = __add__
@@ -242,10 +298,15 @@ class WirtingerJet:
             return NotImplemented
         if rhs is None:
             return WirtingerJet(self.space, self.coeffs * other)
-        lhs = self.truncated(rhs.order)
-        I, J, K = lhs.space.mul_table
-        out = np.zeros(lhs.space.size, dtype=complex)
-        np.add.at(out, K, lhs.coeffs[I] * rhs.coeffs[J])
+        lhs = self if rhs.space is self.space else self.truncated(rhs.space.order)
+        # one accumulation over the flattened (C order) coefficients of every point
+        coeffs = lhs.coeffs
+        I, J, K = lhs.space.flat_mul_table(coeffs.size)
+        # not in place: numpy rounds a one-element in-place product by another formula
+        terms = coeffs.take(I) * rhs.coeffs.take(J)
+        out = np.zeros(coeffs.size, dtype=complex)
+        np.add.at(out, K, terms)
+        out.shape = coeffs.shape
         return WirtingerJet(lhs.space, out)
 
     __rmul__ = __mul__
@@ -261,7 +322,7 @@ class WirtingerJet:
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 0:
             raise ConfigurationError("jet powers must be non-negative integers")
-        result = jet_constant(1.0, self.num_vars, self.order)
+        result = self._constant(1.0)
         base = self
         n = int(n)
         while n:
@@ -275,20 +336,19 @@ class WirtingerJet:
     # -- analytic operations ----------------------------------------------------
 
     def reciprocal(self) -> "WirtingerJet":
-        c0 = self.value
-        if abs(c0) <= SINGULAR_FLOOR:
-            raise SingularJetError(f"cannot divide by a jet with constant term {c0!r}")
-        u = self._nilpotent() * (1.0 / c0)
-        acc = jet_constant(1.0, self.num_vars, self.order)
+        c0 = self._regular_value("divide by")
+        inv = _inverse(c0)
+        u = self._nilpotent() * inv
+        acc = self._constant(1.0)
         term = acc
         for _ in range(self.order):
             term = term * u * (-1.0)
             acc = acc + term
-        return acc * (1.0 / c0)
+        return acc * inv
 
     def exp(self) -> "WirtingerJet":
         n = self._nilpotent()
-        acc = jet_constant(1.0, self.num_vars, self.order)
+        acc = self._constant(1.0)
         term = acc
         for k in range(1, self.order + 1):
             term = term * n * (1.0 / k)
@@ -296,12 +356,10 @@ class WirtingerJet:
         return acc * np.exp(self.value)
 
     def log(self) -> "WirtingerJet":
-        c0 = self.value
-        if abs(c0) <= SINGULAR_FLOOR:
-            raise SingularJetError(f"cannot take log of a jet with constant term {c0!r}")
-        u = self._nilpotent() * (1.0 / c0)
-        acc = jet_constant(np.log(c0), self.num_vars, self.order)
-        term = jet_constant(1.0, self.num_vars, self.order)
+        c0 = self._regular_value("take log of")
+        u = self._nilpotent() * _inverse(c0)
+        acc = self._constant(np.log(c0))
+        term = self._constant(1.0)
         for k in range(1, self.order + 1):
             term = term * u
             acc = acc + term * ((-1.0) ** (k + 1) / k)
@@ -312,10 +370,25 @@ class WirtingerJet:
         out[self.space.conj_perm] = np.conj(self.coeffs)
         return WirtingerJet(self.space, out)
 
+    def _constant(self, value) -> "WirtingerJet":
+        """A constant jet at this jet's points, of its order."""
+        coeffs = np.zeros(self.coeffs.shape, dtype=complex)
+        coeffs[0] = value
+        return WirtingerJet(self.space, coeffs)
+
     def _nilpotent(self) -> "WirtingerJet":
         coeffs = self.coeffs.copy()
         coeffs[0] = 0.0
         return WirtingerJet(self.space, coeffs)
+
+    def _regular_value(self, what: str):
+        """The constant term, checked away from zero at every point."""
+        c0 = self.coeffs[0]
+        bad = first_bad(abs(c0) <= SINGULAR_FLOOR)
+        if bad is not None:
+            raise SingularJetError(f"cannot {what} a jet with constant term "
+                                   f"{complex(np.ravel(c0)[bad])!r}{at_point(self.points, bad)}")
+        return c0
 
     # -- differentiation -----------------------------------------------------------
 
@@ -334,25 +407,56 @@ class WirtingerJet:
             raise OrderError("cannot differentiate an order-0 jet")
         src, mult = self.space.diff_table(slot)
         lower = _space(self.num_vars, self.order - 1)
-        return WirtingerJet(lower, self.coeffs[src] * mult)
+        # transposed, the per-rank multiplicities broadcast along axis 0 at any points
+        return WirtingerJet(lower, (self.coeffs[src].T * mult).T)
+
+
+def _inverse(c0):
+    """1/c0 for a constant term or a stack of them, rounded as Python's complex division.
+
+    numpy divides complex numbers by another formula, and the two disagree
+    in the last bit, so every point takes Python's.
+    """
+    if isinstance(c0, np.ndarray):
+        return np.array([1.0 / c for c in c0.tolist()])
+    return 1.0 / complex(c0)
+
+
+def first_bad(mask) -> int | None:
+    """Index of the first True of a per-point mask (one numpy bool at one point), or None."""
+    if mask.ndim == 0:  # numpy's scalar path is ~30x cheaper than a reduction
+        return 0 if mask else None
+    return int(mask.argmax()) if mask.any() else None
+
+
+def at_point(points: tuple[int, ...], index: int) -> str:
+    """Where in a stack an error arose; empty for a jet at one point."""
+    return f" at point {index} of the stack" if points else ""
+
+
+def jet_values(jets) -> np.ndarray:
+    """Constant terms of a list of jets: shape (n,) at one point, (k, n) for a stack."""
+    values = np.array([jet.coeffs[0] for jet in jets])
+    return np.ascontiguousarray(values.T) if jets[0].points else values
 
 
 # -- constructors ---------------------------------------------------------------
 
 
-def jet_constant(value: complex, num_vars: int, order: int) -> WirtingerJet:
+def jet_constant(value, num_vars: int, order: int, points: tuple[int, ...] = ()) -> WirtingerJet:
+    """The constant ``value`` (a scalar, or one per point) at ``points``: () or (k,)."""
     space = _space(num_vars, order)
-    coeffs = np.zeros(space.size, dtype=complex)
+    coeffs = np.zeros((space.size,) + tuple(points), dtype=complex)
     coeffs[0] = value
     return WirtingerJet(space, coeffs)
 
 
-def jet_variable(index: int, base: complex, num_vars: int, order: int) -> WirtingerJet:
-    """The coordinate function z^index expanded around ``base``."""
+def jet_variable(index: int, base, num_vars: int, order: int) -> WirtingerJet:
+    """The coordinate function z^index expanded around ``base``, a scalar or a (k,) stack."""
     space = _space(num_vars, order)
     if not 0 <= index < num_vars:
         raise ConfigurationError(f"variable index {index} out of range for m={num_vars}")
-    coeffs = np.zeros(space.size, dtype=complex)
+    coeffs = np.zeros((space.size,) + np.shape(base), dtype=complex)
     coeffs[0] = base
     if order >= 1:
         unit = [0] * space.nslots
@@ -361,11 +465,12 @@ def jet_variable(index: int, base: complex, num_vars: int, order: int) -> Wirtin
     return WirtingerJet(space, coeffs)
 
 
-def variable_jets(point: Sequence[complex], num_vars: int, order: int) -> list[WirtingerJet]:
+def variable_jets(point, num_vars: int, order: int) -> list[WirtingerJet]:
+    """Coordinate jets at one point (shape (m,)) or at a stack of k points (shape (k, m))."""
     pt = np.asarray(point, dtype=complex)
-    if pt.shape != (num_vars,):
+    if pt.ndim not in (1, 2) or pt.shape[-1] != num_vars:
         raise ConfigurationError(f"expected a point with {num_vars} coordinates")
-    return [jet_variable(k, pt[k], num_vars, order) for k in range(num_vars)]
+    return [jet_variable(k, pt[..., k], num_vars, order) for k in range(num_vars)]
 
 
 def compose(outer: WirtingerJet, inner: Sequence[WirtingerJet]) -> WirtingerJet:
@@ -456,9 +561,9 @@ _BLOCK_DEGREE = {"grad": 1, "levi": 2, "hess": 2}
 def derivative_block(jets, kind: str) -> np.ndarray:
     """A block of partials (see :meth:`_JetSpace.block_table`) of every jet at once.
 
-    ``jets`` is a jet or a nested list of jets over the same variables; the
-    result has the list's shape followed by the block's shape.  Entries agree
-    with :func:`derivative`.
+    ``jets`` is a jet or a nested list of jets over the same variables and
+    points; the result has the point shape, then the list's shape, then the
+    block's shape.  Entries agree with :func:`derivative`.
     """
     if kind not in _BLOCK_DEGREE:
         raise ConfigurationError(f"unknown derivative block {kind!r}")
@@ -467,16 +572,20 @@ def derivative_block(jets, kind: str) -> np.ndarray:
         first = first[0]
     space = _space(first.num_vars, _BLOCK_DEGREE[kind])
     ranks, fact = space.block_table(kind)
+    block = _stacked_coeffs(jets, space.size)[..., ranks]
+    if first.points:  # the point axis goes first
+        block = np.moveaxis(block, block.ndim - ranks.ndim - 1, 0)
     # C order, like an array built entry by entry: einsum's rounding follows the layout
-    return np.ascontiguousarray(_stacked_coeffs(jets, space.size)[..., ranks]) * fact
+    return np.ascontiguousarray(block) * fact
 
 
 def _stacked_coeffs(jets, size: int) -> np.ndarray:
-    """Leading ``size`` coefficients of each jet, in the nesting of ``jets``."""
+    """Leading ``size`` coefficients of each jet, in the nesting of ``jets``: shape
+    (*nest, *points, size)."""
     if isinstance(jets, WirtingerJet):
         if jets.space.size < size:
             raise OrderError(f"jet of order {jets.order} is too short for this derivative block")
-        return jets.coeffs[:size]
+        return jets.coeffs[:size].T
     return np.array([_stacked_coeffs(j, size) for j in jets])
 
 

@@ -3,17 +3,30 @@
 A map is stored as jet callables for its target components, so the
 same object yields the pushforward, the pulled-back metric form, the
 covariant Hessian, and the composition operations the identity checks
-rely on.  The central construction is :func:`stretch_data`: the stretch
-spectrum of ∂f as the Hermitian-definite pencil (A, g), together with
-adapted unitary frames in which ∂f is diagonal, for all of a check's
-sample points at once.  The jets are evaluated point by point; the
-metric validation, f*h, the Cholesky frames, the solve and the SVD then
-run once over the stacked matrices, and only the phase normalization
-and the rank rule go row by row, so a point's data is the same alone or
-in any stack.  :func:`map_point_data` and ``PointContext.data`` are its
-one-point form.  All of it, and the curvature and jets the identity
-checks read, lives on one :class:`PointContext` per (map, point), which
-the checks of a scenario share.
+rely on.
+
+Sample points are handled in stacks.  :func:`point_contexts` groups
+consecutive points into stacks (:class:`PointStack`) of at most
+``STACK_CHUNK`` points; on first use a stack evaluates the map's
+component jets and each chart's metric jets (and, for the identity
+orders, the pulled-back form f*h) once for all of its points, as jets
+with a trailing point axis (see the jets module), and validates them at
+every point, naming the first bad one.  One :class:`PointContext` per
+point reads its row and builds the rest of the local data on it: the
+curvature, the covariant map Hessian, the energy and log-volume jets
+and the normal chart log_w renormalizes in.  A context built alone is a
+stack of one point, so there is one path, and a point's data is the same
+alone or in any stack.  The contexts are shared by the checks of a
+scenario.
+
+The central construction is :func:`stretch_data`: the stretch spectrum
+of ∂f as the Hermitian-definite pencil (A, g), together with adapted
+unitary frames in which ∂f is diagonal, for all of a check's sample
+points at once.  It reads the stacked pushforwards and validated
+metrics of each stack; f*h, the Cholesky frames, the solve and the SVD
+run once over them, and only the phase normalization and the rank rule
+go row by row.  :func:`map_point_data` and ``PointContext.data`` are
+its one-point form.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
@@ -44,12 +57,15 @@ from .geometry import (
 )
 from .jets import (
     WirtingerJet,
+    at_point,
     derivative_block,
+    first_bad,
     jet_constant,
     jet_mat_det,
     jet_mat_inv,
     jet_mat_mul,
     jet_mat_trace,
+    jet_values,
     variable_jets,
 )
 from .linalg import cholesky_frame, haar_unitary, rayleigh_quotient, rng_for
@@ -57,6 +73,8 @@ from .linalg import cholesky_frame, haar_unitary, rayleigh_quotient, rng_for
 HOLOMORPHY_TOL = 1e-12
 RANK_RELATIVE_FLOOR = 1e-10
 RANK_ABSOLUTE_FLOOR = 1e-30
+# sample points per stack: bounds the jets and product temporaries alive at once
+STACK_CHUNK = 1024
 
 
 class HoloMap:
@@ -87,36 +105,44 @@ class HoloMap:
         return self.target.dim
 
     def component_jets(self, point, order: int) -> list[WirtingerJet]:
-        """Jets of the target components; validates holomorphy and the image."""
+        """Jets of the target components at ``point``, or stacked at a (k, m) stack of points.
+
+        Holomorphy and the image are validated at every point; an error
+        names the first bad point of a stack.
+        """
         pt = self.domain.require_inside(point)
         zs = variable_jets(pt, self.m, order)
         jets = []
         for i, fn in enumerate(self._components):
             val = fn(zs)
             bar_mass = _antiholomorphic_mass(val)
-            if bar_mass > HOLOMORPHY_TOL * (1.0 + float(np.max(np.abs(val.coeffs)))):
+            bad = first_bad(bar_mass > HOLOMORPHY_TOL * (1.0 + np.max(np.abs(val.coeffs), axis=0)))
+            if bad is not None:
                 raise HolomorphyError(
-                    f"{self.label} component {i + 1} is not holomorphic "
-                    f"(antiholomorphic coefficient {bar_mass:.3e})"
+                    f"{self.label} component {i + 1} is not holomorphic (antiholomorphic "
+                    f"coefficient {np.ravel(bar_mass)[bad]:.3e}){at_point(val.points, bad)}"
                 )
             jets.append(val)
-        image = np.array([j.value for j in jets])
-        if not self.target.domain.contains(image):
+        images = jet_values(jets).reshape(-1, self.n)
+        bad = first_bad(~self.target.domain.inside(images))
+        if bad is not None:
             raise DomainError(
-                f"{self.label}: image {image} leaves the target domain ({self.target.domain})"
+                f"{self.label}: image {images[bad]} leaves the target domain "
+                f"({self.target.domain}){at_point(jets[0].points, bad)}"
             )
         return jets
 
     def image_point(self, point) -> np.ndarray:
-        return np.array([j.value for j in self.component_jets(point, 0)])
+        return jet_values(self.component_jets(point, 0))
 
     def __repr__(self) -> str:
         return f"<HoloMap {self.label!r} {self.domain.label} -> {self.target.label}>"
 
 
-def _antiholomorphic_mass(jet: WirtingerJet) -> float:
+def _antiholomorphic_mass(jet: WirtingerJet):
+    """Largest barred coefficient, one per point of a stack."""
     ranks = jet.space.antiholomorphic
-    return float(np.max(np.abs(jet.coeffs[ranks]))) if ranks.size else 0.0
+    return np.max(np.abs(jet.coeffs[ranks]), axis=0) if ranks.size else np.zeros(jet.points)
 
 
 def pushforward(f: HoloMap, point) -> np.ndarray:
@@ -221,64 +247,122 @@ def map_hessian(f: HoloMap, point) -> np.ndarray:
     return PointContext(f, point, 2).map_hessian
 
 
-# -- the local data of a map at one point -------------------------------------------
+# -- the local data of a map at a stack of points -----------------------------------
+
+
+class PointStack:
+    """The jets of one map at up to ``STACK_CHUNK`` domain points, evaluated once for all.
+
+    On first use the stack evaluates, as stacked jets, the map's component
+    jets of order ``order`` at its points and each chart's metric jets of
+    order ``max(order - 2, 0)`` (the domain's at the points, the target's at
+    the images), and for identity orders the pulled-back form f*h.  Every
+    validity check runs at every point and names the first bad one:
+    holomorphy and the image with the component jets, the potential's
+    realness with the metric jets, and the metric's Hermitian property and
+    positive definiteness as soon as the metric jets exist, before any
+    check reads them.  A :class:`PointContext` reads its row.
+    """
+
+    def __init__(self, f: HoloMap, points: np.ndarray, order: int):
+        self.map = f
+        self.points = points
+        self.order = order
+        self._metrics: dict[str, tuple[list, np.ndarray]] = {}
+
+    @cached_property
+    def component_jets(self) -> list[WirtingerJet]:
+        return self.map.component_jets(self.points, self.order)
+
+    @cached_property
+    def image(self) -> np.ndarray:
+        return jet_values(self.component_jets)
+
+    @cached_property
+    def pushforward(self) -> np.ndarray:
+        """P[j, i, α] = ∂f^i/∂z^α at point j."""
+        return derivative_block(self.component_jets, "grad")
+
+    def metric(self, role: str) -> tuple[list[list[WirtingerJet]], np.ndarray]:
+        """Metric jets of the domain at the points or of the target at the images,
+        with the validated stack of metric matrices."""
+        if role not in self._metrics:
+            chart, at = ((self.map.domain, self.points) if role == "domain"
+                         else (self.map.target, self.image))
+            jets = chart.metric_jets(at, max(self.order - 2, 0))
+            self._metrics[role] = (jets, _validated_metric(chart, _metric_matrix(jets)))
+        return self._metrics[role]
+
+    @cached_property
+    def pullback_jets(self) -> list[list[WirtingerJet]]:
+        """Jets of f*h, order 2."""
+        return pullback_metric_jets(self.map.target, self.component_jets, 2)
 
 
 class PointContext:
     """Everything the checks read of one map at one domain point.
 
-    Each piece is computed on first use and kept: the map's component
-    jets (of order ``order``), the image, g and h, the stretch data, both
-    curvature points, the covariant map Hessian, the pulled-back form
-    f*h and the energy and log-volume jets built on it, and the normal
-    chart that log_w renormalizes in.  Lower orders are read off the one
-    set of component jets, and each metric is evaluated once per chart,
-    at order ``order - 2`` (curvature raises it to 2 when asked for).
+    Each piece is computed on first use and kept.  The component jets
+    (of order ``order``), the image, g and h, the metric jets and the
+    pulled-back form f*h are the context's row of its :class:`PointStack`;
+    a context built alone is a stack of one point.  The stretch data,
+    both curvature points, the covariant map Hessian, the energy and
+    log-volume jets and the normal chart that log_w renormalizes in are
+    built per point on those rows.  Each metric is evaluated once per
+    stack, at order ``order - 2``; a context that needs more (curvature on
+    an order-1 context) evaluates its own point at order 2.
 
     A context belongs to whoever built it: ``run_scenario`` builds one per
     sample point, hands the list to every check and drops it on return.
     """
 
-    def __init__(self, f: HoloMap, point, order: int):
+    def __init__(self, f: HoloMap, point, order: int, stack: PointStack | None = None,
+                 row: int = 0):
         self.map = f
         self.point = np.asarray(point, dtype=complex)
         self.order = order
+        self.stack = stack if stack is not None else PointStack(f, self.point[None, :], order)
+        self.row = row
         self._metric_jets: dict[str, list] = {}
         self._data: MapPointData | None = None
+
+    def _row(self, grid) -> list[list[WirtingerJet]]:
+        return [[entry.at(self.row) for entry in line] for line in grid]
 
     def _chart_metric_jets(self, role: str, order: int):
         """Metric jets of the domain at the point or of the target at the image."""
         have = self._metric_jets.get(role)
         if have is None or have[0][0].order < order:
-            chart, at = ((self.map.domain, self.point) if role == "domain"
-                         else (self.map.target, self.image))
-            have = self._metric_jets[role] = chart.metric_jets(at, max(order, self.order - 2))
+            stacked = self.stack.metric(role)[0]
+            if stacked[0][0].order >= order:
+                have = self._row(stacked)
+            else:
+                chart, at = ((self.map.domain, self.point) if role == "domain"
+                             else (self.map.target, self.image))
+                have = chart.metric_jets(at, order)
+            self._metric_jets[role] = have
         return have
 
     @cached_property
     def component_jets(self) -> list[WirtingerJet]:
-        return self.map.component_jets(self.point, self.order)
+        return [jet.at(self.row) for jet in self.stack.component_jets]
 
     @cached_property
     def image(self) -> np.ndarray:
-        return np.array([jet.value for jet in self.component_jets])
+        return self.stack.image[self.row]
 
     @cached_property
     def pushforward(self) -> np.ndarray:
         """P[i, α] = ∂f^i/∂z^α."""
-        return derivative_block(self.component_jets, "grad")
+        return self.stack.pushforward[self.row]
 
     @cached_property
     def g(self) -> np.ndarray:
-        return _validated_metric(self.map.domain, self._metric_matrix("domain"))
+        return self.stack.metric("domain")[1][self.row]
 
     @cached_property
     def h(self) -> np.ndarray:
-        return _validated_metric(self.map.target, self._metric_matrix("target"))
-
-    def _metric_matrix(self, role: str) -> np.ndarray:
-        """g at the point (``"domain"``) or h at the image (``"target"``), not yet validated."""
-        return _metric_matrix(self._chart_metric_jets(role, 0))
+        return self.stack.metric("target")[1][self.row]
 
     @property
     def data(self) -> MapPointData:
@@ -306,7 +390,7 @@ class PointContext:
     @cached_property
     def pullback_jets(self) -> list[list[WirtingerJet]]:
         """Jets of f*h, order 2."""
-        return pullback_metric_jets(self.map.target, self.component_jets, 2)
+        return self._row(self.stack.pullback_jets)
 
     @cached_property
     def energy_jet(self) -> WirtingerJet:
@@ -331,6 +415,7 @@ def point_contexts(f: HoloMap, points, order: int) -> list[PointContext]:
 
     ``points`` is a (k, m) array (one point may be given as a flat row)
     or a list of contexts already built for ``f`` at that order or above.
+    New contexts share stacks of at most ``STACK_CHUNK`` consecutive points.
     """
     if isinstance(points, (list, tuple)) and points and isinstance(points[0], PointContext):
         for ctx in points:
@@ -346,36 +431,36 @@ def point_contexts(f: HoloMap, points, order: int) -> list[PointContext]:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != f.m or len(pts) == 0:
         raise ConfigurationError(f"points must have shape (k, {f.m}) with k >= 1, got {pts.shape}")
-    return [PointContext(f, p, order) for p in pts]
-
-
-def _stacked_metric(contexts, role: str, chart: KahlerChart) -> np.ndarray:
-    """g (or h) of every context, validated in one stacked call and kept on each context."""
-    stack = _validated_metric(chart, np.array([ctx._metric_matrix(role) for ctx in contexts]))
-    name = "g" if role == "domain" else "h"
-    for ctx, matrix in zip(contexts, stack):
-        ctx.__dict__.setdefault(name, matrix)
-    return stack
+    contexts = []
+    for start in range(0, len(pts), STACK_CHUNK):
+        stack = PointStack(f, pts[start:start + STACK_CHUNK], order)
+        contexts.extend(PointContext(f, point, order, stack, row)
+                        for row, point in enumerate(stack.points))
+    return contexts
 
 
 def stretch_data(contexts: Sequence[PointContext]) -> list[MapPointData]:
     """Pullback form, stretch spectrum and adapted frames of ∂f at every context.
 
-    The contexts belong to one map.  Pushforwards and the raw g and h are
-    read per point; validation, f*h, the Cholesky frames, the solve and
-    the SVD then run once over the stack.  The phase normalization and
-    the rank rule stay per row, so a point's data does not depend on the
-    points stacked with it.  Each result is kept on its context, and
-    contexts that have theirs already are not recomputed.
+    The contexts belong to one map.  Per stack, the pushforwards and the
+    validated g and h are its stacked arrays; f*h, the Cholesky frames, the
+    solve and the SVD then run once over the rows of its contexts.  The
+    phase normalization and the rank rule stay per row, so a point's data
+    does not depend on the points stacked with it.  Each result is kept on
+    its context, and contexts that have theirs already are not recomputed.
     """
     if any(ctx.map is not contexts[0].map for ctx in contexts):
         raise ConfigurationError("stretch data stacks the contexts of one map")
-    todo = [ctx for ctx in contexts if ctx._data is None]
-    if todo:
-        f = todo[0].map
-        p_mat = np.array([ctx.pushforward for ctx in todo])
-        g = _stacked_metric(todo, "domain", f.domain)
-        h = _stacked_metric(todo, "target", f.target)
+    groups: dict[PointStack, list[PointContext]] = {}
+    for ctx in contexts:
+        if ctx._data is None:
+            groups.setdefault(ctx.stack, []).append(ctx)
+    for stack, todo in groups.items():
+        f = stack.map
+        rows = [ctx.row for ctx in todo]
+        p_mat = stack.pushforward[rows]
+        g = stack.metric("domain")[1][rows]
+        h = stack.metric("target")[1][rows]
         pullback = p_mat.swapaxes(-1, -2) @ h @ np.conj(p_mat)
         pullback = 0.5 * (pullback + np.conj(pullback).swapaxes(-1, -2))
         cg = cholesky_frame(g)
@@ -469,7 +554,7 @@ def catalog_isometry(chart: KahlerChart, seed: int = 0) -> HoloMap:
 
         def linear_component(i):
             def fn(zs):
-                acc = jet_constant(shift[i], zs[0].num_vars, zs[0].order)
+                acc = jet_constant(shift[i], zs[0].num_vars, zs[0].order, zs[0].points)
                 for j in range(m):
                     acc = acc + u_mat[i, j] * zs[j]
                 return acc
@@ -486,7 +571,7 @@ def catalog_isometry(chart: KahlerChart, seed: int = 0) -> HoloMap:
 
         def rotation_component(i):
             def fn(zs):
-                acc = jet_constant(0.0, zs[0].num_vars, zs[0].order)
+                acc = jet_constant(0.0, zs[0].num_vars, zs[0].order, zs[0].points)
                 for j in range(m):
                     acc = acc + u_mat[i, j] * zs[j]
                 return acc

@@ -567,9 +567,9 @@ def test_bound_reports_match_alongside_identity_checks():
 
 
 def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkeypatch):
-    # per sample point: the domain metric, the target metric at the image and the
-    # renormalized domain metric of log_w; the map at the point and, precomposed, at
-    # log_w's normal origin.  _probe_charts adds 2 metric and 1 map evaluation.
+    # per stack of sample points: the domain metric, the target metric at the images
+    # and the map; per point: the renormalized domain metric of log_w and the map,
+    # precomposed, at log_w's normal origin.
     from kahlercheck import geometry, maps
 
     calls = {"metric_jets": 0, "component_jets": 0}
@@ -600,3 +600,54 @@ def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkey
     assert all(entry["points_checked"] == count for entry in doc["checks"])
     assert calls["metric_jets"] <= 3 * count + 2
     assert calls["component_jets"] <= 2 * count + 1
+
+
+INF = float("inf")
+BAD_CATALOG_PARAMETERS = (
+    [("target", "complex_hyperbolic_ball", {"dim": 2, "c": bad}) for bad in ("abc", None, True, INF, 0)]
+    + [("domain", "poincare_disk", {"a": bad}) for bad in ("abc", None, True, INF, -1.0)]
+    + [("domain", "flat", {"dim": bad}) for bad in ("abc", None, 2.5, True, INF)]
+)
+
+
+@pytest.mark.parametrize("role, family, params", BAD_CATALOG_PARAMETERS,
+                         ids=[f"{family}-{key}-{value}" for _, family, params in BAD_CATALOG_PARAMETERS
+                              for key, value in list(params.items())[-1:]])
+def test_bad_catalog_parameter_exits_two_without_traceback(tmp_path, capsys, role, family, params):
+    path = tmp_path / "bad_catalog.json"
+    path.write_text(json.dumps(manifest(**{role: {"catalog": family, "params": params}})))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ("dim" if "dim" in err else "parameter") in err
+
+
+@pytest.mark.parametrize("checks", [
+    [{"kind": "schwarz", "K": 1.0, "kappa": 1.0}],  # bound only: jets of order 1
+    [{"kind": "boch1"}],  # identity: jets of order 4
+])
+@pytest.mark.parametrize("role, chart", [
+    ("domain", {"dim": 1, "potential": "abs2(z1) + i*z1"}),
+    ("target", {"dim": 2, "potential": "abs2(z1) + abs2(z2) + i*z2"}),
+])
+def test_non_real_potential_exits_two(tmp_path, capsys, checks, role, chart):
+    path = tmp_path / "non_real.json"
+    path.write_text(json.dumps(manifest(checks=checks, **{role: chart})))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not real-valued" in err
+
+
+def test_internal_error_exits_three_with_one_line(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("lost\nits way")
+
+    monkeypatch.setattr(kahlercheck.cli, "run_scenario", broken)
+    assert main(["run", "boch1_flat_to_ball"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: lost its way\n"
+
+
+def test_order_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "boch1_flat_to_ball", "--order", "3"])
+    assert exc.value.code == 2
