@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
 from .functionals import bisectional
-from .geometry import curvature_tensor
 from .identities import CheckReport
 from .linalg import rng_for
-from .maps import STACK_CHUNK, HoloMap, point_contexts, sigma_k, stretch_data
+from .maps import STACK_CHUNK, HoloMap, point_contexts, sigma_k
 
 ANALYTIC = "analytic"
 SAMPLED = "sampled"
@@ -116,7 +115,7 @@ def schwarz_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value < 0:
         raise ConfigurationError("K must be nonnegative (it bounds −H from above)")
-    data = stretch_data(point_contexts(f, points, 1))
+    data = [ctx.data for ctx in point_contexts(f, points, 1)]
     observed = max(float(d.singular_sq[0]) for d in data)
     bound = k.value / kappa_val
     notes = _provenance_notes(k, kappa)
@@ -133,7 +132,7 @@ def volume_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
         raise ConfigurationError("K must be nonnegative (it bounds −S from above)")
     if f.m > f.n:
         raise ConfigurationError(f"volume bound needs m <= n, got m={f.m}, n={f.n}")
-    data = stretch_data(point_contexts(f, points, 1))
+    data = [ctx.data for ctx in point_contexts(f, points, 1)]
     observed = 0.0
     for d in data:
         observed = max(observed, float(np.prod(d.singular_sq)) if d.rank == f.m else 0.0)
@@ -150,7 +149,7 @@ def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value < 0:
         raise ConfigurationError("K must be nonnegative (it bounds −Ric from above)")
-    data = stretch_data(point_contexts(f, points, 1))
+    data = [ctx.data for ctx in point_contexts(f, points, 1)]
     observed, rank = 0.0, 0
     for d in data:
         observed = max(observed, float(np.sum(d.singular_sq)))
@@ -194,8 +193,8 @@ def three_circle_data(f: HoloMap, radii, counts, seed: int = 0) -> tuple[float, 
     for r, count in zip((r1, r2, r3), counts):
         samples = _sphere_points(r, f.m, count, seed)
         # one stack at a time, so only one chunk of contexts and stretch data is alive
-        top = max(float(d.singular_sq[0]) for start in range(0, count, STACK_CHUNK)
-                  for d in stretch_data(point_contexts(f, samples[start:start + STACK_CHUNK], 1)))
+        top = max(float(ctx.data.singular_sq[0]) for start in range(0, count, STACK_CHUNK)
+                  for ctx in point_contexts(f, samples[start:start + STACK_CHUNK], 1))
         maxima.append(math.sqrt(top))
     return tuple(maxima)
 
@@ -215,11 +214,12 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
 
     hypothesis_notes = []
     rng = rng_for(seed, 73)
-    for p in _sphere_points(r2, f.m, hypothesis_samples, seed + 1):
-        cp_n = curvature_tensor(f.target, f.image_point(p))
+    probe = (point_contexts(f, _sphere_points(r2, f.m, hypothesis_samples, seed + 1), 0)
+             if hypothesis_samples else [])
+    for ctx in probe:
         x = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
         y = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
-        bn = bisectional(cp_n, x, y)
+        bn = bisectional(ctx.target_curvature, x, y)
         if bn > 1e-9:
             hypothesis_notes.append(f"target bisectional {bn:.3e} > 0 near radius {r2}")
 
@@ -271,7 +271,7 @@ def hoop_check(f: HoloMap, points, mode: str, k: Constant, kappa: Constant,
     if mode == "volume" and f.m > f.n:
         raise ConfigurationError(f"volume mode needs m <= n, got m={f.m}, n={f.n}")
     observed = 0.0
-    for d in stretch_data(contexts):
+    for d in (ctx.data for ctx in contexts):
         if mode == "volume":
             value = float(np.prod(d.singular_sq)) ** (1.0 / f.m) if d.rank == f.m else 0.0
         else:
@@ -320,8 +320,8 @@ def degeneracy_profile(f: HoloMap, directions, radii) -> tuple[DegeneracyRow, ..
     rows = []
     for r in radii:
         min_sq, sigma = np.inf, np.inf
-        for data in stretch_data(point_contexts(f, r * dirs, 1)):
-            vals = data.singular_sq
+        for ctx in point_contexts(f, r * dirs, 1):
+            vals = ctx.data.singular_sq
             min_sq = min(min_sq, float(vals[-1]))
             sigma = min(sigma, sigma_k(vals, f.m - 1))
         rows.append(DegeneracyRow(radius=r, min_stretch_sq=min_sq, sigma_second=sigma))

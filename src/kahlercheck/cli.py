@@ -36,6 +36,7 @@ that a certifiable check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ from .geometry import (
     Polydisk,
     PotentialChart,
     ComponentChart,
+    _count,
     _finite,
     catalog,
     curvature_tensor,
@@ -132,14 +134,6 @@ def _vector_from_json(value, dim: int | None, what: str) -> np.ndarray:
     return vec
 
 
-def _count(value, what: str, minimum: int, maximum: int | None = None) -> int:
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum
-            or (maximum is not None and value > maximum)):
-        limit = f" and <= {maximum}" if maximum is not None else ""
-        raise ConfigurationError(f"{what} must be an integer >= {minimum}{limit}, got {value!r}")
-    return int(value)
-
-
 def _sample_count(value, what: str, minimum: int = 1) -> int:
     return _count(value, what, minimum, MAX_SAMPLE_COUNT)
 
@@ -155,13 +149,35 @@ def _finite_list(value, what: str, length: int | None = None) -> tuple[float, ..
     return tuple(_finite(v, f"{what} entry") for v in value)
 
 
+# the keys each check kind reads beside "kind"; any other key is a configuration problem
+_IDENTITY_KEYS = ("direction", "tolerance")
+_BOUND_KEYS = ("K", "kappa", "tolerance")
+_CHECK_KEYS = {
+    "boch1": _IDENTITY_KEYS,
+    "boch2": _IDENTITY_KEYS,
+    "log_w": _IDENTITY_KEYS,
+    "schwarz": _BOUND_KEYS,
+    "volume": _BOUND_KEYS,
+    "royden": _BOUND_KEYS,
+    "hoop": ("mode",) + _BOUND_KEYS,
+    "three_circle": ("radii", "counts", "tolerance", "seed"),
+    "psh": ("quantity", "hypothesis_samples", "tolerance", "seed"),
+    "averaging": ("weights", "point", "count", "seed", "kappa", "tolerance"),
+}
+
+
 def _checked_spec(check) -> dict:
-    """A copy of one check spec with its numbers, counts and seed validated."""
+    """A copy of one check spec with its keys, numbers, counts and seed validated."""
     if not isinstance(check, dict):
         raise ConfigurationError("check spec must be an object")
     kind = _require(check, "kind", "check spec")
     if not isinstance(kind, str):
         raise ConfigurationError(f"check kind must be a string, got {kind!r}")
+    if kind in _CHECK_KEYS:  # an unknown kind is reported when the check runs
+        extra = [key for key in check if key != "kind" and key not in _CHECK_KEYS[kind]]
+        if extra:
+            raise ConfigurationError(f"{kind} check has no parameter {extra[0]!r}; "
+                                     f"it reads {', '.join(_CHECK_KEYS[kind])}")
     spec = dict(check)
     if "tolerance" in spec:
         spec["tolerance"] = _positive(spec["tolerance"], f"{kind} tolerance")
@@ -325,7 +341,7 @@ def _curvatures(contexts, role: str):
             for ctx in contexts)
 
 
-def _resolve_constant(scenario, check, const_name, rule, chart, curvatures):
+def _resolve_constant(scenario, check, const_name, rule, role, probe):
     """Check params and scenario constants are trusted analytic; catalog facts
     are analytic; anything else falls back to sampled (advisory) estimates."""
     if const_name in check:
@@ -333,26 +349,31 @@ def _resolve_constant(scenario, check, const_name, rule, chart, curvatures):
     if const_name in scenario.constants:
         return bounds_mod.Constant.analytic(const_name, scenario.constants[const_name])
     facts_field, sign = rule
+    chart = scenario.domain if role == "domain" else scenario.target
     facts = getattr(chart, "facts", None)
     if facts is not None:
         value = getattr(facts, facts_field)
         if facts_field == "ricci_m_max":  # m = domain dimension; the volume check rejects m > n
             value = value[min(scenario.domain.dim, chart.dim) - 1]
         return bounds_mod.Constant.analytic(const_name, sign * value)
-    lo, hi = _sampled_range(curvatures, facts_field, scenario.seed)
+    lo, hi = _sampled_range(_curvatures(probe(), role), facts_field, scenario.seed)
     value = lo if facts_field.endswith("_min") or facts_field == "scalar" else hi
     return bounds_mod.Constant.sampled(const_name, sign * value)
 
 
 def resolve_bound_constants(scenario, check, kind, contexts):
-    """(K, κ) for a bound check; a sampled fallback reads the first sample contexts."""
+    """(K, κ) for a bound check; a sampled fallback reads order-0 contexts of its own at
+    the first ``CONSTANT_PROBE_POINTS`` sample points, so it never raises the stacks' order."""
     key = (kind, check.get("mode", "volume")) if kind == "hoop" else kind
     k_rule, kappa_rule = _CONSTANT_RULES[key]
-    probe = contexts[:CONSTANT_PROBE_POINTS]
-    k = _resolve_constant(scenario, check, "K", k_rule, scenario.domain,
-                          _curvatures(probe, "domain"))
-    kappa = _resolve_constant(scenario, check, "kappa", kappa_rule, scenario.target,
-                              _curvatures(probe, "target"))
+
+    @functools.cache
+    def probe():
+        points = [ctx.point for ctx in contexts[:CONSTANT_PROBE_POINTS]]
+        return point_contexts(scenario.holo_map, points, 0)
+
+    k = _resolve_constant(scenario, check, "K", k_rule, "domain", probe)
+    kappa = _resolve_constant(scenario, check, "kappa", kappa_rule, "target", probe)
     return k, kappa
 
 
@@ -413,19 +434,15 @@ def _run_psh(scenario, check, contexts):
 
 def _run_averaging(scenario, check, contexts):
     weights = _require(check, "weights", "averaging check")
-    if "point" in check:
-        anchor = _vector_from_json(check["point"], scenario.domain.dim, "averaging point")
-        cp = curvature_tensor(scenario.domain, anchor)
-    else:
-        cp = contexts[0].domain_curvature
-    kappa = check.get("kappa")
+    anchor = (_vector_from_json(check["point"], scenario.domain.dim, "averaging point")
+              if "point" in check else contexts[0].point)
     return ident_mod.averaging_identity_check(
-        cp,
+        curvature_tensor(scenario.domain, anchor),
         weights,
         tol=check.get("tolerance", 1e-9),
         count=check.get("count", 20000),
         seed=check.get("seed", scenario.seed),
-        kappa=kappa,
+        kappa=check.get("kappa"),
     )
 
 

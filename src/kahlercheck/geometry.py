@@ -474,19 +474,17 @@ def _finite(value, what: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _count(value, what: str, minimum: int, maximum: int | None = None) -> int:
+    """The one validator of an integer read from a manifest, a flag or chart parameters."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum
+            or (maximum is not None and value > maximum)):
+        limit = f" and <= {maximum}" if maximum is not None else ""
+        raise ConfigurationError(f"{what} must be an integer >= {minimum}{limit}, got {value!r}")
+    return int(value)
+
+
 def _require_positive(params: dict, key: str) -> float:
     return _finite(params[key], f"parameter {key}", positive=True)
-
-
-def _require_dim(params: dict) -> int:
-    dim = params["dim"]
-    integral = (isinstance(dim, (int, np.integer))
-                or isinstance(dim, (float, np.floating)) and float(dim).is_integer())
-    if isinstance(dim, bool) or not integral or not 1 <= dim <= MAX_HOLOMORPHIC_VARS:
-        raise ConfigurationError(
-            f"dim must be an integer between 1 and {MAX_HOLOMORPHIC_VARS}, got {dim!r}"
-        )
-    return int(dim)
 
 
 def _abs2_sum(zs) -> WirtingerJet:
@@ -621,7 +619,7 @@ def _catalog_call(fn: Callable, name: str, params: dict):
     if "m" in params and "dim" not in params:
         params["dim"] = params.pop("m")
     if "dim" in params:
-        params["dim"] = _require_dim(params)
+        params["dim"] = _count(params["dim"], "parameter dim", 1, MAX_HOLOMORPHIC_VARS)
     for key in ("a", "c"):
         if key in params:
             params[key] = _require_positive(params, key)

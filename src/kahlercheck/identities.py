@@ -16,7 +16,7 @@ tolerance of 1e-6 reflects order-4 jets in double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -464,16 +464,6 @@ def psh_check(
     report = _aggregate(f"psh[{quantity}]", residuals, kept, tol, skipped, notes)
     if hypothesis_notes:
         seen = tuple(dict.fromkeys(hypothesis_notes))[:5]
-        return CheckReport(
-            kind=report.kind,
-            points_checked=report.points_checked,
-            max_abs_residual=report.max_abs_residual,
-            worst_point=report.worst_point,
-            tolerance=report.tolerance,
-            passed=report.passed,
-            status="not_applicable",
-            skipped_points=report.skipped_points,
-            notes=report.notes + ("hypotheses not satisfied:",) + seen,
-            details=report.details,
-        )
+        return replace(report, status="not_applicable",
+                       notes=report.notes + ("hypotheses not satisfied:",) + seen)
     return report

@@ -7,26 +7,21 @@ rely on.
 
 Sample points are handled in stacks.  :func:`point_contexts` groups
 consecutive points into stacks (:class:`PointStack`) of at most
-``STACK_CHUNK`` points; on first use a stack evaluates the map's
-component jets and each chart's metric jets (and, for the identity
-orders, the pulled-back form f*h) once for all of its points, as jets
-with a trailing point axis (see the jets module), and validates them at
-every point, naming the first bad one.  One :class:`PointContext` per
-point reads its row and builds the rest of the local data on it: the
-curvature, the covariant map Hessian, the energy and log-volume jets
-and the normal chart log_w renormalizes in.  A context built alone is a
-stack of one point, so there is one path, and a point's data is the same
-alone or in any stack.  The contexts are shared by the checks of a
-scenario.
-
-The central construction is :func:`stretch_data`: the stretch spectrum
-of ∂f as the Hermitian-definite pencil (A, g), together with adapted
-unitary frames in which ∂f is diagonal, for all of a check's sample
-points at once.  It reads the stacked pushforwards and validated
-metrics of each stack; f*h, the Cholesky frames, the solve and the SVD
-run once over them, and only the phase normalization and the rank rule
-go row by row.  :func:`map_point_data` and ``PointContext.data`` are
-its one-point form.
+``STACK_CHUNK`` points, and a stack owns the local data of f at its
+points.  On first use it evaluates, once for all of its points, the
+map's component jets, each chart's metric jets (and, for the identity
+orders, the pulled-back form f*h) as jets with a trailing point axis
+(see the jets module), and validates them at every point, naming the
+first bad one.  Its stretch data, the stretch spectrum of ∂f as the
+Hermitian-definite pencil (A, g) with adapted unitary frames in which
+∂f is diagonal, runs f*h, the Cholesky frames, the solve and the SVD
+once over the stack; only the phase normalization and the rank rule go
+row by row.  One :class:`PointContext` per point reads its rows and
+builds the rest of the local data on them: the curvature, the covariant
+map Hessian, the energy and log-volume jets and the normal chart log_w
+renormalizes in.  A context built alone is a stack of one point, so
+there is one path, and a point's data is the same alone or in any
+stack.  The contexts are shared by the checks of a scenario.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
@@ -131,9 +126,6 @@ class HoloMap:
                 f"({self.target.domain}){at_point(jets[0].points, bad)}"
             )
         return jets
-
-    def image_point(self, point) -> np.ndarray:
-        return jet_values(self.component_jets(point, 0))
 
     def __repr__(self) -> str:
         return f"<HoloMap {self.label!r} {self.domain.label} -> {self.target.label}>"
@@ -251,17 +243,17 @@ def map_hessian(f: HoloMap, point) -> np.ndarray:
 
 
 class PointStack:
-    """The jets of one map at up to ``STACK_CHUNK`` domain points, evaluated once for all.
+    """The local data of one map at up to ``STACK_CHUNK`` domain points, evaluated once for all.
 
     On first use the stack evaluates, as stacked jets, the map's component
-    jets of order ``order`` at its points and each chart's metric jets of
-    order ``max(order - 2, 0)`` (the domain's at the points, the target's at
-    the images), and for identity orders the pulled-back form f*h.  Every
-    validity check runs at every point and names the first bad one:
-    holomorphy and the image with the component jets, the potential's
-    realness with the metric jets, and the metric's Hermitian property and
-    positive definiteness as soon as the metric jets exist, before any
-    check reads them.  A :class:`PointContext` reads its row.
+    jets of order ``order`` at its points, each chart's metric jets (the
+    domain's at the points, the target's at the images) and for identity
+    orders the pulled-back form f*h.  Every validity check runs at every
+    point and names the first bad one: holomorphy and the image with the
+    component jets, the potential's realness with the metric jets, and the
+    metric's Hermitian property and positive definiteness as soon as the
+    metric jets exist, before any check reads them.  A :class:`PointContext`
+    reads its row.
     """
 
     def __init__(self, f: HoloMap, points: np.ndarray, order: int):
@@ -283,34 +275,75 @@ class PointStack:
         """P[j, i, α] = ∂f^i/∂z^α at point j."""
         return derivative_block(self.component_jets, "grad")
 
-    def metric(self, role: str) -> tuple[list[list[WirtingerJet]], np.ndarray]:
-        """Metric jets of the domain at the points or of the target at the images,
-        with the validated stack of metric matrices."""
-        if role not in self._metrics:
+    def metric(self, role: str, order: int = 0) -> tuple[list[list[WirtingerJet]], np.ndarray]:
+        """Metric jets of the domain at the points or of the target at the images, of
+        order ``max(order, self.order - 2)``, with the validated stack of metric matrices;
+        asking for more than the stack holds evaluates the whole stack again."""
+        have = self._metrics.get(role)
+        if have is None or have[0][0][0].order < order:
             chart, at = ((self.map.domain, self.points) if role == "domain"
                          else (self.map.target, self.image))
-            jets = chart.metric_jets(at, max(self.order - 2, 0))
-            self._metrics[role] = (jets, _validated_metric(chart, _metric_matrix(jets)))
-        return self._metrics[role]
+            jets = chart.metric_jets(at, max(order, self.order - 2, 0))
+            have = self._metrics[role] = (jets, _validated_metric(chart, _metric_matrix(jets)))
+        return have
 
     @cached_property
     def pullback_jets(self) -> list[list[WirtingerJet]]:
         """Jets of f*h, order 2."""
         return pullback_metric_jets(self.map.target, self.component_jets, 2)
 
+    @cached_property
+    def stretch(self) -> list[MapPointData]:
+        """Pullback form, stretch spectrum and adapted frames of ∂f at every point.
+
+        f*h, the Cholesky frames, the solve and the SVD run once over the
+        stack; the phase normalization and the rank rule stay per row, so a
+        point's data does not depend on the points stacked with it.
+        """
+        m = self.map.m
+        p_mat = self.pushforward
+        g = self.metric("domain")[1]
+        h = self.metric("target")[1]
+        pullback = p_mat.swapaxes(-1, -2) @ h @ np.conj(p_mat)
+        pullback = 0.5 * (pullback + np.conj(pullback).swapaxes(-1, -2))
+        cg = cholesky_frame(g)
+        ch = cholesky_frame(h)
+        u_all, s_all, vh_all = np.linalg.svd(np.linalg.solve(ch, p_mat @ cg))
+        data = []
+        for k, s in enumerate(s_all):
+            u, v = _phase_normalized(u_all[k], vh_all[k], paired=len(s))
+            singular_sq = np.zeros(m)
+            singular_sq[: len(s)] = s[:m] ** 2
+            threshold = RANK_RELATIVE_FLOOR * max(float(singular_sq[0]) if m else 0.0,
+                                                  RANK_ABSOLUTE_FLOOR)
+            data.append(MapPointData(
+                point=self.points[k],
+                image=self.image[k],
+                pushforward=p_mat[k],
+                pullback=pullback[k],
+                singular_sq=singular_sq,
+                domain_frame=cg[k] @ v,
+                target_frame=ch[k] @ u,
+                g=g[k],
+                h=h[k],
+                rank=int(np.count_nonzero(singular_sq > threshold)),
+                threshold=threshold,
+            ))
+        return data
+
 
 class PointContext:
     """Everything the checks read of one map at one domain point.
 
     Each piece is computed on first use and kept.  The component jets
-    (of order ``order``), the image, g and h, the metric jets and the
-    pulled-back form f*h are the context's row of its :class:`PointStack`;
-    a context built alone is a stack of one point.  The stretch data,
-    both curvature points, the covariant map Hessian, the energy and
+    (of order ``order``), the image, g and h, the stretch data, the metric
+    jets and the pulled-back form f*h are the context's row of its
+    :class:`PointStack`; a context built alone is a stack of one point.
+    Both curvature points, the covariant map Hessian, the energy and
     log-volume jets and the normal chart that log_w renormalizes in are
-    built per point on those rows.  Each metric is evaluated once per
-    stack, at order ``order - 2``; a context that needs more (curvature on
-    an order-1 context) evaluates its own point at order 2.
+    built per point on those rows.  Curvature reads metric jets of order 2,
+    so asking it of a context of order below 4 raises its stack's metric
+    order, for all of the stack's points.
 
     A context belongs to whoever built it: ``run_scenario`` builds one per
     sample point, hands the list to every check and drops it on return.
@@ -323,25 +356,13 @@ class PointContext:
         self.order = order
         self.stack = stack if stack is not None else PointStack(f, self.point[None, :], order)
         self.row = row
-        self._metric_jets: dict[str, list] = {}
-        self._data: MapPointData | None = None
 
     def _row(self, grid) -> list[list[WirtingerJet]]:
         return [[entry.at(self.row) for entry in line] for line in grid]
 
-    def _chart_metric_jets(self, role: str, order: int):
-        """Metric jets of the domain at the point or of the target at the image."""
-        have = self._metric_jets.get(role)
-        if have is None or have[0][0].order < order:
-            stacked = self.stack.metric(role)[0]
-            if stacked[0][0].order >= order:
-                have = self._row(stacked)
-            else:
-                chart, at = ((self.map.domain, self.point) if role == "domain"
-                             else (self.map.target, self.image))
-                have = chart.metric_jets(at, order)
-            self._metric_jets[role] = have
-        return have
+    def _metric_row(self, role: str) -> list[list[WirtingerJet]]:
+        """Order-2 metric jets of the domain at the point or of the target at the image."""
+        return self._row(self.stack.metric(role, 2)[0])
 
     @cached_property
     def component_jets(self) -> list[WirtingerJet]:
@@ -367,17 +388,15 @@ class PointContext:
     @property
     def data(self) -> MapPointData:
         """Pullback form, stretch spectrum and adapted frames of ∂f."""
-        return self._data if self._data is not None else stretch_data([self])[0]
+        return self.stack.stretch[self.row]
 
     @cached_property
     def domain_curvature(self) -> CurvaturePoint:
-        return _curvature_point(self.map.domain, self.point,
-                                self._chart_metric_jets("domain", 2), self.g)
+        return _curvature_point(self.map.domain, self.point, self._metric_row("domain"), self.g)
 
     @cached_property
     def target_curvature(self) -> CurvaturePoint:
-        return _curvature_point(self.map.target, self.image,
-                                self._chart_metric_jets("target", 2), self.h)
+        return _curvature_point(self.map.target, self.image, self._metric_row("target"), self.h)
 
     @cached_property
     def map_hessian(self) -> np.ndarray:
@@ -395,13 +414,13 @@ class PointContext:
     @cached_property
     def energy_jet(self) -> WirtingerJet:
         """Jet of ‖∂f‖² = tr(g^{-1}·f*h), order 2."""
-        g_jets = self._chart_metric_jets("domain", 2)
+        g_jets = self._metric_row("domain")
         return jet_mat_trace(jet_mat_mul(jet_mat_inv(g_jets), self.pullback_jets))
 
     @cached_property
     def log_volume_jet(self) -> WirtingerJet:
         """Jet of log D = log det(f*h) − log det g, order 2."""
-        g_jets = self._chart_metric_jets("domain", 2)
+        g_jets = self._metric_row("domain")
         return jet_mat_det(self.pullback_jets).log() - jet_mat_det(g_jets).log()
 
     @cached_property
@@ -437,56 +456,6 @@ def point_contexts(f: HoloMap, points, order: int) -> list[PointContext]:
         contexts.extend(PointContext(f, point, order, stack, row)
                         for row, point in enumerate(stack.points))
     return contexts
-
-
-def stretch_data(contexts: Sequence[PointContext]) -> list[MapPointData]:
-    """Pullback form, stretch spectrum and adapted frames of ∂f at every context.
-
-    The contexts belong to one map.  Per stack, the pushforwards and the
-    validated g and h are its stacked arrays; f*h, the Cholesky frames, the
-    solve and the SVD then run once over the rows of its contexts.  The
-    phase normalization and the rank rule stay per row, so a point's data
-    does not depend on the points stacked with it.  Each result is kept on
-    its context, and contexts that have theirs already are not recomputed.
-    """
-    if any(ctx.map is not contexts[0].map for ctx in contexts):
-        raise ConfigurationError("stretch data stacks the contexts of one map")
-    groups: dict[PointStack, list[PointContext]] = {}
-    for ctx in contexts:
-        if ctx._data is None:
-            groups.setdefault(ctx.stack, []).append(ctx)
-    for stack, todo in groups.items():
-        f = stack.map
-        rows = [ctx.row for ctx in todo]
-        p_mat = stack.pushforward[rows]
-        g = stack.metric("domain")[1][rows]
-        h = stack.metric("target")[1][rows]
-        pullback = p_mat.swapaxes(-1, -2) @ h @ np.conj(p_mat)
-        pullback = 0.5 * (pullback + np.conj(pullback).swapaxes(-1, -2))
-        cg = cholesky_frame(g)
-        ch = cholesky_frame(h)
-        u_all, s_all, vh_all = np.linalg.svd(np.linalg.solve(ch, p_mat @ cg))
-        for k, ctx in enumerate(todo):
-            s = s_all[k]
-            u, v = _phase_normalized(u_all[k], vh_all[k], paired=len(s))
-            singular_sq = np.zeros(f.m)
-            singular_sq[: len(s)] = s[: f.m] ** 2
-            threshold = RANK_RELATIVE_FLOOR * max(float(singular_sq[0]) if f.m else 0.0,
-                                                  RANK_ABSOLUTE_FLOOR)
-            ctx._data = MapPointData(
-                point=ctx.point,
-                image=ctx.image,
-                pushforward=ctx.pushforward,
-                pullback=pullback[k],
-                singular_sq=singular_sq,
-                domain_frame=cg[k] @ v,
-                target_frame=ch[k] @ u,
-                g=g[k],
-                h=h[k],
-                rank=int(np.count_nonzero(singular_sq > threshold)),
-                threshold=threshold,
-            )
-    return [ctx._data for ctx in contexts]
 
 
 # -- composition ---------------------------------------------------------------

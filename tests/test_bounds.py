@@ -20,7 +20,7 @@ from kahlercheck.bounds import (
 from kahlercheck.errors import ConfigurationError, DegenerateInputError
 from kahlercheck.geometry import catalog, catalog_facts
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, catalog_isometry, max_norm, postcompose
+from kahlercheck.maps import HoloMap, catalog_isometry, max_norm, point_contexts, postcompose
 
 FLAT1 = catalog("flat", dim=1)
 FLAT2 = catalog("flat", dim=2)
@@ -155,7 +155,7 @@ def test_schwarz_observed_invariant_under_domain_isometry():
     k, kappa = hol_sec_constants("poincare_disk", {"a": 1.0}, "poincare_disk", {"a": 2.0})
     pts = clamped_points(10, 1, 13, 0.8)
     composed = schwarz_bound_report(postcompose(f, iso), pts, k, kappa)
-    moved = np.array([iso.image_point(p) for p in pts])
+    moved = np.array([ctx.image for ctx in point_contexts(iso, pts, 0)])
     direct = schwarz_bound_report(f, moved, k, kappa)
     assert composed.observed == pytest.approx(direct.observed, abs=1e-8)
 

@@ -12,6 +12,7 @@ import pytest
 import kahlercheck
 from kahlercheck.bounds import BoundReport, Constant
 from kahlercheck.cli import (
+    CONSTANT_PROBE_POINTS,
     chart_from_spec,
     classify,
     curvature_report,
@@ -473,6 +474,14 @@ BAD_PARAMETERS = {
                                         "region": {"kind": "ball", "radius": "1"}}},
     "chart_dim_string": {"domain": {"dim": "1", "potential": "abs2(z1)"}},
     "map_number": {"map": 5},
+    "catalog_dim_float": {"domain": {"catalog": "flat", "params": {"dim": 2.0}}},
+    "catalog_m_float": {"domain": {"catalog": "flat", "params": {"m": 1.0}}},
+    "schwarz_kapa_typo": {"checks": [{"kind": "schwarz", "kapa": 5}]},
+    "volume_mode": {"checks": [{"kind": "volume", "mode": "volume"}]},
+    "boch1_seed": {"checks": [{"kind": "boch1", "seed": 1}]},
+    "three_circle_hypothesis_samples": {"checks": [{"kind": "three_circle", "radii": [0.2, 0.4, 0.8],
+                                                    "hypothesis_samples": 2}]},
+    "averaging_points": {"checks": [{"kind": "averaging", "weights": [1.0], "points": [0.1]}]},
     "deep_json": "[" * 100_000 + "]" * 100_000,
 }
 
@@ -485,6 +494,46 @@ def test_main_bad_parameter_exits_two_without_traceback(tmp_path, capsys, name):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("check, key", [
+    ({"kind": "schwarz", "kapa": 5}, "kapa"),
+    ({"kind": "three_circle", "radii": [0.2, 0.4, 0.8], "hypothesis_samples": 2},
+     "hypothesis_samples"),
+    ({"kind": "psh", "quantity": "log_D", "direction": [1.0]}, "direction"),
+])
+def test_unknown_check_parameter_is_named(tmp_path, capsys, check, key):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(manifest(checks=[check])))
+    assert main(["run", str(path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_sampled_constants_evaluate_order_two_metrics_at_the_probe_points_only(monkeypatch):
+    # an order-1 scenario reads g and h at order 0; the curvature of its sampled
+    # constants needs order 2, at the first CONSTANT_PROBE_POINTS points only
+    from kahlercheck import geometry
+
+    shapes = []
+    metric_jets = geometry.PotentialChart.metric_jets
+
+    def counted(self, point, order):
+        shapes.append((math.prod(np.shape(point)[:-1]), order))  # points, order
+        return metric_jets(self, point, order)
+
+    monkeypatch.setattr(geometry.PotentialChart, "metric_jets", counted)
+    ball = {"dim": 2, "potential": "-log(1 - abs2(z1) - abs2(z2))", "region": {"kind": "ball"}}
+    doc, status = run_scenario(load_scenario(manifest(
+        domain=ball, target=ball, map=["0.5*z1 + 0.1*z2^2", "0.4*z2"],
+        sampler={"count": 200, "radius": 0.6, "seed": 9},
+        checks=[{"kind": "schwarz"}, {"kind": "royden"}])))
+    assert status == 0
+    assert {c["source"] for entry in doc["checks"] for c in entry["constants"]} == {"sampled"}
+    assert shapes.count((200, 0)) == 2  # the scenario's stack: domain and target
+    order_two = [points for points, order in shapes if order >= 2]
+    # one stacked evaluation per role and check, each at the probe points alone
+    assert 0 < len(order_two) <= 2 * len(doc["checks"])
+    assert all(points <= CONSTANT_PROBE_POINTS for points in order_two)
 
 
 def test_bound_checks_of_a_scenario_share_one_stacked_svd(monkeypatch):

@@ -34,7 +34,6 @@ from kahlercheck.maps import (
     precompose,
     pushforward,
     sigma_k,
-    stretch_data,
     volume_ratio,
 )
 
@@ -269,7 +268,7 @@ def test_singular_values_survive_linear_target_change():
 def test_singular_values_survive_target_renormalization_at_anchor():
     f = generic_map()
     p = np.array([0.15 - 0.1j, 0.2 + 0.1j])
-    image = f.image_point(p)
+    image = PointContext(f, p, 0).image
     nc_t = normal_chart(f.target, image)
     b_inv = np.linalg.inv(nc_t.change.linear)
 
@@ -445,10 +444,9 @@ def test_stretch_data_on_k_points_matches_one_point_contexts(name):
     if name == "fold":
         points[2, 0] = 0.0  # ∂f drops to rank 1 here
     contexts = point_contexts(f, points, 1)
-    stacked = stretch_data(contexts)
-    assert len(stacked) == len(points)
-    for ctx, data, point in zip(contexts, stacked, points):
-        assert ctx.data is data
+    assert len({ctx.stack for ctx in contexts}) == 1
+    stacked = [ctx.data for ctx in contexts]
+    for data, point in zip(stacked, points, strict=True):
         alone = PointContext(f, point, 1).data
         for field in DATA_FIELDS:
             assert np.array_equal(getattr(data, field), getattr(alone, field)), field
@@ -465,22 +463,24 @@ def test_stretch_data_of_one_context_is_the_one_point_wrapper():
     f = HoloMap(catalog("complex_hyperbolic_ball", dim=2), catalog("fubini_study", dim=3),
                 ["0.3*z1", "0.2*z2", "0.1*z1*z2"])
     point = np.array([0.1 + 0.2j, -0.3j])
-    (data,) = stretch_data(point_contexts(f, point, 1))
+    (data,) = [ctx.data for ctx in point_contexts(f, point, 1)]
     want = map_point_data(f, point)
     for field in DATA_FIELDS:
         assert np.array_equal(getattr(data, field), getattr(want, field)), field
 
 
-def test_stretch_data_keeps_what_contexts_already_carry():
+def test_stretch_data_keeps_what_contexts_already_carry(monkeypatch):
     f = HoloMap(FLAT2, catalog("complex_hyperbolic_ball", dim=2), ["0.3*z1", "0.2*z1*z2"])
     contexts = point_contexts(f, random_points(0.4, 4, 2, seed=2), 1)
-    first = contexts[1].data
-    stacked = stretch_data(contexts)
+    first = contexts[1].data  # computes the whole stack's stretch data
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("stretch data computed twice")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    stacked = [ctx.data for ctx in contexts]
     assert stacked[1] is first
-    assert stretch_data(contexts[::-1]) == stacked[::-1]
-    with pytest.raises(ConfigurationError):
-        stretch_data(contexts[:1] + point_contexts(HoloMap(FLAT2, FLAT2, ["z2", "z1"]),
-                                                   [0.1, 0.2], 1))
+    assert [ctx.data for ctx in contexts[::-1]] == stacked[::-1]
 
 
 def test_stretch_data_names_the_first_point_with_a_bad_metric():
@@ -489,4 +489,4 @@ def test_stretch_data_names_the_first_point_with_a_bad_metric():
     f = HoloMap(domain, FLAT1, ["z1"])
     contexts = point_contexts(f, np.array([[0.1], [0.2], [0.6], [0.7]]), 1)
     with pytest.raises(MetricError, match=r"bent: metric \(matrix 2\) is not positive definite"):
-        stretch_data(contexts)
+        contexts[0].data

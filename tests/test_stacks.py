@@ -22,7 +22,7 @@ from kahlercheck.geometry import (
 )
 from kahlercheck.jets import variable_jets
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, PointStack, point_contexts, stretch_data
+from kahlercheck.maps import HoloMap, PointStack, point_contexts
 
 FLAT1 = catalog("flat", dim=1)
 DATA_FIELDS = ("point", "image", "pushforward", "pullback", "singular_sq", "domain_frame",
@@ -98,18 +98,28 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
     f, points, order = case
     stack = PointStack(f, points, order)
     metric_order = max(order - 2, 0)
+    roles = {"domain": (f.domain, points), "target": (f.target, stack.image)}
+    metrics = {role: stack.metric(role) for role in roles}
     for row, point in enumerate(points):
         alone = f.component_jets(point, order)
         assert _same_rows(stack.component_jets, alone, row)
         image = np.array([jet.value for jet in alone])
         assert np.array_equal(stack.image[row], image)
-        for role, chart, at in (("domain", f.domain, point), ("target", f.target, image)):
-            jets, matrices = stack.metric(role)
-            single = chart.metric_jets(at, metric_order)
+        for role, (chart, at) in roles.items():
+            jets, matrices = metrics[role]
+            single = chart.metric_jets(at[row], metric_order)
             assert _same_rows(jets, single, row)
             assert np.array_equal(matrices[row], _validated_metric(chart, _metric_matrix(single)))
         if order == 4:
             assert _same_rows(stack.pullback_jets, pullback_metric_jets(f.target, alone, 2), row)
+    # curvature asks for order 2: the stack is evaluated again at that order, all rows
+    # stay bit-for-bit the one-point jets, and the metric matrices do not move
+    for role, (chart, at) in roles.items():
+        jets, matrices = stack.metric(role, 2)
+        assert stack.metric(role) is stack.metric(role, 2)
+        for row in range(len(points)):
+            assert _same_rows(jets, chart.metric_jets(at[row], 2), row)
+            assert np.array_equal(matrices[row], metrics[role][1][row])
 
 
 def test_a_one_point_stack_keeps_one_point_jets_apart():
@@ -148,12 +158,12 @@ def test_each_per_point_check_names_the_bad_second_point(name):
     f, points, error, text = BAD_SECOND_POINT[name]
     contexts = point_contexts(f, np.array(points, dtype=complex)[:, None], 1)
     with pytest.raises(error) as err:
-        stretch_data(contexts)
+        contexts[0].data
     message = str(err.value)
     assert text in message
     assert "at point 1 of the stack" in message or "(matrix 1)" in message
     alone = point_contexts(f, np.array(points[:1], dtype=complex)[:, None], 1)
-    assert stretch_data(alone)[0].rank == 1  # the first point alone is fine
+    assert alone[0].data.rank == 1  # the first point alone is fine
 
 
 def test_chunks_of_four_give_one_stacks_stretch_data_in_three_stacks(monkeypatch):
@@ -163,7 +173,7 @@ def test_chunks_of_four_give_one_stacks_stretch_data_in_three_stacks(monkeypatch
     points = 0.3 * (rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2)))
     whole = point_contexts(f, points, 1)
     assert len({ctx.stack for ctx in whole}) == 1
-    want = stretch_data(whole)
+    want = [ctx.data for ctx in whole]
 
     calls = []
     component_jets = HoloMap.component_jets
@@ -175,7 +185,7 @@ def test_chunks_of_four_give_one_stacks_stretch_data_in_three_stacks(monkeypatch
     monkeypatch.setattr(maps, "STACK_CHUNK", 4)
     monkeypatch.setattr(HoloMap, "component_jets", counted)
     contexts = point_contexts(f, points, 1)
-    got = stretch_data(contexts)
+    got = [ctx.data for ctx in contexts]
     assert calls == [(4, 2), (4, 2), (2, 2)]
     assert [len(stack.points) for stack in dict.fromkeys(ctx.stack for ctx in contexts)] == [4, 4, 2]
     for a, b in zip(want, got, strict=True):
