@@ -1,4 +1,4 @@
-"""Schwarz-type estimates, three-circle convexity, hoop bounds, degeneracy tables.
+"""Schwarz-type estimates, three-circle convexity and hoop bounds.
 
 Every report carries its hypothesis constants together with how they
 were obtained: constants read off a catalog chart's closed-form
@@ -20,10 +20,12 @@ from .errors import ConfigurationError, DegenerateInputError
 from .functionals import bisectional
 from .identities import CheckReport
 from .linalg import rng_for
-from .maps import STACK_CHUNK, HoloMap, point_contexts, sigma_k
+from .maps import STACK_CHUNK, HoloMap, point_contexts
 
 ANALYTIC = "analytic"
 SAMPLED = "sampled"
+# middle-sphere points at which three_circle samples the target's bisectional curvature
+HYPOTHESIS_SAMPLES = 2
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,7 @@ def three_circle_data(f: HoloMap, radii, counts, seed: int = 0) -> tuple[float, 
 
 
 def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
-                       seed: int = 0, hypothesis_samples: int = 2) -> CheckReport:
+                       seed: int = 0) -> CheckReport:
     """Convexity of log M(r) in log r, M(r) = sup of |∂f| on the r-sphere.
 
     The middle value must stay below the log-log interpolation of the
@@ -214,9 +216,7 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
 
     hypothesis_notes = []
     rng = rng_for(seed, 73)
-    probe = (point_contexts(f, _sphere_points(r2, f.m, hypothesis_samples, seed + 1), 0)
-             if hypothesis_samples else [])
-    for ctx in probe:
+    for ctx in point_contexts(f, _sphere_points(r2, f.m, HYPOTHESIS_SAMPLES, seed + 1), 0):
         x = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
         y = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
         bn = bisectional(ctx.target_curvature, x, y)
@@ -287,42 +287,3 @@ def hoop_check(f: HoloMap, points, mode: str, k: Constant, kappa: Constant,
     return _report(f"hoop[{mode}]", (k, kappa), observed, bound, tol, len(contexts),
                    reverse=True, notes=notes)
 
-
-# -- degeneracy profile ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DegeneracyRow:
-    """Per-radius extremes of the stretch spectrum along the given rays."""
-
-    radius: float
-    min_stretch_sq: float
-    sigma_second: float  # σ_{m−1} of the squared singular values
-
-
-def degeneracy_profile(f: HoloMap, directions, radii) -> tuple[DegeneracyRow, ...]:
-    """Table of min|λ|² and σ_{m−1} over rays, one row per radius.
-
-    Pointwise data only: finite samples cannot witness the r → ∞
-    degeneracy statements, so interpretation stays with the caller.
-    """
-    _require_flat_domain(f, "degeneracy profile")
-    radii = [float(r) for r in radii]
-    if not radii:
-        raise ConfigurationError("need at least one radius")
-    if any(r < 0 for r in radii):
-        raise ConfigurationError("radii must be nonnegative")
-    dirs = np.array([ray.point for ray in point_contexts(f, directions, 0)])
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(norms == 0):
-        raise DegenerateInputError("ray directions must be nonzero")
-    dirs = dirs / norms[:, None]
-    rows = []
-    for r in radii:
-        min_sq, sigma = np.inf, np.inf
-        for ctx in point_contexts(f, r * dirs, 1):
-            vals = ctx.data.singular_sq
-            min_sq = min(min_sq, float(vals[-1]))
-            sigma = min(sigma, sigma_k(vals, f.m - 1))
-        rows.append(DegeneracyRow(radius=r, min_stretch_sq=min_sq, sigma_second=sigma))
-    return tuple(rows)

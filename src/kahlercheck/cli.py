@@ -41,6 +41,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,35 +150,21 @@ def _finite_list(value, what: str, length: int | None = None) -> tuple[float, ..
     return tuple(_finite(v, f"{what} entry") for v in value)
 
 
-# the keys each check kind reads beside "kind"; any other key is a configuration problem
-_IDENTITY_KEYS = ("direction", "tolerance")
-_BOUND_KEYS = ("K", "kappa", "tolerance")
-_CHECK_KEYS = {
-    "boch1": _IDENTITY_KEYS,
-    "boch2": _IDENTITY_KEYS,
-    "log_w": _IDENTITY_KEYS,
-    "schwarz": _BOUND_KEYS,
-    "volume": _BOUND_KEYS,
-    "royden": _BOUND_KEYS,
-    "hoop": ("mode",) + _BOUND_KEYS,
-    "three_circle": ("radii", "counts", "tolerance", "seed"),
-    "psh": ("quantity", "hypothesis_samples", "tolerance", "seed"),
-    "averaging": ("weights", "point", "count", "seed", "kappa", "tolerance"),
-}
-
-
 def _checked_spec(check) -> dict:
-    """A copy of one check spec with its keys, numbers, counts and seed validated."""
+    """A copy of one check spec with its kind, keys, numbers, counts and seed validated."""
     if not isinstance(check, dict):
         raise ConfigurationError("check spec must be an object")
     kind = _require(check, "kind", "check spec")
     if not isinstance(kind, str):
         raise ConfigurationError(f"check kind must be a string, got {kind!r}")
-    if kind in _CHECK_KEYS:  # an unknown kind is reported when the check runs
-        extra = [key for key in check if key != "kind" and key not in _CHECK_KEYS[kind]]
-        if extra:
-            raise ConfigurationError(f"{kind} check has no parameter {extra[0]!r}; "
-                                     f"it reads {', '.join(_CHECK_KEYS[kind])}")
+    if kind not in _CHECK_KINDS:
+        raise ConfigurationError(f"unknown check kind {kind!r}; "
+                                 f"known: {', '.join(sorted(_CHECK_KINDS))}")
+    keys = _CHECK_KINDS[kind].keys
+    extra = [key for key in check if key != "kind" and key not in keys]
+    if extra:
+        raise ConfigurationError(f"{kind} check has no parameter {extra[0]!r}; "
+                                 f"it reads {', '.join(keys)}")
     spec = dict(check)
     if "tolerance" in spec:
         spec["tolerance"] = _positive(spec["tolerance"], f"{kind} tolerance")
@@ -356,22 +343,20 @@ def _resolve_constant(scenario, check, const_name, rule, role, probe):
         if facts_field == "ricci_m_max":  # m = domain dimension; the volume check rejects m > n
             value = value[min(scenario.domain.dim, chart.dim) - 1]
         return bounds_mod.Constant.analytic(const_name, sign * value)
-    lo, hi = _sampled_range(_curvatures(probe(), role), facts_field, scenario.seed)
+    quantity = facts_field
+    if facts_field == "ricci_m_max" and scenario.domain.dim == 1:
+        quantity = "hol_sec_max"  # Ric_1(v) = H(v); m = n reads Ric_n = Ric, which is exact
+    lo, hi = _sampled_range(_curvatures(probe(), role), quantity, scenario.seed)
     value = lo if facts_field.endswith("_min") or facts_field == "scalar" else hi
     return bounds_mod.Constant.sampled(const_name, sign * value)
 
 
-def resolve_bound_constants(scenario, check, kind, contexts):
-    """(K, κ) for a bound check; a sampled fallback reads order-0 contexts of its own at
-    the first ``CONSTANT_PROBE_POINTS`` sample points, so it never raises the stacks' order."""
+def resolve_bound_constants(scenario, check, kind, probe):
+    """(K, κ) for a bound check.  A sampled fallback reads the curvature of ``probe()``,
+    the scenario's order-0 contexts at its first ``CONSTANT_PROBE_POINTS`` sample points,
+    so it never raises the stacks' order."""
     key = (kind, check.get("mode", "volume")) if kind == "hoop" else kind
     k_rule, kappa_rule = _CONSTANT_RULES[key]
-
-    @functools.cache
-    def probe():
-        points = [ctx.point for ctx in contexts[:CONSTANT_PROBE_POINTS]]
-        return point_contexts(scenario.holo_map, points, 0)
-
     k = _resolve_constant(scenario, check, "K", k_rule, "domain", probe)
     kappa = _resolve_constant(scenario, check, "kappa", kappa_rule, "target", probe)
     return k, kappa
@@ -388,7 +373,7 @@ def _direction(scenario, check):
     return vec
 
 
-def _run_identity(scenario, check, contexts):
+def _run_identity(scenario, check, contexts, probe):
     kind = check["kind"]
     verify = {"boch1": ident_mod.verify_boch1,
               "boch2": ident_mod.verify_boch2,
@@ -397,10 +382,10 @@ def _run_identity(scenario, check, contexts):
     return verify(scenario.holo_map, contexts, _direction(scenario, check), tol)
 
 
-def _run_bound(scenario, check, contexts):
+def _run_bound(scenario, check, contexts, probe):
     kind = check["kind"]
     tol = check.get("tolerance", 1e-8)
-    k, kappa = resolve_bound_constants(scenario, check, kind, contexts)
+    k, kappa = resolve_bound_constants(scenario, check, kind, probe)
     if kind == "hoop":
         mode = check.get("mode", "volume")
         return bounds_mod.hoop_check(scenario.holo_map, contexts, mode, k, kappa, tol)
@@ -410,7 +395,7 @@ def _run_bound(scenario, check, contexts):
     return runner(scenario.holo_map, contexts, k, kappa, tol)
 
 
-def _run_three_circle(scenario, check, contexts):
+def _run_three_circle(scenario, check, contexts, probe):
     radii = _require(check, "radii", "three_circle check")
     return bounds_mod.three_circle_check(
         scenario.holo_map,
@@ -421,7 +406,7 @@ def _run_three_circle(scenario, check, contexts):
     )
 
 
-def _run_psh(scenario, check, contexts):
+def _run_psh(scenario, check, contexts, probe):
     return ident_mod.psh_check(
         _require(check, "quantity", "psh check"),
         scenario.holo_map,
@@ -432,7 +417,7 @@ def _run_psh(scenario, check, contexts):
     )
 
 
-def _run_averaging(scenario, check, contexts):
+def _run_averaging(scenario, check, contexts, probe):
     weights = _require(check, "weights", "averaging check")
     anchor = (_vector_from_json(check["point"], scenario.domain.dim, "averaging point")
               if "point" in check else contexts[0].point)
@@ -446,36 +431,37 @@ def _run_averaging(scenario, check, contexts):
     )
 
 
-_RUNNERS = {
-    "boch1": _run_identity,
-    "boch2": _run_identity,
-    "log_w": _run_identity,
-    "schwarz": _run_bound,
-    "volume": _run_bound,
-    "royden": _run_bound,
-    "hoop": _run_bound,
-    "three_circle": _run_three_circle,
-    "psh": _run_psh,
-    "averaging": _run_averaging,
+class _CheckKind(NamedTuple):
+    """How a check kind runs: the keys it reads beside "kind" (any other key is a
+    configuration problem), its runner and the jet order of the map it reads at the
+    sample points."""
+
+    keys: tuple[str, ...]
+    run: Callable
+    jet_order: int = 1
+
+
+_IDENTITY = _CheckKind(("direction", "tolerance"), _run_identity, ident_mod.IDENTITY_JET_ORDER)
+_BOUND = _CheckKind(("K", "kappa", "tolerance"), _run_bound)
+_CHECK_KINDS = {
+    "boch1": _IDENTITY,
+    "boch2": _IDENTITY,
+    "log_w": _IDENTITY,
+    "schwarz": _BOUND,
+    "volume": _BOUND,
+    "royden": _BOUND,
+    "hoop": _CheckKind(("mode", "K", "kappa", "tolerance"), _run_bound),
+    "three_circle": _CheckKind(("radii", "counts", "tolerance", "seed"), _run_three_circle),
+    "psh": _CheckKind(("quantity", "hypothesis_samples", "tolerance", "seed"), _run_psh,
+                      ident_mod.IDENTITY_JET_ORDER),
+    "averaging": _CheckKind(("weights", "point", "count", "seed", "kappa", "tolerance"),
+                            _run_averaging),
 }
-
-
-# jet order of the map at the sample points each kind reads; other kinds read ∂f alone
-_JET_ORDERS = {kind: ident_mod.IDENTITY_JET_ORDER for kind in ("boch1", "boch2", "log_w", "psh")}
 
 
 def _scenario_jet_order(scenario: Scenario) -> int:
     """The one jet order of a scenario's sample contexts: the highest any check needs."""
-    return max(_JET_ORDERS.get(check["kind"], 1) for check in scenario.checks)
-
-
-def run_check(scenario: Scenario, check: dict, contexts):
-    """Run one check on the scenario's sample points (an array, or their contexts)."""
-    kind = check["kind"]
-    if kind not in _RUNNERS:
-        raise ConfigurationError(f"unknown check kind {kind!r}; known: {', '.join(sorted(_RUNNERS))}")
-    contexts = point_contexts(scenario.holo_map, contexts, _scenario_jet_order(scenario))
-    return _RUNNERS[kind](scenario, check, contexts)
+    return max(_CHECK_KINDS[check["kind"]].jet_order for check in scenario.checks)
 
 
 # -- report assembly ----------------------------------------------------------------
@@ -547,10 +533,14 @@ def run_scenario(scenario: Scenario, details: bool = False) -> tuple[dict, int]:
     # one context per sample point, shared by every check and dropped on return; the
     # first evaluation of a stack validates both charts at all of its points
     contexts = point_contexts(scenario.holo_map, points, _scenario_jet_order(scenario))
+    # the curvature probe of sampled constants, built on first need and shared by every
+    # bound check; its contexts are of order 0, so it never raises the stacks' order
+    probe = functools.cache(
+        lambda: point_contexts(scenario.holo_map, points[:CONSTANT_PROBE_POINTS], 0))
     checks_json = []
     tally = {"passed": 0, "failed": 0, "advisory": 0}
     for check in scenario.checks:
-        report = run_check(scenario, check, contexts)
+        report = _CHECK_KINDS[check["kind"]].run(scenario, check, contexts, probe)
         verdict = classify(report)
         tally[verdict] += 1
         doc = (check_report_json(report, details) if isinstance(report, CheckReport)

@@ -29,6 +29,8 @@ from .linalg import g_orthonormalize, haar_unitary, rng_for
 FRAME_GRAM_TOL = 1e-10
 REAL_TOL = 1e-10
 ZERO_NORM_SQ = 1e-28
+# step length of the k-Ricci frame ascent, before the gradient-norm damping
+ASCENT_STEP = 0.15
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,6 @@ def k_scalar(cp: CurvaturePoint, frame: SubspaceFrame) -> float:
     return _real(np.einsum("cd,cj,dj->", partial, e, np.conj(e)), "k-scalar")
 
 
-def k_scalar_average(cp: CurvaturePoint, frame: SubspaceFrame) -> float:
-    """The same quantity in spherical-average normalization (trace / (k(k+1)/2))."""
-    k = frame.k
-    return k_scalar(cp, frame) / (k * (k + 1) / 2.0)
-
-
 def k_scalar_quadrature(
     cp: CurvaturePoint, frame: SubspaceFrame, count: int, seed: int
 ) -> tuple[float, float]:
@@ -179,7 +175,7 @@ def _frame_extreme(riem: np.ndarray, e: np.ndarray, sign: float):
 
 
 def _ascend(cp: CurvaturePoint, k: int, sign: float, restarts: int,
-            iterations: int, seed: int, step: float):
+            iterations: int, seed: int):
     riem = cp.riem
     m = cp.g.shape[0]
     best_val = -np.inf
@@ -199,7 +195,7 @@ def _ascend(cp: CurvaturePoint, k: int, sign: float, restarts: int,
             g1 = np.einsum("abcd,ag,c,d->bg", riem, e, v, np.conj(v))
             u = np.einsum("abcd,ag,bg,c->d", riem, e, np.conj(e), v)
             grad = sign * (g1 + np.outer(u, np.conj(w)))
-            scale = step / (1.0 + float(np.linalg.norm(grad)))
+            scale = ASCENT_STEP / (1.0 + float(np.linalg.norm(grad)))
             try:
                 e = g_orthonormalize(cp.g, e + scale * grad)
             except FrameError:
@@ -213,7 +209,6 @@ def k_ricci_extremes(
     restarts: int = 50,
     iterations: int = 200,
     seed: int = 0,
-    step: float = 0.15,
 ) -> KRicciExtremes:
     """Search extremes of Ric_{Σ}(v, v̄) = Σ_γ R(E_γ, Ē_γ, v, v̄).
 
@@ -226,8 +221,8 @@ def k_ricci_extremes(
         raise ConfigurationError(f"k must be between 1 and {m}, got {k}")
     if restarts < 1 or iterations < 1:
         raise ConfigurationError("restarts and iterations must be positive")
-    hi, hi_e, hi_w = _ascend(cp, k, +1.0, restarts, iterations, seed, step)
-    lo, lo_e, lo_w = _ascend(cp, k, -1.0, restarts, iterations, seed, step)
+    hi, hi_e, hi_w = _ascend(cp, k, +1.0, restarts, iterations, seed)
+    lo, lo_e, lo_w = _ascend(cp, k, -1.0, restarts, iterations, seed)
     return KRicciExtremes(
         k=k,
         max_eig=hi,

@@ -285,12 +285,6 @@ class ChartMap:
         w = np.asarray(w, dtype=complex)
         return self.linear + np.einsum("imk,k->im", self.quad, w)
 
-    def push_vector(self, vector, at_w) -> np.ndarray:
-        return self.jacobian(at_w) @ np.asarray(vector, dtype=complex)
-
-    def pull_vector(self, vector, at_w) -> np.ndarray:
-        return np.linalg.solve(self.jacobian(at_w), np.asarray(vector, dtype=complex))
-
     def on_jets(self, ws: Sequence[WirtingerJet]) -> list[WirtingerJet]:
         """z = ψ(w) evaluated on jets ``ws`` of the w coordinates."""
         num_vars, order = ws[0].num_vars, ws[0].order
@@ -305,9 +299,6 @@ class ChartMap:
                         acc = acc + 0.5 * self.quad[i, mu, k] * ws[mu] * ws[k]
             out.append(acc)
         return out
-
-    def component_jets(self, w_point, order: int) -> list[WirtingerJet]:
-        return self.on_jets(variable_jets(np.asarray(w_point, dtype=complex), self.dim, order))
 
 
 class PulledBackChart(KahlerChart):
@@ -359,11 +350,6 @@ def _validated_metric(chart: KahlerChart, g: np.ndarray) -> np.ndarray:
     return check_positive_definite(g, f"{chart.label}: metric")
 
 
-def _metric_value(chart: KahlerChart, gjets) -> np.ndarray:
-    """Validated metric matrix from a grid of metric jets."""
-    return _validated_metric(chart, _metric_matrix(gjets))
-
-
 def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:
     """dg[c, a, b] = ∂g_{a b̄}/∂z^c, after the Kähler symmetry check."""
     dg = np.ascontiguousarray(derivative_block(gjets, "grad").transpose(2, 0, 1))
@@ -375,10 +361,6 @@ def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:
     return dg
 
 
-def _christoffel_from(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    return np.einsum("gad,db->bag", dg, g_inv)
-
-
 def _curvature_point(chart: KahlerChart, point, gjets, g: np.ndarray) -> CurvaturePoint:
     """Curvature data from metric jets of order >= 2 and the validated metric ``g``."""
     dg = _metric_gradient(chart, gjets)
@@ -386,25 +368,13 @@ def _curvature_point(chart: KahlerChart, point, gjets, g: np.ndarray) -> Curvatu
     ddg = derivative_block(gjets, "levi")
     correction = np.einsum("gam,mr,dbr->abgd", dg, g_inv, np.conj(dg))
     return CurvaturePoint(point=np.asarray(point, dtype=complex), g=g, g_inv=g_inv,
-                          gamma=_christoffel_from(dg, g_inv), riem=-ddg + correction)
-
-
-def metric_at(chart: KahlerChart, point) -> np.ndarray:
-    """Validated metric matrix g_{a b̄}(point)."""
-    return _metric_value(chart, chart.metric_jets(point, 0))
-
-
-def christoffel(chart: KahlerChart, point) -> np.ndarray:
-    """Γ^b_{a c} as gamma[b, a, c]; Kähler-symmetric in (a, c)."""
-    gjets = chart.metric_jets(point, 1)
-    g = _metric_value(chart, gjets)
-    return _christoffel_from(_metric_gradient(chart, gjets), np.linalg.inv(g))
+                          gamma=np.einsum("gad,db->bag", dg, g_inv), riem=-ddg + correction)
 
 
 def curvature_tensor(chart: KahlerChart, point) -> CurvaturePoint:
     """Curvature data at a point, with the lowered tensor R_{a b̄ c d̄}."""
     gjets = chart.metric_jets(point, 2)
-    return _curvature_point(chart, point, gjets, _metric_value(chart, gjets))
+    return _curvature_point(chart, point, gjets, _validated_metric(chart, _metric_matrix(gjets)))
 
 
 def normal_chart(chart: KahlerChart, point, frame: np.ndarray | None = None) -> PulledBackChart:
@@ -642,11 +612,3 @@ def catalog(name: str, **params) -> KahlerChart:
     chart.facts = _catalog_call(CATALOG[name].facts, name, params)
     return chart
 
-
-def catalog_facts(name: str, **params) -> CurvatureFacts:
-    """Closed-form curvature constants for a catalog chart."""
-    if name not in CATALOG:
-        raise ConfigurationError(
-            f"unknown catalog chart {name!r}; known: {', '.join(sorted(CATALOG))}"
-        )
-    return _catalog_call(CATALOG[name].facts, name, params)

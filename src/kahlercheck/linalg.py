@@ -26,10 +26,6 @@ def rng_for(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, keys)])
 
 
-def hermitian_inner(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> complex:
-    return complex(np.asarray(u) @ g @ np.asarray(v).conj())
-
-
 def _raise_first(failing, values, label: str, message: str):
     """MetricError for the first flagged matrix; in a stack it is named by its flat index."""
     bad = np.flatnonzero(failing)

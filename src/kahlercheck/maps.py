@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
 from . import expressions
@@ -137,11 +135,6 @@ def _antiholomorphic_mass(jet: WirtingerJet):
     return np.max(np.abs(jet.coeffs[ranks]), axis=0) if ranks.size else np.zeros(jet.points)
 
 
-def pushforward(f: HoloMap, point) -> np.ndarray:
-    """Matrix of first derivatives, P[i, α] = ∂f^i/∂z^α."""
-    return PointContext(f, point, 1).pushforward
-
-
 @dataclass(frozen=True)
 class MapPointData:
     """Stretch data of ∂f at one point.
@@ -191,43 +184,6 @@ def _phase_normalized(u: np.ndarray, vh: np.ndarray, paired: int):
 def map_point_data(f: HoloMap, point) -> MapPointData:
     """Pullback form, stretch spectrum, and adapted frames at a point."""
     return PointContext(f, point, 1).data
-
-
-def volume_ratio(f: HoloMap, point) -> float:
-    """D = det(f*h)/det(g) = Π|λ_α|²; exactly 0 at rank-deficient points."""
-    if f.m > f.n:
-        raise ConfigurationError(
-            f"volume ratio needs m <= n, got m={f.m}, n={f.n}"
-        )
-    data = map_point_data(f, point)
-    if data.rank < f.m:
-        return 0.0
-    return float(np.prod(data.singular_sq))
-
-
-def energy_density(f: HoloMap, point) -> float:
-    """‖∂f‖² = g^{αβ̄}A_{αβ̄} = Σ|λ_α|²."""
-    data = map_point_data(f, point)
-    return float(np.trace(data.pullback @ np.linalg.inv(data.g)).real)
-
-
-def max_norm(f: HoloMap, point) -> float:
-    """‖∂f‖²_m = |λ_1|², the squared top stretch of ∂f."""
-    return float(map_point_data(f, point).singular_sq[0])
-
-
-def sigma_k(values: Sequence[float], k: int) -> float:
-    """Elementary symmetric polynomial of degree k in the given values."""
-    vals = [float(v) for v in values]
-    if not 0 <= k <= len(vals):
-        raise ConfigurationError(f"sigma_{k} undefined for {len(vals)} values")
-    coeffs = np.zeros(k + 1)
-    coeffs[0] = 1.0
-    for v in vals:
-        top = min(k, len(vals))
-        for j in range(top, 0, -1):
-            coeffs[j] += v * coeffs[j - 1]
-    return float(coeffs[k])
 
 
 def map_hessian(f: HoloMap, point) -> np.ndarray:
@@ -597,9 +553,4 @@ class StretchBarrier:
 
     def max_norm_at(self, w) -> float:
         """True ‖∂f‖²_m at the chart point behind w (pencil invariant)."""
-        return max_norm(self.map, self.chart_point(w))
-
-
-def barrier_w(f: HoloMap, anchor, w) -> float:
-    """One-shot evaluation of the anchored barrier at offset w."""
-    return StretchBarrier(f, anchor).value(w)
+        return float(map_point_data(self.map, self.chart_point(w)).singular_sq[0])

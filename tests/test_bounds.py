@@ -1,4 +1,4 @@
-"""Bound reports: Schwarz-type estimates, three-circle convexity, hoops, degeneracy."""
+"""Bound reports: Schwarz-type estimates, three-circle convexity and hoops."""
 
 import math
 
@@ -8,8 +8,6 @@ import pytest
 from kahlercheck.bounds import (
     BoundReport,
     Constant,
-    DegeneracyRow,
-    degeneracy_profile,
     hoop_check,
     royden_bound_report,
     schwarz_bound_report,
@@ -18,9 +16,9 @@ from kahlercheck.bounds import (
     volume_bound_report,
 )
 from kahlercheck.errors import ConfigurationError, DegenerateInputError
-from kahlercheck.geometry import catalog, catalog_facts
+from kahlercheck.geometry import catalog
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, catalog_isometry, max_norm, point_contexts, postcompose
+from kahlercheck.maps import HoloMap, catalog_isometry, point_contexts, postcompose
 
 FLAT1 = catalog("flat", dim=1)
 FLAT2 = catalog("flat", dim=2)
@@ -47,8 +45,8 @@ def clamped_points(count, dim, seed, cap):
 
 
 def hol_sec_constants(dom_name, dom_params, tgt_name, tgt_params):
-    k = -catalog_facts(dom_name, **dom_params).hol_sec_min
-    kappa = -catalog_facts(tgt_name, **tgt_params).hol_sec_max
+    k = -catalog(dom_name, **dom_params).facts.hol_sec_min
+    kappa = -catalog(tgt_name, **tgt_params).facts.hol_sec_max
     return Constant.analytic("K", k), Constant.analytic("kappa", kappa)
 
 
@@ -124,7 +122,7 @@ def test_schwarz_strict_contraction():
 
 def test_schwarz_zero_k_forces_constant():
     f = HoloMap(FLAT1, disk(1.0), ["z1/2"])
-    k = Constant.analytic("K", -catalog_facts("flat", dim=1).hol_sec_min)
+    k = Constant.analytic("K", -catalog("flat", dim=1).facts.hol_sec_min)
     rep = schwarz_bound_report(f, clamped_points(6, 1, 2, 0.9), k,
                                Constant.analytic("kappa", 2.0))
     assert k.value == 0.0 and rep.bound == 0.0
@@ -165,8 +163,8 @@ def test_schwarz_observed_invariant_under_domain_isometry():
 
 def test_volume_disk_identity_equality():
     f = HoloMap(disk(1.0), disk(2.0), ["z1"])
-    k = Constant.analytic("K", -catalog_facts("poincare_disk", a=1.0).scalar)
-    kappa = Constant.analytic("kappa", -catalog_facts("poincare_disk", a=2.0).ricci_max)
+    k = Constant.analytic("K", -catalog("poincare_disk", a=1.0).facts.scalar)
+    kappa = Constant.analytic("kappa", -catalog("poincare_disk", a=2.0).facts.ricci_max)
     rep = volume_bound_report(f, clamped_points(10, 1, 4, 0.9), k, kappa)
     assert (k.value, kappa.value) == (2.0, 1.0)
     assert rep.bound == pytest.approx(2.0)
@@ -175,8 +173,8 @@ def test_volume_disk_identity_equality():
 
 def test_volume_rescaled_ball_equality():
     f = HoloMap(ball(2, 1.0), ball(2, 2.0), ["z1", "z2"])
-    k = Constant.analytic("K", -catalog_facts("complex_hyperbolic_ball", dim=2, c=1.0).scalar)
-    kappa = Constant.analytic("kappa", -catalog_facts("complex_hyperbolic_ball", dim=2, c=2.0).ricci_max)
+    k = Constant.analytic("K", -catalog("complex_hyperbolic_ball", dim=2, c=1.0).facts.scalar)
+    kappa = Constant.analytic("kappa", -catalog("complex_hyperbolic_ball", dim=2, c=2.0).facts.ricci_max)
     assert (k.value, kappa.value) == (6.0, 1.5)
     rep = volume_bound_report(f, clamped_points(40, 2, 8, 0.7), k, kappa)
     assert rep.bound == pytest.approx(4.0)
@@ -201,8 +199,8 @@ def test_volume_needs_m_at_most_n():
 
 def test_royden_rank_one_equality():
     f = HoloMap(disk(1.0), disk(2.0), ["z1"])
-    k = Constant.analytic("K", -catalog_facts("poincare_disk", a=1.0).ricci_min)
-    kappa = Constant.analytic("kappa", -catalog_facts("poincare_disk", a=2.0).hol_sec_max)
+    k = Constant.analytic("K", -catalog("poincare_disk", a=1.0).facts.ricci_min)
+    kappa = Constant.analytic("kappa", -catalog("poincare_disk", a=2.0).facts.hol_sec_max)
     rep = royden_bound_report(f, clamped_points(8, 1, 7, 0.9), k, kappa)
     assert rep.coefficient == "1"
     assert rep.bound == pytest.approx(2.0)
@@ -211,8 +209,8 @@ def test_royden_rank_one_equality():
 
 def test_royden_rank_two_coefficient():
     f = HoloMap(ball(2, 1.0), ball(2, 2.0), ["z1", "z2"])
-    k = Constant.analytic("K", -catalog_facts("complex_hyperbolic_ball", dim=2, c=1.0).ricci_min)
-    kappa = Constant.analytic("kappa", -catalog_facts("complex_hyperbolic_ball", dim=2, c=2.0).hol_sec_max)
+    k = Constant.analytic("K", -catalog("complex_hyperbolic_ball", dim=2, c=1.0).facts.ricci_min)
+    kappa = Constant.analytic("kappa", -catalog("complex_hyperbolic_ball", dim=2, c=2.0).facts.hol_sec_max)
     assert (k.value, kappa.value) == (3.0, 1.0)
     rep = royden_bound_report(f, clamped_points(20, 2, 12, 0.7), k, kappa)
     assert rep.coefficient == "4/3"
@@ -317,8 +315,8 @@ def test_three_circle_rejects_bad_input():
 @pytest.mark.parametrize("mode", ["volume", "stretching"])
 def test_hoop_rescaled_projective_equality(mode):
     f = HoloMap(proj(1, 1.0), proj(1, 2.0), ["z1"])
-    facts1 = catalog_facts("fubini_study", dim=1, c=1.0)
-    facts2 = catalog_facts("fubini_study", dim=1, c=2.0)
+    facts1 = catalog("fubini_study", dim=1, c=1.0).facts
+    facts2 = catalog("fubini_study", dim=1, c=2.0).facts
     if mode == "volume":
         k, kappa = facts1.ricci_min, facts2.ricci_max
     else:
@@ -365,60 +363,6 @@ def test_hoop_degenerate_map_is_loud():
                    Constant.analytic("kappa", 2.0))
 
 
-# -- degeneracy profile ----------------------------------------------------------
-
-
-def test_degeneracy_profile_diagonal():
-    f = HoloMap(FLAT2, FLAT2, ["z1", "2*z2"])
-    rows = degeneracy_profile(f, np.eye(2, dtype=complex), [0.0, 1.0, 2.0])
-    assert len(rows) == 3
-    for row, r in zip(rows, (0.0, 1.0, 2.0)):
-        assert isinstance(row, DegeneracyRow)
-        assert row.radius == r
-        assert row.min_stretch_sq == pytest.approx(1.0, abs=1e-12)
-        assert row.sigma_second == pytest.approx(5.0, abs=1e-12)
-
-
-def test_degeneracy_profile_matches_svd_oracle():
-    f = HoloMap(FLAT2, FLAT2, ["z1", "z1*z2"])
-    rng = rng_for(21, 11)
-    dirs = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    radii = [0.5, 1.5]
-    rows = degeneracy_profile(f, dirs, radii)
-    unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    for row, r in zip(rows, radii):
-        min_sq, sigma = np.inf, np.inf
-        for u in unit:
-            jac = np.array([[1.0, 0.0], [r * u[1], r * u[0]]])
-            s = np.linalg.svd(jac, compute_uv=False) ** 2
-            min_sq = min(min_sq, s[-1])
-            sigma = min(sigma, s.sum())
-        assert row.min_stretch_sq == pytest.approx(min_sq, abs=1e-12)
-        assert row.sigma_second == pytest.approx(sigma, abs=1e-12)
-
-
-def test_degeneracy_profile_rank_drop():
-    f = HoloMap(FLAT2, FLAT2, ["z1", "0"])
-    rows = degeneracy_profile(f, np.array([[1.0, 0.0], [0.6, 0.8]]), [1.0, 3.0])
-    for row in rows:
-        assert row.min_stretch_sq == pytest.approx(0.0, abs=1e-14)
-        assert row.sigma_second == pytest.approx(1.0, abs=1e-12)
-
-
-def test_degeneracy_profile_validation():
-    f = HoloMap(FLAT2, FLAT2, ["z1", "2*z2"])
-    eye = np.eye(2, dtype=complex)
-    with pytest.raises(ConfigurationError):
-        degeneracy_profile(f, eye, [])
-    with pytest.raises(ConfigurationError):
-        degeneracy_profile(f, eye, [-1.0])
-    with pytest.raises(DegenerateInputError):
-        degeneracy_profile(f, np.array([[0.0, 0.0]]), [1.0])
-    g = HoloMap(ball(2, 1.0), FLAT2, ["z1", "z2"])
-    with pytest.raises(ConfigurationError):
-        degeneracy_profile(g, eye, [0.5])
-
-
 def test_sphere_and_ray_samples_stack_one_svd_per_radius(monkeypatch):
     shapes = []
     svd = np.linalg.svd
@@ -429,9 +373,5 @@ def test_sphere_and_ray_samples_stack_one_svd_per_radius(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     f = HoloMap(FLAT2, catalog("flat", dim=3), ["z1", "z1*z2", "0.5*z2^2"])
-    rays = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0j], [1.0, 1.0]])
-    degeneracy_profile(f, rays, [0.5, 1.0, 2.0])
-    assert shapes == [(4, 3, 2)] * 3
-    shapes.clear()
     three_circle_data(f, (0.5, 1.0, 2.0), (5, 6, 7))
     assert shapes == [(5, 3, 2), (6, 3, 2), (7, 3, 2)]

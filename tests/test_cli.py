@@ -194,9 +194,8 @@ def test_sampled_constants_make_bounds_advisory():
 
 
 def test_unknown_check_kind_is_configuration_error():
-    sc = load_scenario(manifest(checks=[{"kind": "warp_factor"}]))
-    with pytest.raises(ConfigurationError):
-        run_scenario(sc)
+    with pytest.raises(ConfigurationError, match="unknown check kind 'warp_factor'"):
+        load_scenario(manifest(checks=[{"kind": "warp_factor"}]))
 
 
 # -- classification -------------------------------------------------------------------
@@ -531,9 +530,44 @@ def test_sampled_constants_evaluate_order_two_metrics_at_the_probe_points_only(m
     assert {c["source"] for entry in doc["checks"] for c in entry["constants"]} == {"sampled"}
     assert shapes.count((200, 0)) == 2  # the scenario's stack: domain and target
     order_two = [points for points, order in shapes if order >= 2]
-    # one stacked evaluation per role and check, each at the probe points alone
-    assert 0 < len(order_two) <= 2 * len(doc["checks"])
+    # one stacked evaluation per role for the whole scenario, at the probe points alone
+    assert len(order_two) == 2
     assert all(points <= CONSTANT_PROBE_POINTS for points in order_two)
+
+
+def test_unknown_check_kind_exits_two_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    from kahlercheck import maps
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a stack was evaluated")
+
+    monkeypatch.setattr(maps.PointStack, "metric", no_evaluation)
+    monkeypatch.setattr(maps.HoloMap, "component_jets", no_evaluation)
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(manifest(checks=[BOCH1, {"kind": "bogus"}])))
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: unknown check kind 'bogus'")
+
+
+def test_sampled_volume_kappa_of_a_curve_reads_holomorphic_sectional_curvature(tmp_path, capsys):
+    # Ric_1 = H: an isometric disk in an expression 2-ball has κ = 2 and bound 1;
+    # the full Ricci range (κ = 3) would give 2/3 against the observed 1
+    ball = {"dim": 2, "potential": "-log(1 - abs2(z1) - abs2(z2))", "region": {"kind": "ball"}}
+    doc = manifest(domain={"catalog": "poincare_disk"}, target=ball, map=["z1", "0"],
+                   sampler={"count": 8, "radius": 0.7, "seed": 3}, checks=[{"kind": "volume"}])
+    path = tmp_path / "volume_curve.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)["checks"][0]
+    assert report["verdict"] == "advisory"
+    constants = {c["name"]: c for c in report["constants"]}
+    assert constants["K"] == {"name": "K", "value": 2.0, "source": "analytic"}
+    assert constants["kappa"]["source"] == "sampled"
+    assert constants["kappa"]["value"] == pytest.approx(2.0, rel=1e-9)
+    assert report["bound"] == pytest.approx(1.0, rel=1e-9)
+    assert report["observed"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_bound_checks_of_a_scenario_share_one_stacked_svd(monkeypatch):

@@ -17,7 +17,6 @@ from kahlercheck.functionals import (
     holo_sectional,
     k_ricci_extremes,
     k_scalar,
-    k_scalar_average,
     k_scalar_quadrature,
     ricci,
     scalar_curvature,
@@ -121,7 +120,6 @@ def test_ball_k_scalar_full_frame():
     cp = cp_at("complex_hyperbolic_ball", [0.0, 0.0], dim=2, c=1.0)
     frame = SubspaceFrame(np.eye(2, dtype=complex))
     assert k_scalar(cp, frame) == pytest.approx(-6.0, abs=1e-11)
-    assert k_scalar_average(cp, frame) == pytest.approx(-2.0, abs=1e-11)
 
 
 def test_k_scalar_k1_is_normalized_h():
@@ -275,9 +273,7 @@ def test_k_ricci_result_frames_are_orthonormal():
     ("fubini_study", {"dim": 3, "c": 1.5}, [0.5, -0.4j, 0.3]),
 ])
 def test_catalog_m_ricci_facts_match_search(name, params, point):
-    from kahlercheck.geometry import catalog_facts
-
-    facts = catalog_facts(name, **params)
+    facts = catalog(name, **params).facts
     cp = cp_at(name, point, **params)
     dim = len(point)
     assert len(facts.ricci_m_max) == dim

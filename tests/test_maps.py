@@ -22,23 +22,22 @@ from kahlercheck.maps import (
     HoloMap,
     PointContext,
     StretchBarrier,
-    barrier_w,
     catalog_isometry,
-    energy_density,
     map_hessian,
     _phase_normalized,
     map_point_data,
-    max_norm,
     point_contexts,
     postcompose,
     precompose,
-    pushforward,
-    sigma_k,
-    volume_ratio,
 )
 
 FLAT1 = catalog("flat", dim=1)
 FLAT2 = catalog("flat", dim=2)
+
+
+def energy(data):
+    """‖∂f‖² = g^{αβ̄}A_{αβ̄}, read off the pullback form and the metric."""
+    return float(np.trace(data.pullback @ np.linalg.inv(data.g)).real)
 
 
 def random_points(domain_scale, count, dim, seed):
@@ -52,13 +51,13 @@ def random_points(domain_scale, count, dim, seed):
 
 def test_pushforward_square_map():
     f = HoloMap(FLAT1, FLAT1, ["z1^2"])
-    assert pushforward(f, [3.0]) == pytest.approx(np.array([[6.0]]))
+    assert map_point_data(f, [3.0]).pushforward == pytest.approx(np.array([[6.0]]))
 
 
 def test_pushforward_curve_into_ball():
     f = HoloMap(catalog("poincare_disk", a=1.0), catalog("complex_hyperbolic_ball", dim=2, c=1.0),
                 ["z1/2", "z1^2/2"])
-    np.testing.assert_allclose(pushforward(f, [0.0]), [[0.5], [0.0]], atol=1e-14)
+    np.testing.assert_allclose(map_point_data(f, [0.0]).pushforward, [[0.5], [0.0]], atol=1e-14)
 
 
 def test_component_count_must_match_target():
@@ -76,15 +75,15 @@ def test_antiholomorphic_expression_rejected_at_build():
 def test_callable_component_checked_pointwise():
     f = HoloMap(FLAT1, FLAT1, [lambda zs: zs[0].conj()])
     with pytest.raises(HolomorphyError):
-        pushforward(f, [0.5])
+        map_point_data(f, [0.5])
 
 
 def test_image_must_stay_inside_target_domain():
     disk = catalog("poincare_disk", a=1.0)
     f = HoloMap(disk, disk, ["2*z1"])
     with pytest.raises(DomainError):
-        pushforward(f, [0.6])
-    assert max_norm(f, [0.3]) > 0  # image 0.6 is fine
+        map_point_data(f, [0.6])
+    assert map_point_data(f, [0.3]).singular_sq[0] > 0  # image 0.6 is fine
 
 
 # -- stretch spectrum ------------------------------------------------------------
@@ -94,9 +93,8 @@ def test_diagonal_map_spectrum():
     f = HoloMap(FLAT2, FLAT2, ["z1", "2*z2"])
     data = map_point_data(f, [0.4, -0.7j])
     np.testing.assert_allclose(data.singular_sq, [4.0, 1.0], atol=1e-14)
-    assert energy_density(f, [0.4, -0.7j]) == pytest.approx(5.0, abs=1e-12)
-    assert max_norm(f, [0.4, -0.7j]) == pytest.approx(4.0, abs=1e-12)
-    assert volume_ratio(f, [0.4, -0.7j]) == pytest.approx(4.0, abs=1e-12)
+    assert energy(data) == pytest.approx(5.0, abs=1e-12)
+    assert np.prod(data.singular_sq) == pytest.approx(4.0, abs=1e-12)
     # adapted frames put the top stretch first
     diag = np.linalg.solve(data.target_frame, data.pushforward @ data.domain_frame)
     np.testing.assert_allclose(diag, np.diag([2.0, 1.0]), atol=1e-9)
@@ -107,8 +105,7 @@ def test_identity_between_rescaled_disks():
     for z in (0.0, 0.3, -0.2 + 0.4j):
         data = map_point_data(f, [z])
         assert data.singular_sq[0] == pytest.approx(2.0, abs=1e-12)
-        assert energy_density(f, [z]) == pytest.approx(2.0, abs=1e-12)
-        assert volume_ratio(f, [z]) == pytest.approx(2.0, abs=1e-12)
+        assert energy(data) == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(map_hessian(f, [0.3 - 0.1j]), 0, atol=1e-12)
 
 
@@ -116,20 +113,25 @@ def test_rank_deficient_projection():
     f = HoloMap(FLAT2, FLAT2, ["z1", "0"])
     data = map_point_data(f, [0.5, 0.5])
     np.testing.assert_allclose(data.singular_sq, [1.0, 0.0], atol=1e-14)
-    assert data.rank == 1
-    assert volume_ratio(f, [0.5, 0.5]) == 0.0
+    assert data.rank == 1  # below m, so the volume checks read D = 0 here
 
 
 def test_constant_map_has_zero_energy():
     f = HoloMap(FLAT2, FLAT2, [0.3, "0"])
-    assert energy_density(f, [1.0, 2.0]) == 0.0
-    assert max_norm(f, [1.0, 2.0]) == 0.0
+    data = map_point_data(f, [1.0, 2.0])
+    assert energy(data) == 0.0
+    assert data.singular_sq[0] == 0.0 and data.rank == 0
 
 
 def test_volume_ratio_needs_wide_target():
+    from kahlercheck.bounds import Constant, hoop_check, volume_bound_report
+
     f = HoloMap(FLAT2, FLAT1, ["z1"])
-    with pytest.raises(ConfigurationError):
-        volume_ratio(f, [0.1, 0.2])
+    k, kappa = Constant.analytic("K", 2.0), Constant.analytic("kappa", 1.0)
+    with pytest.raises(ConfigurationError, match="m <= n"):
+        volume_bound_report(f, [0.1, 0.2], k, kappa)
+    with pytest.raises(ConfigurationError, match="m <= n"):
+        hoop_check(f, [0.1, 0.2], "volume", k, kappa)
 
 
 def test_adapted_frames_generic_map():
@@ -170,21 +172,11 @@ def test_scalar_invariants_are_consistent():
     )
     for p in random_points(0.4, 5, 2, seed=21):
         data = map_point_data(f, p)
-        assert energy_density(f, p) == pytest.approx(float(np.sum(data.singular_sq)), abs=1e-10)
-        assert max_norm(f, p) == pytest.approx(float(data.singular_sq[0]), abs=1e-12)
+        assert energy(data) == pytest.approx(float(np.sum(data.singular_sq)), abs=1e-10)
+        vals, _ = pencil_eigh(data.pullback, data.g)
+        assert vals[-1] == pytest.approx(float(data.singular_sq[0]), abs=1e-12)
         det_ratio = (np.linalg.det(data.pullback) / np.linalg.det(data.g)).real
-        assert volume_ratio(f, p) == pytest.approx(det_ratio, abs=1e-10)
-
-
-def test_sigma_k_values():
-    assert sigma_k([4.0, 1.0], 0) == 1.0
-    assert sigma_k([4.0, 1.0], 1) == 5.0
-    assert sigma_k([4.0, 1.0], 2) == 4.0
-    assert sigma_k([1.0, 1.0, 1.0], 2) == 3.0
-    with pytest.raises(ConfigurationError):
-        sigma_k([1.0, 2.0], 3)
-    with pytest.raises(ConfigurationError):
-        sigma_k([1.0, 2.0], -1)
+        assert np.prod(data.singular_sq) == pytest.approx(det_ratio, abs=1e-10)
 
 
 # -- covariant Hessian -----------------------------------------------------------
@@ -316,8 +308,9 @@ def test_target_isometry_preserves_invariants():
             map_point_data(f, [z]).singular_sq,
             atol=1e-8,
         )
-        assert energy_density(f2, [z]) == pytest.approx(energy_density(f, [z]), abs=1e-8)
-        assert volume_ratio(f2, [z]) == pytest.approx(volume_ratio(f, [z]), abs=1e-8)
+        data2, data = map_point_data(f2, [z]), map_point_data(f, [z])
+        assert energy(data2) == pytest.approx(energy(data), abs=1e-8)
+        assert np.prod(data2.singular_sq) == pytest.approx(np.prod(data.singular_sq), abs=1e-8)
 
 
 def test_postcompose_dimension_check():
@@ -350,12 +343,11 @@ def test_barrier_touches_max_norm_at_anchor():
                 ["z1/2", "z1^2/2"])
     anchor = [0.25 - 0.1j]
     bar = StretchBarrier(f, anchor)
-    assert abs(bar.value([0.0]) - max_norm(f, anchor)) <= 1e-10
+    assert abs(bar.value([0.0]) - map_point_data(f, anchor).singular_sq[0]) <= 1e-10
     # m = 1: the quotient has nothing to vary over, so W is the norm itself
     for w in random_points(0.1, 20, 1, seed=17):
         assert bar.value(w) <= bar.max_norm_at(w) + 1e-12
         assert bar.value(w) == pytest.approx(bar.max_norm_at(w), abs=1e-12)
-    assert barrier_w(f, anchor, [0.0]) == pytest.approx(bar.value([0.0]), abs=1e-14)
 
 
 def test_barrier_minorizes_max_norm_nearby():
@@ -363,7 +355,7 @@ def test_barrier_minorizes_max_norm_nearby():
                 ["z1/2", "z2/2 + z1^2/4"])
     anchor = [0.1 + 0.05j, -0.2]
     bar = StretchBarrier(f, anchor)
-    assert abs(bar.value([0.0, 0.0]) - max_norm(f, anchor)) <= 1e-10
+    assert abs(bar.value([0.0, 0.0]) - map_point_data(f, anchor).singular_sq[0]) <= 1e-10
     slack = []
     for w in random_points(0.08, 20, 2, seed=19):
         w_val = bar.value(w)
@@ -383,7 +375,7 @@ def test_point_context_reads_what_the_public_functions_compute():
                   "target_frame", "g", "h"):
         assert np.array_equal(getattr(data, field), getattr(want, field)), field
     assert np.array_equal(ctx.map_hessian, map_hessian(f, point))
-    assert np.array_equal(ctx.pushforward, pushforward(f, point))
+    assert np.array_equal(ctx.pushforward, PointContext(f, point, 1).pushforward)
     assert ctx.data is data and ctx.component_jets[0].order == 4
     assert np.array_equal(ctx.normal_chart.change.linear, data.domain_frame)
 
