@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, DegenerateInputError, FrameError, MetricError
 from .geometry import CurvaturePoint
@@ -169,7 +168,7 @@ def _frame_ricci_matrix(riem: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def _frame_extreme(riem: np.ndarray, e: np.ndarray, sign: float):
     """Best (value, direction coefficients) of sign·Ric restricted to the frame."""
-    vals, vecs = scipy.linalg.eigh(_frame_ricci_matrix(riem, e))
+    vals, vecs = np.linalg.eigh(_frame_ricci_matrix(riem, e))
     idx = -1 if sign > 0 else 0
     return vals[idx], vecs[:, idx]
 

@@ -322,16 +322,19 @@ class WirtingerJet:
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 0:
             raise ConfigurationError("jet powers must be non-negative integers")
-        result = self._constant(1.0)
-        base = self
         n = int(n)
-        while n:
+        if n == 0:
+            return self._constant(1.0)
+        # square-and-multiply, the product started from its first factor
+        result = None
+        base = self
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- analytic operations ----------------------------------------------------
 

@@ -12,8 +12,6 @@ Conventions, used consistently everywhere downstream:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import ztrtrs
 
 from .errors import FrameError, MetricError
 
@@ -66,24 +64,16 @@ def frame_normalizer(g: np.ndarray) -> np.ndarray:
 
 def cholesky_frame(g: np.ndarray) -> np.ndarray:
     """:func:`frame_normalizer` for a ``g`` (or stack) that :func:`check_positive_definite` returned."""
-    chol = np.linalg.cholesky(g)  # g = L L^H, matrix by matrix
-    n = chol.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    factors = chol.reshape(-1, n, n)
-    frames = np.empty(factors.shape, dtype=complex)
-    for k, lower in enumerate(factors):
-        # L^{-1} from the Fortran-ordered view L.T, as scipy's solve_triangular
-        # solves a C-ordered factor; the frame is its transpose
-        inverse, _ = ztrtrs(lower.T, eye, lower=0, trans=1)
-        frames[k] = inverse.T
-    return frames.reshape(chol.shape)
+    # g = L L^H; the frame is L^{-T}, inverted matrix by matrix, so a matrix's
+    # frame is the same alone or in any stack
+    return np.linalg.inv(np.linalg.cholesky(g)).swapaxes(-1, -2)
 
 
 def g_orthonormalize(g: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Replace the columns of ``vectors`` by a g-orthonormal frame of their span."""
     vectors = np.asarray(vectors, dtype=complex)
     gram = check_hermitian(vectors.T @ g @ vectors.conj(), "Gram matrix")
-    spectrum = scipy.linalg.eigvalsh(gram)
+    spectrum = np.linalg.eigvalsh(gram)
     if spectrum[0] <= 1e-12 * max(spectrum[-1], 1.0):
         raise FrameError("frame vectors are linearly dependent")
     return vectors @ cholesky_frame(gram)
@@ -99,10 +89,11 @@ def pencil_eigh(a: np.ndarray, g: np.ndarray):
     """
     a = check_hermitian(a, "pencil numerator")
     g = check_positive_definite(g, "pencil denominator")
-    # eigh solves A q = w G q with q^H A q critical; our ratio reads
-    # v A v.conj, so the critical v are the conjugated eigenvectors
-    vals, q = scipy.linalg.eigh(a, g)
-    return vals, q.conj()
+    # in a g-orthonormal frame E the pencil is the ordinary Hermitian problem
+    # (E.T a E.conj()) y = w y, and v = E y.conj() has v g v.conj() = y^H y = 1
+    frame = cholesky_frame(g)
+    vals, y = np.linalg.eigh(frame.T @ a @ frame.conj())
+    return vals, frame @ y.conj()
 
 
 def rayleigh_quotient(a, c, s: int):

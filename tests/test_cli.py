@@ -414,6 +414,25 @@ def test_python_dash_m_kahlercheck_runs_cleanly():
     assert "scenario:boch1_flat_to_ball" in proc.stdout
 
 
+def test_running_every_shipped_scenario_never_imports_scipy():
+    # a fresh process, so no other test's import of scipy is in sys.modules
+    import_root = str(Path(kahlercheck.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from kahlercheck.cli import curvature_report, load_scenario, run_scenario, shipped_scenarios\n"
+        "for doc in shipped_scenarios().values():\n"
+        "    run_scenario(load_scenario(doc), details=True)\n"
+        "    curvature_report(load_scenario(doc))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 BOCH1 = {"kind": "boch1", "tolerance": 1e-6}
 
 

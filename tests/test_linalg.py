@@ -47,21 +47,24 @@ def test_g_orthonormalize_rejects_dependent_vectors():
 
 def test_pencil_eigenvalues_are_ratio_extremes():
     rng = np.random.default_rng(5)
-    g = random_metric(rng, 3)
-    a = random_metric(rng, 3) - 2 * np.eye(3)
-    vals, vecs = pencil_eigh(a, g)
-    assert np.all(np.diff(vals) >= 0)
-    for k in range(3):
-        v = vecs[:, k]
-        num = v @ a @ v.conj()
-        den = v @ g @ v.conj()
-        assert abs(den - 1.0) <= 1e-10
-        assert abs(num / den - vals[k]) <= 1e-10
-    # sampled ratios never escape the eigenvalue range
-    for _ in range(200):
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        ratio = ((v @ a @ v.conj()) / (v @ g @ v.conj())).real
-        assert vals[0] - 1e-10 <= ratio <= vals[-1] + 1e-10
+    for dim in (1, 2, 3, 4):
+        g = random_metric(rng, dim)
+        a = random_metric(rng, dim) - 2 * np.eye(dim)
+        vals, vecs = pencil_eigh(a, g)
+        assert np.all(np.diff(vals) >= 0)
+        np.testing.assert_allclose(vals, scipy.linalg.eigh(a, g, eigvals_only=True),
+                                   rtol=1e-13, atol=0)
+        for k in range(dim):
+            v = vecs[:, k]
+            num = v @ a @ v.conj()
+            den = v @ g @ v.conj()
+            assert abs(den - 1.0) <= 1e-10
+            assert abs(num / den - vals[k]) <= 1e-10
+        # sampled ratios never escape the eigenvalue range
+        for _ in range(200):
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            ratio = ((v @ a @ v.conj()) / (v @ g @ v.conj())).real
+            assert vals[0] - 1e-10 <= ratio <= vals[-1] + 1e-10
 
 
 def test_haar_unitary_is_unitary_and_seeded():
@@ -114,7 +117,7 @@ def test_stacked_cholesky_frame_equals_the_per_matrix_result():
         for g, frame in zip(stack, frames):
             assert np.array_equal(frame, cholesky_frame(g))
             want = scipy.linalg.solve_triangular(np.linalg.cholesky(g), eye, lower=True).T
-            assert np.array_equal(frame, want)
+            np.testing.assert_allclose(frame, want, rtol=1e-14, atol=0)
             np.testing.assert_allclose(frame.T @ g @ frame.conj(), eye, atol=1e-12)
         assert cholesky_frame(stack[:4].reshape(2, 2, dim, dim)).shape == (2, 2, dim, dim)
 
