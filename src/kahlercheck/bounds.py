@@ -42,13 +42,14 @@ class Constant:
         if not math.isfinite(self.value):
             raise ConfigurationError(f"constant {self.name} must be finite")
 
+    # + 0.0 turns a zero of either sign into +0, so a report never prints "-0"
     @classmethod
     def analytic(cls, name: str, value: float) -> "Constant":
-        return cls(name, float(value), ANALYTIC)
+        return cls(name, float(value) + 0.0, ANALYTIC)
 
     @classmethod
     def sampled(cls, name: str, value: float) -> "Constant":
-        return cls(name, float(value), SAMPLED)
+        return cls(name, float(value) + 0.0, SAMPLED)
 
     def describe(self) -> str:
         return f"{self.name}={self.value:.12g} ({self.source})"

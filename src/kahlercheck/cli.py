@@ -302,11 +302,11 @@ _CONSTANT_RULES = {
 }
 
 
-def _sampled_range(curvatures, quantity: str, seed: int):
-    """Range of a curvature quantity over an iterable of :class:`CurvaturePoint`."""
+def _sampled_range(contexts, role: str, quantity: str, seed: int):
+    """Range of a curvature quantity at the contexts' points (domain) or images (target)."""
     lo, hi = np.inf, -np.inf
     rng = rng_for(seed, CURVATURE_STREAM)
-    for cp in curvatures:
+    for cp in (ctx.stack.curvature(role, ctx.row) for ctx in contexts):
         if quantity.startswith("hol_sec"):
             dim = len(cp.g)
             for _ in range(8):
@@ -320,12 +320,6 @@ def _sampled_range(curvatures, quantity: str, seed: int):
             value = scalar_curvature(cp)
             lo, hi = min(lo, value), max(hi, value)
     return lo, hi
-
-
-def _curvatures(contexts, role: str):
-    """Curvature at each context's point (domain) or image (target), built on demand."""
-    return (ctx.domain_curvature if role == "domain" else ctx.target_curvature
-            for ctx in contexts)
 
 
 def _resolve_constant(scenario, check, const_name, rule, role, probe):
@@ -346,7 +340,7 @@ def _resolve_constant(scenario, check, const_name, rule, role, probe):
     quantity = facts_field
     if facts_field == "ricci_m_max" and scenario.domain.dim == 1:
         quantity = "hol_sec_max"  # Ric_1(v) = H(v); m = n reads Ric_n = Ric, which is exact
-    lo, hi = _sampled_range(_curvatures(probe(), role), quantity, scenario.seed)
+    lo, hi = _sampled_range(probe(), role, quantity, scenario.seed)
     value = lo if facts_field.endswith("_min") or facts_field == "scalar" else hi
     return bounds_mod.Constant.sampled(const_name, sign * value)
 
@@ -580,7 +574,7 @@ def curvature_report(scenario: Scenario) -> dict:
             }
         sampled = {}
         for quantity in ("hol_sec", "ricci", "scalar"):
-            lo, hi = _sampled_range(_curvatures(probe, role), quantity, scenario.seed)
+            lo, hi = _sampled_range(probe, role, quantity, scenario.seed)
             sampled[quantity] = {"min": lo, "max": hi}
         entry["sampled"] = sampled
         entry["points_sampled"] = len(probe)

@@ -266,7 +266,8 @@ class ChartMap:
 
     ``quad[i, μ, κ]`` is symmetric in (μ, κ).  This is exactly the family
     normal-coordinate constructions live in, so the map is stored in
-    closed form and all of its derivatives are exact.
+    closed form and all of its derivatives are exact.  In :meth:`on_jets`
+    each array may carry a trailing point axis, a stack of changes as in jets.
     """
 
     base: np.ndarray
@@ -292,10 +293,10 @@ class ChartMap:
         for i in range(self.dim):
             acc = jet_constant(self.base[i], num_vars, order, ws[0].points)
             for mu in range(self.dim):
-                if self.linear[i, mu] != 0:
+                if np.any(self.linear[i, mu]):
                     acc = acc + self.linear[i, mu] * ws[mu]
                 for k in range(self.dim):
-                    if self.quad[i, mu, k] != 0:
+                    if np.any(self.quad[i, mu, k]):
                         acc = acc + 0.5 * self.quad[i, mu, k] * ws[mu] * ws[k]
             out.append(acc)
         return out

@@ -229,7 +229,7 @@ class WirtingerJet:
         return self.coeffs[0]
 
     def at(self, index: int) -> "WirtingerJet":
-        """The jet at point ``index`` of a stack."""
+        """The jet at point ``index`` of a stack, or the stack at an index array's points."""
         return WirtingerJet(self.space, np.ascontiguousarray(self.coeffs[:, index]))
 
     def __repr__(self) -> str:

@@ -1,27 +1,15 @@
 """Holomorphic maps between charts and their pointwise invariants.
 
-A map is stored as jet callables for its target components, so the
-same object yields the pushforward, the pulled-back metric form, the
-covariant Hessian, and the composition operations the identity checks
-rely on.
+A map is stored as jet callables for its target components, so one
+object yields the pushforward, f*h, the covariant Hessian and compositions.
 
 Sample points are handled in stacks.  :func:`point_contexts` groups
 consecutive points into stacks (:class:`PointStack`) of at most
-``STACK_CHUNK`` points, and a stack owns the local data of f at its
-points.  On first use it evaluates, once for all of its points, the
-map's component jets, each chart's metric jets (and, for the identity
-orders, the pulled-back form f*h) as jets with a trailing point axis
-(see the jets module), and validates them at every point, naming the
-first bad one.  Its stretch data, the stretch spectrum of ∂f as the
-Hermitian-definite pencil (A, g) with adapted unitary frames in which
-∂f is diagonal, runs f*h, the Cholesky frames, the solve and the SVD
-once over the stack; only the phase normalization and the rank rule go
-row by row.  One :class:`PointContext` per point reads its rows and
-builds the rest of the local data on them: the curvature, the covariant
-map Hessian, the energy and log-volume jets and the normal chart log_w
-renormalizes in.  A context built alone is a stack of one point, so
-there is one path, and a point's data is the same alone or in any
-stack.  The contexts are shared by the checks of a scenario.
+``STACK_CHUNK`` points.  A stack evaluates the local data of f once for
+all of its points, as jets with a trailing point axis (see the jets
+module) or stacked arrays, validated at every point.  One
+:class:`PointContext` per point reads its rows.  A context built alone is
+a stack of one point, so a point's data is the same alone or in any stack.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
@@ -35,12 +23,12 @@ from functools import cached_property
 import numpy as np
 
 from . import expressions
-from .errors import ConfigurationError, DomainError, HolomorphyError, MetricError
+from .errors import (ConfigurationError, DomainError, HolomorphyError, MetricError,
+                     MultiplicityError, RankError)
 from .geometry import (
     ChartMap,
     CurvaturePoint,
     KahlerChart,
-    PulledBackChart,
     _as_jet_function,
     _curvature_point,
     _metric_matrix,
@@ -49,6 +37,7 @@ from .geometry import (
     pullback_metric_jets,
 )
 from .jets import (
+    SINGULAR_FLOOR,
     WirtingerJet,
     at_point,
     derivative_block,
@@ -66,6 +55,8 @@ from .linalg import cholesky_frame, haar_unitary, rayleigh_quotient, rng_for
 HOLOMORPHY_TOL = 1e-12
 RANK_RELATIVE_FLOOR = 1e-10
 RANK_ABSOLUTE_FLOOR = 1e-30
+# relative gap below which the top stretch counts as repeated and log W is not taken
+GAP_FLOOR = 1e-8
 # sample points per stack: bounds the jets and product temporaries alive at once
 STACK_CHUNK = 1024
 
@@ -98,13 +89,12 @@ class HoloMap:
         return self.target.dim
 
     def component_jets(self, point, order: int) -> list[WirtingerJet]:
-        """Jets of the target components at ``point``, or stacked at a (k, m) stack of points.
+        """Jets of the target components at ``point``, or stacked at a (k, m) stack of points."""
+        return self.on_jets(variable_jets(self.domain.require_inside(point), self.m, order))
 
-        Holomorphy and the image are validated at every point; an error
-        names the first bad point of a stack.
-        """
-        pt = self.domain.require_inside(point)
-        zs = variable_jets(pt, self.m, order)
+    def on_jets(self, zs) -> list[WirtingerJet]:
+        """The target components on jets ``zs`` of the domain coordinates, with holomorphy
+        and the image validated at every point; an error names the first bad one."""
         jets = []
         for i, fn in enumerate(self._components):
             val = fn(zs)
@@ -201,15 +191,13 @@ def map_hessian(f: HoloMap, point) -> np.ndarray:
 class PointStack:
     """The local data of one map at up to ``STACK_CHUNK`` domain points, evaluated once for all.
 
-    On first use the stack evaluates, as stacked jets, the map's component
-    jets of order ``order`` at its points, each chart's metric jets (the
-    domain's at the points, the target's at the images) and for identity
-    orders the pulled-back form f*h.  Every validity check runs at every
-    point and names the first bad one: holomorphy and the image with the
-    component jets, the potential's realness with the metric jets, and the
-    metric's Hermitian property and positive definiteness as soon as the
-    metric jets exist, before any check reads them.  A :class:`PointContext`
-    reads its row.
+    Each piece is computed on first use for every point and kept: the
+    component jets of order ``order``, each chart's metric jets (the domain's
+    at the points, the target's at the images), f*h, the stretch data, and
+    the energy, log-volume and log-W jets.  Only the phase normalization,
+    the rank rule, the skip rules of log D and log W, the curvature and the
+    normal-chart changes go row by row.  Every validity check runs at every
+    point and names the first bad one.  A :class:`PointContext` reads its row.
     """
 
     def __init__(self, f: HoloMap, points: np.ndarray, order: int):
@@ -217,6 +205,7 @@ class PointStack:
         self.points = points
         self.order = order
         self._metrics: dict[str, tuple[list, np.ndarray]] = {}
+        self._curvature: dict[tuple[str, int], CurvaturePoint] = {}
 
     @cached_property
     def component_jets(self) -> list[WirtingerJet]:
@@ -243,10 +232,76 @@ class PointStack:
             have = self._metrics[role] = (jets, _validated_metric(chart, _metric_matrix(jets)))
         return have
 
+    def curvature(self, role: str, row: int) -> CurvaturePoint:
+        """Curvature of the domain at point ``row`` or of the target at its image."""
+        if (role, row) not in self._curvature:
+            jets, g = self.metric(role, 2)
+            chart, at = ((self.map.domain, self.points) if role == "domain"
+                         else (self.map.target, self.image))
+            self._curvature[role, row] = _curvature_point(
+                chart, at[row], [[entry.at(row) for entry in line] for line in jets], g[row])
+        return self._curvature[role, row]
+
     @cached_property
     def pullback_jets(self) -> list[list[WirtingerJet]]:
         """Jets of f*h, order 2."""
         return pullback_metric_jets(self.map.target, self.component_jets, 2)
+
+    @cached_property
+    def energy_jet(self) -> WirtingerJet:
+        """Jet of ‖∂f‖² = tr(g^{-1}·f*h), order 2."""
+        return jet_mat_trace(jet_mat_mul(jet_mat_inv(self.metric("domain", 2)[0]),
+                                         self.pullback_jets))
+
+    @cached_property
+    def log_volume_jets(self) -> list:
+        """Per point, the jet of log D = log det(f*h) − log det g (order 2), or why not."""
+        m = self.map.m
+        skips = [None if d.rank >= m else
+                 (RankError, f"rank {d.rank} < {m} at {d.point}; log D is singular here")
+                 for d in self.stretch]
+        return self._logs(skips, "log D", lambda a, b: a.log() - b.log(), lambda rows: [
+            jet_mat_det([[entry.at(rows) for entry in line] for line in grid])
+            for grid in (self.pullback_jets, self.metric("domain", 2)[0])])
+
+    @cached_property
+    def log_w_jets(self) -> list:
+        """Per point, the jet of log W (order 2), or why its top stretch is not simple and nonzero.
+
+        W is :class:`StretchBarrier`'s quotient, in the normal chart with the adapted
+        domain frame as axes; the charts' changes are stacked, each checked alone."""
+        f = self.map
+
+        def w_jet(rows):
+            changes = [_normal_chart_at(f.domain, self.curvature("domain", k),
+                                        self.stretch[k].domain_frame).change for k in rows]
+            change = ChartMap(*(np.stack(parts, axis=-1) for parts in
+                                zip(*((c.base, c.linear, c.quad) for c in changes))))
+            zs = change.on_jets(variable_jets(np.zeros((len(rows), f.m)), f.m, self.order))
+            a_jets = pullback_metric_jets(f.target, f.on_jets(zs), 2)
+            c_jets = [[entry.conj() for entry in line]
+                      for line in jet_mat_inv(f.domain.pullback_jets(zs, 2))]
+            return [rayleigh_quotient(a_jets, c_jets, 0)]
+
+        return self._logs([_log_w_skip(d, f.m) for d in self.stretch], "log W",
+                          WirtingerJet.log, w_jet)
+
+    def _logs(self, skips: list, what: str, log, build) -> list:
+        """``skips`` with ``log(*build(rows))`` filled in at the rows it leaves None, where
+        ``build`` stacks the log's arguments.  A row where an argument's constant term is
+        at or below ``SINGULAR_FLOOR`` is skipped as singular, so the log meets none."""
+        rows = [k for k, skip in enumerate(skips) if skip is None]
+        if rows:
+            stacked = build(rows)
+            low = np.min([np.abs(arg.value) for arg in stacked], axis=0)
+            for j in np.flatnonzero(low <= SINGULAR_FLOOR):
+                skips[rows[j]] = (RankError, f"{what} is singular at {self.points[rows[j]]} "
+                                             f"(log argument {low[j]:.3e} <= {SINGULAR_FLOOR:g})")
+            kept = np.flatnonzero(low > SINGULAR_FLOOR)
+            jet = log(*(arg.at(kept) for arg in stacked)) if kept.size else None
+            for j, col in enumerate(kept):
+                skips[rows[col]] = jet.at(j)
+        return skips
 
     @cached_property
     def stretch(self) -> list[MapPointData]:
@@ -288,18 +343,31 @@ class PointStack:
         return data
 
 
-class PointContext:
-    """Everything the checks read of one map at one domain point.
+def _log_w_skip(data: MapPointData, m: int):
+    """The rule for log W: why ∂f vanishes or its top stretch is not simple, else None."""
+    if data.rank < 1:
+        return RankError, f"∂f vanishes at {data.point}"
+    top = float(data.singular_sq[0])
+    gap = (top - float(data.singular_sq[1])) / top if m >= 2 else 1.0
+    if gap < GAP_FLOOR:
+        return (MultiplicityError,
+                f"top stretch nearly repeated at {data.point} (relative gap {gap:.2e})")
+    return None
 
-    Each piece is computed on first use and kept.  The component jets
-    (of order ``order``), the image, g and h, the stretch data, the metric
-    jets and the pulled-back form f*h are the context's row of its
-    :class:`PointStack`; a context built alone is a stack of one point.
-    Both curvature points, the covariant map Hessian, the energy and
-    log-volume jets and the normal chart that log_w renormalizes in are
-    built per point on those rows.  Curvature reads metric jets of order 2,
-    so asking it of a context of order below 4 raises its stack's metric
-    order, for all of the stack's points.
+
+def _kept(entry) -> WirtingerJet:
+    """A point's jet, or the error that says why its stack skipped the point."""
+    if isinstance(entry, WirtingerJet):
+        return entry
+    raise entry[0](entry[1])
+
+
+class PointContext:
+    """Everything the checks read of one map at one domain point: its row of a :class:`PointStack`.
+
+    A context built alone is a stack of one point.  Only the covariant map
+    Hessian is its own.  Curvature reads metric jets of order 2, so asking it
+    of a context of order below 4 raises its whole stack's metric order.
 
     A context belongs to whoever built it: ``run_scenario`` builds one per
     sample point, hands the list to every check and drops it on return.
@@ -312,13 +380,6 @@ class PointContext:
         self.order = order
         self.stack = stack if stack is not None else PointStack(f, self.point[None, :], order)
         self.row = row
-
-    def _row(self, grid) -> list[list[WirtingerJet]]:
-        return [[entry.at(self.row) for entry in line] for line in grid]
-
-    def _metric_row(self, role: str) -> list[list[WirtingerJet]]:
-        """Order-2 metric jets of the domain at the point or of the target at the image."""
-        return self._row(self.stack.metric(role, 2)[0])
 
     @cached_property
     def component_jets(self) -> list[WirtingerJet]:
@@ -333,26 +394,18 @@ class PointContext:
         """P[i, α] = ∂f^i/∂z^α."""
         return self.stack.pushforward[self.row]
 
-    @cached_property
-    def g(self) -> np.ndarray:
-        return self.stack.metric("domain")[1][self.row]
-
-    @cached_property
-    def h(self) -> np.ndarray:
-        return self.stack.metric("target")[1][self.row]
-
     @property
     def data(self) -> MapPointData:
         """Pullback form, stretch spectrum and adapted frames of ∂f."""
         return self.stack.stretch[self.row]
 
-    @cached_property
+    @property
     def domain_curvature(self) -> CurvaturePoint:
-        return _curvature_point(self.map.domain, self.point, self._metric_row("domain"), self.g)
+        return self.stack.curvature("domain", self.row)
 
-    @cached_property
+    @property
     def target_curvature(self) -> CurvaturePoint:
-        return _curvature_point(self.map.target, self.image, self._metric_row("target"), self.h)
+        return self.stack.curvature("target", self.row)
 
     @cached_property
     def map_hessian(self) -> np.ndarray:
@@ -363,26 +416,19 @@ class PointContext:
         return raw - correction_dom + correction_tgt
 
     @cached_property
-    def pullback_jets(self) -> list[list[WirtingerJet]]:
-        """Jets of f*h, order 2."""
-        return self._row(self.stack.pullback_jets)
-
-    @cached_property
     def energy_jet(self) -> WirtingerJet:
         """Jet of ‖∂f‖² = tr(g^{-1}·f*h), order 2."""
-        g_jets = self._metric_row("domain")
-        return jet_mat_trace(jet_mat_mul(jet_mat_inv(g_jets), self.pullback_jets))
+        return self.stack.energy_jet.at(self.row)
 
-    @cached_property
+    @property
     def log_volume_jet(self) -> WirtingerJet:
-        """Jet of log D = log det(f*h) − log det g, order 2."""
-        g_jets = self._metric_row("domain")
-        return jet_mat_det(self.pullback_jets).log() - jet_mat_det(g_jets).log()
+        """Jet of log D, order 2; a RankError where log D is singular."""
+        return _kept(self.stack.log_volume_jets[self.row])
 
-    @cached_property
-    def normal_chart(self) -> PulledBackChart:
-        """Normal coordinates at the point whose axes are the adapted domain frame."""
-        return _normal_chart_at(self.map.domain, self.domain_curvature, self.data.domain_frame)
+    @property
+    def log_w_jet(self) -> WirtingerJet:
+        """Jet of log W, order 2; a RankError or MultiplicityError where the stack skipped it."""
+        return _kept(self.stack.log_w_jets[self.row])
 
 
 def point_contexts(f: HoloMap, points, order: int) -> list[PointContext]:
@@ -415,24 +461,6 @@ def point_contexts(f: HoloMap, points, order: int) -> list[PointContext]:
 
 
 # -- composition ---------------------------------------------------------------
-
-
-def precompose(f: HoloMap, change: ChartMap, label: str | None = None) -> HoloMap:
-    """f ∘ ψ as a map from the pulled-back domain chart."""
-    new_domain = PulledBackChart(f.domain, change, label=f"pulled[{f.domain.label}]")
-
-    def component(i):
-        def fn(ws):
-            return f._components[i](change.on_jets(ws))
-
-        return fn
-
-    return HoloMap(
-        new_domain,
-        f.target,
-        [component(i) for i in range(f.n)],
-        label=label or f"{f.label}∘ψ",
-    )
 
 
 def postcompose(g_map: HoloMap, f: HoloMap, label: str | None = None) -> HoloMap:
@@ -532,7 +560,8 @@ class StretchBarrier:
         self.map = holo_map
         anchor_ctx = PointContext(holo_map, anchor, 1)
         self.anchor_data = anchor_ctx.data
-        self.domain_chart = anchor_ctx.normal_chart
+        self.domain_chart = _normal_chart_at(holo_map.domain, anchor_ctx.domain_curvature,
+                                             self.anchor_data.domain_frame)
 
     def chart_point(self, w) -> np.ndarray:
         """Anchored coordinates → original chart coordinates."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -669,12 +670,11 @@ def test_bound_reports_match_alongside_identity_checks():
 
 
 def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkeypatch):
-    # per stack of sample points: the domain metric, the target metric at the images
-    # and the map; per point: the renormalized domain metric of log_w and the map,
-    # precomposed, at log_w's normal origin.
+    # once per stack of sample points, whatever its size: the domain metric, the target
+    # metric at the images and the map; log_w's normal-chart changes are stacked too
     from kahlercheck import geometry, maps
 
-    calls = {"metric_jets": 0, "component_jets": 0}
+    calls = {}
 
     def counted(cls, name):
         original = cls.__dict__[name]
@@ -688,20 +688,51 @@ def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkey
     for cls in (geometry.PotentialChart, geometry.ComponentChart, geometry.PulledBackChart):
         counted(cls, "metric_jets")
     counted(maps.HoloMap, "component_jets")
+    counted(maps.HoloMap, "__init__")
     direction = [1.0, [0.5, -0.25]]
     checks = [{"kind": kind, "direction": direction} for kind in ("boch1", "boch2", "log_w")]
     checks.append({"kind": "psh", "quantity": "log1p_energy"})
-    count = 5
+    for count in (5, 50):
+        calls.update(metric_jets=0, component_jets=0, __init__=0)
+        doc, status = run_scenario(load_scenario(manifest(
+            domain={"catalog": "flat", "params": {"dim": 2}},
+            target={"catalog": "complex_hyperbolic_ball", "params": {"dim": 3}},
+            map=["0.4*z1 + 0.1*z2^2", "0.25*z2", "0.1*z1*z2"],
+            sampler={"count": count, "radius": 0.7, "seed": 3},
+            checks=checks)))
+        assert status == 0
+        assert all(entry["points_checked"] == count for entry in doc["checks"])
+        assert calls["metric_jets"] <= 2
+        assert calls["component_jets"] == 1
+        assert calls["__init__"] == 1  # one HoloMap per scenario
+
+
+def test_a_tiny_full_rank_map_skips_the_singular_logs_loudly():
+    # rank 1 by the rank rule, but det(f*h) = W = 1e-14 is below the jets' singular floor
     doc, status = run_scenario(load_scenario(manifest(
-        domain={"catalog": "flat", "params": {"dim": 2}},
-        target={"catalog": "complex_hyperbolic_ball", "params": {"dim": 3}},
-        map=["0.4*z1 + 0.1*z2^2", "0.25*z2", "0.1*z1*z2"],
-        sampler={"count": count, "radius": 0.7, "seed": 3},
-        checks=checks)))
+        target={"catalog": "flat", "params": {"dim": 1}}, map=["1e-7*z1"],
+        sampler={"count": 3, "radius": 0.5, "seed": 1},
+        checks=[{"kind": "boch2"}, {"kind": "log_w"}, {"kind": "psh", "quantity": "log_D"},
+                {"kind": "boch1"}])))
     assert status == 0
-    assert all(entry["points_checked"] == count for entry in doc["checks"])
-    assert calls["metric_jets"] <= 3 * count + 2
-    assert calls["component_jets"] <= 2 * count + 1
+    *logs, boch1 = doc["checks"]
+    for entry, what in zip(logs, ("log D", "log W", "log D")):
+        assert entry["status"] == "skipped" and entry["skipped_points"] == 3
+        assert sum(f"{what} is singular at [" in note for note in entry["notes"]) == 3
+    assert boch1["verdict"] == "passed" and boch1["points_checked"] == 3
+
+
+def test_a_zero_catalog_constant_is_reported_as_plus_zero():
+    # schwarz reads K = −H_min of the domain, which is −0.0 for the flat catalog chart
+    doc, _ = run_scenario(load_scenario(manifest(
+        target={"catalog": "complex_hyperbolic_ball", "params": {"dim": 1}}, map=["z1/3"],
+        checks=[{"kind": "schwarz"}])))
+    (entry,) = doc["checks"]
+    k = entry["constants"][0]
+    assert k["name"] == "K" and k["value"] == 0 and math.copysign(1.0, k["value"]) == 1.0
+    assert math.copysign(1.0, entry["bound"]) == 1.0
+    text = render_json(doc)
+    assert not re.search(r"-0(?![.\d])", text) and "K=0 (analytic)" in text
 
 
 INF = float("inf")

@@ -31,7 +31,8 @@ from kahlercheck.identities import (
     verify_log_w,
 )
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, map_point_data, precompose
+from kahlercheck.maps import HoloMap, map_point_data
+from test_maps import precompose
 
 FLAT1 = catalog("flat", dim=1)
 FLAT2 = catalog("flat", dim=2)

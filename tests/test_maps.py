@@ -15,9 +15,19 @@ from kahlercheck.errors import (
     DomainError,
     HolomorphyError,
     MetricError,
+    RankError,
 )
-from kahlercheck.geometry import ChartMap, PotentialChart, PulledBackChart, catalog, normal_chart
-from kahlercheck.linalg import pencil_eigh, rng_for
+from kahlercheck.geometry import (
+    ChartMap,
+    ComponentChart,
+    PotentialChart,
+    PulledBackChart,
+    catalog,
+    normal_chart,
+    pullback_metric_jets,
+)
+from kahlercheck.jets import jet_mat_inv
+from kahlercheck.linalg import pencil_eigh, rayleigh_quotient, rng_for
 from kahlercheck.maps import (
     HoloMap,
     PointContext,
@@ -28,7 +38,6 @@ from kahlercheck.maps import (
     map_point_data,
     point_contexts,
     postcompose,
-    precompose,
 )
 
 FLAT1 = catalog("flat", dim=1)
@@ -44,6 +53,16 @@ def random_points(domain_scale, count, dim, seed):
     rng = rng_for(seed, 11)
     pts = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
     return domain_scale * pts / np.sqrt(2.0)
+
+
+def precompose(f, change):
+    """f ∘ ψ as a map from the pulled-back domain chart, built point by point: the
+    reference for the stacked normal-chart change that log W is taken in."""
+    def component(i):
+        return lambda ws: f._components[i](change.on_jets(ws))
+
+    return HoloMap(PulledBackChart(f.domain, change, label=f"pulled[{f.domain.label}]"),
+                   f.target, [component(i) for i in range(f.n)], label=f"{f.label}∘ψ")
 
 
 # -- construction and the pushforward -------------------------------------------
@@ -377,7 +396,46 @@ def test_point_context_reads_what_the_public_functions_compute():
     assert np.array_equal(ctx.map_hessian, map_hessian(f, point))
     assert np.array_equal(ctx.pushforward, PointContext(f, point, 1).pushforward)
     assert ctx.data is data and ctx.component_jets[0].order == 4
-    assert np.array_equal(ctx.normal_chart.change.linear, data.domain_frame)
+
+
+def _log_w_alone(f, point):
+    """log W at one point, the way it was built before it was stacked: in the normal chart
+    whose axes are the adapted frame, on the precomposed map at w = 0."""
+    nc = normal_chart(f.domain, point, frame=map_point_data(f, point).domain_frame)
+    origin = np.zeros(f.m)
+    a_jets = pullback_metric_jets(f.target, precompose(f, nc.change).component_jets(origin, 4), 2)
+    c_jets = [[entry.conj() for entry in row] for row in jet_mat_inv(nc.metric_jets(origin, 2))]
+    return rayleigh_quotient(a_jets, c_jets, 0).log()
+
+
+# ∂f vanishes at the middle point, so the stack skips that row
+LOG_W_CASES = {
+    "catalog": HoloMap(catalog("complex_hyperbolic_ball", dim=2, c=1.3),
+                       catalog("poincare_polydisk", dim=2, a=0.9),
+                       ["0.5*(z1 - 0.1)^2 + 0.3*(z2 - 0.2)^2",
+                        "0.4*(z2 - 0.2)^2 + 0.2*(z1 - 0.1)*(z2 - 0.2)"]),
+    "expression": HoloMap(PotentialChart(2, "abs2(z1) + abs2(z2) + 0.1*abs2(z1)^2", None, "quartic"),
+                          ComponentChart(3, [["1 + 0.2*abs2(z1)", "0", "0"],
+                                             ["0", "1 + 0.1*abs2(z2)", "0"],
+                                             ["0", "0", "exp(0.3*abs2(z3))"]], None, "product"),
+                          ["0.5*(z1 - 0.1)^2 + 0.3*(z2 - 0.2)^2", "0.4*(z2 - 0.2)^2",
+                           "0.2*(z1 - 0.1)*(z2 - 0.2) + 0.1*(z1 - 0.1)^3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_W_CASES))
+def test_stacked_log_w_jets_match_the_per_point_construction(name):
+    f = LOG_W_CASES[name]
+    points = random_points(0.3, 5, 2, seed=23)
+    points[2] = [0.1, 0.2]
+    contexts = point_contexts(f, points, 4)
+    assert len({ctx.stack for ctx in contexts}) == 1
+    with pytest.raises(RankError, match="vanishes"):
+        contexts[2].log_w_jet
+    for ctx in contexts[:2] + contexts[3:]:
+        got, want = ctx.log_w_jet, _log_w_alone(f, ctx.point)
+        assert got.order == want.order == 2
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
 
 
 def test_point_contexts_take_points_or_contexts_of_the_same_map():
@@ -417,7 +475,7 @@ STRETCH_CASES = {
 def _per_point_reference(f, point):
     """The one-point computation of the stretch data with scipy's per-matrix calls."""
     ctx = PointContext(f, point, 1)
-    p_mat, g, h = ctx.pushforward, ctx.g, ctx.h
+    p_mat, g, h = ctx.pushforward, ctx.data.g, ctx.data.h
     pullback = p_mat.T @ h @ np.conj(p_mat)
     eye = np.eye(len(g), dtype=complex)
     cg = scipy.linalg.solve_triangular(np.linalg.cholesky(g), eye, lower=True).T

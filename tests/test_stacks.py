@@ -1,8 +1,9 @@
 """Jets evaluated once per stack of sample points.
 
 Oracles: the same jets evaluated at each point alone (bit for bit), the
-point named by a validation error, and the same stretch data however
-the points are cut into stacks.
+identity checks' scalar jets and chart changes of each point alone (bit
+for bit), the point named by a validation error, and the same stretch
+data however the points are cut into stacks.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from kahlercheck import maps
 from kahlercheck.errors import DomainError, HolomorphyError, MetricError, SingularJetError
 from kahlercheck.geometry import (
     CATALOG,
+    ChartMap,
     PotentialChart,
     _metric_matrix,
     _validated_metric,
@@ -69,7 +71,7 @@ def charts(draw):
 
 
 @st.composite
-def stacked_cases(draw):
+def stacked_cases(draw, orders=st.integers(0, 4)):
     domain, target = draw(charts()), draw(charts())
     components = []
     for _ in range(target.dim):
@@ -82,7 +84,7 @@ def stacked_cases(draw):
     rng = rng_for(draw(st.integers(0, 2**16)), 5)
     radius = 0.25 * np.sqrt(rng.uniform(size=(count, domain.dim)))
     points = radius * np.exp(2j * np.pi * rng.uniform(size=(count, domain.dim)))
-    return HoloMap(domain, target, components), points, draw(st.integers(0, 4))
+    return HoloMap(domain, target, components), points, draw(orders)
 
 
 def _same_rows(stacked, alone, row):
@@ -120,6 +122,38 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
         for row in range(len(points)):
             assert _same_rows(jets, chart.metric_jets(at[row], 2), row)
             assert np.array_equal(matrices[row], metrics[role][1][row])
+
+
+@settings(max_examples=30, deadline=None)
+@given(stacked_cases(orders=st.just(4)))
+def test_stacked_scalar_jets_equal_one_point_stacks_bit_for_bit(case):
+    f, points, order = case
+    stack = PointStack(f, points, order)
+    for row in range(len(points)):
+        one = PointStack(f, points[row:row + 1], order)
+        assert _same_rows(stack.energy_jet, one.energy_jet.at(0), row)
+        for name in ("log_volume_jets", "log_w_jets"):
+            got, want = getattr(stack, name)[row], getattr(one, name)[0]
+            assert (got == want if isinstance(want, tuple)  # the same skip
+                    else got.order == want.order and np.array_equal(got.coeffs, want.coeffs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**16))
+def test_stacked_chart_changes_equal_each_change_alone(dim, count, seed):
+    rng = rng_for(seed, 7)
+
+    def sparse(*shape):  # about a third of the entries zero, so the zero skip varies by row
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return values * (rng.uniform(size=shape) > 0.3)
+
+    base, linear, quad = sparse(dim, count), sparse(dim, dim, count), sparse(dim, dim, dim, count)
+    quad = 0.5 * (quad + quad.transpose(0, 2, 1, 3))
+    ws = variable_jets(np.zeros((count, dim)), dim, 3)
+    stacked = ChartMap(base, linear, quad).on_jets(ws)
+    for row in range(count):
+        change = ChartMap(base[..., row], linear[..., row], quad[..., row])
+        assert _same_rows(stacked, change.on_jets(variable_jets(np.zeros(dim), dim, 3)), row)
 
 
 def test_a_one_point_stack_keeps_one_point_jets_apart():
