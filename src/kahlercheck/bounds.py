@@ -20,7 +20,7 @@ from .errors import ConfigurationError, DegenerateInputError
 from .functionals import bisectional
 from .identities import CheckReport
 from .linalg import rng_for
-from .maps import STACK_CHUNK, HoloMap, point_contexts
+from .maps import STACK_CHUNK, HoloMap, point_stacks
 
 ANALYTIC = "analytic"
 SAMPLED = "sampled"
@@ -91,6 +91,15 @@ def _provenance_notes(*constants: Constant) -> list[str]:
     return notes
 
 
+def _spectra(f: HoloMap, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The squared stretches (k, m), the ranks (k,) and the volume ratios D = Π|λ_α|² (k,),
+    read as 0 below full rank, of ∂f at every sample point."""
+    data = [stack.stretch for stack in point_stacks(f, points, 1)]
+    singular_sq = np.concatenate([d.singular_sq for d in data])
+    rank = np.concatenate([d.rank for d in data])
+    return singular_sq, rank, np.where(rank == f.m, np.prod(singular_sq, axis=-1), 0.0)
+
+
 def _report(kind, constants, observed, bound, tol, points, reverse=False,
             coefficient=None, notes=()):
     slack = (observed - bound) if reverse else (bound - observed)
@@ -118,13 +127,13 @@ def schwarz_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value < 0:
         raise ConfigurationError("K must be nonnegative (it bounds −H from above)")
-    data = [ctx.data for ctx in point_contexts(f, points, 1)]
-    observed = max(float(d.singular_sq[0]) for d in data)
+    singular_sq, _, _ = _spectra(f, points)
+    observed = float(np.max(singular_sq[:, 0]))
     bound = k.value / kappa_val
     notes = _provenance_notes(k, kappa)
     if bound == 0 and observed > tol:
         notes.append("hypotheses force a constant map; any stretching fails the bound")
-    return _report("schwarz", (k, kappa), observed, bound, tol, len(data), notes=notes)
+    return _report("schwarz", (k, kappa), observed, bound, tol, len(singular_sq), notes=notes)
 
 
 def volume_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
@@ -135,15 +144,13 @@ def volume_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
         raise ConfigurationError("K must be nonnegative (it bounds −S from above)")
     if f.m > f.n:
         raise ConfigurationError(f"volume bound needs m <= n, got m={f.m}, n={f.n}")
-    data = [ctx.data for ctx in point_contexts(f, points, 1)]
-    observed = 0.0
-    for d in data:
-        observed = max(observed, float(np.prod(d.singular_sq)) if d.rank == f.m else 0.0)
+    singular_sq, _, volume = _spectra(f, points)
+    observed = float(np.max(volume))
     bound = (k.value / (f.m * kappa_val)) ** f.m
     notes = _provenance_notes(k, kappa)
     if bound == 0 and observed > tol:
         notes.append("hypotheses force degeneracy; any full-rank sample fails the bound")
-    return _report("volume", (k, kappa), observed, bound, tol, len(data), notes=notes)
+    return _report("volume", (k, kappa), observed, bound, tol, len(singular_sq), notes=notes)
 
 
 def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
@@ -152,16 +159,14 @@ def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value < 0:
         raise ConfigurationError("K must be nonnegative (it bounds −Ric from above)")
-    data = [ctx.data for ctx in point_contexts(f, points, 1)]
-    observed, rank = 0.0, 0
-    for d in data:
-        observed = max(observed, float(np.sum(d.singular_sq)))
-        rank = max(rank, d.rank)
+    singular_sq, ranks, _ = _spectra(f, points)
+    observed = float(np.max(np.sum(singular_sq, axis=-1)))
+    rank = int(np.max(ranks))
     coefficient = Fraction(2 * rank, rank + 1)
     bound = float(coefficient) * k.value / kappa_val
     notes = _provenance_notes(k, kappa)
     notes.append(f"rank d={rank}, coefficient 2d/(d+1) = {coefficient}")
-    return _report("royden", (k, kappa), observed, bound, tol, len(data),
+    return _report("royden", (k, kappa), observed, bound, tol, len(singular_sq),
                    coefficient=str(coefficient), notes=notes)
 
 
@@ -195,9 +200,10 @@ def three_circle_data(f: HoloMap, radii, counts, seed: int = 0) -> tuple[float, 
     maxima = []
     for r, count in zip((r1, r2, r3), counts):
         samples = _sphere_points(r, f.m, count, seed)
-        # one stack at a time, so only one chunk of contexts and stretch data is alive
-        top = max(float(ctx.data.singular_sq[0]) for start in range(0, count, STACK_CHUNK)
-                  for ctx in point_contexts(f, samples[start:start + STACK_CHUNK], 1))
+        # one stack at a time, so only one chunk of stretch data is alive
+        top = max(float(np.max(stack.stretch.singular_sq[:, 0]))
+                  for start in range(0, count, STACK_CHUNK)
+                  for stack in point_stacks(f, samples[start:start + STACK_CHUNK], 1))
         maxima.append(math.sqrt(top))
     return tuple(maxima)
 
@@ -217,10 +223,11 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
 
     hypothesis_notes = []
     rng = rng_for(seed, 73)
-    for ctx in point_contexts(f, _sphere_points(r2, f.m, HYPOTHESIS_SAMPLES, seed + 1), 0):
+    probe = point_stacks(f, _sphere_points(r2, f.m, HYPOTHESIS_SAMPLES, seed + 1), 0)
+    for cp in (stack.curvature("target").at(k) for stack in probe for k in range(len(stack))):
         x = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
         y = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
-        bn = bisectional(ctx.target_curvature, x, y)
+        bn = bisectional(cp, x, y)
         if bn > 1e-9:
             hypothesis_notes.append(f"target bisectional {bn:.3e} > 0 near radius {r2}")
 
@@ -268,16 +275,14 @@ def hoop_check(f: HoloMap, points, mode: str, k: Constant, kappa: Constant,
     kappa_val = _require_positive_kappa(kappa)
     if k.value <= 0:
         raise ConfigurationError("hoop bounds need K > 0 (positively curved domain)")
-    contexts = point_contexts(f, points, 1)
+    stacks = point_stacks(f, points, 1)
     if mode == "volume" and f.m > f.n:
         raise ConfigurationError(f"volume mode needs m <= n, got m={f.m}, n={f.n}")
-    observed = 0.0
-    for d in (ctx.data for ctx in contexts):
-        if mode == "volume":
-            value = float(np.prod(d.singular_sq)) ** (1.0 / f.m) if d.rank == f.m else 0.0
-        else:
-            value = float(d.singular_sq[0])
-        observed = max(observed, value)
+    singular_sq, _, volume = _spectra(f, stacks)
+    # Python's float power per point, which rounds otherwise than numpy's on an array
+    values = ([float(d) ** (1.0 / f.m) for d in volume] if mode == "volume"
+              else singular_sq[:, 0])
+    observed = float(np.max(values))
     if observed == 0.0:
         raise DegenerateInputError(
             f"map is degenerate on every sample; hoop {mode} bound needs a nontrivial map"
@@ -285,6 +290,6 @@ def hoop_check(f: HoloMap, points, mode: str, k: Constant, kappa: Constant,
     bound = k.value / kappa_val
     notes = _provenance_notes(k, kappa)
     notes.append("sampled maximum underestimates the true maximum; a failure is advisory")
-    return _report(f"hoop[{mode}]", (k, kappa), observed, bound, tol, len(contexts),
+    return _report(f"hoop[{mode}]", (k, kappa), observed, bound, tol, len(singular_sq),
                    reverse=True, notes=notes)
 

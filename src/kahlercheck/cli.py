@@ -64,7 +64,7 @@ from .geometry import (
 )
 from .identities import CheckReport
 from .linalg import pencil_eigh, rng_for
-from .maps import HoloMap, point_contexts
+from .maps import HoloMap, point_stacks
 
 SCHEMA_VERSION = 1
 SAMPLER_STREAM = 37
@@ -302,11 +302,11 @@ _CONSTANT_RULES = {
 }
 
 
-def _sampled_range(contexts, role: str, quantity: str, seed: int):
-    """Range of a curvature quantity at the contexts' points (domain) or images (target)."""
+def _sampled_range(stacks, role: str, quantity: str, seed: int):
+    """Range of a curvature quantity at the stacks' points (domain) or images (target)."""
     lo, hi = np.inf, -np.inf
     rng = rng_for(seed, CURVATURE_STREAM)
-    for cp in (ctx.stack.curvature(role, ctx.row) for ctx in contexts):
+    for cp in (stack.curvature(role).at(k) for stack in stacks for k in range(len(stack))):
         if quantity.startswith("hol_sec"):
             dim = len(cp.g)
             for _ in range(8):
@@ -347,7 +347,7 @@ def _resolve_constant(scenario, check, const_name, rule, role, probe):
 
 def resolve_bound_constants(scenario, check, kind, probe):
     """(K, κ) for a bound check.  A sampled fallback reads the curvature of ``probe()``,
-    the scenario's order-0 contexts at its first ``CONSTANT_PROBE_POINTS`` sample points,
+    the scenario's order-0 stack of its first ``CONSTANT_PROBE_POINTS`` sample points,
     so it never raises the stacks' order."""
     key = (kind, check.get("mode", "volume")) if kind == "hoop" else kind
     k_rule, kappa_rule = _CONSTANT_RULES[key]
@@ -367,29 +367,29 @@ def _direction(scenario, check):
     return vec
 
 
-def _run_identity(scenario, check, contexts, probe):
+def _run_identity(scenario, check, stacks, probe):
     kind = check["kind"]
     verify = {"boch1": ident_mod.verify_boch1,
               "boch2": ident_mod.verify_boch2,
               "log_w": ident_mod.verify_log_w}[kind]
     tol = check.get("tolerance", ident_mod.DEFAULT_TOL)
-    return verify(scenario.holo_map, contexts, _direction(scenario, check), tol)
+    return verify(scenario.holo_map, stacks, _direction(scenario, check), tol)
 
 
-def _run_bound(scenario, check, contexts, probe):
+def _run_bound(scenario, check, stacks, probe):
     kind = check["kind"]
     tol = check.get("tolerance", 1e-8)
     k, kappa = resolve_bound_constants(scenario, check, kind, probe)
     if kind == "hoop":
         mode = check.get("mode", "volume")
-        return bounds_mod.hoop_check(scenario.holo_map, contexts, mode, k, kappa, tol)
+        return bounds_mod.hoop_check(scenario.holo_map, stacks, mode, k, kappa, tol)
     runner = {"schwarz": bounds_mod.schwarz_bound_report,
               "volume": bounds_mod.volume_bound_report,
               "royden": bounds_mod.royden_bound_report}[kind]
-    return runner(scenario.holo_map, contexts, k, kappa, tol)
+    return runner(scenario.holo_map, stacks, k, kappa, tol)
 
 
-def _run_three_circle(scenario, check, contexts, probe):
+def _run_three_circle(scenario, check, stacks, probe):
     radii = _require(check, "radii", "three_circle check")
     return bounds_mod.three_circle_check(
         scenario.holo_map,
@@ -400,21 +400,21 @@ def _run_three_circle(scenario, check, contexts, probe):
     )
 
 
-def _run_psh(scenario, check, contexts, probe):
+def _run_psh(scenario, check, stacks, probe):
     return ident_mod.psh_check(
         _require(check, "quantity", "psh check"),
         scenario.holo_map,
-        contexts,
+        stacks,
         tol=check.get("tolerance", 1e-8),
         hypothesis_samples=check.get("hypothesis_samples", 3),
         seed=check.get("seed", scenario.seed),
     )
 
 
-def _run_averaging(scenario, check, contexts, probe):
+def _run_averaging(scenario, check, stacks, probe):
     weights = _require(check, "weights", "averaging check")
     anchor = (_vector_from_json(check["point"], scenario.domain.dim, "averaging point")
-              if "point" in check else contexts[0].point)
+              if "point" in check else stacks[0].points[0])
     return ident_mod.averaging_identity_check(
         curvature_tensor(scenario.domain, anchor),
         weights,
@@ -454,7 +454,7 @@ _CHECK_KINDS = {
 
 
 def _scenario_jet_order(scenario: Scenario) -> int:
-    """The one jet order of a scenario's sample contexts: the highest any check needs."""
+    """The one jet order of a scenario's sample stacks: the highest any check needs."""
     return max(_CHECK_KINDS[check["kind"]].jet_order for check in scenario.checks)
 
 
@@ -524,17 +524,17 @@ def bound_report_json(report) -> dict:
 def run_scenario(scenario: Scenario, details: bool = False) -> tuple[dict, int]:
     """Execute all checks in declaration order; report document plus exit code."""
     points = sample_points(scenario)
-    # one context per sample point, shared by every check and dropped on return; the
-    # first evaluation of a stack validates both charts at all of its points
-    contexts = point_contexts(scenario.holo_map, points, _scenario_jet_order(scenario))
+    # the sample points' stacks, shared by every check and dropped on return; the first
+    # evaluation of a stack validates both charts at all of its points
+    stacks = point_stacks(scenario.holo_map, points, _scenario_jet_order(scenario))
     # the curvature probe of sampled constants, built on first need and shared by every
-    # bound check; its contexts are of order 0, so it never raises the stacks' order
+    # bound check; it is of order 0, so it never raises the sample stacks' order
     probe = functools.cache(
-        lambda: point_contexts(scenario.holo_map, points[:CONSTANT_PROBE_POINTS], 0))
+        lambda: point_stacks(scenario.holo_map, points[:CONSTANT_PROBE_POINTS], 0))
     checks_json = []
     tally = {"passed": 0, "failed": 0, "advisory": 0}
     for check in scenario.checks:
-        report = _CHECK_KINDS[check["kind"]].run(scenario, check, contexts, probe)
+        report = _CHECK_KINDS[check["kind"]].run(scenario, check, stacks, probe)
         verdict = classify(report)
         tally[verdict] += 1
         doc = (check_report_json(report, details) if isinstance(report, CheckReport)
@@ -554,7 +554,7 @@ def run_scenario(scenario: Scenario, details: bool = False) -> tuple[dict, int]:
 def curvature_report(scenario: Scenario) -> dict:
     """Closed-form facts where available plus sampled curvature ranges."""
     points = sample_points(scenario)
-    probe = point_contexts(scenario.holo_map, points[:CURVATURE_REPORT_POINTS], 0)
+    probe = point_stacks(scenario.holo_map, points[:CURVATURE_REPORT_POINTS], 0)
     charts = []
     for role, chart in (("domain", scenario.domain), ("target", scenario.target)):
         entry = {"role": role, "label": chart.label, "dim": chart.dim}
@@ -577,7 +577,7 @@ def curvature_report(scenario: Scenario) -> dict:
             lo, hi = _sampled_range(probe, role, quantity, scenario.seed)
             sampled[quantity] = {"min": lo, "max": hi}
         entry["sampled"] = sampled
-        entry["points_sampled"] = len(probe)
+        entry["points_sampled"] = sum(len(stack) for stack in probe)
         charts.append(entry)
     return {
         "schema": SCHEMA_VERSION,

@@ -328,13 +328,18 @@ class PulledBackChart(KahlerChart):
 
 @dataclass(frozen=True)
 class CurvaturePoint:
-    """Metric, Christoffel symbols, and lowered curvature at one point."""
+    """Metric, Christoffel symbols, and lowered curvature at one point, or stacked over
+    a stack of points with the point axis first."""
 
     point: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
     gamma: np.ndarray  # gamma[b, a, c] = Γ^b_{a c}
     riem: np.ndarray  # riem[a, b, c, d] = R_{a b̄ c d̄}
+
+    def at(self, index: int) -> "CurvaturePoint":
+        """The data at point ``index`` of a stack."""
+        return CurvaturePoint(*(getattr(self, name)[index] for name in self.__dataclass_fields__))
 
 
 def _metric_matrix(gjets) -> np.ndarray:
@@ -352,24 +357,28 @@ def _validated_metric(chart: KahlerChart, g: np.ndarray) -> np.ndarray:
 
 
 def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:
-    """dg[c, a, b] = ∂g_{a b̄}/∂z^c, after the Kähler symmetry check."""
-    dg = np.ascontiguousarray(derivative_block(gjets, "grad").transpose(2, 0, 1))
-    kahler_defect = float(np.max(np.abs(dg - dg.transpose(1, 0, 2)))) if chart.dim > 1 else 0.0
-    if kahler_defect > KAHLER_TOL:
+    """dg[..., c, a, b] = ∂g_{a b̄}/∂z^c, after the Kähler symmetry check at every point."""
+    dg = np.ascontiguousarray(np.moveaxis(derivative_block(gjets, "grad"), -1, -3))
+    defect = np.max(np.abs(dg - dg.swapaxes(-2, -3)), axis=(-3, -2, -1))
+    bad = first_bad(defect > KAHLER_TOL)
+    if bad is not None:
         raise MetricError(
-            f"{chart.label}: metric violates the Kähler condition (defect {kahler_defect:.3e})"
+            f"{chart.label}: metric violates the Kähler condition "
+            f"(defect {np.ravel(defect)[bad]:.3e}){at_point(gjets[0][0].points, bad)}"
         )
     return dg
 
 
 def _curvature_point(chart: KahlerChart, point, gjets, g: np.ndarray) -> CurvaturePoint:
-    """Curvature data from metric jets of order >= 2 and the validated metric ``g``."""
+    """Curvature data from metric jets of order >= 2 and the validated metric ``g``, at one
+    point or at every point of stacked jets."""
     dg = _metric_gradient(chart, gjets)
     g_inv = np.linalg.inv(g)
     ddg = derivative_block(gjets, "levi")
-    correction = np.einsum("gam,mr,dbr->abgd", dg, g_inv, np.conj(dg))
+    correction = np.einsum("...gam,...mr,...dbr->...abgd", dg, g_inv, np.conj(dg))
     return CurvaturePoint(point=np.asarray(point, dtype=complex), g=g, g_inv=g_inv,
-                          gamma=np.einsum("gad,db->bag", dg, g_inv), riem=-ddg + correction)
+                          gamma=np.einsum("...gad,...db->...bag", dg, g_inv),
+                          riem=-ddg + correction)
 
 
 def curvature_tensor(chart: KahlerChart, point) -> CurvaturePoint:

@@ -7,7 +7,8 @@ is φ∘f or h∘f evaluated on the map's jets; the right side by tensor
 assembly from curvature, adapted frames, and the map Hessian.  The only
 shared ingredient is the chart's defining function (potential φ or
 metric entries h), so an error in either path shows up as a residual.
-At each point both sides read one :class:`~kahlercheck.maps.PointContext`,
+At each point both sides read the point's row of one
+:class:`~kahlercheck.maps.PointStack` (see :func:`~kahlercheck.maps.point_stacks`),
 shared with the other checks of a scenario, but different fields of it.
 
 Residuals are reported scaled by 1/(1 + |LHS| + |RHS|); the default
@@ -37,7 +38,7 @@ from .linalg import (
     rayleigh_quotient,
     rng_for,
 )
-from .maps import HoloMap, PointContext, point_contexts
+from .maps import HoloMap, PointStack, kept_jet, point_stacks
 
 DEFAULT_TOL = 1e-6
 # the identities differentiate the pulled-back metric twice, and a
@@ -128,27 +129,27 @@ def boch1_sides(f: HoloMap, point, v) -> tuple[float, float]:
     target curvature acting on the ∂f-image of v, plus the domain
     curvature operator R_{vv̄} paired against f*h.
     """
-    return _boch1(PointContext(f, point, IDENTITY_JET_ORDER), v)
+    return _boch1(point_stacks(f, point, IDENTITY_JET_ORDER)[0], 0, v)
 
 
-def _boch1(ctx: PointContext, v) -> tuple[float, float]:
-    v = _as_vector(v, ctx.map.m)
-    lhs = _levi_form(ctx.energy_jet, v)
+def _boch1(stack: PointStack, k: int, v) -> tuple[float, float]:
+    v = _as_vector(v, stack.map.m)
+    lhs = _levi_form(stack.energy_jet.at(k), v)
 
-    data = ctx.data
+    data = stack.stretch.at(k)
     g_inv = np.linalg.inv(data.g)
     p_mat = data.pushforward
     pv = p_mat @ v
 
-    hv = np.einsum("iab,b->ia", ctx.map_hessian, v)
+    hv = np.einsum("iab,b->ia", stack.map_hessian[k], v)
     t1 = np.einsum("ia,ij,jb->ab", hv, data.h, np.conj(hv))
     term1 = float(np.trace(t1 @ g_inv).real)
 
-    x2 = np.einsum("ijkl,ia,jb,k,l->ab", ctx.target_curvature.riem, p_mat, np.conj(p_mat),
-                   pv, np.conj(pv))
+    x2 = np.einsum("ijkl,ia,jb,k,l->ab", stack.curvature("target").riem[k], p_mat,
+                   np.conj(p_mat), pv, np.conj(pv))
     term2 = float(np.trace(x2 @ g_inv).real)
 
-    s_vv = np.einsum("abcd,a,b->cd", ctx.domain_curvature.riem, v, np.conj(v))
+    s_vv = np.einsum("abcd,a,b->cd", stack.curvature("domain").riem[k], v, np.conj(v))
     t3 = np.einsum("ab,gb->ag", s_vv, np.conj(g_inv)) @ data.pullback
     term3 = float(np.trace(t3 @ g_inv).real)
 
@@ -156,22 +157,23 @@ def _boch1(ctx: PointContext, v) -> tuple[float, float]:
 
 
 def verify_boch1(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Energy identity over a batch of points (or contexts) with a fixed direction."""
+    """Energy identity over a batch of points (or stacks) with a fixed direction."""
     return _verify("boch1", _boch1, f, points, v, tol, skips=())
 
 
 def _verify(kind, sides, f, points, v, tol, skips) -> CheckReport:
-    """Residuals of ``sides(ctx, v)`` over the points; errors in ``skips`` skip a point loudly."""
+    """Residuals of ``sides(stack, k, v)`` at the points; errors in ``skips`` skip one loudly."""
     residuals, kept, notes, skipped = [], [], [], 0
-    for ctx in point_contexts(f, points, IDENTITY_JET_ORDER):
-        try:
-            lhs, rhs = sides(ctx, v)
-        except skips as err:
-            skipped += 1
-            notes.append(f"skipped: {err}")
-            continue
-        residuals.append(_scaled_residual(lhs, rhs))
-        kept.append(ctx.point)
+    for stack in point_stacks(f, points, IDENTITY_JET_ORDER):
+        for k, point in enumerate(stack.points):
+            try:
+                lhs, rhs = sides(stack, k, v)
+            except skips as err:
+                skipped += 1
+                notes.append(f"skipped: {err}")
+                continue
+            residuals.append(_scaled_residual(lhs, rhs))
+            kept.append(point)
     return _aggregate(kind, residuals, kept, tol, skipped, notes)
 
 
@@ -186,22 +188,22 @@ def boch2_sides(f: HoloMap, point, v) -> tuple[float, float]:
     the map Hessian weighted by inverse stretches, the partial target
     curvature along the frame, and the domain Ricci form on v.
     """
-    return _boch2(PointContext(f, point, IDENTITY_JET_ORDER), v)
+    return _boch2(point_stacks(f, point, IDENTITY_JET_ORDER)[0], 0, v)
 
 
-def _boch2(ctx: PointContext, v) -> tuple[float, float]:
-    f = ctx.map
+def _boch2(stack: PointStack, k: int, v) -> tuple[float, float]:
+    f = stack.map
     if f.m > f.n:
         raise ConfigurationError(f"log-volume identity needs m <= n, got m={f.m}, n={f.n}")
     v = _as_vector(v, f.m)
-    data = ctx.data
-    lhs = _levi_form(ctx.log_volume_jet, v)
+    data = stack.stretch.at(k)
+    lhs = _levi_form(kept_jet(stack.log_volume_jets[k]), v)
 
     e_frame, t_frame = data.domain_frame, data.target_frame
     pv = data.pushforward @ v
 
     f_tilde = np.einsum(
-        "ij,jmn,ma,n->ia", np.linalg.inv(t_frame), ctx.map_hessian, e_frame, v
+        "ij,jmn,ma,n->ia", np.linalg.inv(t_frame), stack.map_hessian[k], e_frame, v
     )
     term1 = float(
         np.sum(np.abs(f_tilde[f.m :, :]) ** 2 / data.singular_sq[None, :]).real
@@ -209,11 +211,12 @@ def _boch2(ctx: PointContext, v) -> tuple[float, float]:
 
     t_m = t_frame[:, : f.m]
     term2 = float(
-        np.einsum("ijkl,ia,ja,k,l->", ctx.target_curvature.riem, t_m, np.conj(t_m),
+        np.einsum("ijkl,ia,ja,k,l->", stack.curvature("target").riem[k], t_m, np.conj(t_m),
                   pv, np.conj(pv)).real
     )
 
-    term3 = float(np.einsum("cd,c,d->", ricci(ctx.domain_curvature), v, np.conj(v)).real)
+    term3 = float(np.einsum("cd,c,d->", ricci(stack.curvature("domain").at(k)), v,
+                            np.conj(v)).real)
 
     return lhs, term1 - term2 + term3
 
@@ -235,22 +238,22 @@ def log_w_sides(f: HoloMap, point, v) -> tuple[float, float]:
     the curvature difference along the top directions plus the normal
     Hessian components weighted by 1/W.
     """
-    return _log_w(PointContext(f, point, IDENTITY_JET_ORDER), v)
+    return _log_w(point_stacks(f, point, IDENTITY_JET_ORDER)[0], 0, v)
 
 
-def _log_w(ctx: PointContext, v) -> tuple[float, float]:
-    v = _as_vector(v, ctx.map.m)
-    data = ctx.data
+def _log_w(stack: PointStack, k: int, v) -> tuple[float, float]:
+    v = _as_vector(v, stack.map.m)
+    data = stack.stretch.at(k)
     e_frame, t_frame = data.domain_frame, data.target_frame
-    lhs = _levi_form(ctx.log_w_jet, np.linalg.solve(e_frame, v))
+    lhs = _levi_form(kept_jet(stack.log_w_jets[k]), np.linalg.solve(e_frame, v))
 
     e1, t1 = e_frame[:, 0], t_frame[:, 0]
     pv = data.pushforward @ v
-    r_dom = float(np.einsum("abcd,a,b,c,d->", ctx.domain_curvature.riem, e1, np.conj(e1),
-                            v, np.conj(v)).real)
-    r_tgt = float(np.einsum("ijkl,i,j,k,l->", ctx.target_curvature.riem, t1, np.conj(t1),
-                            pv, np.conj(pv)).real)
-    f_tilde = np.einsum("ij,jmn,m,n->i", np.linalg.inv(t_frame), ctx.map_hessian,
+    r_dom = float(np.einsum("abcd,a,b,c,d->", stack.curvature("domain").riem[k], e1,
+                            np.conj(e1), v, np.conj(v)).real)
+    r_tgt = float(np.einsum("ijkl,i,j,k,l->", stack.curvature("target").riem[k], t1,
+                            np.conj(t1), pv, np.conj(pv)).real)
+    f_tilde = np.einsum("ij,jmn,m,n->i", np.linalg.inv(t_frame), stack.map_hessian[k],
                         e_frame[:, 0], v)
     term3 = float(np.sum(np.abs(f_tilde[1:]) ** 2) / data.singular_sq[0])
 
@@ -400,42 +403,42 @@ def psh_check(
     hypothesis_notes: list[str] = []
     residuals, kept, notes, skipped = [], [], [], 0
     worst_eig = np.inf
-    for ctx in point_contexts(f, points, IDENTITY_JET_ORDER):
-        p = ctx.point
-        cp_m, cp_n = ctx.domain_curvature, ctx.target_curvature
-        for _ in range(hypothesis_samples):
-            x = rng.normal(size=f.m) + 1j * rng.normal(size=f.m)
-            y = rng.normal(size=f.m) + 1j * rng.normal(size=f.m)
-            bx = bisectional(cp_m, x, y)
-            if bx < -1e-9:
-                hypothesis_notes.append(
-                    f"domain bisectional {bx:.3e} < 0 at {p}"
-                )
-            xn = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
-            yn = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
-            bn = bisectional(cp_n, xn, yn)
-            if bn > 1e-9:
-                hypothesis_notes.append(
-                    f"target bisectional {bn:.3e} > 0 at image of {p}"
-                )
-        if quantity == "log_D":
-            ric_vals, _ = pencil_eigh(ricci(cp_m), cp_m.g)
-            if ric_vals[0] < -1e-9:
-                hypothesis_notes.append(f"domain Ricci eigenvalue {ric_vals[0]:.3e} < 0 at {p}")
-            try:
-                scalar = ctx.log_volume_jet
-            except RankError as err:
-                skipped += 1
-                notes.append(f"skipped: {err}")
-                continue
-        else:
-            scalar = (1.0 + ctx.energy_jet).log()
-        hess = derivative_block(scalar, "levi")
-        hess = 0.5 * (hess + hess.conj().T)
-        low = float(np.linalg.eigvalsh(hess)[0])
-        worst_eig = min(worst_eig, low)
-        residuals.append(max(0.0, -low))
-        kept.append(p)
+    for stack in point_stacks(f, points, IDENTITY_JET_ORDER):
+        for k, p in enumerate(stack.points):
+            cp_m, cp_n = stack.curvature("domain").at(k), stack.curvature("target").at(k)
+            for _ in range(hypothesis_samples):
+                x = rng.normal(size=f.m) + 1j * rng.normal(size=f.m)
+                y = rng.normal(size=f.m) + 1j * rng.normal(size=f.m)
+                bx = bisectional(cp_m, x, y)
+                if bx < -1e-9:
+                    hypothesis_notes.append(
+                        f"domain bisectional {bx:.3e} < 0 at {p}"
+                    )
+                xn = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
+                yn = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
+                bn = bisectional(cp_n, xn, yn)
+                if bn > 1e-9:
+                    hypothesis_notes.append(
+                        f"target bisectional {bn:.3e} > 0 at image of {p}"
+                    )
+            if quantity == "log_D":
+                ric_vals, _ = pencil_eigh(ricci(cp_m), cp_m.g)
+                if ric_vals[0] < -1e-9:
+                    hypothesis_notes.append(f"domain Ricci eigenvalue {ric_vals[0]:.3e} < 0 at {p}")
+                try:
+                    scalar = kept_jet(stack.log_volume_jets[k])
+                except RankError as err:
+                    skipped += 1
+                    notes.append(f"skipped: {err}")
+                    continue
+            else:
+                scalar = (1.0 + stack.energy_jet.at(k)).log()
+            hess = derivative_block(scalar, "levi")
+            hess = 0.5 * (hess + hess.conj().T)
+            low = float(np.linalg.eigvalsh(hess)[0])
+            worst_eig = min(worst_eig, low)
+            residuals.append(max(0.0, -low))
+            kept.append(p)
     if np.isfinite(worst_eig):
         notes.append(f"smallest Hessian eigenvalue {worst_eig:.6e}")
     report = _aggregate(f"psh[{quantity}]", residuals, kept, tol, skipped, notes)

@@ -681,9 +681,12 @@ def jet_mat_det(A: JetMatrix) -> WirtingerJet:
 def jet_mat_inv(A: JetMatrix) -> JetMatrix:
     n = len(A)
     det = jet_mat_det(A)
+    # a power of two near 1/|det| per point brings the determinant near 1 exactly, so a
+    # small but regular matrix clears the reciprocal's absolute floor; only det = 0 fails
+    scale = np.ldexp(1.0, -np.frexp(np.abs(det.value))[1])
+    inv_det = (det * scale).reciprocal() * scale
     if n == 1:
-        return [[det.reciprocal()]]
-    inv_det = det.reciprocal()
+        return [[inv_det]]
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

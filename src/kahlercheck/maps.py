@@ -3,13 +3,14 @@
 A map is stored as jet callables for its target components, so one
 object yields the pushforward, f*h, the covariant Hessian and compositions.
 
-Sample points are handled in stacks.  :func:`point_contexts` groups
+Sample points are handled in stacks.  :func:`point_stacks` groups
 consecutive points into stacks (:class:`PointStack`) of at most
 ``STACK_CHUNK`` points.  A stack evaluates the local data of f once for
 all of its points, as jets with a trailing point axis (see the jets
-module) or stacked arrays, validated at every point.  One
-:class:`PointContext` per point reads its rows.  A context built alone is
-a stack of one point, so a point's data is the same alone or in any stack.
+module) or arrays with a leading one, validated at every point; the
+checks read a point's row, and the curvature and stretch data give one
+point's data by ``.at(k)``.  A one-point stack holds the same data as
+that row of any stack, bit for bit.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
@@ -127,7 +128,7 @@ def _antiholomorphic_mass(jet: WirtingerJet):
 
 @dataclass(frozen=True)
 class MapPointData:
-    """Stretch data of ∂f at one point.
+    """Stretch data of ∂f at every point of a stack, the point axis first.
 
     ``singular_sq`` holds |λ_α|² in descending order (length m, padded
     with zeros when n < m).  ``domain_frame``/``target_frame`` are the
@@ -135,6 +136,7 @@ class MapPointData:
     ``inv(T) @ P @ E`` is diag(λ) padded with zero rows.  Deterministic
     up to exactly repeated singular values: each domain-frame column
     has its first significant entry rotated to the positive real axis.
+    :meth:`at` gives one point's data.
     """
 
     point: np.ndarray
@@ -146,34 +148,36 @@ class MapPointData:
     target_frame: np.ndarray
     g: np.ndarray
     h: np.ndarray
-    rank: int
-    threshold: float
+    rank: np.ndarray
+    threshold: np.ndarray
+
+    def at(self, index: int) -> "MapPointData":
+        """The data at point ``index`` of a stack."""
+        return MapPointData(*(getattr(self, name)[index] for name in self.__dataclass_fields__))
+
+
+def _lead_phases(cols: np.ndarray) -> np.ndarray:
+    """Per column of a stack of matrices, the phase of its first entry above 1e-12 in
+    modulus, and 1 for a column with none."""
+    significant = np.abs(cols) > 1e-12
+    lead = np.take_along_axis(cols, significant.argmax(axis=-2)[..., None, :], axis=-2)[..., 0, :]
+    lead = np.where(significant.any(axis=-2), lead, 1.0)
+    # hypot rounds like abs() of one complex number; np.abs of an array may not
+    return lead / np.hypot(lead.real, lead.imag)
 
 
 def _phase_normalized(u: np.ndarray, vh: np.ndarray, paired: int):
-    """First significant entry of each right vector made real positive."""
-    v = vh.conj().T.copy()
-    u = u.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size == 0:
-            continue
-        phase = col[nz[0]] / abs(col[nz[0]])
-        v[:, j] = col / phase
-        if j < paired:
-            u[:, j] = u[:, j] / phase
-    for j in range(paired, u.shape[1]):
-        col = u[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            u[:, j] = col / (col[nz[0]] / abs(col[nz[0]]))
-    return u, v
+    """First significant entry of each right vector made real positive, over a stack of SVDs;
+    the left vectors turn with their right vector or, unpaired, by their own first entry."""
+    v = vh.conj().swapaxes(-1, -2)
+    v_phases = _lead_phases(v)
+    u_phases = np.concatenate([v_phases[..., :paired], _lead_phases(u[..., paired:])], axis=-1)
+    return u / u_phases[..., None, :], v / v_phases[..., None, :]
 
 
 def map_point_data(f: HoloMap, point) -> MapPointData:
     """Pullback form, stretch spectrum, and adapted frames at a point."""
-    return PointContext(f, point, 1).data
+    return point_stacks(f, point, 1)[0].stretch.at(0)
 
 
 def map_hessian(f: HoloMap, point) -> np.ndarray:
@@ -182,7 +186,7 @@ def map_hessian(f: HoloMap, point) -> np.ndarray:
     f^i_{α,β} = ∂²f^i/∂z^α∂z^β − Γ^γ_{αβ} ∂f^i/∂z^γ + Γ^i_{jk} f^j_α f^k_β,
     with the target symbols contracted symmetrically on both derivative slots.
     """
-    return PointContext(f, point, 2).map_hessian
+    return point_stacks(f, point, 2)[0].map_hessian[0]
 
 
 # -- the local data of a map at a stack of points -----------------------------------
@@ -193,11 +197,13 @@ class PointStack:
 
     Each piece is computed on first use for every point and kept: the
     component jets of order ``order``, each chart's metric jets (the domain's
-    at the points, the target's at the images), f*h, the stretch data, and
-    the energy, log-volume and log-W jets.  Only the phase normalization,
-    the rank rule, the skip rules of log D and log W, the curvature and the
+    at the points, the target's at the images) and curvature, f*h, the
+    covariant Hessian of f, the stretch data, and the energy, log-volume and
+    log-W jets.  Arrays and jets carry the point axis (first for arrays, last
+    for jet coefficients); only the skip rules of log D and log W and the
     normal-chart changes go row by row.  Every validity check runs at every
-    point and names the first bad one.  A :class:`PointContext` reads its row.
+    point and names the first bad one.  Curvature reads metric jets of order
+    2, so asking it of a stack of order below 4 raises the stack's metric order.
     """
 
     def __init__(self, f: HoloMap, points: np.ndarray, order: int):
@@ -205,7 +211,10 @@ class PointStack:
         self.points = points
         self.order = order
         self._metrics: dict[str, tuple[list, np.ndarray]] = {}
-        self._curvature: dict[tuple[str, int], CurvaturePoint] = {}
+        self._curvature: dict[str, CurvaturePoint] = {}
+
+    def __len__(self) -> int:
+        return len(self.points)
 
     @cached_property
     def component_jets(self) -> list[WirtingerJet]:
@@ -220,27 +229,37 @@ class PointStack:
         """P[j, i, α] = ∂f^i/∂z^α at point j."""
         return derivative_block(self.component_jets, "grad")
 
+    def _chart(self, role: str) -> tuple[KahlerChart, np.ndarray]:
+        return ((self.map.domain, self.points) if role == "domain"
+                else (self.map.target, self.image))
+
     def metric(self, role: str, order: int = 0) -> tuple[list[list[WirtingerJet]], np.ndarray]:
         """Metric jets of the domain at the points or of the target at the images, of
         order ``max(order, self.order - 2)``, with the validated stack of metric matrices;
         asking for more than the stack holds evaluates the whole stack again."""
         have = self._metrics.get(role)
         if have is None or have[0][0][0].order < order:
-            chart, at = ((self.map.domain, self.points) if role == "domain"
-                         else (self.map.target, self.image))
+            chart, at = self._chart(role)
             jets = chart.metric_jets(at, max(order, self.order - 2, 0))
             have = self._metrics[role] = (jets, _validated_metric(chart, _metric_matrix(jets)))
         return have
 
-    def curvature(self, role: str, row: int) -> CurvaturePoint:
-        """Curvature of the domain at point ``row`` or of the target at its image."""
-        if (role, row) not in self._curvature:
+    def curvature(self, role: str) -> CurvaturePoint:
+        """Curvature of the domain at the points or of the target at the images."""
+        if role not in self._curvature:
             jets, g = self.metric(role, 2)
-            chart, at = ((self.map.domain, self.points) if role == "domain"
-                         else (self.map.target, self.image))
-            self._curvature[role, row] = _curvature_point(
-                chart, at[row], [[entry.at(row) for entry in line] for line in jets], g[row])
-        return self._curvature[role, row]
+            self._curvature[role] = _curvature_point(*self._chart(role), jets, g)
+        return self._curvature[role]
+
+    @cached_property
+    def map_hessian(self) -> np.ndarray:
+        """H[j, i, α, β] = f^i_{α,β} at point j (see :func:`map_hessian`)."""
+        p_mat = self.pushforward
+        raw = derivative_block(self.component_jets, "hess")
+        correction_dom = np.einsum("...gab,...ig->...iab", self.curvature("domain").gamma, p_mat)
+        correction_tgt = np.einsum("...ijk,...ja,...kb->...iab", self.curvature("target").gamma,
+                                   p_mat, p_mat)
+        return raw - correction_dom + correction_tgt
 
     @cached_property
     def pullback_jets(self) -> list[list[WirtingerJet]]:
@@ -257,9 +276,9 @@ class PointStack:
     def log_volume_jets(self) -> list:
         """Per point, the jet of log D = log det(f*h) − log det g (order 2), or why not."""
         m = self.map.m
-        skips = [None if d.rank >= m else
-                 (RankError, f"rank {d.rank} < {m} at {d.point}; log D is singular here")
-                 for d in self.stretch]
+        skips = [None if rank >= m else
+                 (RankError, f"rank {rank} < {m} at {point}; log D is singular here")
+                 for rank, point in zip(self.stretch.rank, self.points)]
         return self._logs(skips, "log D", lambda a, b: a.log() - b.log(), lambda rows: [
             jet_mat_det([[entry.at(rows) for entry in line] for line in grid])
             for grid in (self.pullback_jets, self.metric("domain", 2)[0])])
@@ -273,8 +292,8 @@ class PointStack:
         f = self.map
 
         def w_jet(rows):
-            changes = [_normal_chart_at(f.domain, self.curvature("domain", k),
-                                        self.stretch[k].domain_frame).change for k in rows]
+            curvature, frames = self.curvature("domain"), self.stretch.domain_frame
+            changes = [_normal_chart_at(f.domain, curvature.at(k), frames[k]).change for k in rows]
             change = ChartMap(*(np.stack(parts, axis=-1) for parts in
                                 zip(*((c.base, c.linear, c.quad) for c in changes))))
             zs = change.on_jets(variable_jets(np.zeros((len(rows), f.m)), f.m, self.order))
@@ -283,8 +302,8 @@ class PointStack:
                       for line in jet_mat_inv(f.domain.pullback_jets(zs, 2))]
             return [rayleigh_quotient(a_jets, c_jets, 0)]
 
-        return self._logs([_log_w_skip(d, f.m) for d in self.stretch], "log W",
-                          WirtingerJet.log, w_jet)
+        return self._logs([_log_w_skip(self.stretch.at(k), f.m) for k in range(len(self))],
+                          "log W", WirtingerJet.log, w_jet)
 
     def _logs(self, skips: list, what: str, log, build) -> list:
         """``skips`` with ``log(*build(rows))`` filled in at the rows it leaves None, where
@@ -304,12 +323,12 @@ class PointStack:
         return skips
 
     @cached_property
-    def stretch(self) -> list[MapPointData]:
+    def stretch(self) -> MapPointData:
         """Pullback form, stretch spectrum and adapted frames of ∂f at every point.
 
-        f*h, the Cholesky frames, the solve and the SVD run once over the
-        stack; the phase normalization and the rank rule stay per row, so a
-        point's data does not depend on the points stacked with it.
+        f*h, the Cholesky frames, the solve, the SVD, the phase normalization and
+        the rank rule each run once over the stack and treat every point alike, so
+        a point's data does not depend on the points stacked with it.
         """
         m = self.map.m
         p_mat = self.pushforward
@@ -319,28 +338,24 @@ class PointStack:
         pullback = 0.5 * (pullback + np.conj(pullback).swapaxes(-1, -2))
         cg = cholesky_frame(g)
         ch = cholesky_frame(h)
-        u_all, s_all, vh_all = np.linalg.svd(np.linalg.solve(ch, p_mat @ cg))
-        data = []
-        for k, s in enumerate(s_all):
-            u, v = _phase_normalized(u_all[k], vh_all[k], paired=len(s))
-            singular_sq = np.zeros(m)
-            singular_sq[: len(s)] = s[:m] ** 2
-            threshold = RANK_RELATIVE_FLOOR * max(float(singular_sq[0]) if m else 0.0,
-                                                  RANK_ABSOLUTE_FLOOR)
-            data.append(MapPointData(
-                point=self.points[k],
-                image=self.image[k],
-                pushforward=p_mat[k],
-                pullback=pullback[k],
-                singular_sq=singular_sq,
-                domain_frame=cg[k] @ v,
-                target_frame=ch[k] @ u,
-                g=g[k],
-                h=h[k],
-                rank=int(np.count_nonzero(singular_sq > threshold)),
-                threshold=threshold,
-            ))
-        return data
+        u, s, vh = np.linalg.svd(np.linalg.solve(ch, p_mat @ cg))
+        u, v = _phase_normalized(u, vh, paired=s.shape[-1])
+        singular_sq = np.zeros((len(self), m))
+        singular_sq[:, : s.shape[-1]] = s[:, :m] ** 2
+        threshold = RANK_RELATIVE_FLOOR * np.maximum(singular_sq[:, 0], RANK_ABSOLUTE_FLOOR)
+        return MapPointData(
+            point=self.points,
+            image=self.image,
+            pushforward=p_mat,
+            pullback=pullback,
+            singular_sq=singular_sq,
+            domain_frame=cg @ v,
+            target_frame=ch @ u,
+            g=g,
+            h=h,
+            rank=np.count_nonzero(singular_sq > threshold[:, None], axis=-1),
+            threshold=threshold,
+        )
 
 
 def _log_w_skip(data: MapPointData, m: int):
@@ -355,96 +370,28 @@ def _log_w_skip(data: MapPointData, m: int):
     return None
 
 
-def _kept(entry) -> WirtingerJet:
-    """A point's jet, or the error that says why its stack skipped the point."""
+def kept_jet(entry) -> WirtingerJet:
+    """A point's entry of :attr:`PointStack.log_volume_jets` or ``log_w_jets``: its jet, or
+    the error that says why its stack skipped the point (RankError, MultiplicityError)."""
     if isinstance(entry, WirtingerJet):
         return entry
     raise entry[0](entry[1])
 
 
-class PointContext:
-    """Everything the checks read of one map at one domain point: its row of a :class:`PointStack`.
-
-    A context built alone is a stack of one point.  Only the covariant map
-    Hessian is its own.  Curvature reads metric jets of order 2, so asking it
-    of a context of order below 4 raises its whole stack's metric order.
-
-    A context belongs to whoever built it: ``run_scenario`` builds one per
-    sample point, hands the list to every check and drops it on return.
-    """
-
-    def __init__(self, f: HoloMap, point, order: int, stack: PointStack | None = None,
-                 row: int = 0):
-        self.map = f
-        self.point = np.asarray(point, dtype=complex)
-        self.order = order
-        self.stack = stack if stack is not None else PointStack(f, self.point[None, :], order)
-        self.row = row
-
-    @cached_property
-    def component_jets(self) -> list[WirtingerJet]:
-        return [jet.at(self.row) for jet in self.stack.component_jets]
-
-    @cached_property
-    def image(self) -> np.ndarray:
-        return self.stack.image[self.row]
-
-    @cached_property
-    def pushforward(self) -> np.ndarray:
-        """P[i, α] = ∂f^i/∂z^α."""
-        return self.stack.pushforward[self.row]
-
-    @property
-    def data(self) -> MapPointData:
-        """Pullback form, stretch spectrum and adapted frames of ∂f."""
-        return self.stack.stretch[self.row]
-
-    @property
-    def domain_curvature(self) -> CurvaturePoint:
-        return self.stack.curvature("domain", self.row)
-
-    @property
-    def target_curvature(self) -> CurvaturePoint:
-        return self.stack.curvature("target", self.row)
-
-    @cached_property
-    def map_hessian(self) -> np.ndarray:
-        p_mat = self.pushforward
-        raw = derivative_block(self.component_jets, "hess")
-        correction_dom = np.einsum("gab,ig->iab", self.domain_curvature.gamma, p_mat)
-        correction_tgt = np.einsum("ijk,ja,kb->iab", self.target_curvature.gamma, p_mat, p_mat)
-        return raw - correction_dom + correction_tgt
-
-    @cached_property
-    def energy_jet(self) -> WirtingerJet:
-        """Jet of ‖∂f‖² = tr(g^{-1}·f*h), order 2."""
-        return self.stack.energy_jet.at(self.row)
-
-    @property
-    def log_volume_jet(self) -> WirtingerJet:
-        """Jet of log D, order 2; a RankError where log D is singular."""
-        return _kept(self.stack.log_volume_jets[self.row])
-
-    @property
-    def log_w_jet(self) -> WirtingerJet:
-        """Jet of log W, order 2; a RankError or MultiplicityError where the stack skipped it."""
-        return _kept(self.stack.log_w_jets[self.row])
-
-
-def point_contexts(f: HoloMap, points, order: int) -> list[PointContext]:
-    """One context per sample point, for checks that need jets of order ``order``.
+def point_stacks(f: HoloMap, points, order: int) -> list[PointStack]:
+    """The sample points in stacks of at most ``STACK_CHUNK`` consecutive points, for checks
+    that need jets of order ``order``.
 
     ``points`` is a (k, m) array (one point may be given as a flat row)
-    or a list of contexts already built for ``f`` at that order or above.
-    New contexts share stacks of at most ``STACK_CHUNK`` consecutive points.
+    or a list of stacks already built for ``f`` at that order or above.
     """
-    if isinstance(points, (list, tuple)) and points and isinstance(points[0], PointContext):
-        for ctx in points:
-            if not isinstance(ctx, PointContext) or ctx.map is not f:
-                raise ConfigurationError(f"contexts were built for another map than {f.label}")
-            if ctx.order < order:
+    if isinstance(points, (list, tuple)) and points and isinstance(points[0], PointStack):
+        for stack in points:
+            if not isinstance(stack, PointStack) or stack.map is not f:
+                raise ConfigurationError(f"stacks were built for another map than {f.label}")
+            if stack.order < order:
                 raise ConfigurationError(
-                    f"contexts carry jets of order {ctx.order}, this check needs {order}"
+                    f"stacks carry jets of order {stack.order}, this check needs {order}"
                 )
         return list(points)
     pts = np.asarray(points, dtype=complex)
@@ -452,12 +399,8 @@ def point_contexts(f: HoloMap, points, order: int) -> list[PointContext]:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != f.m or len(pts) == 0:
         raise ConfigurationError(f"points must have shape (k, {f.m}) with k >= 1, got {pts.shape}")
-    contexts = []
-    for start in range(0, len(pts), STACK_CHUNK):
-        stack = PointStack(f, pts[start:start + STACK_CHUNK], order)
-        contexts.extend(PointContext(f, point, order, stack, row)
-                        for row, point in enumerate(stack.points))
-    return contexts
+    return [PointStack(f, pts[start:start + STACK_CHUNK], order)
+            for start in range(0, len(pts), STACK_CHUNK)]
 
 
 # -- composition ---------------------------------------------------------------
@@ -558,9 +501,9 @@ class StretchBarrier:
 
     def __init__(self, holo_map: HoloMap, anchor):
         self.map = holo_map
-        anchor_ctx = PointContext(holo_map, anchor, 1)
-        self.anchor_data = anchor_ctx.data
-        self.domain_chart = _normal_chart_at(holo_map.domain, anchor_ctx.domain_curvature,
+        (stack,) = point_stacks(holo_map, anchor, 1)
+        self.anchor_data = stack.stretch.at(0)
+        self.domain_chart = _normal_chart_at(holo_map.domain, stack.curvature("domain").at(0),
                                              self.anchor_data.domain_frame)
 
     def chart_point(self, w) -> np.ndarray:

@@ -18,7 +18,7 @@ from kahlercheck.bounds import (
 from kahlercheck.errors import ConfigurationError, DegenerateInputError
 from kahlercheck.geometry import catalog
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, catalog_isometry, point_contexts, postcompose
+from kahlercheck.maps import HoloMap, catalog_isometry, point_stacks, postcompose
 
 FLAT1 = catalog("flat", dim=1)
 FLAT2 = catalog("flat", dim=2)
@@ -153,7 +153,7 @@ def test_schwarz_observed_invariant_under_domain_isometry():
     k, kappa = hol_sec_constants("poincare_disk", {"a": 1.0}, "poincare_disk", {"a": 2.0})
     pts = clamped_points(10, 1, 13, 0.8)
     composed = schwarz_bound_report(postcompose(f, iso), pts, k, kappa)
-    moved = np.array([ctx.image for ctx in point_contexts(iso, pts, 0)])
+    moved = np.concatenate([stack.image for stack in point_stacks(iso, pts, 0)])
     direct = schwarz_bound_report(f, moved, k, kappa)
     assert composed.observed == pytest.approx(direct.observed, abs=1e-8)
 

@@ -671,7 +671,8 @@ def test_bound_reports_match_alongside_identity_checks():
 
 def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkeypatch):
     # once per stack of sample points, whatever its size: the domain metric, the target
-    # metric at the images and the map; log_w's normal-chart changes are stacked too
+    # metric at the images, both curvatures and the map; log_w's normal-chart changes
+    # are stacked too
     from kahlercheck import geometry, maps
 
     calls = {}
@@ -689,11 +690,19 @@ def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkey
         counted(cls, "metric_jets")
     counted(maps.HoloMap, "component_jets")
     counted(maps.HoloMap, "__init__")
+    curvature_point = geometry._curvature_point
+
+    def counted_curvature(*args):
+        calls["curvature"] += 1
+        return curvature_point(*args)
+
+    for module in (geometry, maps):
+        monkeypatch.setattr(module, "_curvature_point", counted_curvature)
     direction = [1.0, [0.5, -0.25]]
     checks = [{"kind": kind, "direction": direction} for kind in ("boch1", "boch2", "log_w")]
     checks.append({"kind": "psh", "quantity": "log1p_energy"})
     for count in (5, 50):
-        calls.update(metric_jets=0, component_jets=0, __init__=0)
+        calls.update(metric_jets=0, component_jets=0, __init__=0, curvature=0)
         doc, status = run_scenario(load_scenario(manifest(
             domain={"catalog": "flat", "params": {"dim": 2}},
             target={"catalog": "complex_hyperbolic_ball", "params": {"dim": 3}},
@@ -703,6 +712,7 @@ def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkey
         assert status == 0
         assert all(entry["points_checked"] == count for entry in doc["checks"])
         assert calls["metric_jets"] <= 2
+        assert calls["curvature"] <= 2
         assert calls["component_jets"] == 1
         assert calls["__init__"] == 1  # one HoloMap per scenario
 
@@ -720,6 +730,32 @@ def test_a_tiny_full_rank_map_skips_the_singular_logs_loudly():
         assert entry["status"] == "skipped" and entry["skipped_points"] == 3
         assert sum(f"{what} is singular at [" in note for note in entry["notes"]) == 3
     assert boch1["verdict"] == "passed" and boch1["points_checked"] == 3
+
+
+def test_a_small_positive_definite_domain_metric_passes_boch1_and_psh():
+    # det g = 1e-14 is below the jets' singular floor, but the metric is regular
+    doc, status = run_scenario(load_scenario(manifest(
+        domain={"dim": 2, "potential": "1e-7*(abs2(z1) + abs2(z2))"},
+        target={"catalog": "flat", "params": {"dim": 2}}, map=["z1", "z2"],
+        sampler={"count": 3, "radius": 0.5, "seed": 1},
+        checks=[{"kind": "boch1"}, {"kind": "psh", "quantity": "log1p_energy"}])))
+    assert status == 0
+    assert [(entry["verdict"], entry["points_checked"]) for entry in doc["checks"]] == [
+        ("passed", 3), ("passed", 3)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_reports_do_not_depend_on_how_points_are_cut_into_stacks(monkeypatch, chunk):
+    from kahlercheck import maps
+
+    def reports():
+        return [render_json(run_scenario(shipped_scenario(name), details=True)[0])
+                + render_json(curvature_report(shipped_scenario(name)))
+                for name in sorted(shipped_scenarios())]
+
+    want = reports()
+    monkeypatch.setattr(maps, "STACK_CHUNK", chunk)
+    assert reports() == want
 
 
 def test_a_zero_catalog_constant_is_reported_as_plus_zero():

@@ -30,13 +30,12 @@ from kahlercheck.jets import jet_mat_inv
 from kahlercheck.linalg import pencil_eigh, rayleigh_quotient, rng_for
 from kahlercheck.maps import (
     HoloMap,
-    PointContext,
     StretchBarrier,
     catalog_isometry,
+    kept_jet,
     map_hessian,
-    _phase_normalized,
     map_point_data,
-    point_contexts,
+    point_stacks,
     postcompose,
 )
 
@@ -63,6 +62,28 @@ def precompose(f, change):
 
     return HoloMap(PulledBackChart(f.domain, change, label=f"pulled[{f.domain.label}]"),
                    f.target, [component(i) for i in range(f.n)], label=f"{f.label}∘ψ")
+
+
+def phase_normalized_per_column(u, vh, paired):
+    """The phase normalization of one SVD, column by column: the reference for the one
+    that runs over a whole stack."""
+    v = vh.conj().T.copy()
+    u = u.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size == 0:
+            continue
+        phase = col[nz[0]] / abs(col[nz[0]])
+        v[:, j] = col / phase
+        if j < paired:
+            u[:, j] = u[:, j] / phase
+    for j in range(paired, u.shape[1]):
+        col = u[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            u[:, j] = col / (col[nz[0]] / abs(col[nz[0]]))
+    return u, v
 
 
 # -- construction and the pushforward -------------------------------------------
@@ -279,7 +300,7 @@ def test_singular_values_survive_linear_target_change():
 def test_singular_values_survive_target_renormalization_at_anchor():
     f = generic_map()
     p = np.array([0.15 - 0.1j, 0.2 + 0.1j])
-    image = PointContext(f, p, 0).image
+    image = point_stacks(f, p, 0)[0].image[0]
     nc_t = normal_chart(f.target, image)
     b_inv = np.linalg.inv(nc_t.change.linear)
 
@@ -384,18 +405,18 @@ def test_barrier_minorizes_max_norm_nearby():
     assert max(slack) > 1e-8  # strict somewhere, the bound is not vacuous
 
 
-def test_point_context_reads_what_the_public_functions_compute():
+def test_point_stack_reads_what_the_public_functions_compute():
     f = HoloMap(catalog("fubini_study", dim=2, c=1.1), catalog("complex_hyperbolic_ball", dim=3),
                 ["0.3*z1 + 0.1*z2^2", "0.2*z2", "0.1*z1*z2 - 0.05*z1^2"])
     point = np.array([0.2 - 0.1j, -0.15 + 0.3j])
-    ctx = PointContext(f, point, 4)
-    data, want = ctx.data, map_point_data(f, point)
+    (stack,) = point_stacks(f, point, 4)
+    data, want = stack.stretch.at(0), map_point_data(f, point)
     for field in ("image", "pushforward", "pullback", "singular_sq", "domain_frame",
                   "target_frame", "g", "h"):
         assert np.array_equal(getattr(data, field), getattr(want, field)), field
-    assert np.array_equal(ctx.map_hessian, map_hessian(f, point))
-    assert np.array_equal(ctx.pushforward, PointContext(f, point, 1).pushforward)
-    assert ctx.data is data and ctx.component_jets[0].order == 4
+    assert np.array_equal(stack.map_hessian[0], map_hessian(f, point))
+    assert np.array_equal(stack.pushforward, point_stacks(f, point, 1)[0].pushforward)
+    assert stack.stretch is stack.stretch and stack.component_jets[0].order == 4
 
 
 def _log_w_alone(f, point):
@@ -428,30 +449,30 @@ def test_stacked_log_w_jets_match_the_per_point_construction(name):
     f = LOG_W_CASES[name]
     points = random_points(0.3, 5, 2, seed=23)
     points[2] = [0.1, 0.2]
-    contexts = point_contexts(f, points, 4)
-    assert len({ctx.stack for ctx in contexts}) == 1
+    (stack,) = point_stacks(f, points, 4)
     with pytest.raises(RankError, match="vanishes"):
-        contexts[2].log_w_jet
-    for ctx in contexts[:2] + contexts[3:]:
-        got, want = ctx.log_w_jet, _log_w_alone(f, ctx.point)
+        kept_jet(stack.log_w_jets[2])
+    for k in (0, 1, 3, 4):
+        got, want = kept_jet(stack.log_w_jets[k]), _log_w_alone(f, points[k])
         assert got.order == want.order == 2
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
 
 
-def test_point_contexts_take_points_or_contexts_of_the_same_map():
+def test_point_stacks_take_points_or_stacks_of_the_same_map():
     f = HoloMap(FLAT2, FLAT2, ["z1", "z2"])
     g = HoloMap(FLAT2, FLAT2, ["z2", "z1"])
-    contexts = point_contexts(f, np.array([[0.1, 0.2], [0.3, 0.0]]), 1)
-    assert [c.order for c in contexts] == [1, 1]
-    assert point_contexts(f, contexts, 1) == contexts
-    assert len(point_contexts(f, [0.1, 0.2], 1)) == 1
+    stacks = point_stacks(f, np.array([[0.1, 0.2], [0.3, 0.0]]), 1)
+    assert [(len(s), s.order) for s in stacks] == [(2, 1)]
+    assert point_stacks(f, stacks, 1) == stacks
+    assert point_stacks(f, stacks, 0) == stacks
+    assert [len(s) for s in point_stacks(f, [0.1, 0.2], 1)] == [1]
     with pytest.raises(ConfigurationError):
-        point_contexts(g, contexts, 1)
+        point_stacks(g, stacks, 1)
     with pytest.raises(ConfigurationError):
-        point_contexts(f, contexts, 4)
+        point_stacks(f, stacks, 4)
     for bad in (np.zeros((0, 2)), np.zeros((3, 1)), np.zeros((2, 2, 2))):
         with pytest.raises(ConfigurationError):
-            point_contexts(f, bad, 1)
+            point_stacks(f, bad, 1)
 
 
 # -- the stacked stretch path -------------------------------------------------------
@@ -474,15 +495,15 @@ STRETCH_CASES = {
 
 def _per_point_reference(f, point):
     """The one-point computation of the stretch data with scipy's per-matrix calls."""
-    ctx = PointContext(f, point, 1)
-    p_mat, g, h = ctx.pushforward, ctx.data.g, ctx.data.h
+    data = map_point_data(f, point)
+    p_mat, g, h = data.pushforward, data.g, data.h
     pullback = p_mat.T @ h @ np.conj(p_mat)
     eye = np.eye(len(g), dtype=complex)
     cg = scipy.linalg.solve_triangular(np.linalg.cholesky(g), eye, lower=True).T
     ch = scipy.linalg.solve_triangular(np.linalg.cholesky(h), np.eye(len(h), dtype=complex),
                                        lower=True).T
     u, s, vh = np.linalg.svd(scipy.linalg.solve(ch, p_mat @ cg))
-    u, v = _phase_normalized(u, vh, paired=len(s))
+    u, v = phase_normalized_per_column(u, vh, paired=len(s))
     return 0.5 * (pullback + pullback.conj().T), s, cg @ v, ch @ u
 
 
@@ -493,11 +514,9 @@ def test_stretch_data_on_k_points_matches_one_point_contexts(name):
     points = random_points(0.3, 7, f.m, seed=5)
     if name == "fold":
         points[2, 0] = 0.0  # ∂f drops to rank 1 here
-    contexts = point_contexts(f, points, 1)
-    assert len({ctx.stack for ctx in contexts}) == 1
-    stacked = [ctx.data for ctx in contexts]
-    for data, point in zip(stacked, points, strict=True):
-        alone = PointContext(f, point, 1).data
+    (stack,) = point_stacks(f, points, 1)
+    for k, point in enumerate(points):
+        data, alone = stack.stretch.at(k), map_point_data(f, point)
         for field in DATA_FIELDS:
             assert np.array_equal(getattr(data, field), getattr(alone, field)), field
         pullback, s, domain_frame, target_frame = _per_point_reference(f, point)
@@ -506,37 +525,41 @@ def test_stretch_data_on_k_points_matches_one_point_contexts(name):
         np.testing.assert_allclose(data.domain_frame, domain_frame, rtol=0, atol=1e-12)
         np.testing.assert_allclose(data.target_frame, target_frame, rtol=0, atol=1e-12)
     if name == "fold":
-        assert [d.rank for d in stacked].count(1) == 1 and stacked[2].rank == 1
+        assert list(stack.stretch.rank).count(1) == 1 and stack.stretch.rank[2] == 1
 
 
 def test_stretch_data_of_one_context_is_the_one_point_wrapper():
     f = HoloMap(catalog("complex_hyperbolic_ball", dim=2), catalog("fubini_study", dim=3),
                 ["0.3*z1", "0.2*z2", "0.1*z1*z2"])
     point = np.array([0.1 + 0.2j, -0.3j])
-    (data,) = [ctx.data for ctx in point_contexts(f, point, 1)]
-    want = map_point_data(f, point)
+    (stack,) = point_stacks(f, point, 1)
+    assert stack.stretch.singular_sq.shape == (1, 2)  # the point axis first
+    data, want = stack.stretch.at(0), map_point_data(f, point)
     for field in DATA_FIELDS:
         assert np.array_equal(getattr(data, field), getattr(want, field)), field
 
 
 def test_stretch_data_keeps_what_contexts_already_carry(monkeypatch):
     f = HoloMap(FLAT2, catalog("complex_hyperbolic_ball", dim=2), ["0.3*z1", "0.2*z1*z2"])
-    contexts = point_contexts(f, random_points(0.4, 4, 2, seed=2), 1)
-    first = contexts[1].data  # computes the whole stack's stretch data
+    from kahlercheck.bounds import Constant, royden_bound_report
+
+    stacks = point_stacks(f, random_points(0.4, 4, 2, seed=2), 1)
+    first = stacks[0].stretch  # computes the whole stack's stretch data
 
     def no_svd(*args, **kwargs):
         raise AssertionError("stretch data computed twice")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    stacked = [ctx.data for ctx in contexts]
-    assert stacked[1] is first
-    assert [ctx.data for ctx in contexts[::-1]] == stacked[::-1]
+    assert stacks[0].stretch is first
+    report = royden_bound_report(f, stacks, Constant.analytic("K", 1.0),
+                                 Constant.analytic("kappa", 1.0))
+    assert report.observed == max(float(np.sum(first.at(k).singular_sq)) for k in range(4))
 
 
 def test_stretch_data_names_the_first_point_with_a_bad_metric():
     # the potential's metric 1 − 4|z1|² is positive only inside |z1| < 1/2
     domain = PotentialChart(1, "abs2(z1) - abs2(z1)^2", None, "bent")
     f = HoloMap(domain, FLAT1, ["z1"])
-    contexts = point_contexts(f, np.array([[0.1], [0.2], [0.6], [0.7]]), 1)
+    (stack,) = point_stacks(f, np.array([[0.1], [0.2], [0.6], [0.7]]), 1)
     with pytest.raises(MetricError, match=r"bent: metric \(matrix 2\) is not positive definite"):
-        contexts[0].data
+        stack.stretch

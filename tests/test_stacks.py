@@ -1,9 +1,10 @@
 """Jets evaluated once per stack of sample points.
 
 Oracles: the same jets evaluated at each point alone (bit for bit), the
-identity checks' scalar jets and chart changes of each point alone (bit
-for bit), the point named by a validation error, and the same stretch
-data however the points are cut into stacks.
+curvature, map Hessian, stretch data, identity checks' scalar jets and
+chart changes of each point alone (bit for bit), the phase normalization
+of one SVD column by column, the point named by a validation error, and
+the same stretch data however the points are cut into stacks.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from kahlercheck.errors import DomainError, HolomorphyError, MetricError, Singul
 from kahlercheck.geometry import (
     CATALOG,
     ChartMap,
+    ComponentChart,
     PotentialChart,
     _metric_matrix,
     _validated_metric,
@@ -24,7 +26,8 @@ from kahlercheck.geometry import (
 )
 from kahlercheck.jets import variable_jets
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, PointStack, point_contexts
+from kahlercheck.maps import HoloMap, PointStack, _phase_normalized, point_stacks
+from test_maps import phase_normalized_per_column
 
 FLAT1 = catalog("flat", dim=1)
 DATA_FIELDS = ("point", "image", "pushforward", "pullback", "singular_sq", "domain_frame",
@@ -125,12 +128,23 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
 
 
 @settings(max_examples=30, deadline=None)
-@given(stacked_cases(orders=st.just(4)))
+@given(stacked_cases(orders=st.integers(2, 4)))
 def test_stacked_scalar_jets_equal_one_point_stacks_bit_for_bit(case):
+    # and every other stacked piece: both curvatures, the map Hessian and the stretch data
     f, points, order = case
     stack = PointStack(f, points, order)
     for row in range(len(points)):
         one = PointStack(f, points[row:row + 1], order)
+        for role in ("domain", "target"):
+            got, want = stack.curvature(role).at(row), one.curvature(role).at(0)
+            for name in ("g_inv", "gamma", "riem"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (role, name)
+        assert np.array_equal(stack.map_hessian[row], one.map_hessian[0])
+        got, want = stack.stretch.at(row), one.stretch.at(0)
+        for name in DATA_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        if order < 4:  # the scalar jets differentiate f*h twice
+            continue
         assert _same_rows(stack.energy_jet, one.energy_jet.at(0), row)
         for name in ("log_volume_jets", "log_w_jets"):
             got, want = getattr(stack, name)[row], getattr(one, name)[0]
@@ -154,6 +168,32 @@ def test_stacked_chart_changes_equal_each_change_alone(dim, count, seed):
     for row in range(count):
         change = ChartMap(base[..., row], linear[..., row], quad[..., row])
         assert _same_rows(stacked, change.on_jets(variable_jets(np.zeros(dim), dim, 3)), row)
+
+
+@st.composite
+def svd_stacks(draw):
+    """Stacks of (u, vh) shaped like the SVD of k n×m matrices, with some entries at or
+    near zero, so leads move down and whole columns can have none."""
+    k, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = rng_for(draw(st.integers(0, 2**16)), 9)
+
+    def sparse(*shape):
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return values * rng.choice([0.0, 1e-13, 1.0, 1.0], size=shape)
+
+    u, vh = sparse(k, n, n), sparse(k, m, m)
+    vh[:, 0, :] = 0.0  # the first right vector is a zero column
+    return u, vh, min(n, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(svd_stacks())
+def test_phase_normalization_of_a_stack_equals_the_per_column_loop(case):
+    u, vh, paired = case
+    got_u, got_v = _phase_normalized(u, vh, paired)
+    for row in range(len(u)):
+        want_u, want_v = phase_normalized_per_column(u[row], vh[row], paired)
+        assert np.array_equal(got_u[row], want_u) and np.array_equal(got_v[row], want_v)
 
 
 def test_a_one_point_stack_keeps_one_point_jets_apart():
@@ -190,14 +230,26 @@ BAD_SECOND_POINT = {
 @pytest.mark.parametrize("name", sorted(BAD_SECOND_POINT))
 def test_each_per_point_check_names_the_bad_second_point(name):
     f, points, error, text = BAD_SECOND_POINT[name]
-    contexts = point_contexts(f, np.array(points, dtype=complex)[:, None], 1)
+    (stack,) = point_stacks(f, np.array(points, dtype=complex)[:, None], 1)
     with pytest.raises(error) as err:
-        contexts[0].data
+        stack.stretch
     message = str(err.value)
     assert text in message
     assert "at point 1 of the stack" in message or "(matrix 1)" in message
-    alone = point_contexts(f, np.array(points[:1], dtype=complex)[:, None], 1)
-    assert alone[0].data.rank == 1  # the first point alone is fine
+    (alone,) = point_stacks(f, np.array(points[:1], dtype=complex)[:, None], 1)
+    assert alone.stretch.rank[0] == 1  # the first point alone is fine
+
+
+def test_the_kahler_check_names_the_bad_second_point():
+    # ∂g_{12̄}/∂z2 = 0.4·(z2 − 0.1) against ∂g_{22̄}/∂z1 = 0: Kähler at z2 = 0.1 only
+    chart = ComponentChart(2, [["1", "0.2*(z2 - 0.1)^2"], ["0.2*(conj(z2) - 0.1)^2", "1"]])
+    f = HoloMap(chart, catalog("flat", dim=2), ["z1", "z2"])
+    points = np.array([[0.0, 0.1], [0.0, 0.3]])
+    (stack,) = point_stacks(f, points, 1)
+    with pytest.raises(MetricError, match="Kähler condition .* at point 1 of the stack"):
+        stack.curvature("domain")
+    (alone,) = point_stacks(f, points[:1], 1)
+    assert alone.curvature("domain").riem.shape == (1, 2, 2, 2, 2)
 
 
 def test_chunks_of_four_give_one_stacks_stretch_data_in_three_stacks(monkeypatch):
@@ -205,9 +257,8 @@ def test_chunks_of_four_give_one_stacks_stretch_data_in_three_stacks(monkeypatch
                 ["0.3*z1 + 0.1*z2^2", "0.2*z2 - 0.1*z1*z2"])
     rng = rng_for(3, 11)
     points = 0.3 * (rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2)))
-    whole = point_contexts(f, points, 1)
-    assert len({ctx.stack for ctx in whole}) == 1
-    want = [ctx.data for ctx in whole]
+    (whole,) = point_stacks(f, points, 1)
+    want = whole.stretch
 
     calls = []
     component_jets = HoloMap.component_jets
@@ -218,10 +269,10 @@ def test_chunks_of_four_give_one_stacks_stretch_data_in_three_stacks(monkeypatch
 
     monkeypatch.setattr(maps, "STACK_CHUNK", 4)
     monkeypatch.setattr(HoloMap, "component_jets", counted)
-    contexts = point_contexts(f, points, 1)
-    got = [ctx.data for ctx in contexts]
+    stacks = point_stacks(f, points, 1)
+    got = [stack.stretch for stack in stacks]
     assert calls == [(4, 2), (4, 2), (2, 2)]
-    assert [len(stack.points) for stack in dict.fromkeys(ctx.stack for ctx in contexts)] == [4, 4, 2]
-    for a, b in zip(want, got, strict=True):
-        for name in DATA_FIELDS:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert [len(stack) for stack in stacks] == [4, 4, 2]
+    for name in DATA_FIELDS:
+        stacked = np.concatenate([getattr(d, name) for d in got])
+        assert np.array_equal(getattr(want, name), stacked), name
