@@ -189,23 +189,34 @@ def _sphere_points(radius: float, dim: int, count: int, seed: int) -> np.ndarray
     return radius * z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _sphere_counts(counts) -> tuple[int, int, int]:
+    """One sample count per sphere; a single count stands for all three."""
+    if isinstance(counts, (int, np.integer)):
+        counts = (counts,) * 3
+    if (not isinstance(counts, (list, tuple)) or len(counts) != 3
+            or not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1
+                       for c in counts)):
+        raise ConfigurationError(
+            f"counts must be a positive integer or a list of 3 of them, got {counts!r}")
+    return tuple(int(c) for c in counts)
+
+
 def three_circle_data(f: HoloMap, radii, counts, seed: int = 0) -> tuple[float, float, float]:
     """Sampled sup of the top stretch |∂f| on the three spheres."""
     _require_flat_domain(f, "three-circle check")
     r1, r2, r3 = (float(r) for r in radii)
     if not 0 < r1 < r2 < r3:
         raise ConfigurationError(f"radii must be strictly increasing and positive, got {radii}")
-    if isinstance(counts, int):
-        counts = (counts, counts, counts)
-    maxima = []
-    for r, count in zip((r1, r2, r3), counts):
-        samples = _sphere_points(r, f.m, count, seed)
-        # one stack at a time, so only one chunk of stretch data is alive
-        top = max(float(np.max(stack.stretch.singular_sq[:, 0]))
-                  for start in range(0, count, STACK_CHUNK)
-                  for stack in point_stacks(f, samples[start:start + STACK_CHUNK], 1))
-        maxima.append(math.sqrt(top))
-    return tuple(maxima)
+    counts = _sphere_counts(counts)
+    samples = np.concatenate([_sphere_points(r, f.m, count, seed)
+                              for r, count in zip((r1, r2, r3), counts)])
+    # one stack at a time, so only one chunk of stretch data is alive; a row's stretch does
+    # not depend on its stack, so a chunk may straddle two spheres
+    top = np.concatenate([stack.stretch.singular_sq[:, 0]
+                          for start in range(0, len(samples), STACK_CHUNK)
+                          for stack in point_stacks(f, samples[start:start + STACK_CHUNK], 1)])
+    return tuple(math.sqrt(float(np.max(sphere)))
+                 for sphere in np.split(top, np.cumsum(counts)[:-1]))
 
 
 def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
@@ -216,9 +227,10 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
     outer two.  Target nonpositivity of the bisectional curvature is
     sampled; a violation downgrades the verdict to not_applicable.
     """
+    counts = _sphere_counts(counts)
     m1, m2, m3 = three_circle_data(f, radii, counts, seed)
     r1, r2, r3 = (float(r) for r in radii)
-    total = sum(counts) if not isinstance(counts, int) else 3 * counts
+    total = sum(counts)
     notes = [f"M(r1)={m1:.12g} M(r2)={m2:.12g} M(r3)={m3:.12g}"]
 
     hypothesis_notes = []

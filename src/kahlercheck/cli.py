@@ -38,9 +38,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -592,29 +594,39 @@ def curvature_report(scenario: Scenario) -> dict:
 
 def render_json(obj, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits, keys in insertion order."""
-    pad, inner = "  " * indent, "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = (f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items())
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = (f"{inner}{render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    out: list[str] = []
+    _render_into(out, obj, "\n" + "  " * indent)
+    return "".join(out)
+
+
+def _render_into(out: list[str], obj, pad: str) -> None:
+    # pad is the line break and indent before the closing bracket of obj
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        rows = ([(_quote(str(key)) + ": ", value) for key, value in obj.items()] if is_dict
+                else [("", value) for value in obj])
+        if not rows:
+            out.append(opening + closing)
+            return
+        inner = pad + "  "
+        for i, (label, value) in enumerate(rows):
+            out.append(("," if i else opening) + inner + label)
+            _render_into(out, value, inner)
+        out.append(pad + closing)
+    elif isinstance(obj, bool) or obj is None:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
         value = float(obj)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ConfigurationError(f"cannot serialize non-finite value {value}")
-        return format(value, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise ConfigurationError(f"cannot serialize {type(obj).__name__} into a report")
+        out.append(format(value, ".17g"))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    else:
+        raise ConfigurationError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def write_report(doc: dict, output: str | None):

@@ -93,20 +93,15 @@ _TOKEN_RE = re.compile(
 def _tokenize(text: str):
     pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", position=pos)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # finditer skipped a character no token starts with
+            break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", position=pos)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -140,7 +135,7 @@ class _Parser:
         kind, val, at = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", position=at)
-        if _depth(node) > MAX_NESTING:
+        if _scan(node)[0] > MAX_NESTING:
             raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", position=0)
         return node
 
@@ -321,48 +316,50 @@ def compiled(node: Node):
 # -- static validation --------------------------------------------------------------------
 
 
-def _children(node: Node) -> tuple:
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, (Neg, Call)):
-        return (node.arg,)
-    return ()
-
-
-def _walk(node: Node):
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(_children(node)))
-
-
-def _depth(node: Node) -> int:
-    """Levels of the tree, counted without recursion."""
-    deepest, stack = 0, [(node, 1)]
+def _scan(node: Node) -> tuple[int, int, Call | None]:
+    """Levels of the tree, its highest 0-based variable index (-1 if none) and its first
+    conj/abs2 call in left-to-right preorder (None if none), in one pass without recursion."""
+    depth, top, bad = 0, -1, None
+    stack = [(node, 1)]
     while stack:
         node, level = stack.pop()
-        deepest = max(deepest, level)
-        stack.extend((child, level + 1) for child in _children(node))
-    return deepest
+        if level > depth:
+            depth = level
+        kind = type(node)
+        if kind is BinOp:
+            stack.append((node.right, level + 1))
+            stack.append((node.left, level + 1))
+        elif kind is Var:
+            if node.index > top:
+                top = node.index
+        elif kind is Call:
+            if bad is None and node.func in ("conj", "abs2"):
+                bad = node
+            stack.append((node.arg, level + 1))
+        elif kind is Neg:
+            stack.append((node.arg, level + 1))
+        elif kind is Pow:
+            stack.append((node.base, level + 1))
+    return depth, top, bad
 
 
 def max_variable(node: Node) -> int:
     """Highest 0-based variable index used, or -1 if none."""
-    return max((n.index for n in _walk(node) if isinstance(n, Var)), default=-1)
+    return _scan(node)[1]
 
 
-def check_dimension(node: Node, dim: int, label: str = "expression") -> None:
-    top = max_variable(node)
+def _require_dimension(top: int, dim: int, label: str) -> None:
     if top >= dim:
         raise HolomorphyError(f"{label} uses variable {top + 1} but the chart has dimension {dim}")
 
 
+def check_dimension(node: Node, dim: int, label: str = "expression") -> None:
+    _require_dimension(max_variable(node), dim, label)
+
+
 def check_holomorphic(node: Node, dim: int, label: str = "map component") -> None:
     """Syntactic holomorphy: conj/abs2 never appear in map components."""
-    for sub in _walk(node):
-        if isinstance(sub, Call) and sub.func in ("conj", "abs2"):
-            raise HolomorphyError(f"{label} must be holomorphic; {sub.func}() is not allowed")
-    check_dimension(node, dim, label)
+    _, top, bad = _scan(node)
+    if bad is not None:
+        raise HolomorphyError(f"{label} must be holomorphic; {bad.func}() is not allowed")
+    _require_dimension(top, dim, label)

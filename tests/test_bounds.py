@@ -8,6 +8,7 @@ import pytest
 from kahlercheck.bounds import (
     BoundReport,
     Constant,
+    _sphere_points,
     hoop_check,
     royden_bound_report,
     schwarz_bound_report,
@@ -309,6 +310,36 @@ def test_three_circle_rejects_bad_input():
         three_circle_check(g, (0.2, 0.4, 0.8))
 
 
+def per_sphere_maxima(f, radii, counts, seed=0):
+    """three_circle_data's former sweep, kept as its reference: each sphere's samples
+    in stacks of their own."""
+    maxima = []
+    for r, count in zip(radii, counts):
+        samples = _sphere_points(r, f.m, count, seed)
+        top = max(float(np.max(stack.stretch.singular_sq[:, 0]))
+                  for stack in point_stacks(f, samples, 1))
+        maxima.append(math.sqrt(top))
+    return tuple(maxima)
+
+
+@pytest.mark.parametrize("counts", [[16, 16], [16, 16, 16, 16], 0, [4, 0, 4], 2.5, -3,
+                                    [4, 4.0, 4], True, [4, True, 4], "16", None, {4: 4}])
+def test_three_circle_rejects_bad_counts(counts):
+    f = HoloMap(FLAT1, FLAT1, ["z1^2"])
+    for run in (three_circle_data, three_circle_check):
+        with pytest.raises(ConfigurationError, match="counts must be"):
+            run(f, (0.5, 1.0, 2.0), counts)
+
+
+@pytest.mark.parametrize("counts", [4, np.int64(4), [4, 4, 4], (4, 4, 4),
+                                    [np.int32(4), 4, np.uint8(4)]])
+def test_three_circle_takes_one_count_or_three(counts):
+    f = HoloMap(FLAT1, FLAT1, ["z1^2 + z1^3"])
+    radii = (0.5, 1.0, 2.0)
+    assert three_circle_data(f, radii, counts) == per_sphere_maxima(f, radii, (4, 4, 4))
+    assert three_circle_check(f, radii, counts).points_checked == 12
+
+
 # -- hoop bounds -----------------------------------------------------------------
 
 
@@ -363,7 +394,9 @@ def test_hoop_degenerate_map_is_loud():
                    Constant.analytic("kappa", 2.0))
 
 
-def test_sphere_and_ray_samples_stack_one_svd_per_radius(monkeypatch):
+def test_sphere_samples_stack_one_svd_per_chunk(monkeypatch):
+    from kahlercheck import maps
+
     shapes = []
     svd = np.linalg.svd
 
@@ -373,5 +406,14 @@ def test_sphere_and_ray_samples_stack_one_svd_per_radius(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     f = HoloMap(FLAT2, catalog("flat", dim=3), ["z1", "z1*z2", "0.5*z2^2"])
-    three_circle_data(f, (0.5, 1.0, 2.0), (5, 6, 7))
-    assert shapes == [(5, 3, 2), (6, 3, 2), (7, 3, 2)]
+    radii, counts = (0.5, 1.0, 2.0), (5, 6, 7)
+    want = per_sphere_maxima(f, radii, counts)
+    shapes.clear()
+    # the three spheres are one run of 18 points
+    assert three_circle_data(f, radii, counts) == want
+    assert shapes == [(18, 3, 2)]
+    # stacks of 4 straddle the spheres' boundaries at points 5 and 11
+    monkeypatch.setattr(maps, "STACK_CHUNK", 4)
+    shapes.clear()
+    assert three_circle_data(f, radii, counts) == want
+    assert shapes == [(4, 3, 2)] * 4 + [(2, 3, 2)]

@@ -246,6 +246,63 @@ def test_render_json_rejects_non_finite():
         render_json({"bad": object()})
 
 
+def recursive_render_json(obj, indent: int = 0) -> str:
+    """The recursive writer that ``render_json`` replaced, kept as its reference."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = (f"{inner}{json.dumps(str(k))}: {recursive_render_json(v, indent + 1)}"
+                for k, v in obj.items())
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = (f"{inner}{recursive_render_json(v, indent + 1)}" for v in obj)
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        if not np.isfinite(value):
+            raise ConfigurationError(f"cannot serialize non-finite value {value}")
+        return format(value, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise ConfigurationError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def test_render_json_writes_what_the_recursive_writer_wrote():
+    docs = []
+    for name in sorted(shipped_scenarios()):
+        docs += [run_scenario(shipped_scenario(name))[0],
+                 run_scenario(shipped_scenario(name), details=True)[0],
+                 curvature_report(shipped_scenario(name))]
+    docs.append({
+        "empty": [{}, [], (), {"a": [[], {}]}], "tuple": (1, (2.5, "x")), "np_int": np.int64(-7),
+        "np_uint": np.uint8(200), "np_float": np.float64(0.1), "np_float32": np.float32(1.5),
+        "zero": -0.0, "tiny": 5e-324, "huge": 1.7976931348623157e308, 3: "int key",
+        'quote "q" \\ back': "control \x00\x1f\t\n\r and \u2264 \u2202f \U0001d53b",
+        "flags": [True, False, None], "big": 10**30})
+    docs += [[], {}, "\u2264", 0.0, np.int32(4), ((),)]
+    for doc in docs:
+        for indent in (0, 2):
+            assert render_json(doc, indent) == recursive_render_json(doc, indent)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan"), object(),
+                                 np.bool_(True), np.complex128(1j), {1, 2}, b"bytes"])
+def test_render_json_errors_match_the_recursive_writer(bad):
+    for doc in (bad, {"ok": 1.0, "nested": [0, {"bad": bad}]}):
+        with pytest.raises(ConfigurationError) as want:
+            recursive_render_json(doc)
+        with pytest.raises(ConfigurationError) as got:
+            render_json(doc)
+        assert str(got.value) == str(want.value)
+
+
 def test_reports_byte_identical_across_runs():
     first = render_json(run_scenario(shipped_scenario("logw_disk_to_ball"))[0])
     second = render_json(run_scenario(shipped_scenario("logw_disk_to_ball"))[0])
@@ -744,14 +801,22 @@ def test_a_small_positive_definite_domain_metric_passes_boch1_and_psh():
         ("passed", 3), ("passed", 3)]
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("chunk", [1, 3, 4])
 def test_reports_do_not_depend_on_how_points_are_cut_into_stacks(monkeypatch, chunk):
     from kahlercheck import maps
+
+    # unequal sphere counts, so stacks of 3 and 4 points straddle the spheres' boundaries
+    uneven = manifest(domain={"catalog": "flat", "params": {"dim": 2}},
+                      target={"catalog": "flat", "params": {"dim": 3}},
+                      map=["z1 + z2^2", "z1*z2", "0.5*z1^3"],
+                      checks=[{"kind": "three_circle", "radii": [0.3, 0.6, 1.2],
+                               "counts": [5, 7, 3], "seed": 2}])
 
     def reports():
         return [render_json(run_scenario(shipped_scenario(name), details=True)[0])
                 + render_json(curvature_report(shipped_scenario(name)))
-                for name in sorted(shipped_scenarios())]
+                for name in sorted(shipped_scenarios())] + [
+                    render_json(run_scenario(load_scenario(uneven), details=True)[0])]
 
     want = reports()
     monkeypatch.setattr(maps, "STACK_CHUNK", chunk)

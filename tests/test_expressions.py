@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlercheck.errors import HolomorphyError, ParseError
+from kahlercheck import expressions
 from kahlercheck.expressions import (
     BinOp,
     Call,
@@ -195,3 +196,108 @@ def test_nesting_limit_raises_parse_error():
                  " + ".join(["z1"] * 3000)):
         with pytest.raises(ParseError, match="nests deeper"):
             parse(text)
+
+
+# -- the former tokenizer and tree walks, kept as references ---------------------------
+
+
+def tokenize_by_match(text: str):
+    """The tokenizer before ``finditer``: one anchored match per token."""
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = expressions._TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}", position=pos)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def children(node) -> tuple:
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    return ()
+
+
+def walk(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def walked_depth(node) -> int:
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in children(node))
+    return deepest
+
+
+def walked_max_variable(node) -> int:
+    return max((n.index for n in walk(node) if isinstance(n, Var)), default=-1)
+
+
+def walked_check_holomorphic(node, dim, label="map component"):
+    for sub in walk(node):
+        if isinstance(sub, Call) and sub.func in ("conj", "abs2"):
+            raise HolomorphyError(f"{label} must be holomorphic; {sub.func}() is not allowed")
+    top = walked_max_variable(node)
+    if top >= dim:
+        raise HolomorphyError(f"{label} uses variable {top + 1} but the chart has dimension {dim}")
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (ParseError, HolomorphyError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "position", None))
+
+
+@settings(max_examples=500, derandomize=True)
+@given(_asts, st.integers(1, 4))
+def test_one_scan_reads_what_the_tree_walks_read(node, dim):
+    text = to_text(node)
+    assert expressions._tokenize(text) == tokenize_by_match(text)
+    depth, top, _ = expressions._scan(node)
+    assert depth == walked_depth(node)
+    assert max_variable(node) == top == walked_max_variable(node)
+    assert (outcome(check_holomorphic, node, dim)
+            == outcome(walked_check_holomorphic, node, dim))
+
+
+def nested(levels: int) -> list:
+    """Texts whose tree, parenthesis or call nesting reaches ``levels``."""
+    texts = {"sum": " + ".join(["z1"] * levels), "parens": "(" * levels + "z1" + ")" * levels,
+             "calls": "exp(" * levels + "z1" + ")" * levels,
+             "negated_product": "-" + " * ".join(["z1"] * levels)}
+    return [pytest.param(text, id=f"{name}-{levels}") for name, text in texts.items()]
+
+
+# abs2(z1) + conj(z2) must name abs2: the first offending call in left-to-right preorder
+@pytest.mark.parametrize("text", [
+    "z1 $ z2", "z1 +  #", "1..2", "z0", "(z1", "z1 + q7", "z1   ", "  z1 * z2  \t\n", "  ",
+    "#", "", "z1 ^ 2.5", "abs2(z1) + conj(z2)", "z1 + conj(abs2(z2))", "exp(z1) * z3",
+    *nested(99), *nested(100), *nested(101)])
+def test_parse_and_checks_match_the_references_on_malformed_input(monkeypatch, text):
+    with monkeypatch.context() as patched:
+        patched.setattr(expressions, "_tokenize", tokenize_by_match)
+        patched.setattr(expressions, "_scan", lambda node: (walked_depth(node), None, None))
+        want = outcome(parse, text)
+    assert outcome(parse, text) == want
+    if want[0] == "value":
+        node = parse(text)
+        assert outcome(check_holomorphic, node, 2) == outcome(walked_check_holomorphic, node, 2)
+
