@@ -10,6 +10,7 @@ charts, and the CHB bisectional table for the averaging identity.
 import numpy as np
 import pytest
 
+from kahlercheck.bounds import three_circle_check
 from kahlercheck.errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -364,6 +365,65 @@ def test_psh_hypothesis_violation_downgrades():
     report = psh_check("log1p_energy", f, seeded_points(0.4, 5, 1, seed=29, cap=0.8))
     assert report.status == "not_applicable"
     assert any("bisectional" in note for note in report.notes)
+
+
+# -- the hypothesis rule: a refuted curvature hypothesis makes a check not applicable --
+
+BALL1 = catalog("complex_hyperbolic_ball", dim=1, c=1.0)
+BALL2 = catalog("complex_hyperbolic_ball", dim=2, c=1.0)
+PROJ1 = catalog("fubini_study", dim=1, c=1.0)
+
+
+def assert_hypotheses_refuted(report, refuted):
+    assert report.status == "not_applicable"
+    after = report.notes[report.notes.index("hypotheses not satisfied:") + 1:]
+    assert len(after) <= 5 and len(set(after)) == len(after)
+    assert after == refuted
+
+
+def test_psh_energy_on_a_ball_domain_is_not_applicable():
+    f = HoloMap(BALL1, FLAT1, ["z1"])
+    report = psh_check("log1p_energy", f, seeded_points(0.4, 5, 1, seed=29, cap=0.8))
+    assert_hypotheses_refuted(report, (
+        "domain bisectional -2.567e-01 < 0 at [-0.24712805+0.13014757j]",
+        "domain bisectional -6.413e+00 < 0 at [-0.24712805+0.13014757j]",
+        "domain bisectional -4.008e+00 < 0 at [-0.24712805+0.13014757j]",
+        "domain bisectional -3.993e+00 < 0 at [0.15157187-0.0646745j]",
+        "domain bisectional -3.391e+00 < 0 at [0.15157187-0.0646745j]",
+    ))
+
+
+def test_psh_log_volume_on_a_ball_domain_notes_its_ricci_curvature():
+    f = HoloMap(BALL2, FLAT2, ["z1", "z2/2"])
+    report = psh_check("log_D", f, seeded_points(0.4, 4, 2, seed=31, cap=0.8))
+    first = "[ 0.2255362 +0.08134074j -0.45080806-0.14659541j]"
+    assert_hypotheses_refuted(report, (
+        f"domain bisectional -1.384e+01 < 0 at {first}",
+        f"domain bisectional -3.524e+01 < 0 at {first}",
+        f"domain bisectional -1.102e+01 < 0 at {first}",
+        f"domain Ricci eigenvalue -3.000e+00 < 0 at {first}",
+        "domain bisectional -9.313e+00 < 0 at [-0.03094691-0.2389151j  -0.19579348+0.00667593j]",
+    ))
+
+
+def test_psh_into_a_positively_curved_target_is_not_applicable():
+    f = HoloMap(FLAT1, PROJ1, ["z1/2"])
+    report = psh_check("log1p_energy", f, seeded_points(0.8, 4, 1, seed=33))
+    assert_hypotheses_refuted(report, (
+        "target bisectional 2.424e+00 > 0 at image of [0.07507832-1.3768748j]",
+        "target bisectional 2.575e+00 > 0 at image of [0.07507832-1.3768748j]",
+        "target bisectional 7.251e-01 > 0 at image of [0.07507832-1.3768748j]",
+        "target bisectional 2.207e-01 > 0 at image of [0.50223445+0.12711122j]",
+        "target bisectional 1.061e-01 > 0 at image of [0.50223445+0.12711122j]",
+    ))
+
+
+def test_three_circle_into_a_positively_curved_target_is_not_applicable():
+    report = three_circle_check(HoloMap(FLAT1, PROJ1, ["z1/2"]), (0.25, 0.5, 1.0))
+    assert_hypotheses_refuted(report, (
+        "target bisectional 1.947e+01 > 0 near radius 0.5",
+        "target bisectional 1.699e+00 > 0 near radius 0.5",
+    ))
 
 
 def test_psh_unknown_quantity():
