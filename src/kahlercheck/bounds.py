@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
-from .functionals import bisectional
-from .identities import CheckReport
+from .functionals import sampled_bisectional
+from .identities import CheckReport, hypotheses_refuted
 from .linalg import rng_for
 from .maps import STACK_CHUNK, HoloMap, point_stacks
 
@@ -233,15 +233,11 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
     total = sum(counts)
     notes = [f"M(r1)={m1:.12g} M(r2)={m2:.12g} M(r3)={m3:.12g}"]
 
-    hypothesis_notes = []
     rng = rng_for(seed, 73)
     probe = point_stacks(f, _sphere_points(r2, f.m, HYPOTHESIS_SAMPLES, seed + 1), 0)
-    for cp in (stack.curvature("target").at(k) for stack in probe for k in range(len(stack))):
-        x = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
-        y = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
-        bn = bisectional(cp, x, y)
-        if bn > 1e-9:
-            hypothesis_notes.append(f"target bisectional {bn:.3e} > 0 near radius {r2}")
+    refuted = [f"target bisectional {bn:.3e} > 0 near radius {r2}"
+               for stack in probe for k in range(len(stack))
+               if (bn := sampled_bisectional(stack.curvature("target").at(k), rng)) > 1e-9]
 
     if min(m1, m2, m3) == 0.0:
         notes.append("constant map: all sphere maxima vanish, inequality vacuous")
@@ -252,21 +248,15 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
         signed = interp - math.log(m2)
         violation = max(0.0, -signed)
         notes.append(f"signed_slack={signed:.12g}")
-    status = "ok"
-    if hypothesis_notes:
-        status = "not_applicable"
-        notes.append("hypotheses not satisfied:")
-        notes.extend(dict.fromkeys(hypothesis_notes))
-    return CheckReport(
+    return hypotheses_refuted(CheckReport(
         kind="three_circle",
         points_checked=total,
         max_abs_residual=violation,
         worst_point=None,
         tolerance=tol,
         passed=violation <= tol,
-        status=status,
         notes=tuple(notes),
-    )
+    ), refuted)
 
 
 # -- hoop (reverse) bounds -------------------------------------------------------

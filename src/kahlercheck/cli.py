@@ -172,9 +172,6 @@ def _checked_spec(check) -> dict:
         spec["tolerance"] = _positive(spec["tolerance"], f"{kind} tolerance")
     if "seed" in spec:
         spec["seed"] = _count(spec["seed"], f"{kind} seed", minimum=0)
-    if "hypothesis_samples" in spec:
-        spec["hypothesis_samples"] = _sample_count(
-            spec["hypothesis_samples"], f"{kind} hypothesis_samples", minimum=0)
     if "count" in spec:
         spec["count"] = _sample_count(spec["count"], f"{kind} count", minimum=2)
     if "counts" in spec:
@@ -185,9 +182,11 @@ def _checked_spec(check) -> dict:
             spec["counts"] = tuple(_sample_count(c, f"{kind} counts entry") for c in counts)
         else:
             spec["counts"] = _sample_count(counts, f"{kind} counts")
-    if kind == "hoop" and spec.get("mode", "volume") not in bounds_mod.HOOP_MODES:
-        raise ConfigurationError(f"hoop mode must be one of {bounds_mod.HOOP_MODES}, "
-                                 f"got {spec['mode']!r}")
+    if kind == "hoop":
+        spec.setdefault("mode", "volume")
+        if spec["mode"] not in bounds_mod.HOOP_MODES:
+            raise ConfigurationError(f"hoop mode must be one of {bounds_mod.HOOP_MODES}, "
+                                     f"got {spec['mode']!r}")
     for name in ("K", "kappa"):
         if name in spec:
             spec[name] = _finite(spec[name], f"{kind} {name}")
@@ -351,7 +350,7 @@ def resolve_bound_constants(scenario, check, kind, probe):
     """(K, κ) for a bound check.  A sampled fallback reads the curvature of ``probe()``,
     the scenario's order-0 stack of its first ``CONSTANT_PROBE_POINTS`` sample points,
     so it never raises the stacks' order."""
-    key = (kind, check.get("mode", "volume")) if kind == "hoop" else kind
+    key = (kind, check["mode"]) if kind == "hoop" else kind
     k_rule, kappa_rule = _CONSTANT_RULES[key]
     k = _resolve_constant(scenario, check, "K", k_rule, "domain", probe)
     kappa = _resolve_constant(scenario, check, "kappa", kappa_rule, "target", probe)
@@ -369,48 +368,41 @@ def _direction(scenario, check):
     return vec
 
 
+def _set(check, *keys) -> dict:
+    """The library arguments among ``keys`` that a check spec sets; its tolerance is ``tol``."""
+    return {"tol" if key == "tolerance" else key: check[key] for key in keys if key in check}
+
+
 def _run_identity(scenario, check, stacks, probe):
-    kind = check["kind"]
     verify = {"boch1": ident_mod.verify_boch1,
               "boch2": ident_mod.verify_boch2,
-              "log_w": ident_mod.verify_log_w}[kind]
-    tol = check.get("tolerance", ident_mod.DEFAULT_TOL)
-    return verify(scenario.holo_map, stacks, _direction(scenario, check), tol)
+              "log_w": ident_mod.verify_log_w}[check["kind"]]
+    return verify(scenario.holo_map, stacks, _direction(scenario, check),
+                  **_set(check, "tolerance"))
 
 
 def _run_bound(scenario, check, stacks, probe):
     kind = check["kind"]
-    tol = check.get("tolerance", 1e-8)
     k, kappa = resolve_bound_constants(scenario, check, kind, probe)
     if kind == "hoop":
-        mode = check.get("mode", "volume")
-        return bounds_mod.hoop_check(scenario.holo_map, stacks, mode, k, kappa, tol)
+        return bounds_mod.hoop_check(scenario.holo_map, stacks, check["mode"], k, kappa,
+                                     **_set(check, "tolerance"))
     runner = {"schwarz": bounds_mod.schwarz_bound_report,
               "volume": bounds_mod.volume_bound_report,
               "royden": bounds_mod.royden_bound_report}[kind]
-    return runner(scenario.holo_map, stacks, k, kappa, tol)
+    return runner(scenario.holo_map, stacks, k, kappa, **_set(check, "tolerance"))
 
 
 def _run_three_circle(scenario, check, stacks, probe):
-    radii = _require(check, "radii", "three_circle check")
     return bounds_mod.three_circle_check(
-        scenario.holo_map,
-        radii,
-        check.get("counts", 64),
-        tol=check.get("tolerance", 1e-9),
-        seed=check.get("seed", scenario.seed),
-    )
+        scenario.holo_map, _require(check, "radii", "three_circle check"),
+        seed=check.get("seed", scenario.seed), **_set(check, "counts", "tolerance"))
 
 
 def _run_psh(scenario, check, stacks, probe):
     return ident_mod.psh_check(
-        _require(check, "quantity", "psh check"),
-        scenario.holo_map,
-        stacks,
-        tol=check.get("tolerance", 1e-8),
-        hypothesis_samples=check.get("hypothesis_samples", 3),
-        seed=check.get("seed", scenario.seed),
-    )
+        _require(check, "quantity", "psh check"), scenario.holo_map, stacks,
+        seed=check.get("seed", scenario.seed), **_set(check, "tolerance"))
 
 
 def _run_averaging(scenario, check, stacks, probe):
@@ -418,13 +410,8 @@ def _run_averaging(scenario, check, stacks, probe):
     anchor = (_vector_from_json(check["point"], scenario.domain.dim, "averaging point")
               if "point" in check else stacks[0].points[0])
     return ident_mod.averaging_identity_check(
-        curvature_tensor(scenario.domain, anchor),
-        weights,
-        tol=check.get("tolerance", 1e-9),
-        count=check.get("count", 20000),
-        seed=check.get("seed", scenario.seed),
-        kappa=check.get("kappa"),
-    )
+        curvature_tensor(scenario.domain, anchor), weights,
+        seed=check.get("seed", scenario.seed), **_set(check, "count", "kappa", "tolerance"))
 
 
 class _CheckKind(NamedTuple):
@@ -448,7 +435,7 @@ _CHECK_KINDS = {
     "royden": _BOUND,
     "hoop": _CheckKind(("mode", "K", "kappa", "tolerance"), _run_bound),
     "three_circle": _CheckKind(("radii", "counts", "tolerance", "seed"), _run_three_circle),
-    "psh": _CheckKind(("quantity", "hypothesis_samples", "tolerance", "seed"), _run_psh,
+    "psh": _CheckKind(("quantity", "tolerance", "seed"), _run_psh,
                       ident_mod.IDENTITY_JET_ORDER),
     "averaging": _CheckKind(("weights", "point", "count", "seed", "kappa", "tolerance"),
                             _run_averaging),

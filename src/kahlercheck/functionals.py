@@ -98,6 +98,14 @@ def bisectional(cp: CurvaturePoint, x, y) -> float:
     return _real(_contract(cp.riem, x, x, y, y), "bisectional")
 
 
+def sampled_bisectional(cp: CurvaturePoint, rng) -> float:
+    """R(x, x̄, y, ȳ) at complex Gaussian x, then y, drawn from ``rng``."""
+    dim = len(cp.g)
+    x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    y = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return bisectional(cp, x, y)
+
+
 def ricci(cp: CurvaturePoint) -> np.ndarray:
     """Ric_{γδ̄} = g^{αβ̄} R_{αβ̄γδ̄} as a Hermitian matrix."""
     ric = np.einsum("ba,abcd->cd", cp.g_inv, cp.riem)

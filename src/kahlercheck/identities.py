@@ -27,7 +27,7 @@ from .errors import (
     MultiplicityError,
     RankError,
 )
-from .functionals import bisectional, ricci
+from .functionals import ricci, sampled_bisectional
 from .geometry import CurvaturePoint
 from .jets import derivative_block
 from .linalg import (
@@ -79,11 +79,18 @@ def _as_vector(v, dim: int) -> np.ndarray:
     return vec
 
 
-def _scaled_residual(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-
-
-def _aggregate(kind, residuals, pts, tol, skipped, notes) -> CheckReport:
+def _verify(kind, residual, f, points, tol, skips=()) -> CheckReport:
+    """Residuals ``residual(stack, k)`` at the points; errors in ``skips`` skip one loudly."""
+    residuals, kept, notes = [], [], []
+    for stack in point_stacks(f, points, IDENTITY_JET_ORDER):
+        for k, point in enumerate(stack.points):
+            try:
+                residuals.append(residual(stack, k))
+            except skips as err:
+                notes.append(f"skipped: {err}")
+                continue
+            kept.append(point)
+    skipped = len(notes)  # one note per skipped point
     if not residuals:
         return CheckReport(
             kind=kind,
@@ -104,7 +111,7 @@ def _aggregate(kind, residuals, pts, tol, skipped, notes) -> CheckReport:
         kind=kind,
         points_checked=len(residuals),
         max_abs_residual=max_res,
-        worst_point=np.asarray(pts[worst]),
+        worst_point=np.asarray(kept[worst]),
         tolerance=tol,
         passed=max_res <= tol,
         status="ok",
@@ -112,6 +119,23 @@ def _aggregate(kind, residuals, pts, tol, skipped, notes) -> CheckReport:
         notes=tuple(notes),
         details=tuple(float(r) for r in arr),
     )
+
+
+def _scaled(sides, v):
+    """The row residual |LHS − RHS|/(1 + |LHS| + |RHS|) of ``sides(stack, k, v)``."""
+    def residual(stack, k):
+        lhs, rhs = sides(stack, k, v)
+        return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+    return residual
+
+
+def hypotheses_refuted(report: CheckReport, refuted) -> CheckReport:
+    """The one hypothesis rule: a sampled curvature hypothesis that failed makes ``report``
+    not_applicable, noting the first five distinct failures after "hypotheses not satisfied:"."""
+    if not refuted:
+        return report
+    return replace(report, status="not_applicable", notes=report.notes
+                   + ("hypotheses not satisfied:",) + tuple(dict.fromkeys(refuted))[:5])
 
 
 def _levi_form(jet, v) -> float:
@@ -158,23 +182,7 @@ def _boch1(stack: PointStack, k: int, v) -> tuple[float, float]:
 
 def verify_boch1(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
     """Energy identity over a batch of points (or stacks) with a fixed direction."""
-    return _verify("boch1", _boch1, f, points, v, tol, skips=())
-
-
-def _verify(kind, sides, f, points, v, tol, skips) -> CheckReport:
-    """Residuals of ``sides(stack, k, v)`` at the points; errors in ``skips`` skip one loudly."""
-    residuals, kept, notes, skipped = [], [], [], 0
-    for stack in point_stacks(f, points, IDENTITY_JET_ORDER):
-        for k, point in enumerate(stack.points):
-            try:
-                lhs, rhs = sides(stack, k, v)
-            except skips as err:
-                skipped += 1
-                notes.append(f"skipped: {err}")
-                continue
-            residuals.append(_scaled_residual(lhs, rhs))
-            kept.append(point)
-    return _aggregate(kind, residuals, kept, tol, skipped, notes)
+    return _verify("boch1", _scaled(_boch1, v), f, points, tol)
 
 
 # -- log-volume identity ---------------------------------------------------------
@@ -223,7 +231,7 @@ def _boch2(stack: PointStack, k: int, v) -> tuple[float, float]:
 
 def verify_boch2(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
     """Log-volume identity over a batch; rank-deficient points are skipped loudly."""
-    return _verify("boch2", _boch2, f, points, v, tol, skips=RankError)
+    return _verify("boch2", _scaled(_boch2, v), f, points, tol, skips=RankError)
 
 
 # -- stretch-barrier identity ----------------------------------------------------
@@ -262,7 +270,8 @@ def _log_w(stack: PointStack, k: int, v) -> tuple[float, float]:
 
 def verify_log_w(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
     """Top-stretch identity over a batch; tied or rank-0 points are skipped loudly."""
-    return _verify("log_w", _log_w, f, points, v, tol, skips=(RankError, MultiplicityError))
+    return _verify("log_w", _scaled(_log_w, v), f, points, tol,
+                   skips=(RankError, MultiplicityError))
 
 
 # -- Rayleigh sandwich -----------------------------------------------------------
@@ -376,16 +385,27 @@ def averaging_identity_check(
 # -- plurisubharmonicity ---------------------------------------------------------
 
 PSH_QUANTITIES = ("log1p_energy", "log_D")
+# random bisectional samples per point and chart that psh draws for its hypotheses
+PSH_HYPOTHESIS_SAMPLES = 3
 
 
-def psh_check(
-    quantity: str,
-    f: HoloMap,
-    points,
-    tol: float = 1e-8,
-    hypothesis_samples: int = 3,
-    seed: int = 0,
-) -> CheckReport:
+def _psh_hypotheses(quantity: str, stacks, rng) -> list[str]:
+    """Notes of the sampled hypotheses psh's claim rests on that fail at the points."""
+    refuted = []
+    for stack in stacks:
+        for k, p in enumerate(stack.points):
+            cp_m, cp_n = stack.curvature("domain").at(k), stack.curvature("target").at(k)
+            for _ in range(PSH_HYPOTHESIS_SAMPLES):
+                if (bx := sampled_bisectional(cp_m, rng)) < -1e-9:
+                    refuted.append(f"domain bisectional {bx:.3e} < 0 at {p}")
+                if (bn := sampled_bisectional(cp_n, rng)) > 1e-9:
+                    refuted.append(f"target bisectional {bn:.3e} > 0 at image of {p}")
+            if quantity == "log_D" and (low := pencil_eigh(ricci(cp_m), cp_m.g)[0][0]) < -1e-9:
+                refuted.append(f"domain Ricci eigenvalue {low:.3e} < 0 at {p}")
+    return refuted
+
+
+def psh_check(quantity: str, f: HoloMap, points, tol: float = 1e-8, seed: int = 0) -> CheckReport:
     """Sampled positivity of the complex Hessian of a curvature-protected scalar.
 
     At every point the m×m Hessian of log(1+‖∂f‖²) or log D is
@@ -399,51 +419,20 @@ def psh_check(
         raise ConfigurationError(
             f"unknown quantity {quantity!r}; choose from {PSH_QUANTITIES}"
         )
-    rng = rng_for(seed, 41)
-    hypothesis_notes: list[str] = []
-    residuals, kept, notes, skipped = [], [], [], 0
-    worst_eig = np.inf
-    for stack in point_stacks(f, points, IDENTITY_JET_ORDER):
-        for k, p in enumerate(stack.points):
-            cp_m, cp_n = stack.curvature("domain").at(k), stack.curvature("target").at(k)
-            for _ in range(hypothesis_samples):
-                x = rng.normal(size=f.m) + 1j * rng.normal(size=f.m)
-                y = rng.normal(size=f.m) + 1j * rng.normal(size=f.m)
-                bx = bisectional(cp_m, x, y)
-                if bx < -1e-9:
-                    hypothesis_notes.append(
-                        f"domain bisectional {bx:.3e} < 0 at {p}"
-                    )
-                xn = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
-                yn = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
-                bn = bisectional(cp_n, xn, yn)
-                if bn > 1e-9:
-                    hypothesis_notes.append(
-                        f"target bisectional {bn:.3e} > 0 at image of {p}"
-                    )
-            if quantity == "log_D":
-                ric_vals, _ = pencil_eigh(ricci(cp_m), cp_m.g)
-                if ric_vals[0] < -1e-9:
-                    hypothesis_notes.append(f"domain Ricci eigenvalue {ric_vals[0]:.3e} < 0 at {p}")
-                try:
-                    scalar = kept_jet(stack.log_volume_jets[k])
-                except RankError as err:
-                    skipped += 1
-                    notes.append(f"skipped: {err}")
-                    continue
-            else:
-                scalar = (1.0 + stack.energy_jet.at(k)).log()
-            hess = derivative_block(scalar, "levi")
-            hess = 0.5 * (hess + hess.conj().T)
-            low = float(np.linalg.eigvalsh(hess)[0])
-            worst_eig = min(worst_eig, low)
-            residuals.append(max(0.0, -low))
-            kept.append(p)
-    if np.isfinite(worst_eig):
-        notes.append(f"smallest Hessian eigenvalue {worst_eig:.6e}")
-    report = _aggregate(f"psh[{quantity}]", residuals, kept, tol, skipped, notes)
-    if hypothesis_notes:
-        seen = tuple(dict.fromkeys(hypothesis_notes))[:5]
-        return replace(report, status="not_applicable",
-                       notes=report.notes + ("hypotheses not satisfied:",) + seen)
-    return report
+    stacks = point_stacks(f, points, IDENTITY_JET_ORDER)
+    refuted = _psh_hypotheses(quantity, stacks, rng_for(seed, 41))
+    lows = []
+
+    def residual(stack, k):
+        scalar = (kept_jet(stack.log_volume_jets[k]) if quantity == "log_D"
+                  else (1.0 + stack.energy_jet.at(k)).log())
+        hess = derivative_block(scalar, "levi")
+        low = float(np.linalg.eigvalsh(0.5 * (hess + hess.conj().T))[0])
+        lows.append(low)
+        return max(0.0, -low)
+
+    report = _verify(f"psh[{quantity}]", residual, f, stacks, tol, skips=RankError)
+    if lows:
+        report = replace(report, notes=report.notes
+                         + (f"smallest Hessian eigenvalue {min(lows):.6e}",))
+    return hypotheses_refuted(report, refuted)
