@@ -90,6 +90,8 @@ def _require(doc: dict, key: str, what: str):
 def _region_from_spec(spec, dim: int):
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"region spec must be an object, got {spec!r}")
     kind = _require(spec, "kind", "region spec")
     if kind == "full":
         return FullSpace(dim)
@@ -108,14 +110,20 @@ def chart_from_spec(spec: dict, role: str) -> KahlerChart:
     if not isinstance(spec, dict):
         raise ConfigurationError(f"{role} spec must be an object")
     if "catalog" in spec:
-        return catalog(spec["catalog"], **spec.get("params", {}))
+        name, params = spec["catalog"], spec.get("params", {})
+        if not isinstance(name, str) or not isinstance(params, dict):
+            raise ConfigurationError(f"{role} catalog must be a chart name, its params an object")
+        return catalog(name, **params)
     dim = _count(_require(spec, "dim", f"{role} spec"), f"{role} dim", minimum=1)
     region = _region_from_spec(spec.get("region"), dim)
     label = spec.get("label", role)
     if "potential" in spec:
         return PotentialChart(dim, spec["potential"], region, label)
     if "metric" in spec:
-        return ComponentChart(dim, spec["metric"], region, label)
+        metric = spec["metric"]
+        if not isinstance(metric, list) or not all(isinstance(row, list) for row in metric):
+            raise ConfigurationError(f"{role} metric must be a list of lists of expressions")
+        return ComponentChart(dim, metric, region, label)
     raise ConfigurationError(f"{role} spec needs 'catalog', 'potential', or 'metric'")
 
 
@@ -167,6 +175,8 @@ def _checked_spec(check) -> dict:
     if extra:
         raise ConfigurationError(f"{kind} check has no parameter {extra[0]!r}; "
                                  f"it reads {', '.join(keys)}")
+    for key in _CHECK_KINDS[kind].required:
+        _require(check, key, f"{kind} check")
     spec = dict(check)
     if "tolerance" in spec:
         spec["tolerance"] = _positive(spec["tolerance"], f"{kind} tolerance")
@@ -184,9 +194,9 @@ def _checked_spec(check) -> dict:
             spec["counts"] = _sample_count(counts, f"{kind} counts")
     if kind == "hoop":
         spec.setdefault("mode", "volume")
-        if spec["mode"] not in bounds_mod.HOOP_MODES:
-            raise ConfigurationError(f"hoop mode must be one of {bounds_mod.HOOP_MODES}, "
-                                     f"got {spec['mode']!r}")
+    for key, choices in (("mode", bounds_mod.HOOP_MODES), ("quantity", ident_mod.PSH_QUANTITIES)):
+        if key in spec and spec[key] not in choices:
+            raise ConfigurationError(f"{kind} {key} must be one of {choices}, got {spec[key]!r}")
     for name in ("K", "kappa"):
         if name in spec:
             spec[name] = _finite(spec[name], f"{kind} {name}")
@@ -395,33 +405,33 @@ def _run_bound(scenario, check, stacks, probe):
 
 def _run_three_circle(scenario, check, stacks, probe):
     return bounds_mod.three_circle_check(
-        scenario.holo_map, _require(check, "radii", "three_circle check"),
+        scenario.holo_map, check["radii"],
         seed=check.get("seed", scenario.seed), **_set(check, "counts", "tolerance"))
 
 
 def _run_psh(scenario, check, stacks, probe):
     return ident_mod.psh_check(
-        _require(check, "quantity", "psh check"), scenario.holo_map, stacks,
+        check["quantity"], scenario.holo_map, stacks,
         seed=check.get("seed", scenario.seed), **_set(check, "tolerance"))
 
 
 def _run_averaging(scenario, check, stacks, probe):
-    weights = _require(check, "weights", "averaging check")
     anchor = (_vector_from_json(check["point"], scenario.domain.dim, "averaging point")
               if "point" in check else stacks[0].points[0])
     return ident_mod.averaging_identity_check(
-        curvature_tensor(scenario.domain, anchor), weights,
+        curvature_tensor(scenario.domain, anchor), check["weights"],
         seed=check.get("seed", scenario.seed), **_set(check, "count", "kappa", "tolerance"))
 
 
 class _CheckKind(NamedTuple):
     """How a check kind runs: the keys it reads beside "kind" (any other key is a
-    configuration problem), its runner and the jet order of the map it reads at the
-    sample points."""
+    configuration problem), its runner, the jet order of the map it reads at the
+    sample points and the keys a spec must set."""
 
     keys: tuple[str, ...]
     run: Callable
     jet_order: int = 1
+    required: tuple[str, ...] = ()
 
 
 _IDENTITY = _CheckKind(("direction", "tolerance"), _run_identity, ident_mod.IDENTITY_JET_ORDER)
@@ -434,11 +444,12 @@ _CHECK_KINDS = {
     "volume": _BOUND,
     "royden": _BOUND,
     "hoop": _CheckKind(("mode", "K", "kappa", "tolerance"), _run_bound),
-    "three_circle": _CheckKind(("radii", "counts", "tolerance", "seed"), _run_three_circle),
+    "three_circle": _CheckKind(("radii", "counts", "tolerance", "seed"), _run_three_circle,
+                               required=("radii",)),
     "psh": _CheckKind(("quantity", "tolerance", "seed"), _run_psh,
-                      ident_mod.IDENTITY_JET_ORDER),
+                      ident_mod.IDENTITY_JET_ORDER, required=("quantity",)),
     "averaging": _CheckKind(("weights", "point", "count", "seed", "kappa", "tolerance"),
-                            _run_averaging),
+                            _run_averaging, required=("weights",)),
 }
 
 

@@ -11,22 +11,26 @@ import numpy as np
 import pytest
 
 import kahlercheck
+from kahlercheck import bounds, identities
 from kahlercheck.bounds import BoundReport, Constant
 from kahlercheck.cli import (
     CONSTANT_PROBE_POINTS,
+    bound_report_json,
     chart_from_spec,
+    check_report_json,
     classify,
     curvature_report,
     load_scenario,
     main,
     render_json,
+    resolve_bound_constants,
     run_scenario,
     sample_points,
     shipped_scenario,
     shipped_scenarios,
 )
 from kahlercheck.errors import ConfigurationError
-from kahlercheck.geometry import Ball, PotentialChart
+from kahlercheck.geometry import Ball, PotentialChart, curvature_tensor
 from kahlercheck.identities import CheckReport
 
 
@@ -550,6 +554,12 @@ BAD_PARAMETERS = {
                                         "region": {"kind": "ball", "radius": "1"}}},
     "chart_dim_string": {"domain": {"dim": "1", "potential": "abs2(z1)"}},
     "map_number": {"map": 5},
+    "catalog_params_list": {"domain": {"catalog": "flat", "params": [1, 2]}},
+    "catalog_params_null": {"domain": {"catalog": "flat", "params": None}},
+    "catalog_name_list": {"domain": {"catalog": ["flat"]}},
+    "region_number": {"domain": {"dim": 1, "potential": "abs2(z1)", "region": 5}},
+    "metric_number": {"domain": {"dim": 1, "metric": 5}},
+    "metric_row_number": {"domain": {"dim": 1, "metric": [5]}},
     "catalog_dim_float": {"domain": {"catalog": "flat", "params": {"dim": 2.0}}},
     "catalog_m_float": {"domain": {"catalog": "flat", "params": {"m": 1.0}}},
     "schwarz_kapa_typo": {"checks": [{"kind": "schwarz", "kapa": 5}]},
@@ -626,6 +636,84 @@ def test_unknown_check_kind_exits_two_before_any_check_runs(tmp_path, capsys, mo
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: unknown check kind 'bogus'")
+
+
+@pytest.mark.parametrize("check, message", [
+    ({"kind": "psh"}, "psh check is missing the 'quantity' field"),
+    ({"kind": "psh", "quantity": "entropy"}, "psh quantity must be one of"),
+    ({"kind": "psh", "quantity": ["log_D"]}, "psh quantity must be one of"),
+    ({"kind": "three_circle"}, "three_circle check is missing the 'radii' field"),
+    ({"kind": "averaging"}, "averaging check is missing the 'weights' field"),
+])
+def test_load_scenario_rejects_a_check_without_its_required_keys(check, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_scenario(manifest(checks=[BOCH1, check]))
+
+
+def test_missing_required_key_exits_two_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    from kahlercheck import maps
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a stack was evaluated")
+
+    monkeypatch.setattr(maps.PointStack, "metric", no_evaluation)
+    monkeypatch.setattr(maps.HoloMap, "component_jets", no_evaluation)
+    path = tmp_path / "no_quantity.json"
+    path.write_text(json.dumps(manifest(checks=[{"kind": "boch1"}, {"kind": "psh"}])))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: psh check is missing the 'quantity' field\n"
+
+
+def _e1(f):
+    return np.eye(f.m, dtype=complex)[0]
+
+
+# (shipped scenario, a check of each kind with only its required keys, the library call
+# with the library's defaults: (scenario, points, (K, kappa)) -> report)
+ONLY_REQUIRED_KEYS = {
+    "boch1": ("boch1_flat_to_ball", {},
+              lambda sc, pts, kk: identities.verify_boch1(sc.holo_map, pts, _e1(sc.holo_map))),
+    "boch2": ("boch2_surface_to_threefold", {},
+              lambda sc, pts, kk: identities.verify_boch2(sc.holo_map, pts, _e1(sc.holo_map))),
+    "log_w": ("logw_disk_to_ball", {},
+              lambda sc, pts, kk: identities.verify_log_w(sc.holo_map, pts, _e1(sc.holo_map))),
+    "schwarz": ("schwarz_disk_equality", {},
+                lambda sc, pts, kk: bounds.schwarz_bound_report(sc.holo_map, pts, *kk)),
+    "volume": ("volume_ball_equality", {},
+               lambda sc, pts, kk: bounds.volume_bound_report(sc.holo_map, pts, *kk)),
+    "royden": ("volume_ball_equality", {},
+               lambda sc, pts, kk: bounds.royden_bound_report(sc.holo_map, pts, *kk)),
+    "hoop": ("hoop_fs_equality", {},
+             lambda sc, pts, kk: bounds.hoop_check(sc.holo_map, pts, "volume", *kk)),
+    "three_circle": ("three_circle_z2", {"radii": [0.5, 1.0, 2.0]},
+                     lambda sc, pts, kk: bounds.three_circle_check(
+                         sc.holo_map, (0.5, 1.0, 2.0), seed=sc.seed)),
+    "psh": ("psh_energy_curve", {"quantity": "log1p_energy"},
+            lambda sc, pts, kk: identities.psh_check("log1p_energy", sc.holo_map, pts,
+                                                     seed=sc.seed)),
+    "averaging": ("averaging_chb", {"weights": [1.0, 2.0]},
+                  lambda sc, pts, kk: identities.averaging_identity_check(
+                      curvature_tensor(sc.domain, pts[0]), [1.0, 2.0], seed=sc.seed)),
+}
+
+
+def test_only_required_keys_run_with_the_library_defaults():
+    from kahlercheck.cli import _CHECK_KINDS
+
+    assert sorted(ONLY_REQUIRED_KEYS) == sorted(_CHECK_KINDS)
+    for kind, (name, required, library_call) in ONLY_REQUIRED_KEYS.items():
+        doc = shipped_scenarios()[name]
+        scenario = load_scenario({**doc, "checks": [{"kind": kind, **required}]})
+        (entry,) = run_scenario(scenario, details=True)[0]["checks"]
+        del entry["verdict"]
+        points = sample_points(scenario)
+        constants = None
+        if kind in ("schwarz", "volume", "royden", "hoop"):
+            constants = resolve_bound_constants(scenario, scenario.checks[0], kind, lambda: None)
+        report = library_call(scenario, points, constants)
+        expected = (check_report_json(report, details=True) if isinstance(report, CheckReport)
+                    else bound_report_json(report))
+        assert render_json(entry) == render_json(expected), kind
 
 
 def test_sampled_volume_kappa_of_a_curve_reads_holomorphic_sectional_curvature(tmp_path, capsys):
