@@ -378,7 +378,7 @@ def _direction(scenario, check):
     return vec
 
 
-def _set(check, *keys) -> dict:
+def _given(check, *keys) -> dict:
     """The library arguments among ``keys`` that a check spec sets; its tolerance is ``tol``."""
     return {"tol" if key == "tolerance" else key: check[key] for key in keys if key in check}
 
@@ -388,7 +388,7 @@ def _run_identity(scenario, check, stacks, probe):
               "boch2": ident_mod.verify_boch2,
               "log_w": ident_mod.verify_log_w}[check["kind"]]
     return verify(scenario.holo_map, stacks, _direction(scenario, check),
-                  **_set(check, "tolerance"))
+                  **_given(check, "tolerance"))
 
 
 def _run_bound(scenario, check, stacks, probe):
@@ -396,23 +396,23 @@ def _run_bound(scenario, check, stacks, probe):
     k, kappa = resolve_bound_constants(scenario, check, kind, probe)
     if kind == "hoop":
         return bounds_mod.hoop_check(scenario.holo_map, stacks, check["mode"], k, kappa,
-                                     **_set(check, "tolerance"))
+                                     **_given(check, "tolerance"))
     runner = {"schwarz": bounds_mod.schwarz_bound_report,
               "volume": bounds_mod.volume_bound_report,
               "royden": bounds_mod.royden_bound_report}[kind]
-    return runner(scenario.holo_map, stacks, k, kappa, **_set(check, "tolerance"))
+    return runner(scenario.holo_map, stacks, k, kappa, **_given(check, "tolerance"))
 
 
 def _run_three_circle(scenario, check, stacks, probe):
     return bounds_mod.three_circle_check(
         scenario.holo_map, check["radii"],
-        seed=check.get("seed", scenario.seed), **_set(check, "counts", "tolerance"))
+        seed=check.get("seed", scenario.seed), **_given(check, "counts", "tolerance"))
 
 
 def _run_psh(scenario, check, stacks, probe):
     return ident_mod.psh_check(
         check["quantity"], scenario.holo_map, stacks,
-        seed=check.get("seed", scenario.seed), **_set(check, "tolerance"))
+        seed=check.get("seed", scenario.seed), **_given(check, "tolerance"))
 
 
 def _run_averaging(scenario, check, stacks, probe):
@@ -420,7 +420,7 @@ def _run_averaging(scenario, check, stacks, probe):
               if "point" in check else stacks[0].points[0])
     return ident_mod.averaging_identity_check(
         curvature_tensor(scenario.domain, anchor), check["weights"],
-        seed=check.get("seed", scenario.seed), **_set(check, "count", "kappa", "tolerance"))
+        seed=check.get("seed", scenario.seed), **_given(check, "count", "kappa", "tolerance"))
 
 
 class _CheckKind(NamedTuple):
