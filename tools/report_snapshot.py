@@ -1,0 +1,80 @@
+"""Write every report a refactor must leave byte-identical, one file each.
+
+    python tools/report_snapshot.py OUTDIR [CHECKOUT]
+
+CHECKOUT (default: the checkout holding this script) is where the
+package is imported from (``CHECKOUT/src``) and where the benchmark's
+manifests are built (``CHECKOUT/bench/workloads.py``).  The reports are
+
+- ``run/NAME.json`` and ``run-details/NAME.json``: ``kahlercheck run``
+  on each shipped scenario, without and with ``--details``;
+- ``curvature/NAME.json``: ``kahlercheck curvature`` on each of them;
+- ``WORKLOAD-sSEED/NNN-NAME.json`` and ``WORKLOAD-sSEED-details/...``:
+  ``kahlercheck run`` on every manifest of both benchmark workloads at
+  seeds 1 and 3, without and with ``--details``.
+
+Each file holds the exit code on its first line, then the command's
+stdout and stderr.  Comparing two commits is then
+
+    python tools/report_snapshot.py /tmp/new
+    python tools/report_snapshot.py /tmp/old /path/to/a/checkout/of/the/other/commit
+    diff -r /tmp/old /tmp/new
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+SEEDS = (1, 3)
+
+
+def _main_output(main, argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return f"exit {status}\n{out.getvalue()}{err.getvalue()}"
+
+
+def snapshot(outdir: Path, checkout: Path) -> int:
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    from kahlercheck.cli import main, shipped_scenarios
+
+    import workloads
+
+    jobs = []  # (relative path, argv, manifest or None)
+    for name in sorted(shipped_scenarios()):
+        jobs += [(f"run/{name}.json", ["run", name], None),
+                 (f"run-details/{name}.json", ["run", name, "--details"], None),
+                 (f"curvature/{name}.json", ["curvature", name], None)]
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for k, case in enumerate(workloads.BUILDERS[workload](seed)):
+                stem = f"{k:03d}-{case.doc['name']}.json"
+                jobs += [(f"{workload}-s{seed}/{stem}", ["run"], case.doc),
+                         (f"{workload}-s{seed}-details/{stem}", ["run", "--details"], case.doc)]
+    outdir = outdir.resolve()
+    # manifests go to one relative path, so no message names a temporary directory
+    with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
+        for rel, argv, doc in jobs:
+            if doc is not None:
+                Path("manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+                argv = argv[:1] + ["manifest.json"] + argv[1:]
+            path = outdir / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(_main_output(main, argv), encoding="utf-8")
+    return len(jobs)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) not in (2, 3):
+        sys.exit(__doc__)
+    root = Path(sys.argv[2] if len(sys.argv) == 3 else Path(__file__).resolve().parents[1])
+    written = snapshot(Path(sys.argv[1]), root.resolve())
+    print(f"{written} reports written to {sys.argv[1]}")
