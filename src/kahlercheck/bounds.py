@@ -174,7 +174,7 @@ def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
 
 
 def _require_flat_domain(f: HoloMap, what: str):
-    if getattr(f.domain, "family", None) != "flat":
+    if f.domain.family != "flat":
         raise ConfigurationError(f"{what} needs a flat domain chart (|x| must be the distance)")
 
 

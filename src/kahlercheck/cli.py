@@ -342,9 +342,8 @@ def _resolve_constant(scenario, check, const_name, rule, role, probe):
         return bounds_mod.Constant.analytic(const_name, scenario.constants[const_name])
     facts_field, sign = rule
     chart = scenario.domain if role == "domain" else scenario.target
-    facts = getattr(chart, "facts", None)
-    if facts is not None:
-        value = getattr(facts, facts_field)
+    if chart.facts is not None:
+        value = getattr(chart.facts, facts_field)
         if facts_field == "ricci_m_max":  # m = domain dimension; the volume check rejects m > n
             value = value[min(scenario.domain.dim, chart.dim) - 1]
         return bounds_mod.Constant.analytic(const_name, sign * value)
@@ -558,10 +557,9 @@ def curvature_report(scenario: Scenario) -> dict:
     charts = []
     for role, chart in (("domain", scenario.domain), ("target", scenario.target)):
         entry = {"role": role, "label": chart.label, "dim": chart.dim}
-        family = getattr(chart, "family", None)
-        if family is not None:
-            entry["family"] = family
-        facts = getattr(chart, "facts", None)
+        if chart.family is not None:
+            entry["family"] = chart.family
+        facts = chart.facts
         if facts is not None:
             entry["facts"] = {
                 "hol_sec_min": facts.hol_sec_min,

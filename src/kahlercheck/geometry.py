@@ -135,6 +135,10 @@ class KahlerChart:
     concurrent use at distinct points is safe.
     """
 
+    # the catalog family and its closed-form facts; None for a chart not built by ``catalog``
+    family: str | None = None
+    facts: CurvatureFacts | None = None
+
     def __init__(self, dim: int, domain: Domain | None, label: str):
         if not 1 <= dim <= MAX_HOLOMORPHIC_VARS:
             raise ConfigurationError(
@@ -463,10 +467,6 @@ def _count(value, what: str, minimum: int, maximum: int | None = None) -> int:
     return int(value)
 
 
-def _require_positive(params: dict, key: str) -> float:
-    return _finite(params[key], f"parameter {key}", positive=True)
-
-
 def _abs2_sum(zs) -> WirtingerJet:
     acc = zs[0] * zs[0].conj()
     for z in zs[1:]:
@@ -474,73 +474,59 @@ def _abs2_sum(zs) -> WirtingerJet:
     return acc
 
 
-def _build_flat(dim: int = 1) -> KahlerChart:
-    return PotentialChart(dim, _abs2_sum, FullSpace(dim), label=f"flat({dim})")
+# Each family maps its parameters to its chart and the chart's closed-form facts.
 
 
-def _facts_flat(dim: int = 1) -> CurvatureFacts:
-    return CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim)
+def _flat(dim: int = 1) -> tuple[KahlerChart, CurvatureFacts]:
+    return (PotentialChart(dim, _abs2_sum, FullSpace(dim), label=f"flat({dim})"),
+            CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim))
 
 
-def _build_poincare_disk(a: float = 1.0) -> KahlerChart:
+def _disk_entry(a: float, k: int) -> Callable:
+    """g_{k k̄} = a/(1 − |z_k|²)², the disk's metric and each polydisk factor's."""
     def entry(zs):
-        return a * ((1.0 - zs[0] * zs[0].conj()) ** 2).reciprocal()
+        return a * ((1.0 - zs[k] * zs[k].conj()) ** 2).reciprocal()
 
-    return ComponentChart(1, [[entry]], Ball(1), label=f"poincare_disk(a={a:g})")
-
-
-def _facts_poincare_disk(a: float = 1.0) -> CurvatureFacts:
-    return CurvatureFacts(-2.0 / a, -2.0 / a, -2.0 / a, -2.0 / a, -2.0 / a, (-2.0 / a,))
+    return entry
 
 
-def _build_poincare_polydisk(dim: int = 2, a: float = 1.0) -> KahlerChart:
-    def diag_entry(k):
-        def entry(zs):
-            return a * ((1.0 - zs[k] * zs[k].conj()) ** 2).reciprocal()
-
-        return entry
-
-    entries = [
-        [diag_entry(i) if i == j else 0.0 for j in range(dim)] for i in range(dim)
-    ]
-    return ComponentChart(
-        dim, entries, Polydisk(dim, (1.0,) * dim), label=f"poincare_polydisk({dim}, a={a:g})"
-    )
+def _poincare_disk(a: float = 1.0) -> tuple[KahlerChart, CurvatureFacts]:
+    h = -2.0 / a
+    return (ComponentChart(1, [[_disk_entry(a, 0)]], Ball(1), label=f"poincare_disk(a={a:g})"),
+            CurvatureFacts(h, h, h, h, h, (h,)))
 
 
-def _facts_poincare_polydisk(dim: int = 2, a: float = 1.0) -> CurvatureFacts:
+def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> tuple[KahlerChart, CurvatureFacts]:
+    entries = [[_disk_entry(a, i) if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+    chart = ComponentChart(dim, entries, Polydisk(dim, (1.0,) * dim),
+                           label=f"poincare_polydisk({dim}, a={a:g})")
     # H is minimized on a single factor and maximized on the diagonal; Ric_m
     # is largest on m − 1 axes plus the diagonal of the remaining factors
     ricci_m = tuple(-2.0 / (a * (dim - m + 1)) for m in range(1, dim + 1))
-    return CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a, ricci_m)
+    return chart, CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a,
+                                 ricci_m)
 
 
-def _build_complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> KahlerChart:
+def _complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> tuple[KahlerChart, CurvatureFacts]:
     def potential(zs):
         return (1.0 - _abs2_sum(zs)).log() * (-c)
 
-    return PotentialChart(dim, potential, Ball(dim),
-                          label=f"complex_hyperbolic_ball({dim}, c={c:g})")
-
-
-def _facts_complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> CurvatureFacts:
     ric = -(dim + 1.0) / c
     # constant H: Ric_m = (m + 1)·H/2 on every m-dimensional subspace
     ricci_m = tuple(-(m + 1.0) / c for m in range(1, dim + 1))
-    return CurvatureFacts(-2.0 / c, -2.0 / c, ric, ric, dim * ric, ricci_m)
+    chart = PotentialChart(dim, potential, Ball(dim),
+                           label=f"complex_hyperbolic_ball({dim}, c={c:g})")
+    return chart, CurvatureFacts(-2.0 / c, -2.0 / c, ric, ric, dim * ric, ricci_m)
 
 
-def _build_fubini_study(dim: int = 1, c: float = 1.0) -> KahlerChart:
+def _fubini_study(dim: int = 1, c: float = 1.0) -> tuple[KahlerChart, CurvatureFacts]:
     def potential(zs):
         return (1.0 + _abs2_sum(zs)).log() * c
 
-    return PotentialChart(dim, potential, FullSpace(dim), label=f"fubini_study({dim}, c={c:g})")
-
-
-def _facts_fubini_study(dim: int = 1, c: float = 1.0) -> CurvatureFacts:
     ric = (dim + 1.0) / c
     ricci_m = tuple((m + 1.0) / c for m in range(1, dim + 1))
-    return CurvatureFacts(2.0 / c, 2.0 / c, ric, ric, dim * ric, ricci_m)
+    return (PotentialChart(dim, potential, FullSpace(dim), label=f"fubini_study({dim}, c={c:g})"),
+            CurvatureFacts(2.0 / c, 2.0 / c, ric, ric, dim * ric, ricci_m))
 
 
 @dataclass(frozen=True)
@@ -548,77 +534,43 @@ class CatalogEntry:
     name: str
     description: str
     params: str
-    build: Callable[..., KahlerChart]
-    facts: Callable[..., CurvatureFacts]
+    build: Callable[..., tuple[KahlerChart, CurvatureFacts]]
 
 
 CATALOG: dict[str, CatalogEntry] = {
     entry.name: entry
     for entry in (
-        CatalogEntry(
-            "flat",
-            "flat metric on C^dim, potential |z|^2",
-            "dim (default 1)",
-            _build_flat,
-            _facts_flat,
-        ),
-        CatalogEntry(
-            "poincare_disk",
-            "unit disk with g = a/(1-|z|^2)^2",
-            "a > 0 (default 1)",
-            _build_poincare_disk,
-            _facts_poincare_disk,
-        ),
-        CatalogEntry(
-            "poincare_polydisk",
-            "product of dim Poincaré disks",
-            "dim (default 2), a > 0 (default 1)",
-            _build_poincare_polydisk,
-            _facts_poincare_polydisk,
-        ),
-        CatalogEntry(
-            "complex_hyperbolic_ball",
-            "unit ball with potential -c*log(1-|z|^2)",
-            "dim (default 1), c > 0 (default 1)",
-            _build_complex_hyperbolic_ball,
-            _facts_complex_hyperbolic_ball,
-        ),
-        CatalogEntry(
-            "fubini_study",
-            "C^dim chart of projective space, potential c*log(1+|z|^2)",
-            "dim (default 1), c > 0 (default 1)",
-            _build_fubini_study,
-            _facts_fubini_study,
-        ),
+        CatalogEntry("flat", "flat metric on C^dim, potential |z|^2", "dim (default 1)", _flat),
+        CatalogEntry("poincare_disk", "unit disk with g = a/(1-|z|^2)^2", "a > 0 (default 1)",
+                     _poincare_disk),
+        CatalogEntry("poincare_polydisk", "product of dim Poincaré disks",
+                     "dim (default 2), a > 0 (default 1)", _poincare_polydisk),
+        CatalogEntry("complex_hyperbolic_ball", "unit ball with potential -c*log(1-|z|^2)",
+                     "dim (default 1), c > 0 (default 1)", _complex_hyperbolic_ball),
+        CatalogEntry("fubini_study", "C^dim chart of projective space, potential c*log(1+|z|^2)",
+                     "dim (default 1), c > 0 (default 1)", _fubini_study),
     )
 }
 
 
-def _catalog_call(fn: Callable, name: str, params: dict):
-    params = dict(params)
+def catalog(name: str, **params) -> KahlerChart:
+    """Build a model chart by name, its parameters checked once; see ``CATALOG`` for the choices."""
+    if name not in CATALOG:
+        raise ConfigurationError(
+            f"unknown catalog chart {name!r}; known: {', '.join(sorted(CATALOG))}"
+        )
     if "m" in params and "dim" not in params:
         params["dim"] = params.pop("m")
     if "dim" in params:
         params["dim"] = _count(params["dim"], "parameter dim", 1, MAX_HOLOMORPHIC_VARS)
     for key in ("a", "c"):
         if key in params:
-            params[key] = _require_positive(params, key)
+            params[key] = _finite(params[key], f"parameter {key}", positive=True)
     try:
-        return fn(**params)
+        chart, facts = CATALOG[name].build(**params)
     except TypeError:
         raise ConfigurationError(
             f"invalid parameters {sorted(params)} for catalog chart {name!r}"
         ) from None
-
-
-def catalog(name: str, **params) -> KahlerChart:
-    """Build a model chart by name; see ``CATALOG`` for the choices."""
-    if name not in CATALOG:
-        raise ConfigurationError(
-            f"unknown catalog chart {name!r}; known: {', '.join(sorted(CATALOG))}"
-        )
-    chart = _catalog_call(CATALOG[name].build, name, dict(params))
-    chart.family = name
-    chart.facts = _catalog_call(CATALOG[name].facts, name, params)
+    chart.family, chart.facts = name, facts
     return chart
-

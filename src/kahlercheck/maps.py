@@ -432,7 +432,7 @@ def catalog_isometry(chart: KahlerChart, seed: int = 0) -> HoloMap:
     for the disk (factorwise on the polydisk), unitary motions for the
     flat chart.
     """
-    family = getattr(chart, "family", None)
+    family = chart.family
     m = chart.dim
     rng = rng_for(seed, 929)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kahlercheck.cli import main
+from kahlercheck.cli import chart_from_spec, main
 from kahlercheck.geometry import catalog
 
 D7 = -2.857142857142857  # -2/0.7
@@ -92,3 +92,10 @@ def test_bad_catalog_parameter_message_is_pinned(tmp_path, capsys, family, param
     path.write_text(json.dumps(doc))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec", [{"dim": 1, "potential": "abs2(z1)"},
+                                  {"dim": 2, "metric": [["1", "0"], ["0", "1"]]}])
+def test_an_expression_chart_has_no_family_or_facts(spec):
+    chart = chart_from_spec(spec, "domain")
+    assert (chart.family, chart.facts) == (None, None)
