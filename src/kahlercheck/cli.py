@@ -87,22 +87,34 @@ def _require(doc: dict, key: str, what: str):
     return doc[key]
 
 
+def _only(doc: dict, keys, what: str) -> dict:
+    """``doc``, a manifest object, once it is known to set no key outside ``keys``."""
+    extra = [key for key in doc if key not in keys]
+    if extra:
+        raise ConfigurationError(f"{what} has no key {extra[0]!r}; it reads {', '.join(keys)}")
+    return doc
+
+
+_REGION_KEYS = {"full": ("kind",), "ball": ("kind", "radius"), "polydisk": ("kind", "radii")}
+
+
 def _region_from_spec(spec, dim: int):
     if spec is None:
         return None
     if not isinstance(spec, dict):
         raise ConfigurationError(f"region spec must be an object, got {spec!r}")
     kind = _require(spec, "kind", "region spec")
+    if not isinstance(kind, str) or kind not in _REGION_KEYS:
+        raise ConfigurationError(f"unknown region kind {kind!r}")
+    _only(spec, _REGION_KEYS[kind], f"{kind} region")
     if kind == "full":
         return FullSpace(dim)
     if kind == "ball":
         return Ball(dim, _positive(spec.get("radius", 1.0), "ball region radius"))
-    if kind == "polydisk":
-        radii = spec.get("radii")
-        if not isinstance(radii, list) or len(radii) != dim:
-            raise ConfigurationError(f"polydisk region needs {dim} radii")
-        return Polydisk(dim, tuple(_positive(r, "polydisk region radius") for r in radii))
-    raise ConfigurationError(f"unknown region kind {kind!r}")
+    radii = spec.get("radii")
+    if not isinstance(radii, list) or len(radii) != dim:
+        raise ConfigurationError(f"polydisk region needs {dim} radii")
+    return Polydisk(dim, tuple(_positive(r, "polydisk region radius") for r in radii))
 
 
 def chart_from_spec(spec: dict, role: str) -> KahlerChart:
@@ -110,21 +122,25 @@ def chart_from_spec(spec: dict, role: str) -> KahlerChart:
     if not isinstance(spec, dict):
         raise ConfigurationError(f"{role} spec must be an object")
     if "catalog" in spec:
+        _only(spec, ("catalog", "params"), f"{role} spec")
         name, params = spec["catalog"], spec.get("params", {})
         if not isinstance(name, str) or not isinstance(params, dict):
             raise ConfigurationError(f"{role} catalog must be a chart name, its params an object")
         return catalog(name, **params)
+    _only(spec, ("dim", "label", "region", "potential", "metric"), f"{role} spec")
+    if ("potential" in spec) == ("metric" in spec):
+        raise ConfigurationError(f"{role} spec needs 'catalog' or one of 'potential', 'metric'")
     dim = _count(_require(spec, "dim", f"{role} spec"), f"{role} dim", minimum=1)
     region = _region_from_spec(spec.get("region"), dim)
     label = spec.get("label", role)
+    if not isinstance(label, str):
+        raise ConfigurationError(f"{role} label must be a string, got {label!r}")
     if "potential" in spec:
         return PotentialChart(dim, spec["potential"], region, label)
-    if "metric" in spec:
-        metric = spec["metric"]
-        if not isinstance(metric, list) or not all(isinstance(row, list) for row in metric):
-            raise ConfigurationError(f"{role} metric must be a list of lists of expressions")
-        return ComponentChart(dim, metric, region, label)
-    raise ConfigurationError(f"{role} spec needs 'catalog', 'potential', or 'metric'")
+    metric = spec["metric"]
+    if not isinstance(metric, list) or not all(isinstance(row, list) for row in metric):
+        raise ConfigurationError(f"{role} metric must be a list of lists of expressions")
+    return ComponentChart(dim, metric, region, label)
 
 
 def _complex_from_json(value, what: str) -> complex:
@@ -170,11 +186,7 @@ def _checked_spec(check) -> dict:
     if kind not in _CHECK_KINDS:
         raise ConfigurationError(f"unknown check kind {kind!r}; "
                                  f"known: {', '.join(sorted(_CHECK_KINDS))}")
-    keys = _CHECK_KINDS[kind].keys
-    extra = [key for key in check if key != "kind" and key not in keys]
-    if extra:
-        raise ConfigurationError(f"{kind} check has no parameter {extra[0]!r}; "
-                                 f"it reads {', '.join(keys)}")
+    _only(check, ("kind",) + _CHECK_KINDS[kind].keys, f"{kind} check")
     for key in _CHECK_KINDS[kind].required:
         _require(check, key, f"{kind} check")
     spec = dict(check)
@@ -229,9 +241,13 @@ class Scenario:
 def load_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigurationError("manifest must be a JSON object")
+    _only(doc, ("schema", "name", "domain", "target", "map", "sampler", "checks", "constants"),
+          "manifest")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ConfigurationError(f"manifest schema must be {SCHEMA_VERSION}, got {doc.get('schema')!r}")
     name = _require(doc, "name", "manifest")
+    if not isinstance(name, str):
+        raise ConfigurationError(f"manifest name must be a string, got {name!r}")
     domain = chart_from_spec(_require(doc, "domain", "manifest"), "domain")
     target = chart_from_spec(_require(doc, "target", "manifest"), "target")
     components = _require(doc, "map", "manifest")
@@ -245,6 +261,7 @@ def load_scenario(doc: dict) -> Scenario:
     sampler = _require(doc, "sampler", "manifest")
     if not isinstance(sampler, dict) or "seed" not in sampler:
         raise ConfigurationError("sampler must be an object with an explicit seed (reproducibility)")
+    _only(sampler, ("seed", "count", "radius", "radii"), "sampler")
     seed = _count(sampler["seed"], "sampler seed", minimum=0)
     count = _sample_count(sampler.get("count", 20), "sampler count")
     radius = sampler.get("radius")
@@ -262,7 +279,8 @@ def load_scenario(doc: dict) -> Scenario:
     constants = doc.get("constants", {})
     if not isinstance(constants, dict):
         raise ConfigurationError("constants must be an object of named numbers")
-    constants = {name: _finite(value, f"constant {name}") for name, value in constants.items()}
+    constants = {name: _finite(value, f"constant {name}")
+                 for name, value in _only(constants, ("K", "kappa"), "constants").items()}
     return Scenario(
         name=name,
         domain=domain,
@@ -293,7 +311,10 @@ def sample_points(scenario: Scenario) -> np.ndarray:
     raw = rng.normal(size=(scenario.count, dim)) + 1j * rng.normal(size=(scenario.count, dim))
     if scenario.radius is not None:
         pts = raw * (0.4 * scenario.radius)
-        norms = np.linalg.norm(pts, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(pts, axis=1)
+        if not np.all(np.isfinite(norms)):  # the clamp below would send every point to 0
+            raise ConfigurationError(f"sampler radius {scenario.radius!r} is too large to sample")
         return pts * np.minimum(1.0, scenario.radius / np.maximum(norms, 1e-12))[:, None]
     scales = np.asarray(scenario.radii)
     pts = raw * (0.4 * scales)[None, :]

@@ -568,6 +568,9 @@ BAD_PARAMETERS = {
     "three_circle_hypothesis_samples": {"checks": [{"kind": "three_circle", "radii": [0.2, 0.4, 0.8],
                                                     "hypothesis_samples": 2}]},
     "averaging_points": {"checks": [{"kind": "averaging", "weights": [1.0], "points": [0.1]}]},
+    "name_list": {"name": ["x"]},
+    "label_number": {"domain": {"dim": 1, "potential": "abs2(z1)", "label": 5}},
+    "potential_and_metric": {"domain": {"dim": 1, "potential": "abs2(z1)", "metric": [["1"]]}},
     "deep_json": "[" * 100_000 + "]" * 100_000,
 }
 
@@ -593,6 +596,42 @@ def test_unknown_check_parameter_is_named(tmp_path, capsys, check, key):
     path.write_text(json.dumps(manifest(checks=[check])))
     assert main(["run", str(path)]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+EXPRESSION_DOMAIN = {"dim": 1, "potential": "abs2(z1)"}
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"constant": {"K": 0.1}}, "constant"),
+    ({"domain": {"catalog": "flat", "parms": {"dim": 1}}}, "parms"),
+    ({"domain": {"catalog": "flat", "label": "plane"}}, "label"),
+    ({"sampler": {"count": 6, "cuont": 500, "radius": 0.8, "seed": 7}}, "cuont"),
+    ({"constants": {"K": 0.5, "kapa": 1}}, "kapa"),
+    ({"domain": {**EXPRESSION_DOMAIN, "regoin": {"kind": "ball"}}}, "regoin"),
+    ({"domain": {**EXPRESSION_DOMAIN, "region": {"kind": "ball", "radii": [1.0]}}}, "radii"),
+    ({"domain": {**EXPRESSION_DOMAIN, "region": {"kind": "full", "radius": 1.0}}}, "radius"),
+    ({"domain": {**EXPRESSION_DOMAIN, "region": {"kind": "polydisk", "radii": [1.0],
+                                                 "radius": 1.0}}}, "radius"),
+])
+def test_unknown_manifest_key_exits_two_naming_it(tmp_path, capsys, overrides, key):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(manifest(**overrides)))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
+def test_a_sampler_radius_too_large_to_sample_exits_two(tmp_path, capsys):
+    # the row norms of the Gaussian cloud overflow near a radius of 1e155, and clamping
+    # by them would collapse every point to 0 and pass this unbounded map
+    doc = manifest(domain={"catalog": "flat"}, target={"catalog": "flat"}, map=["z1^2"],
+                   checks=[{"kind": "schwarz", "K": 1, "kappa": 1}])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**doc, "sampler": {"count": 3, "radius": 1e300, "seed": 1}}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: sampler radius 1e+300 is too large to sample\n"
+    points = sample_points(load_scenario({**doc, "sampler": {"count": 3, "radius": 1e154, "seed": 1}}))
+    assert np.all(np.isfinite(points)) and np.all(np.abs(points) > 1e153)
 
 
 def test_sampled_constants_evaluate_order_two_metrics_at_the_probe_points_only(monkeypatch):
