@@ -1,11 +1,11 @@
 """Schwarz-type estimates, three-circle convexity and hoop bounds.
 
-Every report carries its hypothesis constants together with how they
-were obtained: constants read off a catalog chart's closed-form
-curvature are certified, constants estimated by sampling make the
-verdict advisory.  Sampled maxima always underestimate the true
-supremum, so for the reverse (hoop) bounds a failure is advisory in
-the same way.
+Every report carries its hypothesis ledger: the constants with how
+they were obtained (read off a catalog chart's closed-form curvature,
+or sampled), the sampled hypotheses that failed, and whether its
+observed value is a sampled maximum, which can only undershoot the true
+supremum.  The verdict table in the README reads the verdict off the
+ledger (:func:`kahlercheck.cli.classify`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
 from .functionals import sampled_bisectional
-from .identities import CheckReport, hypotheses_refuted
+from .identities import CheckReport
 from .linalg import rng_for
 from .maps import STACK_CHUNK, HoloMap, point_stacks
 
@@ -76,19 +76,14 @@ class BoundReport:
     points_checked: int
     coefficient: str | None = None
     notes: tuple[str, ...] = ()
+    refuted: tuple[str, ...] = ()  # the ledger, as on CheckReport
+    lower_estimate: bool = False
 
 
 def _require_positive_kappa(kappa: Constant) -> float:
     if kappa.value <= 0:
         raise ConfigurationError(f"hypothesis constant {kappa.name} must be positive")
     return kappa.value
-
-
-def _provenance_notes(*constants: Constant) -> list[str]:
-    notes = [" ; ".join(c.describe() for c in constants)]
-    if any(c.source == SAMPLED for c in constants):
-        notes.append("sampled hypothesis constants: the verdict is advisory, not certified")
-    return notes
 
 
 def _spectra(f: HoloMap, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,6 +110,7 @@ def _report(kind, constants, observed, bound, tol, points, reverse=False,
         points_checked=points,
         coefficient=coefficient,
         notes=tuple(notes),
+        lower_estimate=reverse,
     )
 
 
@@ -130,9 +126,8 @@ def schwarz_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     singular_sq, _, _ = _spectra(f, points)
     observed = float(np.max(singular_sq[:, 0]))
     bound = k.value / kappa_val
-    notes = _provenance_notes(k, kappa)
-    if bound == 0 and observed > tol:
-        notes.append("hypotheses force a constant map; any stretching fails the bound")
+    notes = (["hypotheses force a constant map; any stretching fails the bound"]
+             if bound == 0 and observed > tol else [])
     return _report("schwarz", (k, kappa), observed, bound, tol, len(singular_sq), notes=notes)
 
 
@@ -147,9 +142,8 @@ def volume_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     singular_sq, _, volume = _spectra(f, points)
     observed = float(np.max(volume))
     bound = (k.value / (f.m * kappa_val)) ** f.m
-    notes = _provenance_notes(k, kappa)
-    if bound == 0 and observed > tol:
-        notes.append("hypotheses force degeneracy; any full-rank sample fails the bound")
+    notes = (["hypotheses force degeneracy; any full-rank sample fails the bound"]
+             if bound == 0 and observed > tol else [])
     return _report("volume", (k, kappa), observed, bound, tol, len(singular_sq), notes=notes)
 
 
@@ -164,8 +158,7 @@ def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
     rank = int(np.max(ranks))
     coefficient = Fraction(2 * rank, rank + 1)
     bound = float(coefficient) * k.value / kappa_val
-    notes = _provenance_notes(k, kappa)
-    notes.append(f"rank d={rank}, coefficient 2d/(d+1) = {coefficient}")
+    notes = [f"rank d={rank}, coefficient 2d/(d+1) = {coefficient}"]
     return _report("royden", (k, kappa), observed, bound, tol, len(singular_sq),
                    coefficient=str(coefficient), notes=notes)
 
@@ -225,7 +218,8 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
 
     The middle value must stay below the log-log interpolation of the
     outer two.  Target nonpositivity of the bisectional curvature is
-    sampled; a violation downgrades the verdict to not_applicable.
+    sampled; a violation goes into the report's ``refuted`` ledger (see
+    the verdict table in the README).
     """
     counts = _sphere_counts(counts)
     m1, m2, m3 = three_circle_data(f, radii, counts, seed)
@@ -248,7 +242,7 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
         signed = interp - math.log(m2)
         violation = max(0.0, -signed)
         notes.append(f"signed_slack={signed:.12g}")
-    return hypotheses_refuted(CheckReport(
+    return CheckReport(
         kind="three_circle",
         points_checked=total,
         max_abs_residual=violation,
@@ -256,7 +250,8 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
         tolerance=tol,
         passed=violation <= tol,
         notes=tuple(notes),
-    ), refuted)
+        refuted=tuple(refuted),
+    )
 
 
 # -- hoop (reverse) bounds -------------------------------------------------------
@@ -269,8 +264,8 @@ def hoop_check(f: HoloMap, points, mode: str, k: Constant, kappa: Constant,
     """Reverse bound max D^{1/m} ≥ K/κ (volume) or max ‖∂f‖²_m ≥ K/κ (stretching).
 
     Positive curvature must dominate the domain for these; the sampled
-    maximum can only undershoot the true one, so a failed hoop check is
-    advisory by construction.
+    maximum can only undershoot the true one, so the report is a
+    ``lower_estimate`` and a failure of it is advisory.
     """
     if mode not in HOOP_MODES:
         raise ConfigurationError(f"unknown hoop mode {mode!r}; choose from {HOOP_MODES}")
@@ -289,9 +284,6 @@ def hoop_check(f: HoloMap, points, mode: str, k: Constant, kappa: Constant,
         raise DegenerateInputError(
             f"map is degenerate on every sample; hoop {mode} bound needs a nontrivial map"
         )
-    bound = k.value / kappa_val
-    notes = _provenance_notes(k, kappa)
-    notes.append("sampled maximum underestimates the true maximum; a failure is advisory")
-    return _report(f"hoop[{mode}]", (k, kappa), observed, bound, tol, len(singular_sq),
-                   reverse=True, notes=notes)
+    return _report(f"hoop[{mode}]", (k, kappa), observed, k.value / kappa_val, tol,
+                   len(singular_sq), reverse=True)
 

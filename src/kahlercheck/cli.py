@@ -481,19 +481,32 @@ def _scenario_jet_order(scenario: Scenario) -> int:
 # -- report assembly ----------------------------------------------------------------
 
 
+def _sampled(report) -> bool:
+    return any(c.source == bounds_mod.SAMPLED for c in report.constants)
+
+
 def classify(report) -> str:
-    """passed / failed / advisory; advisory outcomes never gate the exit code."""
-    if isinstance(report, CheckReport):
-        if report.status != "ok":
-            return "advisory"
-        return "passed" if report.passed else "failed"
-    sampled = any(c.source == "sampled" for c in report.constants)
-    if report.passed:
-        return "advisory" if sampled else "passed"
-    if sampled or report.kind.startswith("hoop"):
-        # a sampled maximum that misses a lower bound is not a disproof
+    """passed / failed / advisory, read off a report's hypothesis ledger (the README's verdict
+    table); advisory outcomes never gate the exit code."""
+    if report.points_checked == 0 or report.refuted or _sampled(report):
         return "advisory"
-    return "failed"
+    if report.passed:
+        return "passed"
+    return "advisory" if report.lower_estimate else "failed"
+
+
+def report_notes(report) -> list[str]:
+    """A report's notes with its ledger rendered in: the constants, the sampled-constants
+    note, the check's own notes, the one-sided note and the refuted hypotheses."""
+    notes = [" ; ".join(c.describe() for c in report.constants)] if report.constants else []
+    if _sampled(report):
+        notes.append("sampled hypothesis constants: the verdict is advisory, not certified")
+    notes += report.notes
+    if report.lower_estimate:
+        notes.append("sampled maximum underestimates the true maximum; a failure is advisory")
+    if report.refuted:
+        notes += ["hypotheses not satisfied:", *list(dict.fromkeys(report.refuted))[:5]]
+    return notes
 
 
 def _complex_json(value: complex):
@@ -515,7 +528,7 @@ def check_report_json(report: CheckReport, details: bool) -> dict:
         "max_abs_residual": report.max_abs_residual,
         "tolerance": report.tolerance,
         "worst_point": _point_json(report.worst_point),
-        "notes": list(report.notes),
+        "notes": report_notes(report),
     }
     if details and report.details is not None:
         doc["residuals"] = list(report.details)
@@ -537,7 +550,7 @@ def bound_report_json(report) -> dict:
         "constants": [
             {"name": c.name, "value": c.value, "source": c.source} for c in report.constants
         ],
-        "notes": list(report.notes),
+        "notes": report_notes(report),
     }
 
 

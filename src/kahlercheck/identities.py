@@ -54,8 +54,9 @@ class CheckReport:
     |LHS − RHS|/(1 + |LHS| + |RHS|); ``passed`` is exactly the claim
     max_abs_residual ≤ tolerance.  Points a check cannot apply to
     (rank drop, tied top stretch) are counted in ``skipped_points``
-    and never silently pass; when nothing was checkable the status
-    says so.
+    and never silently pass.  ``constants``, ``refuted`` and
+    ``lower_estimate`` are the hypothesis ledger that ``BoundReport``
+    shares; ``status`` and the verdict are read off it.
     """
 
     kind: str
@@ -64,10 +65,16 @@ class CheckReport:
     worst_point: np.ndarray | None
     tolerance: float
     passed: bool
-    status: str = "ok"  # ok | skipped | not_applicable
     skipped_points: int = 0
     notes: tuple[str, ...] = ()
     details: tuple[float, ...] | None = None
+    constants: tuple = ()  # bounds.Constant entries
+    refuted: tuple[str, ...] = ()  # notes of the sampled hypotheses that failed
+    lower_estimate: bool = False  # the observed value is a sampled maximum
+
+    @property
+    def status(self) -> str:  # ok | skipped | not_applicable
+        return "not_applicable" if self.refuted else "ok" if self.points_checked else "skipped"
 
 
 def _as_vector(v, dim: int) -> np.ndarray:
@@ -99,7 +106,6 @@ def _verify(kind, residual, f, points, tol, skips=()) -> CheckReport:
             worst_point=None,
             tolerance=tol,
             passed=True,
-            status="skipped",
             skipped_points=skipped,
             notes=tuple(notes) + ("no checkable points",),
             details=(),
@@ -114,7 +120,6 @@ def _verify(kind, residual, f, points, tol, skips=()) -> CheckReport:
         worst_point=np.asarray(kept[worst]),
         tolerance=tol,
         passed=max_res <= tol,
-        status="ok",
         skipped_points=skipped,
         notes=tuple(notes),
         details=tuple(float(r) for r in arr),
@@ -127,15 +132,6 @@ def _scaled(sides, v):
         lhs, rhs = sides(stack, k, v)
         return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return residual
-
-
-def hypotheses_refuted(report: CheckReport, refuted) -> CheckReport:
-    """The one hypothesis rule: a sampled curvature hypothesis that failed makes ``report``
-    not_applicable, noting the first five distinct failures after "hypotheses not satisfied:"."""
-    if not refuted:
-        return report
-    return replace(report, status="not_applicable", notes=report.notes
-                   + ("hypotheses not satisfied:",) + tuple(dict.fromkeys(refuted))[:5])
 
 
 def _levi_form(jet, v) -> float:
@@ -412,8 +408,8 @@ def psh_check(quantity: str, f: HoloMap, points, tol: float = 1e-8, seed: int = 
     computed by jets and its smallest eigenvalue must stay above −tol.
     The curvature hypotheses behind the claim are themselves sampled
     (nonnegative bisectional on the domain, nonpositive on the target,
-    Ricci ≥ 0 on the domain for log D); any hypothesis failure
-    downgrades the verdict to "not_applicable" instead of failing.
+    Ricci ≥ 0 on the domain for log D); a failed one goes into the
+    report's ``refuted`` ledger (see the verdict table in the README).
     """
     if quantity not in PSH_QUANTITIES:
         raise ConfigurationError(
@@ -432,7 +428,5 @@ def psh_check(quantity: str, f: HoloMap, points, tol: float = 1e-8, seed: int = 
         return max(0.0, -low)
 
     report = _verify(f"psh[{quantity}]", residual, f, stacks, tol, skips=RankError)
-    if lows:
-        report = replace(report, notes=report.notes
-                         + (f"smallest Hessian eigenvalue {min(lows):.6e}",))
-    return hypotheses_refuted(report, refuted)
+    lowest = (f"smallest Hessian eigenvalue {min(lows):.6e}",) if lows else ()
+    return replace(report, notes=report.notes + lowest, refuted=tuple(refuted))

@@ -16,6 +16,7 @@ from kahlercheck.bounds import (
     three_circle_data,
     volume_bound_report,
 )
+from kahlercheck.cli import report_notes
 from kahlercheck.errors import ConfigurationError, DegenerateInputError
 from kahlercheck.geometry import catalog
 from kahlercheck.linalg import rng_for
@@ -78,7 +79,8 @@ def test_report_invariants_across_kinds():
     for rep in reports:
         assert rep.passed == (rep.slack >= -rep.tolerance)
         assert rep.equality_case == (abs(rep.slack) <= rep.tolerance)
-        if rep.kind.startswith("hoop"):
+        assert rep.lower_estimate == rep.kind.startswith("hoop")
+        if rep.lower_estimate:
             assert rep.slack == pytest.approx(rep.observed - rep.bound)
         else:
             assert rep.slack == pytest.approx(rep.bound - rep.observed)
@@ -108,7 +110,7 @@ def test_schwarz_disk_identity_equality():
     assert rep.observed == pytest.approx(2.0, abs=1e-10)
     assert rep.passed and rep.equality_case
     assert abs(rep.slack) <= 1e-8
-    assert "analytic" in rep.notes[0]
+    assert "analytic" in report_notes(rep)[0]
 
 
 def test_schwarz_strict_contraction():
@@ -144,7 +146,7 @@ def test_schwarz_sampled_constants_marked_advisory():
     f = HoloMap(disk(1.0), disk(2.0), ["z1"])
     rep = schwarz_bound_report(f, np.array([[0.2]]), Constant.sampled("K", 2.0),
                                Constant.analytic("kappa", 1.0))
-    assert any("advisory" in note for note in rep.notes)
+    assert any("advisory" in note for note in report_notes(rep))
 
 
 def test_schwarz_observed_invariant_under_domain_isometry():
@@ -281,7 +283,8 @@ def test_three_circle_positive_curvature_not_applicable():
     f = HoloMap(FLAT1, proj(1, 1.0), ["z1/2"])
     rep = three_circle_check(f, (0.25, 0.5, 1.0))
     assert rep.status == "not_applicable"
-    assert any("bisectional" in note for note in rep.notes)
+    assert any("bisectional" in note for note in rep.refuted)
+    assert any("bisectional" in note for note in report_notes(rep))
 
 
 def test_three_circle_middle_doubling_monotone():
@@ -358,7 +361,8 @@ def test_hoop_rescaled_projective_equality(mode):
     assert rep.bound == pytest.approx(2.0)
     assert rep.observed == pytest.approx(2.0, abs=1e-9)
     assert rep.passed and rep.equality_case
-    assert any("advisory" in note for note in rep.notes)
+    assert rep.lower_estimate
+    assert any("advisory" in note for note in report_notes(rep))
 
 
 def test_hoop_squaring_map_exceeds_bound():

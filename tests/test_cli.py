@@ -1,5 +1,6 @@
 """Manifest loading, scenario execution, report format, exit codes."""
 
+import dataclasses
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from kahlercheck.cli import (
     load_scenario,
     main,
     render_json,
+    report_notes,
     resolve_bound_constants,
     run_scenario,
     sample_points,
@@ -206,30 +208,104 @@ def test_unknown_check_kind_is_configuration_error():
 # -- classification -------------------------------------------------------------------
 
 
-def _bound(kind, passed, source):
-    consts = (Constant(name="K", value=2.0, source=source),
-              Constant(name="kappa", value=1.0, source="analytic"))
-    slack = 0.5 if passed else -0.5
-    return BoundReport(kind=kind, constants=consts, observed=1.0, bound=2.0, slack=slack,
-                       tolerance=1e-8, passed=passed, equality_case=False, points_checked=3)
+# nothing checked, refuted, sampled constant, lower estimate, passed -> verdict
+VERDICT_TABLE = [
+    (0, 0, 0, 0, 0, "failed"),
+    (0, 0, 0, 0, 1, "passed"),
+    (0, 0, 0, 1, 0, "advisory"),
+    (0, 0, 0, 1, 1, "passed"),
+    (0, 0, 1, 0, 0, "advisory"),
+    (0, 0, 1, 0, 1, "advisory"),
+    (0, 0, 1, 1, 0, "advisory"),
+    (0, 0, 1, 1, 1, "advisory"),
+    (0, 1, 0, 0, 0, "advisory"),
+    (0, 1, 0, 0, 1, "advisory"),
+    (0, 1, 0, 1, 0, "advisory"),
+    (0, 1, 0, 1, 1, "advisory"),
+    (0, 1, 1, 0, 0, "advisory"),
+    (0, 1, 1, 0, 1, "advisory"),
+    (0, 1, 1, 1, 0, "advisory"),
+    (0, 1, 1, 1, 1, "advisory"),
+    (1, 0, 0, 0, 0, "advisory"),
+    (1, 0, 0, 0, 1, "advisory"),
+    (1, 0, 0, 1, 0, "advisory"),
+    (1, 0, 0, 1, 1, "advisory"),
+    (1, 0, 1, 0, 0, "advisory"),
+    (1, 0, 1, 0, 1, "advisory"),
+    (1, 0, 1, 1, 0, "advisory"),
+    (1, 0, 1, 1, 1, "advisory"),
+    (1, 1, 0, 0, 0, "advisory"),
+    (1, 1, 0, 0, 1, "advisory"),
+    (1, 1, 0, 1, 0, "advisory"),
+    (1, 1, 0, 1, 1, "advisory"),
+    (1, 1, 1, 0, 0, "advisory"),
+    (1, 1, 1, 0, 1, "advisory"),
+    (1, 1, 1, 1, 0, "advisory"),
+    (1, 1, 1, 1, 1, "advisory"),
+]
 
 
-def _check(passed, status):
-    return CheckReport(kind="boch1", points_checked=3, max_abs_residual=0.0 if passed else 1.0,
-                       worst_point=None, tolerance=1e-6, passed=passed, status=status)
+def _ledger_reports(nothing, refuted, sampled, lower, passed):
+    """A check report and a bound report that carry the same ledger and outcome."""
+    ledger = {
+        "points_checked": 0 if nothing else 3,
+        "constants": (Constant(name="K", value=2.0, source="sampled" if sampled else "analytic"),
+                      Constant(name="kappa", value=1.0, source="analytic")),
+        "refuted": ("target bisectional 1.0e+00 > 0 near radius 0.5",) if refuted else (),
+        "lower_estimate": bool(lower),
+        "passed": bool(passed),
+    }
+    check = CheckReport(kind="boch1", max_abs_residual=0.0 if passed else 1.0,
+                        worst_point=None, tolerance=1e-6, **ledger)
+    bound = BoundReport(kind="schwarz", observed=1.0, bound=2.0, slack=0.5 if passed else -0.5,
+                        tolerance=1e-8, equality_case=False, **ledger)
+    return check, bound
 
 
 def test_classification_rules():
-    assert classify(_check(True, "ok")) == "passed"
-    assert classify(_check(False, "ok")) == "failed"
-    assert classify(_check(True, "skipped")) == "advisory"
-    assert classify(_check(True, "not_applicable")) == "advisory"
-    assert classify(_bound("schwarz", True, "analytic")) == "passed"
-    assert classify(_bound("schwarz", False, "analytic")) == "failed"
-    assert classify(_bound("schwarz", True, "sampled")) == "advisory"
-    assert classify(_bound("schwarz", False, "sampled")) == "advisory"
-    assert classify(_bound("hoop[volume]", False, "analytic")) == "advisory"
-    assert classify(_bound("hoop[volume]", True, "analytic")) == "passed"
+    assert len({row[:5] for row in VERDICT_TABLE}) == 32
+    for *row, verdict in VERDICT_TABLE:
+        for report in _ledger_reports(*row):
+            assert classify(report) == verdict, (type(report).__name__, row)
+
+
+@pytest.mark.parametrize("refuted, points, status", [
+    ((), 3, "ok"), ((), 0, "skipped"), (("x",), 3, "not_applicable"),
+    (("x",), 0, "not_applicable"),
+])
+def test_check_status_is_read_off_the_ledger(refuted, points, status):
+    report = CheckReport(kind="psh[log_D]", points_checked=points, max_abs_residual=0.0,
+                         worst_point=None, tolerance=1e-8, passed=True, refuted=refuted)
+    assert report.status == status
+
+
+def test_a_refuted_check_with_every_point_skipped_is_not_applicable():
+    doc, status = run_scenario(load_scenario(manifest(
+        domain={"catalog": "complex_hyperbolic_ball", "params": {"dim": 2}},
+        target={"catalog": "flat", "params": {"dim": 2}},
+        map=["z1", "0"],
+        sampler={"count": 4, "radius": 0.5, "seed": 7},
+        checks=[{"kind": "psh", "quantity": "log_D"}])))
+    (entry,) = doc["checks"]
+    assert status == 0
+    assert (entry["points_checked"], entry["skipped_points"]) == (0, 4)
+    assert entry["status"] == "not_applicable" and entry["verdict"] == "advisory"
+    assert "domain Ricci eigenvalue" in " ".join(entry["notes"])
+    assert entry["notes"].index("no checkable points") < entry["notes"].index(
+        "hypotheses not satisfied:")
+
+
+def test_the_renderer_keeps_the_ledger_order():
+    check, bound = _ledger_reports(0, 1, 1, 1, 0)
+    bound = dataclasses.replace(bound, notes=("own note",),
+                                refuted=("b", "a", "b", "c", "d", "e", "f"))
+    assert report_notes(bound) == [
+        "K=2 (sampled) ; kappa=1 (analytic)",
+        "sampled hypothesis constants: the verdict is advisory, not certified",
+        "own note",
+        "sampled maximum underestimates the true maximum; a failure is advisory",
+        "hypotheses not satisfied:", "b", "a", "c", "d", "e",
+    ]
 
 
 # -- serialization ---------------------------------------------------------------------

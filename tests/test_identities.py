@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from kahlercheck.bounds import three_circle_check
+from kahlercheck.cli import report_notes
 from kahlercheck.errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -364,7 +365,8 @@ def test_psh_hypothesis_violation_downgrades():
     f = HoloMap(catalog("complex_hyperbolic_ball", dim=1, c=1.0), FLAT1, ["z1"])
     report = psh_check("log1p_energy", f, seeded_points(0.4, 5, 1, seed=29, cap=0.8))
     assert report.status == "not_applicable"
-    assert any("bisectional" in note for note in report.notes)
+    assert any("bisectional" in note for note in report.refuted)
+    assert any("bisectional" in note for note in report_notes(report))
 
 
 # -- the hypothesis rule: a refuted curvature hypothesis makes a check not applicable --
@@ -376,7 +378,8 @@ PROJ1 = catalog("fubini_study", dim=1, c=1.0)
 
 def assert_hypotheses_refuted(report, refuted):
     assert report.status == "not_applicable"
-    after = report.notes[report.notes.index("hypotheses not satisfied:") + 1:]
+    notes = report_notes(report)
+    after = tuple(notes[notes.index("hypotheses not satisfied:") + 1:])
     assert len(after) <= 5 and len(set(after)) == len(after)
     assert after == refuted
 
