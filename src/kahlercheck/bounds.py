@@ -217,9 +217,11 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
     """Convexity of log M(r) in log r, M(r) = sup of |∂f| on the r-sphere.
 
     The middle value must stay below the log-log interpolation of the
-    outer two.  Target nonpositivity of the bisectional curvature is
-    sampled; a violation goes into the report's ``refuted`` ledger (see
-    the verdict table in the README).
+    outer two.  The M(r) are sampled maxima on both sides of the
+    inequality, so the report is a ``lower_estimate``.  Target
+    nonpositivity of the bisectional curvature is sampled; a violation
+    goes into the report's ``refuted`` ledger (see the verdict table in
+    the README).
     """
     counts = _sphere_counts(counts)
     m1, m2, m3 = three_circle_data(f, radii, counts, seed)
@@ -251,6 +253,7 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
         passed=violation <= tol,
         notes=tuple(notes),
         refuted=tuple(refuted),
+        lower_estimate=True,
     )
 
 

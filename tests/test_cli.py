@@ -308,6 +308,32 @@ def test_the_renderer_keeps_the_ledger_order():
     ]
 
 
+def _three_circle_run(component):
+    return run_scenario(load_scenario(manifest(
+        target={"catalog": "flat", "params": {"dim": 1}},
+        map=[component],
+        checks=[{"kind": "three_circle", "radii": [0.5, 0.8, 1.1], "counts": [64, 64, 2]}])))
+
+
+@pytest.mark.parametrize("component", [
+    "z1^3 + (0.05*i)*z1^5", "z1^3 + (0.02+0.04*i)*z1^4", "z1^2 + (0.1*i)*z1^3"])
+def test_a_three_circle_failure_on_sampled_maxima_is_advisory(component):
+    # Hadamard's theorem holds for these maps into a flat target: the failure is sampling's
+    doc, status = _three_circle_run(component)
+    (entry,) = doc["checks"]
+    assert status == 0
+    assert not entry["passed"] and entry["status"] == "ok"
+    assert entry["verdict"] == "advisory"
+    assert entry["notes"][-1] == (
+        "sampled maximum underestimates the true maximum; a failure is advisory")
+
+
+def test_an_exact_power_still_passes_three_circle():
+    doc, status = _three_circle_run("0.7*z1^3")
+    (entry,) = doc["checks"]
+    assert status == 0 and entry["passed"] and entry["verdict"] == "passed"
+
+
 # -- serialization ---------------------------------------------------------------------
 
 
