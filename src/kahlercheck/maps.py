@@ -94,11 +94,15 @@ class HoloMap:
         return self.on_jets(variable_jets(self.domain.require_inside(point), self.m, order))
 
     def on_jets(self, zs) -> list[WirtingerJet]:
-        """The target components on jets ``zs`` of the domain coordinates, with holomorphy
-        and the image validated at every point; an error names the first bad one."""
-        jets = []
-        for i, fn in enumerate(self._components):
-            val = fn(zs)
+        """The target components on jets ``zs`` of the domain coordinates, finite, with
+        holomorphy and the image validated at every point; an error names the first bad one."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            jets = [fn(zs) for fn in self._components]
+        bad = first_bad(~_finite(jets))
+        if bad is not None:
+            raise DomainError(f"{self.label}: the map overflows at the domain point "
+                              f"{jet_values(zs).reshape(-1, self.m)[bad].tolist()}")
+        for i, val in enumerate(jets):
             bar_mass = _antiholomorphic_mass(val)
             bad = first_bad(bar_mass > HOLOMORPHY_TOL * (1.0 + np.max(np.abs(val.coeffs), axis=0)))
             if bad is not None:
@@ -106,7 +110,6 @@ class HoloMap:
                     f"{self.label} component {i + 1} is not holomorphic (antiholomorphic "
                     f"coefficient {np.ravel(bar_mass)[bad]:.3e}){at_point(val.points, bad)}"
                 )
-            jets.append(val)
         images = jet_values(jets).reshape(-1, self.n)
         bad = first_bad(~self.target.domain.inside(images))
         if bad is not None:
@@ -118,6 +121,12 @@ class HoloMap:
 
     def __repr__(self) -> str:
         return f"<HoloMap {self.label!r} {self.domain.label} -> {self.target.label}>"
+
+
+def _finite(jets) -> np.ndarray:
+    """Per point of a list of jets, one numpy bool or one per point of a stack: whether
+    every coefficient is finite."""
+    return np.isfinite(np.concatenate([jet.coeffs for jet in jets])).all(axis=0)
 
 
 def _antiholomorphic_mass(jet: WirtingerJet):
@@ -240,7 +249,13 @@ class PointStack:
         have = self._metrics.get(role)
         if have is None or have[0][0][0].order < order:
             chart, at = self._chart(role)
-            jets = chart.metric_jets(at, max(order, self.order - 2, 0))
+            # a potential's own value may overflow, unread; its derivatives are checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                jets = chart.metric_jets(at, max(order, self.order - 2, 0))
+            bad = first_bad(~_finite([entry for line in jets for entry in line]))
+            if bad is not None:
+                raise DomainError(f"{chart.label}: the metric overflows at the {role} point "
+                                  f"{at[bad].tolist()}")
             have = self._metrics[role] = (jets, _validated_metric(chart, _metric_matrix(jets)))
         return have
 
@@ -334,11 +349,19 @@ class PointStack:
         p_mat = self.pushforward
         g = self.metric("domain")[1]
         h = self.metric("target")[1]
-        pullback = p_mat.swapaxes(-1, -2) @ h @ np.conj(p_mat)
-        pullback = 0.5 * (pullback + np.conj(pullback).swapaxes(-1, -2))
         cg = cholesky_frame(g)
         ch = cholesky_frame(h)
-        u, s, vh = np.linalg.svd(np.linalg.solve(ch, p_mat @ cg))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            pullback = p_mat.swapaxes(-1, -2) @ h @ np.conj(p_mat)
+            pullback = 0.5 * (pullback + np.conj(pullback).swapaxes(-1, -2))
+            scaled = np.linalg.solve(ch, p_mat @ cg)
+            # the Frobenius norm bounds the top singular value, so |λ_1|² is finite below it
+            size = np.abs(pullback).sum(axis=(-2, -1)) + (np.abs(scaled) ** 2).sum(axis=(-2, -1))
+        bad = first_bad(~np.isfinite(size))
+        if bad is not None:
+            raise DomainError(f"{self.map.label}: the stretch of ∂f overflows at the domain "
+                              f"point {self.points[bad].tolist()}")
+        u, s, vh = np.linalg.svd(scaled)
         u, v = _phase_normalized(u, vh, paired=s.shape[-1])
         singular_sq = np.zeros((len(self), m))
         singular_sq[:, : s.shape[-1]] = s[:, :m] ** 2

@@ -736,6 +736,24 @@ def test_a_sampler_radius_too_large_to_sample_exits_two(tmp_path, capsys):
     assert np.all(np.isfinite(points)) and np.all(np.abs(points) > 1e153)
 
 
+@pytest.mark.parametrize("component, radius, where", [
+    ("z1^2", 1e154, "the stretch of ∂f"),  # f*h overflows; the map's jets do not
+    ("z1^3", 1e154, "the map"),
+    ("1e160*z1", 1e-3, "the stretch of ∂f"),
+])
+def test_an_overflow_at_a_sample_point_exits_two_naming_it(tmp_path, capsys, component,
+                                                             radius, where):
+    doc = manifest(domain={"catalog": "flat"}, target={"catalog": "flat"}, map=[component],
+                   sampler={"count": 6, "radius": radius, "seed": 7},
+                   checks=[{"kind": "schwarz", "K": 1, "kappa": 1}])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    first = sample_points(load_scenario(doc))[0]
+    assert err == f"error: toy: {where} overflows at the domain point {first.tolist()}\n"
+
+
 def test_sampled_constants_evaluate_order_two_metrics_at_the_probe_points_only(monkeypatch):
     # an order-1 scenario reads g and h at order 0; the curvature of its sampled
     # constants needs order 2, at the first CONSTANT_PROBE_POINTS points only
