@@ -23,14 +23,16 @@ else from sampling (advisory).
 
 The report is a JSON document with top level
 ``{schema, scenario, seed, checks, summary}`` where summary counts
-passed / failed / advisory checks.  Floats are written with 17
-significant digits and complex values as [re, im] pairs, so a report is
-byte-identical across runs of the same manifest and seed.  Exit status:
-0 when no check failed (advisory outcomes do not gate), 1 on check
-failure, 2 on a configuration problem (a bad manifest, flag or chart, or
-input the checks reject), 3 on any other error, which is a fault of the
-program and is reported as one line on stderr.  So 1 only ever means
-that a certifiable check failed.
+passed / failed / advisory checks; :func:`classify` reads each verdict
+off the report's hypothesis ledger (the README's verdict table).
+Floats are written with 17 significant digits and complex values as
+[re, im] pairs, so a report is byte-identical across runs of the same
+manifest and seed.  Exit status: 0 when no check failed (advisory
+outcomes do not gate), 1 on check failure, 2 on a configuration
+problem (a bad manifest, flag or chart, or input the checks reject), 3
+on any other error, which is a fault of the program and is reported as
+one line on stderr.  So 1 only ever means that a certifiable check
+failed.
 """
 
 from __future__ import annotations

@@ -740,7 +740,7 @@ def test_a_sampler_radius_too_large_to_sample_exits_two(tmp_path, capsys):
     ("z1^2", 1e154, "the stretch of ∂f"),  # f*h overflows; the map's jets do not
     ("z1^3", 1e154, "the map"),
     ("1e160*z1", 1e-3, "the stretch of ∂f"),
-])
+], ids=["square", "cube", "steep_line"])
 def test_an_overflow_at_a_sample_point_exits_two_naming_it(tmp_path, capsys, component,
                                                              radius, where):
     doc = manifest(domain={"catalog": "flat"}, target={"catalog": "flat"}, map=[component],
