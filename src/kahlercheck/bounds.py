@@ -61,8 +61,8 @@ class BoundReport:
 
     ``slack`` is the margin in the bound's favorable direction:
     bound − observed for upper bounds, observed − bound for the hoop
-    (reverse) bounds; in both cases passed ⇔ slack ≥ −tolerance, and
-    equality_case flags |slack| ≤ tolerance.
+    (reverse) bounds.  ``passed`` and ``equality_case`` are read off it:
+    slack ≥ −tolerance and |slack| ≤ tolerance.
     """
 
     kind: str
@@ -71,13 +71,19 @@ class BoundReport:
     bound: float
     slack: float
     tolerance: float
-    passed: bool
-    equality_case: bool
     points_checked: int
     coefficient: str | None = None
     notes: tuple[str, ...] = ()
     refuted: tuple[str, ...] = ()  # the ledger, as on CheckReport
     lower_estimate: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return self.slack >= -self.tolerance
+
+    @property
+    def equality_case(self) -> bool:
+        return abs(self.slack) <= self.tolerance
 
 
 def _require_positive_kappa(kappa: Constant) -> float:
@@ -105,8 +111,6 @@ def _report(kind, constants, observed, bound, tol, points, reverse=False,
         bound=float(bound),
         slack=float(slack),
         tolerance=tol,
-        passed=slack >= -tol,
-        equality_case=abs(slack) <= tol,
         points_checked=points,
         coefficient=coefficient,
         notes=tuple(notes),
@@ -250,7 +254,6 @@ def three_circle_check(f: HoloMap, radii, counts=64, tol: float = 1e-9,
         max_abs_residual=violation,
         worst_point=None,
         tolerance=tol,
-        passed=violation <= tol,
         notes=tuple(notes),
         refuted=tuple(refuted),
         lower_estimate=True,

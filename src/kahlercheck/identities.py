@@ -51,12 +51,13 @@ class CheckReport:
     """Outcome of one identity check over a batch of points.
 
     ``max_abs_residual`` is the largest scaled residual
-    |LHS − RHS|/(1 + |LHS| + |RHS|); ``passed`` is exactly the claim
-    max_abs_residual ≤ tolerance.  Points a check cannot apply to
-    (rank drop, tied top stretch) are counted in ``skipped_points``
-    and never silently pass.  ``constants``, ``refuted`` and
-    ``lower_estimate`` are the hypothesis ledger that ``BoundReport``
-    shares; ``status`` and the verdict are read off it.
+    |LHS − RHS|/(1 + |LHS| + |RHS|) (0 when no point was checked);
+    ``passed`` is read off it: exactly the claim max_abs_residual ≤
+    tolerance.  Points a check cannot apply to (rank drop, tied top
+    stretch) are counted in ``skipped_points`` and never silently pass.
+    ``constants``, ``refuted`` and ``lower_estimate`` are the hypothesis
+    ledger that ``BoundReport`` shares; ``status`` and the verdict are
+    read off it.
     """
 
     kind: str
@@ -64,13 +65,16 @@ class CheckReport:
     max_abs_residual: float
     worst_point: np.ndarray | None
     tolerance: float
-    passed: bool
     skipped_points: int = 0
     notes: tuple[str, ...] = ()
     details: tuple[float, ...] | None = None
     constants: tuple = ()  # bounds.Constant entries
     refuted: tuple[str, ...] = ()  # notes of the sampled hypotheses that failed
     lower_estimate: bool = False  # the observed value is a sampled maximum
+
+    @property
+    def passed(self) -> bool:
+        return self.max_abs_residual <= self.tolerance
 
     @property
     def status(self) -> str:  # ok | skipped | not_applicable
@@ -86,43 +90,28 @@ def _as_vector(v, dim: int) -> np.ndarray:
     return vec
 
 
-def _verify(kind, residual, f, points, tol, skips=()) -> CheckReport:
-    """Residuals ``residual(stack, k)`` at the points; errors in ``skips`` skip one loudly."""
+def _verify(kind, residual, f, points, tol) -> CheckReport:
+    """Residuals ``residual(stack, k)`` at the points; a point the stack skips (its
+    ``RankError`` or ``MultiplicityError``) is skipped loudly, with a note."""
     residuals, kept, notes = [], [], []
     for stack in point_stacks(f, points, IDENTITY_JET_ORDER):
         for k, point in enumerate(stack.points):
             try:
                 residuals.append(residual(stack, k))
-            except skips as err:
+            except (RankError, MultiplicityError) as err:
                 notes.append(f"skipped: {err}")
                 continue
             kept.append(point)
-    skipped = len(notes)  # one note per skipped point
-    if not residuals:
-        return CheckReport(
-            kind=kind,
-            points_checked=0,
-            max_abs_residual=0.0,
-            worst_point=None,
-            tolerance=tol,
-            passed=True,
-            skipped_points=skipped,
-            notes=tuple(notes) + ("no checkable points",),
-            details=(),
-        )
-    arr = np.asarray(residuals)
-    worst = int(np.argmax(arr))
-    max_res = float(arr[worst])
+    worst = int(np.argmax(residuals)) if residuals else None
     return CheckReport(
         kind=kind,
         points_checked=len(residuals),
-        max_abs_residual=max_res,
-        worst_point=np.asarray(kept[worst]),
+        max_abs_residual=0.0 if worst is None else float(residuals[worst]),
+        worst_point=None if worst is None else np.asarray(kept[worst]),
         tolerance=tol,
-        passed=max_res <= tol,
-        skipped_points=skipped,
-        notes=tuple(notes),
-        details=tuple(float(r) for r in arr),
+        skipped_points=len(notes),  # one note per skipped point
+        notes=tuple(notes) + (() if residuals else ("no checkable points",)),
+        details=tuple(float(r) for r in residuals),
     )
 
 
@@ -227,7 +216,7 @@ def _boch2(stack: PointStack, k: int, v) -> tuple[float, float]:
 
 def verify_boch2(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
     """Log-volume identity over a batch; rank-deficient points are skipped loudly."""
-    return _verify("boch2", _scaled(_boch2, v), f, points, tol, skips=RankError)
+    return _verify("boch2", _scaled(_boch2, v), f, points, tol)
 
 
 # -- stretch-barrier identity ----------------------------------------------------
@@ -266,8 +255,7 @@ def _log_w(stack: PointStack, k: int, v) -> tuple[float, float]:
 
 def verify_log_w(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
     """Top-stretch identity over a batch; tied or rank-0 points are skipped loudly."""
-    return _verify("log_w", _scaled(_log_w, v), f, points, tol,
-                   skips=(RankError, MultiplicityError))
+    return _verify("log_w", _scaled(_log_w, v), f, points, tol)
 
 
 # -- Rayleigh sandwich -----------------------------------------------------------
@@ -373,7 +361,6 @@ def averaging_identity_check(
         max_abs_residual=residual,
         worst_point=None,
         tolerance=tolerance,
-        passed=residual <= tolerance,
         notes=tuple(notes),
     )
 
@@ -427,6 +414,6 @@ def psh_check(quantity: str, f: HoloMap, points, tol: float = 1e-8, seed: int = 
         lows.append(low)
         return max(0.0, -low)
 
-    report = _verify(f"psh[{quantity}]", residual, f, stacks, tol, skips=RankError)
+    report = _verify(f"psh[{quantity}]", residual, f, stacks, tol)
     lowest = (f"smallest Hessian eigenvalue {min(lows):.6e}",) if lows else ()
     return replace(report, notes=report.notes + lowest, refuted=tuple(refuted))

@@ -253,12 +253,11 @@ def _ledger_reports(nothing, refuted, sampled, lower, passed):
                       Constant(name="kappa", value=1.0, source="analytic")),
         "refuted": ("target bisectional 1.0e+00 > 0 near radius 0.5",) if refuted else (),
         "lower_estimate": bool(lower),
-        "passed": bool(passed),
     }
     check = CheckReport(kind="boch1", max_abs_residual=0.0 if passed else 1.0,
                         worst_point=None, tolerance=1e-6, **ledger)
     bound = BoundReport(kind="schwarz", observed=1.0, bound=2.0, slack=0.5 if passed else -0.5,
-                        tolerance=1e-8, equality_case=False, **ledger)
+                        tolerance=1e-8, **ledger)
     return check, bound
 
 
@@ -275,7 +274,7 @@ def test_classification_rules():
 ])
 def test_check_status_is_read_off_the_ledger(refuted, points, status):
     report = CheckReport(kind="psh[log_D]", points_checked=points, max_abs_residual=0.0,
-                         worst_point=None, tolerance=1e-8, passed=True, refuted=refuted)
+                         worst_point=None, tolerance=1e-8, refuted=refuted)
     assert report.status == status
 
 
