@@ -317,10 +317,11 @@ def sample_points(scenario: Scenario) -> np.ndarray:
             norms = np.linalg.norm(pts, axis=1)
         if not np.all(np.isfinite(norms)):  # the clamp below would send every point to 0
             raise ConfigurationError(f"sampler radius {scenario.radius!r} is too large to sample")
-        return pts * np.minimum(1.0, scenario.radius / np.maximum(norms, 1e-12))[:, None]
+        floor = 1e-12 * scenario.radius  # keeps a zero norm from dividing, at any radius
+        return pts * np.minimum(1.0, scenario.radius / np.maximum(norms, floor))[:, None]
     scales = np.asarray(scenario.radii)
     pts = raw * (0.4 * scales)[None, :]
-    caps = np.minimum(1.0, scales[None, :] / np.maximum(np.abs(pts), 1e-12))
+    caps = np.minimum(1.0, scales[None, :] / np.maximum(np.abs(pts), 1e-12 * scales[None, :]))
     return pts * caps
 
 

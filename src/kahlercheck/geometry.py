@@ -33,6 +33,7 @@ from .errors import ConfigurationError, DomainError, FrameError, MetricError
 from .jets import (
     MAX_HOLOMORPHIC_VARS,
     WirtingerJet,
+    all_finite,
     at_point,
     derivative_block,
     first_bad,
@@ -82,7 +83,8 @@ class Ball(Domain):
     radius: float = 1.0
 
     def inside(self, points: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(points) ** 2, axis=-1) < self.radius**2
+        with np.errstate(over="ignore"):  # a square that overflows is outside
+            return np.sum(np.abs(points) ** 2, axis=-1) < self.radius**2
 
     def __str__(self) -> str:
         return "|z| < %g" % self.radius
@@ -355,9 +357,18 @@ def _metric_matrix(gjets) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(values, -1, 0)) if gjets[0][0].points else values
 
 
-def _validated_metric(chart: KahlerChart, g: np.ndarray) -> np.ndarray:
-    """``g``, one matrix or a stack of them, checked positive definite and symmetrized."""
-    return check_positive_definite(g, f"{chart.label}: metric")
+def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
+    """Metric jets of ``order`` at a point or a (k, dim) stack of points, checked finite, and
+    the metric matrices, checked positive definite and symmetrized; an overflow names the
+    first ``where`` it happens at."""
+    # a potential's own value may overflow, unread; its derivatives are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = chart.metric_jets(at, order)
+    bad = first_bad(~all_finite([entry for line in jets for entry in line]))
+    if bad is not None:
+        raise DomainError(f"{chart.label}: the metric overflows at the {where} "
+                          f"{np.reshape(at, (-1, chart.dim))[bad].tolist()}")
+    return jets, check_positive_definite(_metric_matrix(jets), f"{chart.label}: metric")
 
 
 def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:
@@ -387,8 +398,7 @@ def _curvature_point(chart: KahlerChart, point, gjets, g: np.ndarray) -> Curvatu
 
 def curvature_tensor(chart: KahlerChart, point) -> CurvaturePoint:
     """Curvature data at a point, with the lowered tensor R_{a b̄ c d̄}."""
-    gjets = chart.metric_jets(point, 2)
-    return _curvature_point(chart, point, gjets, _validated_metric(chart, _metric_matrix(gjets)))
+    return _curvature_point(chart, point, *_checked_metric(chart, point, 2))
 
 
 def normal_chart(chart: KahlerChart, point, frame: np.ndarray | None = None) -> PulledBackChart:

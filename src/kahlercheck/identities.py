@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
+    DomainError,
     MultiplicityError,
     RankError,
 )
@@ -92,16 +93,22 @@ def _as_vector(v, dim: int) -> np.ndarray:
 
 def _verify(kind, residual, f, points, tol) -> CheckReport:
     """Residuals ``residual(stack, k)`` at the points; a point the stack skips (its
-    ``RankError`` or ``MultiplicityError``) is skipped loudly, with a note."""
+    ``RankError`` or ``MultiplicityError``) is skipped loudly, with a note, and a residual
+    that is not finite raises ``DomainError`` naming its point."""
     residuals, kept, notes = [], [], []
-    for stack in point_stacks(f, points, IDENTITY_JET_ORDER):
-        for k, point in enumerate(stack.points):
-            try:
-                residuals.append(residual(stack, k))
-            except (RankError, MultiplicityError) as err:
-                notes.append(f"skipped: {err}")
-                continue
-            kept.append(point)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is reported below
+        for stack in point_stacks(f, points, IDENTITY_JET_ORDER):
+            for k, point in enumerate(stack.points):
+                try:
+                    value = residual(stack, k)
+                except (RankError, MultiplicityError) as err:
+                    notes.append(f"skipped: {err}")
+                    continue
+                if not np.isfinite(value):
+                    raise DomainError(f"{f.label}: the {kind} residual is not finite at the "
+                                      f"domain point {point.tolist()}")
+                residuals.append(value)
+                kept.append(point)
     worst = int(np.argmax(residuals)) if residuals else None
     return CheckReport(
         kind=kind,
@@ -412,7 +419,7 @@ def psh_check(quantity: str, f: HoloMap, points, tol: float = 1e-8, seed: int = 
         hess = derivative_block(scalar, "levi")
         low = float(np.linalg.eigvalsh(0.5 * (hess + hess.conj().T))[0])
         lows.append(low)
-        return max(0.0, -low)
+        return 0.0 if low >= 0.0 else -low  # a NaN stays NaN, for _verify to reject
 
     report = _verify(f"psh[{quantity}]", residual, f, stacks, tol)
     lowest = (f"smallest Hessian eigenvalue {min(lows):.6e}",) if lows else ()

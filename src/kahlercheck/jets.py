@@ -432,6 +432,12 @@ def first_bad(mask) -> int | None:
     return int(mask.argmax()) if mask.any() else None
 
 
+def all_finite(jets) -> np.ndarray:
+    """Per point of a list of jets, one numpy bool or one per point of a stack: whether
+    every coefficient is finite."""
+    return np.isfinite(np.concatenate([jet.coeffs for jet in jets])).all(axis=0)
+
+
 def at_point(points: tuple[int, ...], index: int) -> str:
     """Where in a stack an error arose; empty for a jet at one point."""
     return f" at point {index} of the stack" if points else ""

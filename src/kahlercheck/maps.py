@@ -31,15 +31,15 @@ from .geometry import (
     CurvaturePoint,
     KahlerChart,
     _as_jet_function,
+    _checked_metric,
     _curvature_point,
-    _metric_matrix,
     _normal_chart_at,
-    _validated_metric,
     pullback_metric_jets,
 )
 from .jets import (
     SINGULAR_FLOOR,
     WirtingerJet,
+    all_finite,
     at_point,
     derivative_block,
     first_bad,
@@ -98,7 +98,7 @@ class HoloMap:
         holomorphy and the image validated at every point; an error names the first bad one."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             jets = [fn(zs) for fn in self._components]
-        bad = first_bad(~_finite(jets))
+        bad = first_bad(~all_finite(jets))
         if bad is not None:
             raise DomainError(f"{self.label}: the map overflows at the domain point "
                               f"{jet_values(zs).reshape(-1, self.m)[bad].tolist()}")
@@ -121,12 +121,6 @@ class HoloMap:
 
     def __repr__(self) -> str:
         return f"<HoloMap {self.label!r} {self.domain.label} -> {self.target.label}>"
-
-
-def _finite(jets) -> np.ndarray:
-    """Per point of a list of jets, one numpy bool or one per point of a stack: whether
-    every coefficient is finite."""
-    return np.isfinite(np.concatenate([jet.coeffs for jet in jets])).all(axis=0)
 
 
 def _antiholomorphic_mass(jet: WirtingerJet):
@@ -249,14 +243,8 @@ class PointStack:
         have = self._metrics.get(role)
         if have is None or have[0][0][0].order < order:
             chart, at = self._chart(role)
-            # a potential's own value may overflow, unread; its derivatives are checked below
-            with np.errstate(over="ignore", invalid="ignore"):
-                jets = chart.metric_jets(at, max(order, self.order - 2, 0))
-            bad = first_bad(~_finite([entry for line in jets for entry in line]))
-            if bad is not None:
-                raise DomainError(f"{chart.label}: the metric overflows at the {role} point "
-                                  f"{at[bad].tolist()}")
-            have = self._metrics[role] = (jets, _validated_metric(chart, _metric_matrix(jets)))
+            have = self._metrics[role] = _checked_metric(
+                chart, at, max(order, self.order - 2, 0), f"{role} point")
         return have
 
     def curvature(self, role: str) -> CurvaturePoint:

@@ -132,6 +132,19 @@ def test_sample_points_per_coordinate_radii():
     assert np.max(np.abs(pts[:, 1])) > 0.5  # the wider factor is actually used
 
 
+
+@pytest.mark.parametrize("key", ["radius", "radii"])
+def test_the_sampler_reaches_a_radius_below_its_zero_norm_floor(key):
+    def largest_over_radius(r):
+        doc = manifest(domain={"catalog": "flat", "params": {"dim": 2}},
+                       target={"catalog": "flat", "params": {"dim": 2}}, map=["z1", "z2"],
+                       sampler={"count": 1000, "seed": 1, key: r if key == "radius" else [r, r]})
+        pts = sample_points(load_scenario(doc))
+        return (np.max(np.linalg.norm(pts, axis=1)) if key == "radius"
+                else np.max(np.abs(pts))) / r
+
+    assert largest_over_radius(1e-13) == pytest.approx(largest_over_radius(1e-3), rel=1e-12)
+
 # -- shipped scenarios ----------------------------------------------------------------
 
 
@@ -752,6 +765,45 @@ def test_an_overflow_at_a_sample_point_exits_two_naming_it(tmp_path, capsys, com
     first = sample_points(load_scenario(doc))[0]
     assert err == f"error: toy: {where} overflows at the domain point {first.tolist()}\n"
 
+
+
+_FLAT1 = {"catalog": "flat", "params": {"dim": 1}}
+_FS2 = {"catalog": "fubini_study", "params": {"dim": 2}}
+_FAR_AVERAGING = {"kind": "averaging", "weights": [1.0, 1.0], "point": [1e200, 0.0], "count": 100}
+_STEEP_LINE = {"domain": _FLAT1, "map": ["1e160*z1"], "sampler": {"count": 3, "radius": 0.5, "seed": 1}}
+
+
+# each case printed numpy warnings, or exited 3 under -W error, before its one error line
+@pytest.mark.parametrize("overrides, code, message", [
+    # the metric at the averaging point underflows to 0, its potential overflows unread
+    ({"domain": _FS2, "target": _FS2, "map": ["z1", "z2"], "checks": [_FAR_AVERAGING]}, 2,
+     "fubini_study(2, c=1): metric is not positive definite"),
+    ({"domain": {"catalog": "flat", "params": {"dim": 2}},
+      "target": {"catalog": "flat", "params": {"dim": 2}}, "map": ["z1", "z2"],
+      "checks": [_FAR_AVERAGING]}, 0, None),
+    # ‖∂f‖² = 1e320 overflows in f*h; a NaN Hessian eigenvalue must not read as a residual of 0
+    ({**_STEEP_LINE, "target": _FLAT1, "checks": [{"kind": "psh", "quantity": "log1p_energy"}]},
+     2, "toy: the psh[log1p_energy] residual is not finite at the domain point {first}"),
+    ({**_STEEP_LINE, "target": _FLAT1, "checks": [{"kind": "boch1"}]}, 2,
+     "toy: the stretch of ∂f overflows at the domain point {first}"),
+    ({**_STEEP_LINE, "map": ["1e200*z1"], "checks": [{"kind": "schwarz"}],
+      "target": {"catalog": "complex_hyperbolic_ball", "params": {"dim": 1}}}, 2,
+     "leaves the target domain (|z| < 1) at point 0 of the stack"),
+], ids=["averaging_fubini_study", "averaging_flat", "psh_steep_line", "boch1_steep_line",
+        "schwarz_into_the_ball"])
+def test_an_overflowing_point_or_residual_gives_one_error_line(tmp_path, capsys, overrides,
+                                                                code, message):
+    doc = manifest(**{"sampler": {"count": 2, "radius": 0.5, "seed": 1}, **overrides})
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+        return
+    first = sample_points(load_scenario(doc))[0]
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message.format(first=first.tolist()) in err
 
 def test_sampled_constants_evaluate_order_two_metrics_at_the_probe_points_only(monkeypatch):
     # an order-1 scenario reads g and h at order 0; the curvature of its sampled

@@ -19,8 +19,7 @@ from kahlercheck.geometry import (
     ChartMap,
     ComponentChart,
     PotentialChart,
-    _metric_matrix,
-    _validated_metric,
+    _checked_metric,
     catalog,
     pullback_metric_jets,
 )
@@ -114,7 +113,7 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
             jets, matrices = metrics[role]
             single = chart.metric_jets(at[row], metric_order)
             assert _same_rows(jets, single, row)
-            assert np.array_equal(matrices[row], _validated_metric(chart, _metric_matrix(single)))
+            assert np.array_equal(matrices[row], _checked_metric(chart, at[row], metric_order)[1])
         if order == 4:
             assert _same_rows(stack.pullback_jets, pullback_metric_jets(f.target, alone, 2), row)
     # curvature asks for order 2: the stack is evaluated again at that order, all rows
