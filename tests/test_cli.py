@@ -132,7 +132,6 @@ def test_sample_points_per_coordinate_radii():
     assert np.max(np.abs(pts[:, 1])) > 0.5  # the wider factor is actually used
 
 
-
 @pytest.mark.parametrize("key", ["radius", "radii"])
 def test_the_sampler_reaches_a_radius_below_its_zero_norm_floor(key):
     def largest_over_radius(r):
@@ -144,6 +143,7 @@ def test_the_sampler_reaches_a_radius_below_its_zero_norm_floor(key):
                 else np.max(np.abs(pts))) / r
 
     assert largest_over_radius(1e-13) == pytest.approx(largest_over_radius(1e-3), rel=1e-12)
+
 
 # -- shipped scenarios ----------------------------------------------------------------
 
@@ -766,14 +766,14 @@ def test_an_overflow_at_a_sample_point_exits_two_naming_it(tmp_path, capsys, com
     assert err == f"error: toy: {where} overflows at the domain point {first.tolist()}\n"
 
 
-
 _FLAT1 = {"catalog": "flat", "params": {"dim": 1}}
 _FS2 = {"catalog": "fubini_study", "params": {"dim": 2}}
 _FAR_AVERAGING = {"kind": "averaging", "weights": [1.0, 1.0], "point": [1e200, 0.0], "count": 100}
-_STEEP_LINE = {"domain": _FLAT1, "map": ["1e160*z1"], "sampler": {"count": 3, "radius": 0.5, "seed": 1}}
+_STEEP_LINE = {"domain": _FLAT1, "map": ["1e160*z1"],
+               "sampler": {"count": 3, "radius": 0.5, "seed": 1}}
 
 
-# each case printed numpy warnings, or exited 3 under -W error, before its one error line
+# pytest turns a numpy warning into an error, so one on the way would exit 3 here
 @pytest.mark.parametrize("overrides, code, message", [
     # the metric at the averaging point underflows to 0, its potential overflows unread
     ({"domain": _FS2, "target": _FS2, "map": ["z1", "z2"], "checks": [_FAR_AVERAGING]}, 2,
@@ -804,6 +804,7 @@ def test_an_overflowing_point_or_residual_gives_one_error_line(tmp_path, capsys,
     first = sample_points(load_scenario(doc))[0]
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert message.format(first=first.tolist()) in err
+
 
 def test_sampled_constants_evaluate_order_two_metrics_at_the_probe_points_only(monkeypatch):
     # an order-1 scenario reads g and h at order 0; the curvature of its sampled
