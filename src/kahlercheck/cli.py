@@ -564,7 +564,8 @@ def run_scenario(scenario: Scenario, details: bool = False) -> tuple[dict, int]:
     # evaluation of a stack validates both charts at all of its points
     stacks = point_stacks(scenario.holo_map, points, _scenario_jet_order(scenario))
     # the curvature probe of sampled constants, built on first need and shared by every
-    # bound check; it is of order 0, so it never raises the sample stacks' order
+    # bound check; its own stacks read order-2 metric jets, the sample stacks only what
+    # their checks need
     probe = functools.cache(
         lambda: point_stacks(scenario.holo_map, points[:CONSTANT_PROBE_POINTS], 0))
     checks_json = []
@@ -625,10 +626,10 @@ def curvature_report(scenario: Scenario) -> dict:
 # -- serialization -------------------------------------------------------------------
 
 
-def render_json(obj, indent: int = 0) -> str:
+def render_json(obj) -> str:
     """JSON with floats at 17 significant digits, keys in insertion order."""
     out: list[str] = []
-    _render_into(out, obj, "\n" + "  " * indent)
+    _render_into(out, obj, "\n")
     return "".join(out)
 
 

@@ -304,15 +304,6 @@ def evaluate(node: Node, inputs: Sequence):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def compiled(node: Node):
-    """AST as a reusable callable of positional inputs."""
-
-    def fn(inputs):
-        return evaluate(node, inputs)
-
-    return fn
-
-
 # -- static validation --------------------------------------------------------------------
 
 

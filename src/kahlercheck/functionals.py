@@ -8,9 +8,8 @@ at most 1e-10 relative) and returned as floats.
 The k-scalar curvature is computed in its algebraic trace form
 Σ_{i,j} R(E_i, Ē_i, E_j, Ē_j); the Gaussian-moment averaging argument
 makes this equal to k(k+1)/2 times the spherical average of the
-normalized holomorphic sectional curvature over the subspace, and
-:func:`k_scalar_quadrature` realizes that average as a Monte-Carlo
-cross-check.  k-Ricci extremization is a seeded multistart gradient
+normalized holomorphic sectional curvature over the subspace (the
+tests check it against a Monte-Carlo estimate of that average).  k-Ricci extremization is a seeded multistart gradient
 search over orthonormal frames; its results are search bounds, not
 proofs.
 """
@@ -122,33 +121,6 @@ def k_scalar(cp: CurvaturePoint, frame: SubspaceFrame) -> float:
     e = _check_frame(cp, frame)
     partial = np.einsum("abcd,ag,bg->cd", cp.riem, e, np.conj(e))
     return _real(np.einsum("cd,cj,dj->", partial, e, np.conj(e)), "k-scalar")
-
-
-def k_scalar_quadrature(
-    cp: CurvaturePoint, frame: SubspaceFrame, count: int, seed: int
-) -> tuple[float, float]:
-    """Monte-Carlo spherical average of normalized H over the subspace.
-
-    Returns (estimate, stderr) where the estimate is scaled by
-    k(k+1)/2 so it targets the algebraic :func:`k_scalar` value.
-    Directions are drawn uniformly on the unit sphere of the subspace
-    via normalized complex Gaussians.
-    """
-    if count < 100:
-        raise ConfigurationError(f"quadrature needs at least 100 samples, got {count}")
-    e = _check_frame(cp, frame)
-    k = frame.k
-    rng = rng_for(seed, 83)
-    w = (rng.normal(size=(count, k)) + 1j * rng.normal(size=(count, k))) / np.sqrt(2.0)
-    # normalized H is scale-invariant, so the Gaussians need no normalization
-    dirs = w @ e.T  # rows are tangent vectors
-    raw = np.einsum("abcd,na,nb,nc,nd->n", cp.riem, dirs, np.conj(dirs), dirs, np.conj(dirs))
-    norms = np.einsum("na,ab,nb->n", dirs, cp.g, np.conj(dirs)).real
-    samples = raw.real / norms**2
-    scale = k * (k + 1) / 2.0
-    estimate = scale * float(np.mean(samples))
-    stderr = scale * float(np.std(samples, ddof=1) / np.sqrt(count))
-    return estimate, stderr
 
 
 # -- k-Ricci extremization ---------------------------------------------------

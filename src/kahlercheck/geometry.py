@@ -57,10 +57,6 @@ class Domain:
 
     dim: int
 
-    def contains(self, point) -> bool:
-        pt = np.asarray(point, dtype=complex)
-        return pt.shape == (self.dim,) and bool(self.inside(pt[None, :])[0])
-
     def inside(self, points: np.ndarray) -> np.ndarray:
         """One bool per row of a (k, dim) array of points."""
         raise NotImplementedError
@@ -115,7 +111,9 @@ def _as_jet_function(source, dim: int, what: str, check: Callable) -> Callable:
         source = expressions.parse(source)
     if isinstance(source, expressions.Node):
         check(source, dim, what)
-        fn = expressions.compiled(source)
+
+        def fn(zs):
+            return expressions.evaluate(source, zs)
     elif callable(source):
         fn = source
     else:
@@ -283,14 +281,6 @@ class ChartMap:
     @property
     def dim(self) -> int:
         return len(self.base)
-
-    def apply_point(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=complex)
-        return self.base + self.linear @ w + 0.5 * np.einsum("imk,m,k->i", self.quad, w, w)
-
-    def jacobian(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=complex)
-        return self.linear + np.einsum("imk,k->im", self.quad, w)
 
     def on_jets(self, ws: Sequence[WirtingerJet]) -> list[WirtingerJet]:
         """z = ψ(w) evaluated on jets ``ws`` of the w coordinates."""

@@ -31,14 +31,7 @@ from .errors import (
 from .functionals import ricci, sampled_bisectional
 from .geometry import CurvaturePoint
 from .jets import derivative_block
-from .linalg import (
-    check_hermitian,
-    check_positive_definite,
-    frame_normalizer,
-    pencil_eigh,
-    rayleigh_quotient,
-    rng_for,
-)
+from .linalg import frame_normalizer, pencil_eigh, rng_for
 from .maps import HoloMap, PointStack, kept_jet, point_stacks
 
 DEFAULT_TOL = 1e-6
@@ -263,32 +256,6 @@ def _log_w(stack: PointStack, k: int, v) -> tuple[float, float]:
 def verify_log_w(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport:
     """Top-stretch identity over a batch; tied or rank-0 points are skipped loudly."""
     return _verify("log_w", _scaled(_log_w, v), f, points, tol)
-
-
-# -- Rayleigh sandwich -----------------------------------------------------------
-
-
-def sandwich_check(a_mat, g_mat, s: int) -> tuple[float, float, float]:
-    """(middle, sup, inf) of the quotient G^{sβ̄}A_{αβ̄}G^{αs̄}/G^{ss̄}.
-
-    The middle quantity is a generalized Rayleigh quotient of the
-    pencil (A, G) at the s-th row of G^{-1}, so it always lands
-    between the extreme pencil eigenvalues.
-    """
-    a_mat = check_hermitian(np.asarray(a_mat, dtype=complex), "sandwich numerator")
-    g_mat = check_positive_definite(np.asarray(g_mat, dtype=complex), "sandwich metric")
-    m = len(g_mat)
-    if not 0 <= s < m:
-        raise ConfigurationError(f"index {s} out of range for size {m}")
-    vals, _ = pencil_eigh(a_mat, g_mat)
-    if vals[0] < -1e-10 * max(1.0, float(vals[-1])):
-        raise ConfigurationError("sandwich numerator must be positive semidefinite")
-    middle = float(rayleigh_quotient(a_mat, np.conj(np.linalg.inv(g_mat)), s).real)
-    sup, inf = float(vals[-1]), float(vals[0])
-    slack = 1e-10 * (1.0 + abs(sup))
-    if not inf - slack <= middle <= sup + slack:
-        raise DegenerateInputError(f"Rayleigh quotient {middle:.6e} outside [{inf:.6e}, {sup:.6e}]")
-    return middle, sup, inf
 
 
 # -- sphere averaging ------------------------------------------------------------

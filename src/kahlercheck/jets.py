@@ -25,8 +25,8 @@ stacked evaluation is one sweep over the expression for all k points
 and gives each point bit for bit the jet it gets alone.  Per-point
 scalars (an array of shape ``(k,)``) broadcast along the last axis, a
 constant built inside an operation takes its operand's point shape
-(:attr:`WirtingerJet.points`), and jets of different point shapes do
-not mix.  A check on the values (a singular constant term) runs at
+(:attr:`WirtingerJet.points`), and jets of different orders or point
+shapes do not mix.  A check on the values (a singular constant term) runs at
 every point and names the first bad one.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -239,17 +239,14 @@ class WirtingerJet:
     # -- ring structure --------------------------------------------------------
 
     def _coerced(self, other) -> "WirtingerJet | None":
-        """``other`` as a jet of at most this jet's order, or None for a scalar."""
+        """``other`` as a jet of this jet's variables, order and points, or None for a scalar."""
         if isinstance(other, WirtingerJet):
-            if other.space is self.space:  # the common case: same variables and order
-                if other.coeffs.shape != self.coeffs.shape:
-                    raise ConfigurationError("jet arithmetic requires jets at the same points")
-                return other
-            if other.num_vars != self.num_vars:
-                raise ConfigurationError("jet arithmetic requires matching variable counts")
-            if other.coeffs.shape[1:] != self.coeffs.shape[1:]:
+            if other.space is not self.space:
+                what = "variable counts" if other.num_vars != self.num_vars else "orders"
+                raise ConfigurationError(f"jet arithmetic requires matching {what}")
+            if other.coeffs.shape != self.coeffs.shape:
                 raise ConfigurationError("jet arithmetic requires jets at the same points")
-            return other.truncated(min(self.space.order, other.space.order))
+            return other
         if isinstance(other, (int, float, complex, np.number)):
             return None  # scalar fast path
         if isinstance(other, np.ndarray):
@@ -261,13 +258,12 @@ class WirtingerJet:
         return NotImplemented  # type: ignore[return-value]
 
     def truncated(self, order: int) -> "WirtingerJet":
+        """This jet cut to ``order``; it carries no coefficients above its own order."""
         if order == self.space.order:
             return self
-        target = _space(self.num_vars, order)
         if order > self.space.order:
-            coeffs = np.zeros((target.size,) + self.coeffs.shape[1:], dtype=complex)
-            coeffs[: self.space.size] = self.coeffs
-            return WirtingerJet(target, coeffs)
+            raise OrderError(f"cannot extend a jet of order {self.order} to order {order}")
+        target = _space(self.num_vars, order)
         return WirtingerJet(target, self.coeffs[: target.size].copy())
 
     def __add__(self, other):
@@ -278,8 +274,7 @@ class WirtingerJet:
             coeffs = self.coeffs.copy()
             coeffs[0] += other
             return WirtingerJet(self.space, coeffs)
-        lhs = self if rhs.space is self.space else self.truncated(rhs.space.order)
-        return WirtingerJet(lhs.space, lhs.coeffs + rhs.coeffs)
+        return WirtingerJet(self.space, self.coeffs + rhs.coeffs)
 
     __radd__ = __add__
 
@@ -298,16 +293,15 @@ class WirtingerJet:
             return NotImplemented
         if rhs is None:
             return WirtingerJet(self.space, self.coeffs * other)
-        lhs = self if rhs.space is self.space else self.truncated(rhs.space.order)
         # one accumulation over the flattened (C order) coefficients of every point
-        coeffs = lhs.coeffs
-        I, J, K = lhs.space.flat_mul_table(coeffs.size)
+        coeffs = self.coeffs
+        I, J, K = self.space.flat_mul_table(coeffs.size)
         # not in place: numpy rounds a one-element in-place product by another formula
         terms = coeffs.take(I) * rhs.coeffs.take(J)
         out = np.zeros(coeffs.size, dtype=complex)
         np.add.at(out, K, terms)
         out.shape = coeffs.shape
-        return WirtingerJet(lhs.space, out)
+        return WirtingerJet(self.space, out)
 
     __rmul__ = __mul__
 
@@ -596,61 +590,6 @@ def _stacked_coeffs(jets, size: int) -> np.ndarray:
             raise OrderError(f"jet of order {jets.order} is too short for this derivative block")
         return jets.coeffs[:size].T
     return np.array([_stacked_coeffs(j, size) for j in jets])
-
-
-# -- independent finite-difference oracle ----------------------------------------------
-
-
-def _wirtinger_op(f: Callable, k: int, h: float, sign: float) -> Callable:
-    """Central-difference d/dz^k (sign=-1) or d/dzbar^k (sign=+1).
-
-    One Richardson step knocks the stencil error down to O(h^4), which
-    is what lets the default step hold 1e-6 relative agreement on
-    strongly curved fields.
-    """
-
-    def single(p: np.ndarray, hh: float) -> complex:
-        e = np.zeros(len(p), dtype=complex)
-        e[k] = 1.0
-        fx = (f(p + hh * e) - f(p - hh * e)) / (2 * hh)
-        fy = (f(p + 1j * hh * e) - f(p - 1j * hh * e)) / (2 * hh)
-        return 0.5 * (fx + sign * 1j * fy)
-
-    def op(p: np.ndarray) -> complex:
-        return (4.0 * single(p, h / 2) - single(p, h)) / 3.0
-
-    return op
-
-
-def fd_cross_check(
-    field: Callable[[np.ndarray], complex],
-    point: Sequence[complex],
-    a: Sequence[int],
-    b: Sequence[int],
-    step: float = 1e-3,
-) -> complex:
-    """Central-difference estimate of a mixed Wirtinger partial.
-
-    ``field`` is any scalar-valued callable of a complex point; nothing
-    here touches jets, so the result is an independent oracle for
-    :func:`derivative`.  Only totals |a|+|b| <= 2 are supported (the
-    stencil error grows too fast beyond that).
-    """
-    pt = np.asarray(point, dtype=complex)
-    ta = _as_multi_index(a, len(pt))
-    tb = _as_multi_index(b, len(pt))
-    if step <= 0:
-        raise ConfigurationError("finite-difference step must be positive")
-    if sum(ta) + sum(tb) > 2:
-        raise ConfigurationError("fd_cross_check supports derivative orders <= 2 only")
-    f = field
-    for k, reps in enumerate(ta):
-        for _ in range(reps):
-            f = _wirtinger_op(f, k, step, -1.0)
-    for k, reps in enumerate(tb):
-        for _ in range(reps):
-            f = _wirtinger_op(f, k, step, +1.0)
-    return f(pt)
 
 
 # -- small matrices of jets ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Holomorphic maps between charts and their pointwise invariants.
 
 A map is stored as jet callables for its target components, so one
-object yields the pushforward, f*h, the covariant Hessian and compositions.
+object yields the pushforward, f*h and the covariant Hessian.
 
 Sample points are handled in stacks.  :func:`point_stacks` groups
 consecutive points into stacks (:class:`PointStack`) of at most
@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from . import expressions
-from .errors import (ConfigurationError, DomainError, HolomorphyError, MetricError,
-                     MultiplicityError, RankError)
+from .errors import (ConfigurationError, DomainError, HolomorphyError, MultiplicityError,
+                     OrderError, RankError)
 from .geometry import (
     ChartMap,
     CurvaturePoint,
@@ -43,7 +43,6 @@ from .jets import (
     at_point,
     derivative_block,
     first_bad,
-    jet_constant,
     jet_mat_det,
     jet_mat_inv,
     jet_mat_mul,
@@ -51,7 +50,7 @@ from .jets import (
     jet_values,
     variable_jets,
 )
-from .linalg import cholesky_frame, haar_unitary, rayleigh_quotient, rng_for
+from .linalg import cholesky_frame, rayleigh_quotient
 
 HOLOMORPHY_TOL = 1e-12
 RANK_RELATIVE_FLOOR = 1e-10
@@ -205,8 +204,9 @@ class PointStack:
     log-W jets.  Arrays and jets carry the point axis (first for arrays, last
     for jet coefficients); only the skip rules of log D and log W and the
     normal-chart changes go row by row.  Every validity check runs at every
-    point and names the first bad one.  Curvature reads metric jets of order
-    2, so asking it of a stack of order below 4 raises the stack's metric order.
+    point and names the first bad one.  A chart's metric jets are evaluated
+    once, at the order first asked for; curvature reads order 2, so on a stack
+    of order below 4 it must come before the stretch.
     """
 
     def __init__(self, f: HoloMap, points: np.ndarray, order: int):
@@ -238,13 +238,16 @@ class PointStack:
 
     def metric(self, role: str, order: int = 0) -> tuple[list[list[WirtingerJet]], np.ndarray]:
         """Metric jets of the domain at the points or of the target at the images, of
-        order ``max(order, self.order - 2)``, with the validated stack of metric matrices;
-        asking for more than the stack holds evaluates the whole stack again."""
+        order ``max(order, self.order - 2, 0)`` at the first request, with the validated
+        stack of metric matrices; asking later for more than that raises ``OrderError``."""
         have = self._metrics.get(role)
-        if have is None or have[0][0][0].order < order:
+        if have is None:
             chart, at = self._chart(role)
             have = self._metrics[role] = _checked_metric(
                 chart, at, max(order, self.order - 2, 0), f"{role} point")
+        elif have[0][0][0].order < order:
+            raise OrderError(f"the stack holds {role} metric jets of order "
+                             f"{have[0][0][0].order}, order {order} was asked")
         return have
 
     def curvature(self, role: str) -> CurvaturePoint:
@@ -290,8 +293,9 @@ class PointStack:
     def log_w_jets(self) -> list:
         """Per point, the jet of log W (order 2), or why its top stretch is not simple and nonzero.
 
-        W is :class:`StretchBarrier`'s quotient, in the normal chart with the adapted
-        domain frame as axes; the charts' changes are stacked, each checked alone."""
+        W = g^{1β̄} A_{αβ̄} g^{α1̄} / g^{11̄}, the Rayleigh quotient of the pencil (f*h, g) at
+        the first axis, in the normal chart with the adapted domain frame as axes; the
+        charts' changes are stacked, each checked alone."""
         f = self.map
 
         def w_jet(rows):
@@ -412,128 +416,3 @@ def point_stacks(f: HoloMap, points, order: int) -> list[PointStack]:
         raise ConfigurationError(f"points must have shape (k, {f.m}) with k >= 1, got {pts.shape}")
     return [PointStack(f, pts[start:start + STACK_CHUNK], order)
             for start in range(0, len(pts), STACK_CHUNK)]
-
-
-# -- composition ---------------------------------------------------------------
-
-
-def postcompose(g_map: HoloMap, f: HoloMap, label: str | None = None) -> HoloMap:
-    """g ∘ f; the charts must be compatible (f maps into g's domain chart)."""
-    if f.target.dim != g_map.domain.dim:
-        raise ConfigurationError("postcomposition needs matching dimensions")
-
-    def component(j):
-        def fn(zs):
-            return g_map._components[j]([c(zs) for c in f._components])
-
-        return fn
-
-    return HoloMap(
-        f.domain,
-        g_map.target,
-        [component(j) for j in range(g_map.n)],
-        label=label or f"{g_map.label}∘{f.label}",
-    )
-
-
-def catalog_isometry(chart: KahlerChart, seed: int = 0) -> HoloMap:
-    """A nontrivial isometry of a catalog chart onto itself, drawn from seed.
-
-    Rotations for the ball and projective models, Möbius automorphisms
-    for the disk (factorwise on the polydisk), unitary motions for the
-    flat chart.
-    """
-    family = chart.family
-    m = chart.dim
-    rng = rng_for(seed, 929)
-
-    def mobius_component(k, b, phase):
-        b_conj = np.conj(b)
-
-        def fn(zs):
-            return phase * ((zs[k] - b) * (1.0 - b_conj * zs[k]).reciprocal())
-
-        return fn
-
-    if family == "flat":
-        u_mat = haar_unitary(m, rng)
-        shift = 0.3 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-
-        def linear_component(i):
-            def fn(zs):
-                acc = jet_constant(shift[i], zs[0].num_vars, zs[0].order, zs[0].points)
-                for j in range(m):
-                    acc = acc + u_mat[i, j] * zs[j]
-                return acc
-
-            return fn
-
-        comps = [linear_component(i) for i in range(m)]
-    elif family == "poincare_disk" or (family == "complex_hyperbolic_ball" and m == 1):
-        b = 0.4 * (rng.normal() + 1j * rng.normal()) / np.sqrt(2.0)
-        theta = rng.uniform(0, 2 * np.pi)
-        comps = [mobius_component(0, b, np.exp(1j * theta))]
-    elif family in ("complex_hyperbolic_ball", "fubini_study"):
-        u_mat = haar_unitary(m, rng)
-
-        def rotation_component(i):
-            def fn(zs):
-                acc = jet_constant(0.0, zs[0].num_vars, zs[0].order, zs[0].points)
-                for j in range(m):
-                    acc = acc + u_mat[i, j] * zs[j]
-                return acc
-
-            return fn
-
-        comps = [rotation_component(i) for i in range(m)]
-    elif family == "poincare_polydisk":
-        comps = []
-        for k in range(m):
-            b = 0.4 * (rng.normal() + 1j * rng.normal()) / np.sqrt(2.0)
-            theta = rng.uniform(0, 2 * np.pi)
-            comps.append(mobius_component(k, b, np.exp(1j * theta)))
-    else:
-        raise ConfigurationError(f"no isometry family known for chart {chart.label!r}")
-    return HoloMap(chart, chart, comps, label=f"isometry[{chart.label}]")
-
-
-# -- the stretch barrier ---------------------------------------------------------
-
-
-class StretchBarrier:
-    """Smooth minorant of ‖∂f‖²_m anchored at a point.
-
-    Coordinates are renormalized at the anchor so the first frame
-    direction realizes the top stretch; then
-    W = g^{1β̄} A_{αβ̄} g^{α1̄} / g^{11̄} is a Rayleigh quotient of the
-    pencil (A, g), so W ≤ ‖∂f‖²_m everywhere with equality at the
-    anchor.
-    """
-
-    def __init__(self, holo_map: HoloMap, anchor):
-        self.map = holo_map
-        (stack,) = point_stacks(holo_map, anchor, 1)
-        self.anchor_data = stack.stretch.at(0)
-        self.domain_chart = _normal_chart_at(holo_map.domain, stack.curvature("domain").at(0),
-                                             self.anchor_data.domain_frame)
-
-    def chart_point(self, w) -> np.ndarray:
-        """Anchored coordinates → original chart coordinates."""
-        return self.domain_chart.change.apply_point(np.asarray(w, dtype=complex))
-
-    def value(self, w) -> float:
-        """W at the anchored coordinates w."""
-        change = self.domain_chart.change
-        w = np.asarray(w, dtype=complex)
-        data = map_point_data(self.map, change.apply_point(w))
-        jac = change.jacobian(w)
-        a_here = jac.T @ data.pullback @ np.conj(jac)
-        g_here = jac.T @ data.g @ np.conj(jac)
-        val = complex(rayleigh_quotient(a_here, np.conj(np.linalg.inv(g_here)), 0))
-        if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
-            raise MetricError(f"barrier value has spurious imaginary part {val.imag:.3e}")
-        return float(val.real)
-
-    def max_norm_at(self, w) -> float:
-        """True ‖∂f‖²_m at the chart point behind w (pencil invariant)."""
-        return float(map_point_data(self.map, self.chart_point(w)).singular_sq[0])

@@ -1,0 +1,290 @@
+"""Oracles and fixtures the tests compare the package against.
+
+Nothing here is reached by a check, the CLI or the benchmark:
+
+- :func:`fd_cross_check`, a finite-difference oracle for jet derivatives
+  that shares no code with the jets;
+- :func:`apply_point` and :func:`jacobian`, a chart change
+  (:class:`~kahlercheck.geometry.ChartMap`) at one point in closed form;
+- :func:`postcompose` and :func:`catalog_isometry`, which build g ∘ f and
+  the catalog charts' isometries for invariance tests;
+- :class:`StretchBarrier`, the quotient W that log W is taken of, at
+  single points;
+- :func:`k_scalar_quadrature`, a Monte-Carlo cross-check of
+  :func:`~kahlercheck.functionals.k_scalar`;
+- :func:`sandwich_check`, the Rayleigh sandwich behind an acceptance
+  criterion.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from kahlercheck.errors import ConfigurationError, DegenerateInputError, MetricError
+from kahlercheck.functionals import SubspaceFrame, _check_frame
+from kahlercheck.geometry import ChartMap, CurvaturePoint, KahlerChart, _normal_chart_at
+from kahlercheck.jets import _as_multi_index, jet_constant
+from kahlercheck.linalg import (
+    check_hermitian,
+    check_positive_definite,
+    haar_unitary,
+    pencil_eigh,
+    rayleigh_quotient,
+    rng_for,
+)
+from kahlercheck.maps import HoloMap, map_point_data, point_stacks
+
+# -- independent finite-difference oracle ----------------------------------------------
+
+
+def _wirtinger_op(f: Callable, k: int, h: float, sign: float) -> Callable:
+    """Central-difference d/dz^k (sign=-1) or d/dzbar^k (sign=+1).
+
+    One Richardson step knocks the stencil error down to O(h^4), which
+    is what lets the default step hold 1e-6 relative agreement on
+    strongly curved fields.
+    """
+
+    def single(p: np.ndarray, hh: float) -> complex:
+        e = np.zeros(len(p), dtype=complex)
+        e[k] = 1.0
+        fx = (f(p + hh * e) - f(p - hh * e)) / (2 * hh)
+        fy = (f(p + 1j * hh * e) - f(p - 1j * hh * e)) / (2 * hh)
+        return 0.5 * (fx + sign * 1j * fy)
+
+    def op(p: np.ndarray) -> complex:
+        return (4.0 * single(p, h / 2) - single(p, h)) / 3.0
+
+    return op
+
+
+def fd_cross_check(
+    field: Callable[[np.ndarray], complex],
+    point: Sequence[complex],
+    a: Sequence[int],
+    b: Sequence[int],
+    step: float = 1e-3,
+) -> complex:
+    """Central-difference estimate of a mixed Wirtinger partial.
+
+    ``field`` is any scalar-valued callable of a complex point; nothing
+    here touches jets, so the result is an independent oracle for
+    :func:`~kahlercheck.jets.derivative`.  Only totals |a|+|b| <= 2 are
+    supported (the stencil error grows too fast beyond that).
+    """
+    pt = np.asarray(point, dtype=complex)
+    ta = _as_multi_index(a, len(pt))
+    tb = _as_multi_index(b, len(pt))
+    if step <= 0:
+        raise ConfigurationError("finite-difference step must be positive")
+    if sum(ta) + sum(tb) > 2:
+        raise ConfigurationError("fd_cross_check supports derivative orders <= 2 only")
+    f = field
+    for k, reps in enumerate(ta):
+        for _ in range(reps):
+            f = _wirtinger_op(f, k, step, -1.0)
+    for k, reps in enumerate(tb):
+        for _ in range(reps):
+            f = _wirtinger_op(f, k, step, +1.0)
+    return f(pt)
+
+
+# -- a chart change at one point ----------------------------------------------------------
+
+
+def apply_point(change: ChartMap, w) -> np.ndarray:
+    """z = ψ(w) at one point w."""
+    w = np.asarray(w, dtype=complex)
+    return change.base + change.linear @ w + 0.5 * np.einsum("imk,m,k->i", change.quad, w, w)
+
+
+def jacobian(change: ChartMap, w) -> np.ndarray:
+    """∂z^i/∂w^μ at one point w."""
+    w = np.asarray(w, dtype=complex)
+    return change.linear + np.einsum("imk,k->im", change.quad, w)
+
+
+# -- composition ---------------------------------------------------------------
+
+
+def postcompose(g_map: HoloMap, f: HoloMap, label: str | None = None) -> HoloMap:
+    """g ∘ f; the charts must be compatible (f maps into g's domain chart)."""
+    if f.target.dim != g_map.domain.dim:
+        raise ConfigurationError("postcomposition needs matching dimensions")
+
+    def component(j):
+        def fn(zs):
+            return g_map._components[j]([c(zs) for c in f._components])
+
+        return fn
+
+    return HoloMap(
+        f.domain,
+        g_map.target,
+        [component(j) for j in range(g_map.n)],
+        label=label or f"{g_map.label}∘{f.label}",
+    )
+
+
+def catalog_isometry(chart: KahlerChart, seed: int = 0) -> HoloMap:
+    """A nontrivial isometry of a catalog chart onto itself, drawn from seed.
+
+    Rotations for the ball and projective models, Möbius automorphisms
+    for the disk (factorwise on the polydisk), unitary motions for the
+    flat chart.
+    """
+    family = chart.family
+    m = chart.dim
+    rng = rng_for(seed, 929)
+
+    def mobius_component(k, b, phase):
+        b_conj = np.conj(b)
+
+        def fn(zs):
+            return phase * ((zs[k] - b) * (1.0 - b_conj * zs[k]).reciprocal())
+
+        return fn
+
+    if family == "flat":
+        u_mat = haar_unitary(m, rng)
+        shift = 0.3 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+
+        def linear_component(i):
+            def fn(zs):
+                acc = jet_constant(shift[i], zs[0].num_vars, zs[0].order, zs[0].points)
+                for j in range(m):
+                    acc = acc + u_mat[i, j] * zs[j]
+                return acc
+
+            return fn
+
+        comps = [linear_component(i) for i in range(m)]
+    elif family == "poincare_disk" or (family == "complex_hyperbolic_ball" and m == 1):
+        b = 0.4 * (rng.normal() + 1j * rng.normal()) / np.sqrt(2.0)
+        theta = rng.uniform(0, 2 * np.pi)
+        comps = [mobius_component(0, b, np.exp(1j * theta))]
+    elif family in ("complex_hyperbolic_ball", "fubini_study"):
+        u_mat = haar_unitary(m, rng)
+
+        def rotation_component(i):
+            def fn(zs):
+                acc = jet_constant(0.0, zs[0].num_vars, zs[0].order, zs[0].points)
+                for j in range(m):
+                    acc = acc + u_mat[i, j] * zs[j]
+                return acc
+
+            return fn
+
+        comps = [rotation_component(i) for i in range(m)]
+    elif family == "poincare_polydisk":
+        comps = []
+        for k in range(m):
+            b = 0.4 * (rng.normal() + 1j * rng.normal()) / np.sqrt(2.0)
+            theta = rng.uniform(0, 2 * np.pi)
+            comps.append(mobius_component(k, b, np.exp(1j * theta)))
+    else:
+        raise ConfigurationError(f"no isometry family known for chart {chart.label!r}")
+    return HoloMap(chart, chart, comps, label=f"isometry[{chart.label}]")
+
+
+# -- the stretch barrier ---------------------------------------------------------
+
+
+class StretchBarrier:
+    """Smooth minorant of ‖∂f‖²_m anchored at a point.
+
+    Coordinates are renormalized at the anchor so the first frame
+    direction realizes the top stretch; then
+    W = g^{1β̄} A_{αβ̄} g^{α1̄} / g^{11̄} is a Rayleigh quotient of the
+    pencil (A, g), so W ≤ ‖∂f‖²_m everywhere with equality at the
+    anchor.
+    """
+
+    def __init__(self, holo_map: HoloMap, anchor):
+        self.map = holo_map
+        (stack,) = point_stacks(holo_map, anchor, 1)
+        # curvature first: its order-2 metric jets then serve the stretch as well
+        curvature = stack.curvature("domain").at(0)
+        self.anchor_data = stack.stretch.at(0)
+        self.domain_chart = _normal_chart_at(holo_map.domain, curvature,
+                                             self.anchor_data.domain_frame)
+
+    def chart_point(self, w) -> np.ndarray:
+        """Anchored coordinates → original chart coordinates."""
+        return apply_point(self.domain_chart.change, w)
+
+    def value(self, w) -> float:
+        """W at the anchored coordinates w."""
+        change = self.domain_chart.change
+        w = np.asarray(w, dtype=complex)
+        data = map_point_data(self.map, apply_point(change, w))
+        jac = jacobian(change, w)
+        a_here = jac.T @ data.pullback @ np.conj(jac)
+        g_here = jac.T @ data.g @ np.conj(jac)
+        val = complex(rayleigh_quotient(a_here, np.conj(np.linalg.inv(g_here)), 0))
+        if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
+            raise MetricError(f"barrier value has spurious imaginary part {val.imag:.3e}")
+        return float(val.real)
+
+    def max_norm_at(self, w) -> float:
+        """True ‖∂f‖²_m at the chart point behind w (pencil invariant)."""
+        return float(map_point_data(self.map, self.chart_point(w)).singular_sq[0])
+
+
+# -- k-scalar quadrature -------------------------------------------------------------
+
+
+def k_scalar_quadrature(
+    cp: CurvaturePoint, frame: SubspaceFrame, count: int, seed: int
+) -> tuple[float, float]:
+    """Monte-Carlo spherical average of normalized H over the subspace.
+
+    Returns (estimate, stderr) where the estimate is scaled by
+    k(k+1)/2 so it targets the algebraic
+    :func:`~kahlercheck.functionals.k_scalar` value.  Directions are
+    drawn uniformly on the unit sphere of the subspace via normalized
+    complex Gaussians.
+    """
+    if count < 100:
+        raise ConfigurationError(f"quadrature needs at least 100 samples, got {count}")
+    e = _check_frame(cp, frame)
+    k = frame.k
+    rng = rng_for(seed, 83)
+    w = (rng.normal(size=(count, k)) + 1j * rng.normal(size=(count, k))) / np.sqrt(2.0)
+    # normalized H is scale-invariant, so the Gaussians need no normalization
+    dirs = w @ e.T  # rows are tangent vectors
+    raw = np.einsum("abcd,na,nb,nc,nd->n", cp.riem, dirs, np.conj(dirs), dirs, np.conj(dirs))
+    norms = np.einsum("na,ab,nb->n", dirs, cp.g, np.conj(dirs)).real
+    samples = raw.real / norms**2
+    scale = k * (k + 1) / 2.0
+    estimate = scale * float(np.mean(samples))
+    stderr = scale * float(np.std(samples, ddof=1) / np.sqrt(count))
+    return estimate, stderr
+
+
+# -- Rayleigh sandwich -----------------------------------------------------------
+
+
+def sandwich_check(a_mat, g_mat, s: int) -> tuple[float, float, float]:
+    """(middle, sup, inf) of the quotient G^{sβ̄}A_{αβ̄}G^{αs̄}/G^{ss̄}.
+
+    The middle quantity is a generalized Rayleigh quotient of the
+    pencil (A, G) at the s-th row of G^{-1}, so it always lands
+    between the extreme pencil eigenvalues.
+    """
+    a_mat = check_hermitian(np.asarray(a_mat, dtype=complex), "sandwich numerator")
+    g_mat = check_positive_definite(np.asarray(g_mat, dtype=complex), "sandwich metric")
+    m = len(g_mat)
+    if not 0 <= s < m:
+        raise ConfigurationError(f"index {s} out of range for size {m}")
+    vals, _ = pencil_eigh(a_mat, g_mat)
+    if vals[0] < -1e-10 * max(1.0, float(vals[-1])):
+        raise ConfigurationError("sandwich numerator must be positive semidefinite")
+    middle = float(rayleigh_quotient(a_mat, np.conj(np.linalg.inv(g_mat)), s).real)
+    sup, inf = float(vals[-1]), float(vals[0])
+    slack = 1e-10 * (1.0 + abs(sup))
+    if not inf - slack <= middle <= sup + slack:
+        raise DegenerateInputError(f"Rayleigh quotient {middle:.6e} outside [{inf:.6e}, {sup:.6e}]")
+    return middle, sup, inf

@@ -28,7 +28,6 @@ from kahlercheck.functionals import ricci
 from kahlercheck.geometry import catalog, curvature_tensor
 from kahlercheck.identities import (
     averaging_identity_check,
-    sandwich_check,
     verify_boch1,
     verify_boch2,
     verify_log_w,
@@ -37,6 +36,7 @@ from kahlercheck.jets import derivative
 from kahlercheck.linalg import rng_for
 from kahlercheck.maps import HoloMap
 from kahlercheck.linalg import check_positive_definite
+from reference import sandwich_check
 
 FLAT1 = catalog("flat", dim=1)
 FLAT2 = catalog("flat", dim=2)

@@ -20,7 +20,8 @@ from kahlercheck.cli import report_notes
 from kahlercheck.errors import ConfigurationError, DegenerateInputError
 from kahlercheck.geometry import catalog
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, catalog_isometry, point_stacks, postcompose
+from kahlercheck.maps import HoloMap, point_stacks
+from reference import catalog_isometry, postcompose
 
 FLAT1 = catalog("flat", dim=1)
 FLAT2 = catalog("flat", dim=2)

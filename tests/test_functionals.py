@@ -17,7 +17,6 @@ from kahlercheck.functionals import (
     holo_sectional,
     k_ricci_extremes,
     k_scalar,
-    k_scalar_quadrature,
     ricci,
     scalar_curvature,
     subspace_frame,
@@ -25,6 +24,7 @@ from kahlercheck.functionals import (
 from kahlercheck.geometry import catalog, curvature_tensor
 from kahlercheck.jets import derivative, jet_mat_det
 from kahlercheck.linalg import pencil_eigh
+from reference import k_scalar_quadrature
 
 
 def cp_at(name, point, **params):

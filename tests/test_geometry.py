@@ -24,6 +24,7 @@ from kahlercheck.geometry import (
 )
 from kahlercheck.jets import compose, jet_constant, variable_jets
 from kahlercheck.linalg import g_orthonormalize
+from reference import apply_point, jacobian
 
 
 def sample_points(rng, dim, radius, count):
@@ -289,9 +290,9 @@ def test_chart_map_round_trip():
     w = np.array([0.05, 0.02 - 0.01j])
     jets = cmap.on_jets(variable_jets(w, 2, 3))
     np.testing.assert_allclose(
-        [j.value for j in jets], cmap.apply_point(w), atol=1e-13
+        [j.value for j in jets], apply_point(cmap, w), atol=1e-13
     )
-    jac = cmap.jacobian(w)
+    jac = jacobian(cmap, w)
     for i in range(2):
         for mu in range(2):
             assert jets[i].d_dz(mu).value == pytest.approx(jac[i, mu], abs=1e-13)
@@ -306,8 +307,8 @@ def test_pulled_back_chart_matches_pointwise_transform():
     )
     pulled = PulledBackChart(chart, cmap, label="pulled")
     w = np.array([0.1, -0.2])
-    jac = cmap.jacobian(w)
-    want = jac.T @ curvature_tensor(chart, cmap.apply_point(w)).g @ np.conj(jac)
+    jac = jacobian(cmap, w)
+    want = jac.T @ curvature_tensor(chart, apply_point(cmap, w)).g @ np.conj(jac)
     np.testing.assert_allclose(curvature_tensor(pulled, w).g, want, atol=1e-12)
 
 
@@ -427,5 +428,4 @@ def test_catalog_accepts_m_alias():
 
 
 def test_ball_domain_str_roundtrip():
-    assert Ball(2).contains(np.array([0.5, 0.5]))
-    assert not Ball(2).contains(np.array([0.8, 0.7]))
+    assert Ball(2).inside(np.array([[0.5, 0.5], [0.8, 0.7]])).tolist() == [True, False]

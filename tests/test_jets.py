@@ -10,7 +10,6 @@ from kahlercheck.jets import (
     WirtingerJet,
     derivative,
     derivative_block,
-    fd_cross_check,
     jet_constant,
     jet_mat_det,
     jet_mat_inv,
@@ -19,6 +18,7 @@ from kahlercheck.jets import (
     jet_variable,
     variable_jets,
 )
+from reference import fd_cross_check
 
 
 def random_jet(rng, m, order, scale=1.0):
@@ -131,11 +131,15 @@ def test_order_and_variable_limits():
         jet_variable(3, 0.0, 2, 2)
 
 
-def test_mixed_order_arithmetic_truncates():
+def test_jets_of_different_orders_do_not_mix():
     a = jet_variable(0, 1.0, 1, 4)
     b = jet_variable(0, 1.0, 1, 2)
-    assert (a * b).order == 2
-    assert (a + b).order == 2
+    for op in (lambda: a * b, lambda: a + b, lambda: b * a, lambda: b + a):
+        with pytest.raises(ConfigurationError, match="matching orders"):
+            op()
+    assert a.truncated(2).order == 2
+    with pytest.raises(OrderError):
+        b.truncated(4)
 
 
 # -- finite-difference oracle -----------------------------------------------------------

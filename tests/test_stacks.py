@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlercheck import maps
-from kahlercheck.errors import DomainError, HolomorphyError, MetricError, SingularJetError
+from kahlercheck.errors import (DomainError, HolomorphyError, MetricError, OrderError,
+                               SingularJetError)
 from kahlercheck.geometry import (
     CATALOG,
     ChartMap,
@@ -116,14 +117,28 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
             assert np.array_equal(matrices[row], _checked_metric(chart, at[row], metric_order)[1])
         if order == 4:
             assert _same_rows(stack.pullback_jets, pullback_metric_jets(f.target, alone, 2), row)
-    # curvature asks for order 2: the stack is evaluated again at that order, all rows
-    # stay bit-for-bit the one-point jets, and the metric matrices do not move
+    # a fresh stack first asked for order 2, as curvature asks: all rows are bit-for-bit
+    # the one-point jets of that order, and the metric matrices do not move
+    fresh = PointStack(f, points, order)
     for role, (chart, at) in roles.items():
-        jets, matrices = stack.metric(role, 2)
-        assert stack.metric(role) is stack.metric(role, 2)
+        jets, matrices = fresh.metric(role, 2)
+        assert fresh.metric(role) is fresh.metric(role, 2)
         for row in range(len(points)):
             assert _same_rows(jets, chart.metric_jets(at[row], 2), row)
             assert np.array_equal(matrices[row], metrics[role][1][row])
+
+
+def test_a_stack_asked_for_more_metric_order_than_it_holds_raises():
+    f = HoloMap(catalog("poincare_disk"), catalog("complex_hyperbolic_ball", dim=2),
+                ["z1/2", "z1^2/3"])
+    stack = PointStack(f, np.array([[0.1], [0.2j]]), 1)
+    stack.metric("domain")  # an order-1 stack's metric jets are of order 0
+    with pytest.raises(OrderError, match="holds domain metric jets of order 0, order 2 was asked"):
+        stack.curvature("domain")
+    # curvature first, and the stretch reads the same order-2 jets
+    ordered = PointStack(f, stack.points, 1)
+    ordered.curvature("domain")
+    assert np.array_equal(ordered.stretch.singular_sq, stack.stretch.singular_sq)
 
 
 @settings(max_examples=30, deadline=None)
