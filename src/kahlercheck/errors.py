@@ -25,7 +25,15 @@ class DomainError(KahlerCheckError):
 
 
 class MetricError(KahlerCheckError):
-    """A metric evaluation came back non-Hermitian or non-positive."""
+    """A metric evaluation came back non-Hermitian or non-positive.
+
+    ``index`` is the flat index of the failing matrix in a checked stack
+    (0 for a single matrix), or None where no stack was checked.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class HolomorphyError(KahlerCheckError):

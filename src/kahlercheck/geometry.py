@@ -349,16 +349,21 @@ def _metric_matrix(gjets) -> np.ndarray:
 
 def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
     """Metric jets of ``order`` at a point or a (k, dim) stack of points, checked finite, and
-    the metric matrices, checked positive definite and symmetrized; an overflow names the
-    first ``where`` it happens at."""
+    the metric matrices, checked positive definite and symmetrized; an overflow or a failed
+    matrix names the first ``where`` it happens at."""
+    rows = np.reshape(at, (-1, chart.dim))
     # a potential's own value may overflow, unread; its derivatives are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         jets = chart.metric_jets(at, order)
     bad = first_bad(~all_finite([entry for line in jets for entry in line]))
     if bad is not None:
         raise DomainError(f"{chart.label}: the metric overflows at the {where} "
-                          f"{np.reshape(at, (-1, chart.dim))[bad].tolist()}")
-    return jets, check_positive_definite(_metric_matrix(jets), f"{chart.label}: metric")
+                          f"{rows[bad].tolist()}")
+    try:
+        return jets, check_positive_definite(_metric_matrix(jets), f"{chart.label}: metric")
+    except MetricError as err:
+        raise MetricError(f"{err} at the {where} {rows[err.index].tolist()}",
+                          err.index) from None
 
 
 def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:

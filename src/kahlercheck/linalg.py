@@ -25,21 +25,31 @@ def rng_for(seed: int, *keys: int) -> np.random.Generator:
 
 
 def _raise_first(failing, values, label: str, message: str):
-    """MetricError for the first flagged matrix; in a stack it is named by its flat index."""
+    """MetricError for the first flagged matrix, carrying its flat index; in a stack the
+    message names it by that index."""
     bad = np.flatnonzero(failing)
     if bad.size:
         k = int(bad[0])
         name = label if np.ndim(failing) == 0 else f"{label} (matrix {k})"
-        raise MetricError(f"{name} {message.format(np.ravel(values)[k])}")
+        raise MetricError(f"{name} {message.format(np.ravel(values)[k])}", index=k)
 
 
 def check_hermitian(g: np.ndarray, label: str = "metric") -> np.ndarray:
-    """Validate and return the symmetrized matrix, or stack of matrices ``(..., n, n)``."""
+    """Validate and return the symmetrized matrix, or stack of matrices ``(..., n, n)``.
+
+    A matrix's defect is compared with ``HERMITIAN_TOL * (1 + max |entry|)``, so
+    rounding in large entries does not fail it; a non-finite entry always does.
+    """
     g = np.asarray(g, dtype=complex)
     g_h = np.conj(g).swapaxes(-1, -2)
-    defect = np.max(np.abs(g - g_h), axis=(-2, -1)) if g.size else np.zeros(g.shape[:-2])
-    # the negated test also fails NaN and inf entries
-    _raise_first(~(defect <= HERMITIAN_TOL), defect, label, "is not Hermitian (defect {:.3e})")
+    if g.size:
+        defect = np.max(np.abs(g - g_h), axis=(-2, -1))
+        scale = 1.0 + np.max(np.abs(g), axis=(-2, -1))
+    else:
+        defect = scale = np.zeros(g.shape[:-2])
+    # the negated test also fails NaN entries; an inf entry leaves the scale infinite
+    _raise_first(~((defect <= HERMITIAN_TOL * scale) & np.isfinite(scale)), defect, label,
+                 "is not Hermitian (defect {:.3e})")
     return 0.5 * (g + g_h)
 
 

@@ -143,6 +143,13 @@ def test_schwarz_rejects_bad_constants():
         schwarz_bound_report(f, pts, Constant.analytic("K", -1.0), Constant.analytic("kappa", 1.0))
 
 
+@pytest.mark.parametrize("report", [volume_bound_report, royden_bound_report])
+def test_volume_and_royden_reject_a_negative_k(report):
+    f = HoloMap(disk(1.0), disk(2.0), ["z1"])
+    with pytest.raises(ConfigurationError, match="K must be nonnegative"):
+        report(f, np.array([[0.1]]), Constant.analytic("K", -1.0), Constant.analytic("kappa", 1.0))
+
+
 def test_schwarz_sampled_constants_marked_advisory():
     f = HoloMap(disk(1.0), disk(2.0), ["z1"])
     rep = schwarz_bound_report(f, np.array([[0.2]]), Constant.sampled("K", 2.0),

@@ -770,13 +770,17 @@ _FS2 = {"catalog": "fubini_study", "params": {"dim": 2}}
 _FAR_AVERAGING = {"kind": "averaging", "weights": [1.0, 1.0], "point": [1e200, 0.0], "count": 100}
 _STEEP_LINE = {"domain": _FLAT1, "map": ["1e160*z1"],
                "sampler": {"count": 3, "radius": 0.5, "seed": 1}}
+# a metric e^{|z|²} whose entries reach 1e15 at radius 6 and 1e62 at radius 12
+_EXP_POTENTIAL = {"domain": {"dim": 1, "potential": "exp(abs2(z1))"}, "target": _FLAT1,
+                  "map": ["z1"], "checks": [{"kind": "boch1"}]}
 
 
 # pytest turns a numpy warning into an error, so one on the way would exit 3 here
 @pytest.mark.parametrize("overrides, code, message", [
     # the metric at the averaging point underflows to 0, its potential overflows unread
     ({"domain": _FS2, "target": _FS2, "map": ["z1", "z2"], "checks": [_FAR_AVERAGING]}, 2,
-     "fubini_study(2, c=1): metric is not positive definite"),
+     "fubini_study(2, c=1): metric is not positive definite (min eigenvalue 0.000e+00) "
+     "at the point [(1e+200+0j), 0j]\n"),
     ({"domain": {"catalog": "flat", "params": {"dim": 2}},
       "target": {"catalog": "flat", "params": {"dim": 2}}, "map": ["z1", "z2"],
       "checks": [_FAR_AVERAGING]}, 0, None),
@@ -788,8 +792,10 @@ _STEEP_LINE = {"domain": _FLAT1, "map": ["1e160*z1"],
     ({**_STEEP_LINE, "map": ["1e200*z1"], "checks": [{"kind": "schwarz"}],
       "target": {"catalog": "complex_hyperbolic_ball", "params": {"dim": 1}}}, 2,
      "leaves the target domain (|z| < 1) at point 0 of the stack"),
+    ({**_EXP_POTENTIAL, "sampler": {"count": 2, "radius": 100, "seed": 1}}, 2,
+     "error: domain: the metric overflows at the domain point {first}\n"),
 ], ids=["averaging_fubini_study", "averaging_flat", "psh_steep_line", "boch1_steep_line",
-        "schwarz_into_the_ball"])
+        "schwarz_into_the_ball", "exp_potential_far_out"])
 def test_an_overflowing_point_or_residual_gives_one_error_line(tmp_path, capsys, overrides,
                                                                 code, message):
     doc = manifest(**{"sampler": {"count": 2, "radius": 0.5, "seed": 1}, **overrides})
@@ -803,6 +809,38 @@ def test_an_overflowing_point_or_residual_gives_one_error_line(tmp_path, capsys,
     first = sample_points(load_scenario(doc))[0]
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert message.format(first=first.tolist()) in err
+
+
+_BIDISK = {"dim": 2, "metric": [["1/(1 - abs2(z1))^2", "0"], ["0", "1/(1 - abs2(z2))^2"]],
+           "region": {"kind": "polydisk", "radii": [1, 1]}}
+_BIDISK_RUN = {"domain": _BIDISK, "map": ["z1", "z2"],
+               "target": {"catalog": "poincare_polydisk", "params": {"dim": 2}},
+               "sampler": {"count": 5, "radii": [0.5, 0.5], "seed": 1},
+               "checks": [{"kind": "boch1"}, {"kind": "schwarz", "K": 2, "kappa": 1}]}
+
+
+@pytest.mark.parametrize("overrides, code, message", [
+    (_BIDISK_RUN, 0, None),
+    ({**_BIDISK_RUN, "domain": {**_BIDISK, "region": {"kind": "full"}}}, 0, None),
+    ({**_BIDISK_RUN, "domain": {**_BIDISK, "region": {"kind": "polydisk", "radii": [1]}}}, 2,
+     "error: polydisk region needs 2 radii\n"),
+    # the Hermitian check scales with the entries, so rounding in them does not fail it
+    ({**_EXP_POTENTIAL, "sampler": {"count": 2, "radius": 6, "seed": 1}}, 0, None),
+    ({**_EXP_POTENTIAL, "sampler": {"count": 2, "radius": 12, "seed": 1}}, 0, None),
+], ids=["bidisk_polydisk_region", "bidisk_full_region", "bidisk_one_radius",
+        "exp_potential_radius_6", "exp_potential_radius_12"])
+def test_expression_charts_with_regions_and_large_metrics(tmp_path, capsys, overrides, code,
+                                                          message):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(manifest(**overrides)))
+    assert main(["run", str(path)]) == code
+    out, err = capsys.readouterr()
+    if message is not None:
+        assert err == message
+        return
+    assert err == ""
+    assert [check["verdict"] for check in json.loads(out)["checks"]] == \
+        ["passed"] * len(overrides["checks"])
 
 
 def test_sampled_constants_evaluate_order_two_metrics_at_the_probe_points_only(monkeypatch):

@@ -106,6 +106,11 @@ def test_stacked_check_names_the_first_bad_matrix():
         with pytest.raises(MetricError, match=r"^g \(matrix 1\) is not Hermitian"), \
                 np.errstate(invalid="ignore"):  # inf − inf
             check_positive_definite(stack, "g")
+    # an off-diagonal inf whose mirror is finite, against a defect scaled by the entries
+    stack[1, 2, 2] = 1.0
+    stack[1, 0, 2] = np.inf
+    with pytest.raises(MetricError, match=r"^g \(matrix 1\) is not Hermitian \(defect inf\)$"):
+        check_positive_definite(stack, "g")
 
 
 def test_stacked_cholesky_frame_equals_the_per_matrix_result():
