@@ -27,8 +27,8 @@ class DomainError(KahlerCheckError):
 class MetricError(KahlerCheckError):
     """A metric evaluation came back non-Hermitian or non-positive.
 
-    ``index`` is the flat index of the failing matrix in a checked stack
-    (0 for a single matrix), or None where no stack was checked.
+    ``index`` is the flat index of the failing matrix in a stack the
+    linalg checks rejected (0 for a single matrix), else None.
     """
 
     def __init__(self, message: str, index: int | None = None):

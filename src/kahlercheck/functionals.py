@@ -9,9 +9,9 @@ The k-scalar curvature is computed in its algebraic trace form
 Σ_{i,j} R(E_i, Ē_i, E_j, Ē_j); the Gaussian-moment averaging argument
 makes this equal to k(k+1)/2 times the spherical average of the
 normalized holomorphic sectional curvature over the subspace (the
-tests check it against a Monte-Carlo estimate of that average).  k-Ricci extremization is a seeded multistart gradient
-search over orthonormal frames; its results are search bounds, not
-proofs.
+tests check it against a Monte-Carlo estimate of that average).
+k-Ricci extremization is a seeded multistart gradient search over
+orthonormal frames; its results are search bounds, not proofs.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ and gives each point bit for bit the jet it gets alone.  Per-point
 scalars (an array of shape ``(k,)``) broadcast along the last axis, a
 constant built inside an operation takes its operand's point shape
 (:attr:`WirtingerJet.points`), and jets of different orders or point
-shapes do not mix.  A check on the values (a singular constant term) runs at
-every point and names the first bad one.
+shapes do not mix.  A check on the values (a singular constant term)
+runs at every point and names the first bad one.
 """
 
 from __future__ import annotations
