@@ -409,18 +409,27 @@ def normal_chart(chart: KahlerChart, point, frame: np.ndarray | None = None) -> 
 
 
 def _normal_chart_at(chart: KahlerChart, cp: CurvaturePoint, frame) -> PulledBackChart:
+    b, quad = _normal_chart_parts(cp, frame)
+    change = ChartMap(base=cp.point, linear=b, quad=quad)
+    return PulledBackChart(chart, change, label=f"normal[{chart.label}]")
+
+
+def _normal_chart_parts(cp: CurvaturePoint, frame) -> tuple[np.ndarray, np.ndarray]:
+    """(E, Q) of the normal chart z = p + E·w + ½·Q(w, w) at a point, or at every point of
+    stacked curvature data with a stack of frames: E is ``frame`` (the Cholesky normalizer
+    of g when None), checked g-orthonormal at every point, and Q = −Γ(E·, E·)."""
+    dim = cp.g.shape[-1]
     if frame is None:
         b = cholesky_frame(cp.g)
     else:
         b = np.asarray(frame, dtype=complex)
-        if b.shape != (chart.dim, chart.dim):
-            raise FrameError(f"frame must be {chart.dim}x{chart.dim}")
-        defect = np.max(np.abs(b.T @ cp.g @ b.conj() - np.eye(chart.dim)))
-        if defect > FRAME_TOL:
-            raise FrameError(f"frame is not g-orthonormal (defect {defect:.3e})")
-    quad = -np.einsum("irs,rm,sk->imk", cp.gamma, b, b)
-    change = ChartMap(base=cp.point, linear=b, quad=quad)
-    return PulledBackChart(chart, change, label=f"normal[{chart.label}]")
+        if b.shape != cp.g.shape:
+            raise FrameError(f"frame must be {dim}x{dim}")
+        defect = np.max(np.abs(b.swapaxes(-1, -2) @ cp.g @ b.conj() - np.eye(dim)), axis=(-2, -1))
+        bad = first_bad(defect > FRAME_TOL)
+        if bad is not None:
+            raise FrameError(f"frame is not g-orthonormal (defect {np.ravel(defect)[bad]:.3e})")
+    return b, -np.einsum("...irs,...rm,...sk->...imk", cp.gamma, b, b)
 
 
 # -- model catalog ----------------------------------------------------------------

@@ -10,6 +10,10 @@ metric entries h), so an error in either path shows up as a residual.
 At each point both sides read the point's row of one
 :class:`~kahlercheck.maps.PointStack` (see :func:`~kahlercheck.maps.point_stacks`),
 shared with the other checks of a scenario, but different fields of it.
+log W is a jet in the original chart (see
+:attr:`~kahlercheck.maps.PointStack.log_w_jets`); the Levi form is
+tensorial under holomorphic chart changes, so every left side reads the
+direction v as given.
 
 Residuals are reported scaled by 1/(1 + |LHS| + |RHS|); the default
 tolerance of 1e-6 reflects order-4 jets in double precision.
@@ -225,9 +229,10 @@ def verify_boch2(f: HoloMap, points, v, tol: float = DEFAULT_TOL) -> CheckReport
 def log_w_sides(f: HoloMap, point, v) -> tuple[float, float]:
     """Both sides of the top-stretch identity at a point with a simple top value.
 
-    The scalar W is expressed in the renormalized domain chart (normal
-    coordinates rotated so the first direction carries the top
-    stretch); its log is differentiated by jets.  The right side is
+    W is the Rayleigh quotient of (f*h, g) at the first row of G^{-1} in
+    the normal chart whose first axis carries the top stretch, written in
+    the original chart from f*h, g^{-1} and that chart's covector dw¹; the
+    Levi form of log W is taken in the direction v.  The right side is
     the curvature difference along the top directions plus the normal
     Hessian components weighted by 1/W.
     """
@@ -238,7 +243,7 @@ def _log_w(stack: PointStack, k: int, v) -> tuple[float, float]:
     v = _as_vector(v, stack.map.m)
     data = stack.stretch.at(k)
     e_frame, t_frame = data.domain_frame, data.target_frame
-    lhs = _levi_form(kept_jet(stack.log_w_jets[k]), np.linalg.solve(e_frame, v))
+    lhs = _levi_form(kept_jet(stack.log_w_jets[k]), v)
 
     e1, t1 = e_frame[:, 0], t_frame[:, 0]
     pv = data.pushforward @ v

@@ -476,6 +476,20 @@ def variable_jets(point, num_vars: int, order: int) -> list[WirtingerJet]:
     return [jet_variable(k, pt[..., k], num_vars, order) for k in range(num_vars)]
 
 
+def quadratic_jet(value, grad, quad) -> WirtingerJet:
+    """The stacked order-2 jet of F = value + Σ grad_c·Δz^c + Σ quad_{cd}·Δz^c·Δz^d, holomorphic
+    in the displacement Δz, with ``value`` of shape (k,), ``grad`` (k, m) and ``quad`` (k, m, m)."""
+    count, num_vars = np.shape(grad)
+    space = _space(num_vars, 2)
+    coeffs = np.zeros((space.size, count), dtype=complex)
+    coeffs[0] = value
+    coeffs[space.block_table("grad")[0]] = np.transpose(grad)
+    # (c, d) and (d, c) share the monomial Δz^c·Δz^d
+    np.add.at(coeffs, space.block_table("hess")[0].ravel(),
+              np.reshape(quad, (count, num_vars * num_vars)).T)
+    return WirtingerJet(space, coeffs)
+
+
 def compose(outer: WirtingerJet, inner: Sequence[WirtingerJet]) -> WirtingerJet:
     """Substitute displacement jets for the variables of ``outer``.
 

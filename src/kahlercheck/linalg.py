@@ -106,21 +106,6 @@ def pencil_eigh(a: np.ndarray, g: np.ndarray):
     return vals, frame @ y.conj()
 
 
-def rayleigh_quotient(a, c, s: int):
-    """c^{sβ̄}·A_{αβ̄}·c^{αs̄} / c^{ss̄}, with ``c`` the conjugated inverse of the metric.
-
-    This is the Rayleigh quotient of the pencil (A, G) at row s of G^{-1}.
-    ``a`` and ``c`` are square grids of numbers or of jets; one body serves
-    both, since it only adds, multiplies and divides entries.
-    """
-    total = None
-    for alpha in range(len(a)):
-        for beta in range(len(a)):
-            term = c[s][beta] * a[alpha][beta] * c[alpha][s]
-            total = term if total is None else total + term
-    return total / c[s][s]
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase fix."""
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)

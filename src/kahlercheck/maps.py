@@ -27,13 +27,12 @@ from . import expressions
 from .errors import (ConfigurationError, DomainError, HolomorphyError, MultiplicityError,
                      OrderError, RankError)
 from .geometry import (
-    ChartMap,
     CurvaturePoint,
     KahlerChart,
     _as_jet_function,
     _checked_metric,
     _curvature_point,
-    _normal_chart_at,
+    _normal_chart_parts,
     pullback_metric_jets,
 )
 from .jets import (
@@ -48,9 +47,10 @@ from .jets import (
     jet_mat_mul,
     jet_mat_trace,
     jet_values,
+    quadratic_jet,
     variable_jets,
 )
-from .linalg import cholesky_frame, rayleigh_quotient
+from .linalg import cholesky_frame
 
 HOLOMORPHY_TOL = 1e-12
 RANK_RELATIVE_FLOOR = 1e-10
@@ -200,10 +200,10 @@ class PointStack:
     Each piece is computed on first use for every point and kept: the
     component jets of order ``order``, each chart's metric jets (the domain's
     at the points, the target's at the images) and curvature, f*h, the
-    covariant Hessian of f, the stretch data, and the energy, log-volume and
-    log-W jets.  Arrays and jets carry the point axis (first for arrays, last
-    for jet coefficients); only the skip rules of log D and log W and the
-    normal-chart changes go row by row.  Every validity check runs at every
+    covariant Hessian of f, the stretch data, the jets of g^{-1}, and the energy,
+    log-volume and log-W jets.  Arrays and jets carry the point axis (first for
+    arrays, last for jet coefficients); only the skip rules of log D and log W
+    go row by row.  Every validity check runs at every
     point and names the first bad one.  A chart's metric jets are evaluated
     once, at the order first asked for; curvature reads order 2, so on a stack
     of order below 4 it must come before the stretch.
@@ -273,10 +273,14 @@ class PointStack:
         return pullback_metric_jets(self.map.target, self.component_jets, 2)
 
     @cached_property
+    def metric_inverse_jets(self) -> list[list[WirtingerJet]]:
+        """Jets of the domain's g^{-1} (order 2), the matrix inverse of its metric jets."""
+        return jet_mat_inv(self.metric("domain", 2)[0])
+
+    @cached_property
     def energy_jet(self) -> WirtingerJet:
         """Jet of ‖∂f‖² = tr(g^{-1}·f*h), order 2."""
-        return jet_mat_trace(jet_mat_mul(jet_mat_inv(self.metric("domain", 2)[0]),
-                                         self.pullback_jets))
+        return jet_mat_trace(jet_mat_mul(self.metric_inverse_jets, self.pullback_jets))
 
     @cached_property
     def log_volume_jets(self) -> list:
@@ -293,24 +297,36 @@ class PointStack:
     def log_w_jets(self) -> list:
         """Per point, the jet of log W (order 2), or why its top stretch is not simple and nonzero.
 
-        W = g^{1β̄} A_{αβ̄} g^{α1̄} / g^{11̄}, the Rayleigh quotient of the pencil (f*h, g) at
-        the first axis, in the normal chart with the adapted domain frame as axes; the
-        charts' changes are stacked, each checked alone."""
-        f = self.map
-
+        W = (ȳ·f*h·y)/(ȳ·θ) with y = g^{-1}θ, where θ = dw¹ is the first coordinate
+        covector of the normal chart whose axes are the adapted domain frame: the Rayleigh
+        quotient of the pencil (f*h, g) at row 1 of that chart's G^{-1}, seen in the
+        original chart.  At the point ȳ·θ = 1 and W = |λ_1|²."""
         def w_jet(rows):
-            curvature, frames = self.curvature("domain"), self.stretch.domain_frame
-            changes = [_normal_chart_at(f.domain, curvature.at(k), frames[k]).change for k in rows]
-            change = ChartMap(*(np.stack(parts, axis=-1) for parts in
-                                zip(*((c.base, c.linear, c.quad) for c in changes))))
-            zs = change.on_jets(variable_jets(np.zeros((len(rows), f.m)), f.m, self.order))
-            a_jets = pullback_metric_jets(f.target, f.on_jets(zs), 2)
-            c_jets = [[entry.conj() for entry in line]
-                      for line in jet_mat_inv(f.domain.pullback_jets(zs, 2))]
-            return [rayleigh_quotient(a_jets, c_jets, 0)]
+            theta = self._top_covector_jets(rows)
+            g_inv, a = ([[entry.at(rows) for entry in line] for line in grid]
+                        for grid in (self.metric_inverse_jets, self.pullback_jets))
+            y_bar = jet_mat_mul([[t.conj() for t in theta]], g_inv)  # one row
+            numerator = jet_mat_mul(jet_mat_mul(y_bar, a), [[y.conj()] for y in y_bar[0]])
+            return [numerator[0][0] / jet_mat_mul(y_bar, [[t] for t in theta])[0][0]]
 
-        return self._logs([_log_w_skip(self.stretch.at(k), f.m) for k in range(len(self))],
+        return self._logs([_log_w_skip(self.stretch.at(k), self.map.m) for k in range(len(self))],
                           "log W", WirtingerJet.log, w_jet)
+
+    def _top_covector_jets(self, rows) -> list[WirtingerJet]:
+        """θ_b = ∂w¹/∂z^b at the given rows, as holomorphic order-2 jets in z.
+
+        The normal chart is z = p + E·w + ½·Q(w, w) with E the adapted domain frame.  With
+        M = E^{-1}, q = M·Q and u = M(z − p), w = u − ½q(u, u) + ½q(u, q(u, u)) + O(|u|⁴), so
+        θ_b = Σ_μ M_{μb}·[δ_{1μ} − q¹_{μκ}u^κ + (½q¹_{μκ}q^κ_{αβ} + q¹_{ακ}q^κ_{μβ})u^α u^β]."""
+        e, quad = _normal_chart_parts(self.curvature("domain").at(rows),
+                                      self.stretch.domain_frame[rows])
+        m_inv = np.linalg.inv(e)
+        q = np.einsum("rij,rjab->riab", m_inv, quad)
+        q1 = q[:, 0]
+        lin = -np.einsum("rub,ruk,rkc->rbc", m_inv, q1, m_inv)
+        t = 0.5 * np.einsum("ruk,rkxy->ruxy", q1, q) + np.einsum("rxk,rkuy->ruxy", q1, q)
+        sq = np.einsum("rub,ruxy,rxc,ryd->rbcd", m_inv, t, m_inv, m_inv)
+        return [quadratic_jet(m_inv[:, 0, b], lin[:, b], sq[:, b]) for b in range(self.map.m)]
 
     def _logs(self, skips: list, what: str, log, build) -> list:
         """``skips`` with ``log(*build(rows))`` filled in at the rows it leaves None, where

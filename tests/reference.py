@@ -8,8 +8,9 @@ Nothing here is reached by a check, the CLI or the benchmark:
   (:class:`~kahlercheck.geometry.ChartMap`) at one point in closed form;
 - :func:`postcompose` and :func:`catalog_isometry`, which build g ∘ f and
   the catalog charts' isometries for invariance tests;
-- :class:`StretchBarrier`, the quotient W that log W is taken of, at
-  single points;
+- :func:`rayleigh_quotient`, the pencil's quotient at one row of G^{-1},
+  on numbers or on jets, and :class:`StretchBarrier`, the quotient W that
+  log W is taken of, in the normal chart at single points;
 - :func:`k_scalar_quadrature`, a Monte-Carlo cross-check of
   :func:`~kahlercheck.functionals.k_scalar`;
 - :func:`sandwich_check`, the Rayleigh sandwich behind an acceptance
@@ -31,7 +32,6 @@ from kahlercheck.linalg import (
     check_positive_definite,
     haar_unitary,
     pencil_eigh,
-    rayleigh_quotient,
     rng_for,
 )
 from kahlercheck.maps import HoloMap, map_point_data, point_stacks
@@ -187,6 +187,21 @@ def catalog_isometry(chart: KahlerChart, seed: int = 0) -> HoloMap:
     else:
         raise ConfigurationError(f"no isometry family known for chart {chart.label!r}")
     return HoloMap(chart, chart, comps, label=f"isometry[{chart.label}]")
+
+
+def rayleigh_quotient(a, c, s: int):
+    """c^{sβ̄}·A_{αβ̄}·c^{αs̄} / c^{ss̄}, with ``c`` the conjugated inverse of the metric.
+
+    This is the Rayleigh quotient of the pencil (A, G) at row s of G^{-1}.
+    ``a`` and ``c`` are square grids of numbers or of jets; one body serves
+    both, since it only adds, multiplies and divides entries.
+    """
+    total = None
+    for alpha in range(len(a)):
+        for beta in range(len(a)):
+            term = c[s][beta] * a[alpha][beta] * c[alpha][s]
+            total = term if total is None else total + term
+    return total / c[s][s]
 
 
 # -- the stretch barrier ---------------------------------------------------------

@@ -219,6 +219,32 @@ def test_log_w_tied_top_value_skips():
     assert report.status == "skipped" and report.skipped_points == 3
 
 
+# -- complex directions ------------------------------------------------------------
+
+# a direction with complex entries tells v from v̄ and from a frame's coordinates of v,
+# which the real directions above do not
+COMPLEX_DIRECTION_CASES = {
+    "fubini_study_into_bidisk": (
+        HoloMap(catalog("fubini_study", dim=2, c=1.0), catalog("poincare_polydisk", dim=2, a=1.0),
+                ["0.4*z1 + 0.2*z2 + 0.3*z1^2 - 0.1*z1*z2",
+                 "0.1*z1 - 0.35*z2 + 0.25*z2^2 + (0.1+0.2*i)*z1*z2"]),
+        [1.0, 0.3 + 0.7j], 2),
+    "flat_into_ball": (
+        HoloMap(catalog("flat", dim=3), catalog("complex_hyperbolic_ball", dim=3, c=1.0),
+                ["0.3*z1 + 0.1*z2^2", "0.2*z2 - 0.1*z1*z3", "0.25*z3 + 0.15*z1^2"]),
+        [0.2 - 0.5j, 1.0, 0.4j], 3),
+}
+
+
+@pytest.mark.parametrize("verify", [verify_log_w, verify_boch2], ids=["log_w", "boch2"])
+@pytest.mark.parametrize("name", sorted(COMPLEX_DIRECTION_CASES))
+def test_identities_hold_along_complex_directions(name, verify):
+    f, v, dim = COMPLEX_DIRECTION_CASES[name]
+    report = verify(f, seeded_points(0.4, 8, dim, seed=31, cap=0.8), v)
+    assert report.points_checked == 8
+    assert report.passed and report.max_abs_residual <= 1e-6
+
+
 # -- Rayleigh sandwich -----------------------------------------------------------
 
 

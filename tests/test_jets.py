@@ -16,6 +16,7 @@ from kahlercheck.jets import (
     jet_mat_mul,
     jet_mat_trace,
     jet_variable,
+    quadratic_jet,
     variable_jets,
 )
 from reference import fd_cross_check
@@ -244,3 +245,19 @@ def test_antiholomorphic_ranks_mark_barred_monomials():
     for rank, exps in enumerate(space.monomials):
         assert (rank in barred) == any(exps[2:])
     assert jet_constant(0.0, 2, 0).space.antiholomorphic.size == 0
+
+
+def test_quadratic_jet_is_the_polynomial_in_the_displacement():
+    rng = np.random.default_rng(7)
+    points = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    value, grad, quad = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                         for shape in ((3,), (3, 2), (3, 2, 2)))
+    dz = [z - points[:, c] for c, z in enumerate(variable_jets(points, 2, 2))]
+    want = jet_constant(value, 2, 2, (3,))
+    for c in range(2):
+        want = want + grad[:, c] * dz[c]
+        for d in range(2):
+            want = want + quad[:, c, d] * dz[c] * dz[d]
+    got = quadratic_jet(value, grad, quad)
+    np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-14)
+    assert got.order == 2 and got.points == (3,)

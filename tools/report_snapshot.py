@@ -11,7 +11,17 @@ manifests are built (``CHECKOUT/bench/workloads.py``).  The reports are
 - ``curvature/NAME.json``: ``kahlercheck curvature`` on each of them;
 - ``WORKLOAD-sSEED/NNN-NAME.json`` and ``WORKLOAD-sSEED-details/...``:
   ``kahlercheck run`` on every manifest of both benchmark workloads at
-  seeds 1 and 3, without and with ``--details``.
+  seeds 1 and 3, without and with ``--details``;
+- ``manifests/NAME.json``, ``manifests-details/NAME.json`` and
+  ``manifests-curvature/NAME.json``: ``kahlercheck run`` without and with
+  ``--details``, and ``kahlercheck curvature``, on each fixed manifest in
+  ``snapshot_manifests/`` beside this script.  They reach what the other
+  jobs do not: expression charts (potentials with ``exp``, ``log`` and
+  ``/``, ``"metric"`` charts on ball, polydisk and full regions) and a
+  sampled hypothesis constant.
+
+The fixed manifests are read from this script's directory, not from
+CHECKOUT, so two checkouts run the same jobs.
 
 Each file holds the exit code on its first line, then the command's
 stdout and stderr.  Comparing two commits is then
@@ -33,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 SEEDS = (1, 3)
+MANIFESTS = Path(__file__).resolve().parent / "snapshot_manifests"
 
 
 def _main_output(main, argv) -> str:
@@ -59,6 +70,11 @@ def snapshot(outdir: Path, checkout: Path) -> int:
                 stem = f"{k:03d}-{case.doc['name']}.json"
                 jobs += [(f"{workload}-s{seed}/{stem}", ["run"], case.doc),
                          (f"{workload}-s{seed}-details/{stem}", ["run", "--details"], case.doc)]
+    for path in sorted(MANIFESTS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        jobs += [(f"manifests/{path.name}", ["run"], doc),
+                 (f"manifests-details/{path.name}", ["run", "--details"], doc),
+                 (f"manifests-curvature/{path.name}", ["curvature"], doc)]
     outdir = outdir.resolve()
     # manifests go to one relative path, so no message names a temporary directory
     with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):

@@ -2,8 +2,9 @@
 
     python tools/traffic_lines.py OUTFILE [CHECKOUT]
 
-Runs every job of ``tools/report_snapshot.py`` (833 reports: the shipped
-scenarios and both benchmark workloads at seeds 1 and 3) into a
+Runs every job of ``tools/report_snapshot.py`` (863 reports: the shipped
+scenarios, both benchmark workloads at seeds 1 and 3 and the fixed
+manifests in ``tools/snapshot_manifests/``) into a
 temporary directory under ``sys.settrace``, with line tracing limited to
 ``CHECKOUT/src/kahlercheck``.  CHECKOUT defaults to the checkout holding
 this script.  OUTFILE then gets, per module of the package,
