@@ -52,7 +52,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import identities as ident_mod
 from .errors import ConfigurationError, KahlerCheckError
-from .functionals import holo_sectional, ricci, scalar_curvature
+from .functionals import _gaussian_vectors, holo_sectional, ricci, scalar_curvature
 from .geometry import (
     CATALOG,
     Ball,
@@ -339,22 +339,16 @@ _CONSTANT_RULES = {
 
 def _sampled_range(stacks, role: str, quantity: str, seed: int):
     """Range of a curvature quantity at the stacks' points (domain) or images (target)."""
-    lo, hi = np.inf, -np.inf
     rng = rng_for(seed, CURVATURE_STREAM)
-    for cp in (stack.curvature(role).at(k) for stack in stacks for k in range(len(stack))):
-        if quantity.startswith("hol_sec"):
-            dim = len(cp.g)
-            for _ in range(8):
-                z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                value = holo_sectional(cp, z)[1]
-                lo, hi = min(lo, value), max(hi, value)
-        elif quantity.startswith("ricci"):
-            vals = pencil_eigh(ricci(cp), cp.g)[0]
-            lo, hi = min(lo, vals[0]), max(hi, vals[-1])
+    values = []
+    for cp in (stack.curvature(role) for stack in stacks):
+        if quantity.startswith("hol_sec"):  # 8 directions per point, on a sample axis
+            z, = _gaussian_vectors(rng, (*cp.g.shape[:-2], 8), cp.g.shape[-1:])
+            values.append(holo_sectional(cp.at(np.s_[:, None]), z)[1])
         else:
-            value = scalar_curvature(cp)
-            lo, hi = min(lo, value), max(hi, value)
-    return lo, hi
+            values.append(pencil_eigh(ricci(cp), cp.g)[0] if quantity.startswith("ricci")
+                          else scalar_curvature(cp))
+    return float(min(map(np.min, values))), float(max(map(np.max, values)))
 
 
 def _resolve_constant(scenario, check, const_name, rule, role, probe):
@@ -599,20 +593,11 @@ def curvature_report(scenario: Scenario) -> dict:
             entry["family"] = chart.family
         facts = chart.facts
         if facts is not None:
-            entry["facts"] = {
-                "hol_sec_min": facts.hol_sec_min,
-                "hol_sec_max": facts.hol_sec_max,
-                "ricci_min": facts.ricci_min,
-                "ricci_max": facts.ricci_max,
-                "scalar": facts.scalar,
-                "constant_hol_sec": facts.constant_hol_sec,
-                "einstein": facts.einstein,
-            }
-        sampled = {}
-        for quantity in ("hol_sec", "ricci", "scalar"):
-            lo, hi = _sampled_range(probe, role, quantity, scenario.seed)
-            sampled[quantity] = {"min": lo, "max": hi}
-        entry["sampled"] = sampled
+            entry["facts"] = {name: getattr(facts, name) for name in ("hol_sec_min", "hol_sec_max",
+                              "ricci_min", "ricci_max", "scalar", "constant_hol_sec", "einstein")}
+        entry["sampled"] = {
+            name: dict(zip(("min", "max"), _sampled_range(probe, role, name, scenario.seed)))
+            for name in ("hol_sec", "ricci", "scalar")}
         entry["points_sampled"] = sum(len(stack) for stack in probe)
         charts.append(entry)
     return {
@@ -714,6 +699,7 @@ def _scenario_from_arg(path: str) -> Scenario:
         return shipped_scenario(path)
 
 
+@functools.cache  # built once per process, on the first call of main
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kahlercheck",

@@ -1,9 +1,12 @@
 """Scalar curvature functionals: H, bisectional, Ricci, scalar, S_k, Ric_k.
 
 All functions consume a :class:`~kahlercheck.geometry.CurvaturePoint`
-and tangent vectors expressed in the chart coordinates at that point.
-Quantities that are real by symmetry are validated (imaginary residual
-at most 1e-10 relative) and returned as floats.
+and tangent vectors expressed in the chart coordinates at that point;
+H, bisectional, Ricci and scalar curvature also take a stack of points
+(leading axes, which the vectors' leading axes broadcast against) and
+give one value per row.  Quantities that are real by symmetry are
+validated (imaginary residual at most 1e-10 relative) and returned as
+floats, or arrays of them; a failed check names a stack's first bad row.
 
 The k-scalar curvature is computed in its algebraic trace form
 Σ_{i,j} R(E_i, Ē_i, E_j, Ē_j); the Gaussian-moment averaging argument
@@ -22,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, FrameError, MetricError
 from .geometry import CurvaturePoint
+from .jets import first_bad
 from .linalg import g_orthonormalize, haar_unitary, rng_for
 
 FRAME_GRAM_TOL = 1e-10
@@ -59,27 +63,42 @@ def _check_frame(cp: CurvaturePoint, frame: SubspaceFrame) -> np.ndarray:
     return e
 
 
-def _real(value, what: str) -> float:
-    value = complex(value)
-    if abs(value.imag) > REAL_TOL * (1.0 + abs(value)):
-        raise MetricError(f"{what} has spurious imaginary part {value.imag:.3e}")
-    return value.real
+def _row(shape: tuple[int, ...], flat: int) -> str:
+    """Which row of a stack of ``shape`` a flat index is, for a message; empty at one point."""
+    return f" at row {', '.join(map(str, np.unravel_index(flat, shape)))}" if shape else ""
 
 
-def _nonzero(cp: CurvaturePoint, v, what: str) -> tuple[np.ndarray, float]:
+def _real(value, what: str):
+    value = np.asarray(value, dtype=complex)
+    if (bad := first_bad(np.abs(value.imag) > REAL_TOL * (1.0 + np.abs(value)))) is not None:
+        raise MetricError(f"{what} has spurious imaginary part "
+                          f"{np.ravel(value.imag)[bad]:.3e}{_row(value.shape, bad)}")
+    return value.real if value.shape else float(value.real)
+
+
+def _nonzero(cp: CurvaturePoint, v, what: str) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(v, dtype=complex)
-    norm_sq = _real(v @ cp.g @ np.conj(v), f"|{what}|^2")
-    if norm_sq <= ZERO_NORM_SQ:
-        raise DegenerateInputError(f"{what} is numerically zero")
+    # row-matrix products, which round like one point's v @ g @ conj(v)
+    norm_sq = _real((v[..., None, :] @ cp.g @ np.conj(v)[..., :, None])[..., 0, 0], f"|{what}|^2")
+    if (bad := first_bad(np.asarray(norm_sq <= ZERO_NORM_SQ))) is not None:
+        raise DegenerateInputError(f"{what} is numerically zero{_row(np.shape(norm_sq), bad)}")
     return v, norm_sq
 
 
-def _contract(riem: np.ndarray, x, y, z, w) -> complex:
-    """R(x, ȳ, z, w̄) with the lowered tensor."""
-    return complex(np.einsum("abcd,a,b,c,d->", riem, x, np.conj(y), z, np.conj(w)))
+def _contract(riem: np.ndarray, x, y, z, w):
+    """R(x, ȳ, z, w̄) with the lowered tensor, one value per row of a stack."""
+    return np.einsum("...abcd,...a,...b,...c,...d->...", riem, x, np.conj(y), z, np.conj(w))
 
 
-def holo_sectional(cp: CurvaturePoint, z) -> tuple[float, float]:
+def _gaussian_vectors(rng: np.random.Generator, rows: tuple[int, ...], dims) -> list[np.ndarray]:
+    """Complex Gaussian vectors of each size d in ``dims`` at each of ``rows``, shape rows + (d,),
+    drawn at once in the order of a loop of ``rng.normal(size=d) + 1j * rng.normal(size=d)``."""
+    raw = rng.normal(size=(*rows, 2 * sum(dims)))
+    ends = np.cumsum([0, *(2 * d for d in dims)])
+    return [raw[..., a:a + d] + 1j * raw[..., a + d:b] for a, b, d in zip(ends, ends[1:], dims)]
+
+
+def holo_sectional(cp: CurvaturePoint, z):
     """(raw, normalized) holomorphic sectional curvature along z.
 
     raw = R(z, z̄, z, z̄); normalized divides by |z|⁴ so it is invariant
@@ -90,30 +109,22 @@ def holo_sectional(cp: CurvaturePoint, z) -> tuple[float, float]:
     return raw, raw / norm_sq**2
 
 
-def bisectional(cp: CurvaturePoint, x, y) -> float:
+def bisectional(cp: CurvaturePoint, x, y):
     """R(x, x̄, y, ȳ); coincides with raw H when x = y."""
     x, _ = _nonzero(cp, x, "X")
     y, _ = _nonzero(cp, y, "Y")
     return _real(_contract(cp.riem, x, x, y, y), "bisectional")
 
 
-def sampled_bisectional(cp: CurvaturePoint, rng) -> float:
-    """R(x, x̄, y, ȳ) at complex Gaussian x, then y, drawn from ``rng``."""
-    dim = len(cp.g)
-    x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    y = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return bisectional(cp, x, y)
-
-
 def ricci(cp: CurvaturePoint) -> np.ndarray:
     """Ric_{γδ̄} = g^{αβ̄} R_{αβ̄γδ̄} as a Hermitian matrix."""
-    ric = np.einsum("ba,abcd->cd", cp.g_inv, cp.riem)
-    return 0.5 * (ric + ric.conj().T)
+    ric = np.einsum("...ba,...abcd->...cd", cp.g_inv, cp.riem)
+    return 0.5 * (ric + np.conj(ric).swapaxes(-1, -2))
 
 
-def scalar_curvature(cp: CurvaturePoint) -> float:
+def scalar_curvature(cp: CurvaturePoint):
     """Full metric trace of the Ricci form."""
-    return _real(np.trace(ricci(cp) @ cp.g_inv), "scalar curvature")
+    return _real(np.trace(ricci(cp) @ cp.g_inv, axis1=-2, axis2=-1), "scalar curvature")
 
 
 def k_scalar(cp: CurvaturePoint, frame: SubspaceFrame) -> float:

@@ -333,8 +333,8 @@ class CurvaturePoint:
     gamma: np.ndarray  # gamma[b, a, c] = Γ^b_{a c}
     riem: np.ndarray  # riem[a, b, c, d] = R_{a b̄ c d̄}
 
-    def at(self, index: int) -> "CurvaturePoint":
-        """The data at point ``index`` of a stack."""
+    def at(self, index) -> "CurvaturePoint":
+        """The data at point ``index`` of a stack (any numpy index of its leading axes)."""
         return CurvaturePoint(*(getattr(self, name)[index] for name in self.__dataclass_fields__))
 
 

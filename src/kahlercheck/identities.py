@@ -32,7 +32,7 @@ from .errors import (
     MultiplicityError,
     RankError,
 )
-from .functionals import ricci, sampled_bisectional
+from .functionals import _gaussian_vectors, bisectional, ricci
 from .geometry import CurvaturePoint
 from .jets import derivative_block
 from .linalg import frame_normalizer, pencil_eigh, rng_for
@@ -298,15 +298,11 @@ def averaging_identity_check(
     the same report.
     """
     lam = np.asarray(weights, dtype=complex)
-    if lam.ndim != 1 or len(lam) > len(cp.g):
-        raise ConfigurationError("need at most dim weights in a flat list")
-    nonzero = np.flatnonzero(np.abs(lam) > 0)
-    if nonzero.size == 0:
-        raise DegenerateInputError("all averaging weights are zero")
+    form = averaging_form(cp, lam)  # rejects misshapen or all-zero weights
     if count < 2:
         raise ConfigurationError("need at least 2 sphere samples")
+    nonzero = np.flatnonzero(np.abs(lam) > 0)
     d = int(nonzero.size)
-    form = averaging_form(cp, lam)
     algebraic = 2.0 / (d * (d + 1)) * form
 
     frame = frame_normalizer(cp.g)[:, : len(lam)][:, nonzero]
@@ -355,15 +351,21 @@ def _psh_hypotheses(quantity: str, stacks, rng) -> list[str]:
     """Notes of the sampled hypotheses psh's claim rests on that fail at the points."""
     refuted = []
     for stack in stacks:
-        for k, p in enumerate(stack.points):
-            cp_m, cp_n = stack.curvature("domain").at(k), stack.curvature("target").at(k)
-            for _ in range(PSH_HYPOTHESIS_SAMPLES):
-                if (bx := sampled_bisectional(cp_m, rng)) < -1e-9:
-                    refuted.append(f"domain bisectional {bx:.3e} < 0 at {p}")
-                if (bn := sampled_bisectional(cp_n, rng)) > 1e-9:
-                    refuted.append(f"target bisectional {bn:.3e} > 0 at image of {p}")
-            if quantity == "log_D" and (low := pencil_eigh(ricci(cp_m), cp_m.g)[0][0]) < -1e-9:
-                refuted.append(f"domain Ricci eigenvalue {low:.3e} < 0 at {p}")
+        cp_m, cp_n = stack.curvature("domain"), stack.curvature("target")
+        x_m, y_m, x_n, y_n = _gaussian_vectors(rng, (len(stack), PSH_HYPOTHESIS_SAMPLES),
+                                               (stack.map.m,) * 2 + (stack.map.n,) * 2)
+        bx = bisectional(cp_m.at(np.s_[:, None]), x_m, y_m)  # with a sample axis
+        bn = bisectional(cp_n.at(np.s_[:, None]), x_n, y_n)
+        low = (pencil_eigh(ricci(cp_m), cp_m.g)[0][:, 0] if quantity == "log_D"
+               else np.zeros(len(stack)))
+        for p, bx_p, bn_p, low_p in zip(stack.points, bx, bn, low):
+            for b_m, b_n in zip(bx_p, bn_p):
+                if b_m < -1e-9:
+                    refuted.append(f"domain bisectional {b_m:.3e} < 0 at {p}")
+                if b_n > 1e-9:
+                    refuted.append(f"target bisectional {b_n:.3e} > 0 at image of {p}")
+            if low_p < -1e-9:
+                refuted.append(f"domain Ricci eigenvalue {low_p:.3e} < 0 at {p}")
     return refuted
 
 
@@ -387,7 +389,7 @@ def psh_check(quantity: str, f: HoloMap, points, tol: float = 1e-8, seed: int = 
 
     def residual(stack, k):
         scalar = (kept_jet(stack.log_volume_jets[k]) if quantity == "log_D"
-                  else (1.0 + stack.energy_jet.at(k)).log())
+                  else stack.log1p_energy_jet.at(k))
         hess = derivative_block(scalar, "levi")
         low = float(np.linalg.eigvalsh(0.5 * (hess + hess.conj().T))[0])
         lows.append(low)

@@ -657,10 +657,3 @@ def jet_mat_inv(A: JetMatrix) -> JetMatrix:
                 cof = -cof
             out[j][i] = cof * inv_det  # adjugate transposes indices
     return out
-
-
-def jet_mat_trace(A: JetMatrix) -> WirtingerJet:
-    acc = A[0][0]
-    for i in range(1, len(A)):
-        acc = acc + A[i][i]
-    return acc

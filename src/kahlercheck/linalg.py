@@ -90,7 +90,7 @@ def g_orthonormalize(g: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def pencil_eigh(a: np.ndarray, g: np.ndarray):
-    """Eigenvalues/vectors of the Hermitian pencil (a, g), ascending.
+    """Eigenvalues/vectors of the Hermitian pencil (a, g), or of a stack of them, ascending.
 
     The eigenvalues are the critical values of the ratio
     ``(v @ a @ v.conj()) / (v @ g @ v.conj())`` over nonzero v; the
@@ -102,7 +102,7 @@ def pencil_eigh(a: np.ndarray, g: np.ndarray):
     # in a g-orthonormal frame E the pencil is the ordinary Hermitian problem
     # (E.T a E.conj()) y = w y, and v = E y.conj() has v g v.conj() = y^H y = 1
     frame = cholesky_frame(g)
-    vals, y = np.linalg.eigh(frame.T @ a @ frame.conj())
+    vals, y = np.linalg.eigh(frame.swapaxes(-1, -2) @ a @ frame.conj())
     return vals, frame @ y.conj()
 
 

@@ -45,7 +45,6 @@ from .jets import (
     jet_mat_det,
     jet_mat_inv,
     jet_mat_mul,
-    jet_mat_trace,
     jet_values,
     quadratic_jet,
     variable_jets,
@@ -201,10 +200,10 @@ class PointStack:
     component jets of order ``order``, each chart's metric jets (the domain's
     at the points, the target's at the images) and curvature, f*h, the
     covariant Hessian of f, the stretch data, the jets of g^{-1}, and the energy,
-    log-volume and log-W jets.  Arrays and jets carry the point axis (first for
-    arrays, last for jet coefficients); only the skip rules of log D and log W
-    go row by row.  Every validity check runs at every
-    point and names the first bad one.  A chart's metric jets are evaluated
+    log(1 + energy), log-volume and log-W jets.  Arrays and jets carry the point
+    axis (first for arrays, last for jet coefficients); only the skip rules of
+    log D and log W go row by row.  Every validity check runs at every point and
+    names the first bad one.  A chart's metric jets are evaluated
     once, at the order first asked for; curvature reads order 2, so on a stack
     of order below 4 it must come before the stretch.
     """
@@ -279,8 +278,16 @@ class PointStack:
 
     @cached_property
     def energy_jet(self) -> WirtingerJet:
-        """Jet of ‖∂f‖² = tr(g^{-1}·f*h), order 2."""
-        return jet_mat_trace(jet_mat_mul(self.metric_inverse_jets, self.pullback_jets))
+        """Jet of ‖∂f‖² = tr(g^{-1}·f*h), order 2, from the diagonal products alone."""
+        a, b = self.metric_inverse_jets, self.pullback_jets
+        diagonal = [sum((a[i][t] * b[t][i] for t in range(1, len(a))), a[i][0] * b[0][i])
+                    for i in range(len(a))]
+        return sum(diagonal[1:], diagonal[0])
+
+    @cached_property
+    def log1p_energy_jet(self) -> WirtingerJet:
+        """Jet of log(1 + ‖∂f‖²), order 2."""
+        return (1.0 + self.energy_jet).log()
 
     @cached_property
     def log_volume_jets(self) -> list:

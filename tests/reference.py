@@ -14,7 +14,12 @@ Nothing here is reached by a check, the CLI or the benchmark:
 - :func:`k_scalar_quadrature`, a Monte-Carlo cross-check of
   :func:`~kahlercheck.functionals.k_scalar`;
 - :func:`sandwich_check`, the Rayleigh sandwich behind an acceptance
-  criterion.
+  criterion;
+- :func:`jet_mat_trace`, the trace of a matrix of jets;
+- :func:`psh_hypotheses`, :func:`three_circle_refuted` and
+  :func:`sampled_range`, the curvature sampling of psh, three_circle and
+  sampled constants point by point and sample by sample, one functional
+  call each: the reference for the order in which the stacked code draws.
 """
 
 from __future__ import annotations
@@ -24,9 +29,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from kahlercheck.errors import ConfigurationError, DegenerateInputError, MetricError
-from kahlercheck.functionals import SubspaceFrame, _check_frame
+from kahlercheck.bounds import HYPOTHESIS_SAMPLES, _sphere_points
+from kahlercheck.cli import CURVATURE_STREAM
+from kahlercheck.functionals import (
+    SubspaceFrame,
+    _check_frame,
+    bisectional,
+    holo_sectional,
+    ricci,
+    scalar_curvature,
+)
 from kahlercheck.geometry import ChartMap, CurvaturePoint, KahlerChart, _normal_chart_at
-from kahlercheck.jets import _as_multi_index, jet_constant
+from kahlercheck.jets import JetMatrix, WirtingerJet, _as_multi_index, jet_constant
 from kahlercheck.linalg import (
     check_hermitian,
     check_positive_definite,
@@ -34,6 +48,7 @@ from kahlercheck.linalg import (
     pencil_eigh,
     rng_for,
 )
+from kahlercheck.identities import PSH_HYPOTHESIS_SAMPLES
 from kahlercheck.maps import HoloMap, map_point_data, point_stacks
 
 # -- independent finite-difference oracle ----------------------------------------------
@@ -303,3 +318,71 @@ def sandwich_check(a_mat, g_mat, s: int) -> tuple[float, float, float]:
     if not inf - slack <= middle <= sup + slack:
         raise DegenerateInputError(f"Rayleigh quotient {middle:.6e} outside [{inf:.6e}, {sup:.6e}]")
     return middle, sup, inf
+
+
+# -- matrices of jets ----------------------------------------------------------
+
+
+def jet_mat_trace(A: JetMatrix) -> WirtingerJet:
+    acc = A[0][0]
+    for i in range(1, len(A)):
+        acc = acc + A[i][i]
+    return acc
+
+
+# -- curvature sampling, one point and one sample at a time ------------------------
+
+
+def sampled_bisectional(cp: CurvaturePoint, rng) -> float:
+    """R(x, x̄, y, ȳ) at one point, at complex Gaussian x, then y, drawn from ``rng``."""
+    dim = len(cp.g)
+    x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    y = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return bisectional(cp, x, y)
+
+
+def psh_hypotheses(quantity: str, stacks, seed: int) -> list[str]:
+    """The refuted notes of :func:`~kahlercheck.identities.psh_check` at ``seed``."""
+    rng = rng_for(seed, 41)
+    refuted = []
+    for stack in stacks:
+        for k, p in enumerate(stack.points):
+            cp_m, cp_n = stack.curvature("domain").at(k), stack.curvature("target").at(k)
+            for _ in range(PSH_HYPOTHESIS_SAMPLES):
+                if (bx := sampled_bisectional(cp_m, rng)) < -1e-9:
+                    refuted.append(f"domain bisectional {bx:.3e} < 0 at {p}")
+                if (bn := sampled_bisectional(cp_n, rng)) > 1e-9:
+                    refuted.append(f"target bisectional {bn:.3e} > 0 at image of {p}")
+            if quantity == "log_D" and (low := pencil_eigh(ricci(cp_m), cp_m.g)[0][0]) < -1e-9:
+                refuted.append(f"domain Ricci eigenvalue {low:.3e} < 0 at {p}")
+    return refuted
+
+
+def three_circle_refuted(f: HoloMap, radii, seed: int) -> list[str]:
+    """The refuted notes of :func:`~kahlercheck.bounds.three_circle_check` at ``seed``."""
+    r2 = float(radii[1])
+    rng = rng_for(seed, 73)
+    probe = point_stacks(f, _sphere_points(r2, f.m, HYPOTHESIS_SAMPLES, seed + 1), 0)
+    return [f"target bisectional {bn:.3e} > 0 near radius {r2}"
+            for stack in probe for k in range(len(stack))
+            if (bn := sampled_bisectional(stack.curvature("target").at(k), rng)) > 1e-9]
+
+
+def sampled_range(stacks, role: str, quantity: str, seed: int) -> tuple[float, float]:
+    """The (lo, hi) that a sampled constant or ``kahlercheck curvature`` reads."""
+    lo, hi = np.inf, -np.inf
+    rng = rng_for(seed, CURVATURE_STREAM)
+    for cp in (stack.curvature(role).at(k) for stack in stacks for k in range(len(stack))):
+        if quantity.startswith("hol_sec"):
+            dim = len(cp.g)
+            for _ in range(8):
+                z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                value = holo_sectional(cp, z)[1]
+                lo, hi = min(lo, value), max(hi, value)
+        elif quantity.startswith("ricci"):
+            vals = pencil_eigh(ricci(cp), cp.g)[0]
+            lo, hi = min(lo, vals[0]), max(hi, vals[-1])
+        else:
+            value = scalar_curvature(cp)
+            lo, hi = min(lo, value), max(hi, value)
+    return lo, hi

@@ -527,6 +527,23 @@ def test_main_curvature_subcommand(capsys):
     assert doc["charts"][0]["facts"]["scalar"] == -6.0
 
 
+def test_successive_main_calls_give_what_fresh_runs_give(capsys):
+    # main builds its parser once; no flag of one call may reach the next
+    import_root = str(Path(kahlercheck.__file__).resolve().parents[1])
+    calls = [["run", "boch1_flat_to_ball", "--details", "--seed", "5"],
+             ["curvature", "boch1_flat_to_ball"],
+             ["run", "boch1_flat_to_ball"]]
+    for argv in calls:
+        status = main(argv)
+        out = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "kahlercheck", *argv], capture_output=True, text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
+        )
+        assert (status, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert '"residuals"' not in out.out and '"seed": 7,' in out.out
+
+
 @pytest.mark.parametrize("sampler", [
     {"count": -5, "radius": 0.8, "seed": 7},
     {"count": 0, "radius": 0.8, "seed": 7},

@@ -3,13 +3,17 @@
 Oracles: the quartic Taylor expansion of the ball/projective
 potentials at the origin, the log-det identity Ric = -∂∂̄ log det g,
 homogeneity in the direction vector, and closed-form extremes on the
-polydisk (H ranges over [-2/a, -1/a] in dimension 2).
+polydisk (H ranges over [-2/a, -1/a] in dimension 2).  On a stack of
+points each functional must give the one-point call's value row by row.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from kahlercheck.errors import ConfigurationError, DegenerateInputError, FrameError
+from kahlercheck.cli import chart_from_spec
+from kahlercheck.errors import ConfigurationError, DegenerateInputError, FrameError, MetricError
 from kahlercheck.functionals import (
     KRicciExtremes,
     SubspaceFrame,
@@ -111,6 +115,80 @@ def test_ricci_matches_log_det_identity():
         [[derivative(log_det, units[c], units[d]) for d in range(2)] for c in range(2)]
     )
     np.testing.assert_allclose(ricci(cp), want, atol=1e-10)
+
+
+# -- stacked curvature data ------------------------------------------------------
+
+STACK_CHARTS = {
+    "polydisk": (lambda: catalog("poincare_polydisk", dim=2, a=1.5), 0.5),
+    "ball": (lambda: catalog("complex_hyperbolic_ball", dim=3, c=2.0), 0.4),
+    "projective": (lambda: catalog("fubini_study", dim=2, c=1.0), 1.5),
+    "expression": (lambda: chart_from_spec(
+        {"dim": 2, "potential": "abs2(z1) + abs2(z2) + 0.3*abs2(z1)^2 - 0.2*abs2(z1*z2)",
+         "region": {"kind": "ball", "radius": 1.0}}, "domain"), 0.4),
+}
+
+
+def stacked_cp(name, count=5, seed=0):
+    """Curvature data at a stack of ``count`` points of a chart."""
+    build, radius = STACK_CHARTS[name]
+    chart = build()
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(count, chart.dim)) + 1j * rng.normal(size=(count, chart.dim))
+    return curvature_tensor(chart, radius * raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CHARTS))
+def test_stacked_functionals_equal_the_one_point_calls_row_by_row(name):
+    # exactly: a stack's einsums and matrix products round row by row as at one point
+    cp = stacked_cp(name)
+    k, dim = cp.g.shape[:2]
+    rng = np.random.default_rng(1)
+    x, y = (rng.normal(size=(k, 3, dim)) + 1j * rng.normal(size=(k, 3, dim)) for _ in range(2))
+    with_samples = cp.at(np.s_[:, None])  # a sample axis after the point axis
+    raw, normalized = holo_sectional(with_samples, x)
+    bis = bisectional(with_samples, x, y)
+    ric, scalar = ricci(cp), scalar_curvature(cp)
+    vals, vecs = pencil_eigh(ric, cp.g)
+    assert raw.shape == normalized.shape == bis.shape == (k, 3)
+    assert ric.shape == (k, dim, dim) and scalar.shape == vals.shape[:1] == (k,)
+    for row in range(k):
+        one = cp.at(row)
+        for s in range(3):
+            assert (raw[row, s], normalized[row, s]) == holo_sectional(one, x[row, s])
+            assert bis[row, s] == bisectional(one, x[row, s], y[row, s])
+        np.testing.assert_array_equal(ric[row], ricci(one))
+        assert scalar[row] == scalar_curvature(one)
+        one_vals, one_vecs = pencil_eigh(ricci(one), one.g)
+        np.testing.assert_array_equal(vals[row], one_vals)
+        np.testing.assert_array_equal(vecs[row], one_vecs)
+    assert isinstance(holo_sectional(cp.at(0), x[0, 0])[1], float)
+    assert isinstance(scalar_curvature(cp.at(0)), float)
+
+
+def test_a_zero_vector_in_a_stack_names_its_row():
+    cp = stacked_cp("ball", count=3)
+    x = np.ones((3, 2, 3), dtype=complex)
+    x[1, 1] = 0.0
+    with pytest.raises(DegenerateInputError, match=r"^Z is numerically zero at row 1, 1$"):
+        holo_sectional(cp.at(np.s_[:, None]), x)
+    with pytest.raises(DegenerateInputError, match=r"^Y is numerically zero at row 1$"):
+        bisectional(cp, x[:, 0], x[:, 1])
+    with pytest.raises(DegenerateInputError, match=r"^X is numerically zero$"):
+        bisectional(cp.at(1), x[1, 1], x[1, 0])
+
+
+def test_a_non_real_value_in_a_stack_names_its_row():
+    cp = stacked_cp("polydisk", count=4)
+    bad = dataclasses.replace(cp, riem=cp.riem * np.array([1, 1, 1j, 1])[:, None, None, None, None])
+    x = np.ones((4, 2), dtype=complex)
+    with pytest.raises(MetricError, match=r"^bisectional has spurious imaginary part .* at row 2$"):
+        bisectional(bad, x, x)
+    with pytest.raises(MetricError, match=r"^H raw has spurious imaginary part \S+$"):
+        holo_sectional(bad.at(2), x[2])
+    skew = dataclasses.replace(cp, g=cp.g + np.array([0, 0.1j, 0, 0])[:, None, None])
+    with pytest.raises(MetricError, match=r"^\|Z\|\^2 has spurious imaginary part .* at row 1$"):
+        holo_sectional(skew, x)
 
 
 # -- k-scalar --------------------------------------------------------------------

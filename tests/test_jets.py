@@ -14,12 +14,11 @@ from kahlercheck.jets import (
     jet_mat_det,
     jet_mat_inv,
     jet_mat_mul,
-    jet_mat_trace,
     jet_variable,
     quadratic_jet,
     variable_jets,
 )
-from reference import fd_cross_check
+from reference import fd_cross_check, jet_mat_trace
 
 
 def random_jet(rng, m, order, scale=1.0):

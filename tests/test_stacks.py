@@ -3,8 +3,9 @@
 Oracles: the same jets evaluated at each point alone (bit for bit), the
 curvature, map Hessian, stretch data, identity checks' scalar jets and
 chart changes of each point alone (bit for bit), the phase normalization
-of one SVD column by column, the point named by a validation error, and
-the same stretch data however the points are cut into stacks.
+of one SVD column by column, the point named by a validation error, the
+same stretch data however the points are cut into stacks, and the energy
+jet as the trace of the whole product g⁻¹·f*h.
 """
 
 import numpy as np
@@ -24,9 +25,10 @@ from kahlercheck.geometry import (
     catalog,
     pullback_metric_jets,
 )
-from kahlercheck.jets import variable_jets
+from kahlercheck.jets import jet_mat_mul, variable_jets
 from kahlercheck.linalg import rng_for
 from kahlercheck.maps import HoloMap, PointStack, _phase_normalized, point_stacks
+from reference import jet_mat_trace
 from test_maps import phase_normalized_per_column
 
 FLAT1 = catalog("flat", dim=1)
@@ -128,6 +130,15 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
             assert np.array_equal(matrices[row], metrics[role][1][row])
 
 
+@settings(max_examples=30, deadline=None)
+@given(stacked_cases(orders=st.just(4)))
+def test_the_energy_jet_is_the_trace_of_the_whole_product_bit_for_bit(case):
+    # it sums only the diagonal products, in the order the full product and its trace do
+    stack = PointStack(*case)
+    whole = jet_mat_trace(jet_mat_mul(stack.metric_inverse_jets, stack.pullback_jets))
+    assert np.array_equal(stack.energy_jet.coeffs, whole.coeffs)
+
+
 def test_a_stack_asked_for_more_metric_order_than_it_holds_raises():
     f = HoloMap(catalog("poincare_disk"), catalog("complex_hyperbolic_ball", dim=2),
                 ["z1/2", "z1^2/3"])
@@ -160,6 +171,8 @@ def test_stacked_scalar_jets_equal_one_point_stacks_bit_for_bit(case):
         if order < 4:  # the scalar jets differentiate f*h twice
             continue
         assert _same_rows(stack.energy_jet, one.energy_jet.at(0), row)
+        # log(1 + ‖∂f‖²), built once per stack, is the one-point jet's log bit for bit
+        assert _same_rows(stack.log1p_energy_jet, (1.0 + one.energy_jet.at(0)).log(), row)
         for name in ("log_volume_jets", "log_w_jets"):
             got, want = getattr(stack, name)[row], getattr(one, name)[0]
             assert (got == want if isinstance(want, tuple)  # the same skip

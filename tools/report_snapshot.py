@@ -2,9 +2,10 @@
 
     python tools/report_snapshot.py OUTDIR [CHECKOUT]
 
-CHECKOUT (default: the checkout holding this script) is where the
-package is imported from (``CHECKOUT/src``) and where the benchmark's
-manifests are built (``CHECKOUT/bench/workloads.py``).  The reports are
+OUTDIR must be new or empty.  CHECKOUT (default: the checkout holding
+this script) is where the package is imported from (``CHECKOUT/src``)
+and where the benchmark's manifests are built
+(``CHECKOUT/bench/workloads.py``).  The reports are
 
 - ``run/NAME.json`` and ``run-details/NAME.json``: ``kahlercheck run``
   on each shipped scenario, without and with ``--details``;
@@ -17,8 +18,9 @@ manifests are built (``CHECKOUT/bench/workloads.py``).  The reports are
   ``--details``, and ``kahlercheck curvature``, on each fixed manifest in
   ``snapshot_manifests/`` beside this script.  They reach what the other
   jobs do not: expression charts (potentials with ``exp``, ``log`` and
-  ``/``, ``"metric"`` charts on ball, polydisk and full regions) and a
-  sampled hypothesis constant.
+  ``/``, ``"metric"`` charts on ball, polydisk and full regions) and
+  sampled hypothesis constants on schwarz, volume, royden and both hoop
+  modes.
 
 The fixed manifests are read from this script's directory, not from
 CHECKOUT, so two checkouts run the same jobs.
@@ -88,9 +90,26 @@ def snapshot(outdir: Path, checkout: Path) -> int:
     return len(jobs)
 
 
+def command_line(doc: str, empty_dir_ok: bool) -> tuple[Path, Path]:
+    """(OUT, CHECKOUT) from ``sys.argv``, CHECKOUT defaulting to the checkout holding this
+    script.  A wrong argument count, or any argument that starts with ``-``, prints ``doc``
+    and exits 2; so does an OUT that exists, unless it is an empty directory and
+    ``empty_dir_ok``, with a message.  Nothing is ever written over."""
+    args = sys.argv[1:]
+    if len(args) not in (1, 2) or any(arg.startswith("-") for arg in args):
+        sys.stderr.write(doc)
+        sys.exit(2)
+    out = Path(args[0])
+    if out.exists() and not (empty_dir_ok and out.is_dir() and not any(out.iterdir())):
+        what = "is not an empty directory" if empty_dir_ok else "exists"
+        sys.stderr.write(f"error: {out} {what}; nothing was written\n")
+        sys.exit(2)
+    root = Path(args[1]) if len(args) == 2 else Path(__file__).resolve().parents[1]
+    return out, root.resolve()
+
+
 if __name__ == "__main__":
-    if len(sys.argv) not in (2, 3):
-        sys.exit(__doc__)
-    root = Path(sys.argv[2] if len(sys.argv) == 3 else Path(__file__).resolve().parents[1])
-    written = snapshot(Path(sys.argv[1]), root.resolve())
-    print(f"{written} reports written to {sys.argv[1]}")
+    # reports left in a used OUTDIR would trip diff -r
+    outdir, root = command_line(__doc__, empty_dir_ok=True)
+    written = snapshot(outdir, root)
+    print(f"{written} reports written to {outdir}")

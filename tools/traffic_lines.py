@@ -2,12 +2,13 @@
 
     python tools/traffic_lines.py OUTFILE [CHECKOUT]
 
-Runs every job of ``tools/report_snapshot.py`` (863 reports: the shipped
+Runs every job of ``tools/report_snapshot.py`` (872 reports: the shipped
 scenarios, both benchmark workloads at seeds 1 and 3 and the fixed
 manifests in ``tools/snapshot_manifests/``) into a
 temporary directory under ``sys.settrace``, with line tracing limited to
 ``CHECKOUT/src/kahlercheck``.  CHECKOUT defaults to the checkout holding
-this script.  OUTFILE then gets, per module of the package,
+this script.  OUTFILE must not exist yet; it then gets, per module of the
+package,
 
 - ``never entered``: each function, method, lambda or comprehension the
   reports never call, by qualified name and first line;
@@ -24,7 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from report_snapshot import snapshot
+from report_snapshot import command_line, snapshot
 
 
 def _code_objects(code):
@@ -110,10 +111,7 @@ def report(checkout: Path, entered, run) -> str:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) not in (2, 3):
-        sys.exit(__doc__)
-    root = Path(sys.argv[2] if len(sys.argv) == 3 else Path(__file__).resolve().parents[1])
-    root = root.resolve()
+    outfile, root = command_line(__doc__, empty_dir_ok=False)
     jobs, entered, run = trace_snapshot(root)
-    Path(sys.argv[1]).write_text(report(root, entered, run), encoding="utf-8")
-    print(f"{jobs} reports traced; code they never run written to {sys.argv[1]}")
+    outfile.write_text(report(root, entered, run), encoding="utf-8")
+    print(f"{jobs} reports traced; code they never run written to {outfile}")
