@@ -45,7 +45,15 @@ class FrameError(KahlerCheckError):
 
 
 class SingularJetError(KahlerCheckError):
-    """Division or log applied to a jet whose constant term is ~0."""
+    """Division or log applied to a jet whose constant term is ~0.
+
+    ``index`` is the flat index of the first singular point in a stack
+    (0 for a jet at one point), as for :class:`MetricError`.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class OrderError(KahlerCheckError):

@@ -2,10 +2,13 @@
 
 A chart is a single coordinate patch carrying a Hermitian metric, given
 either by a real potential (g is its mixed Hessian) or by an explicit
-matrix of component functions.  Everything downstream evaluates through
-jets, so the same chart object serves metric values, Christoffel
-symbols, curvature, and the higher derivatives the identity checks
-need.
+matrix of component functions.  Christoffel symbols, curvature and the
+higher derivatives the identity checks need are read off the metric's
+jets.  The metric values are too, except on the model charts of the
+catalog: each family also gives its metric matrix in closed form, and a
+catalog chart's matrices come from that form at every order, so a check
+that needs only metric values (every Schwarz-type bound) evaluates no
+metric jets there.
 
 Index conventions for the arrays produced here::
 
@@ -29,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expressions
-from .errors import ConfigurationError, DomainError, FrameError, MetricError
+from .errors import ConfigurationError, DomainError, FrameError, MetricError, SingularJetError
 from .jets import (
     MAX_HOLOMORPHIC_VARS,
     WirtingerJet,
@@ -135,9 +138,11 @@ class KahlerChart:
     concurrent use at distinct points is safe.
     """
 
-    # the catalog family and its closed-form facts; None for a chart not built by ``catalog``
+    # the catalog family, its closed-form facts and its metric matrices in closed form (a
+    # (k, dim) stack of points to a (k, dim, dim) stack); None for a chart not built by ``catalog``
     family: str | None = None
     facts: CurvatureFacts | None = None
+    _closed_metric: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __init__(self, dim: int, domain: Domain | None, label: str):
         if not 1 <= dim <= MAX_HOLOMORPHIC_VARS:
@@ -349,21 +354,44 @@ def _metric_matrix(gjets) -> np.ndarray:
 
 def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
     """Metric jets of ``order`` at a point or a (k, dim) stack of points, checked finite, and
-    the metric matrices, checked positive definite and symmetrized; an overflow or a failed
-    matrix names the first ``where`` it happens at."""
+    the metric matrices, checked positive definite and symmetrized; an overflow, a singular
+    metric or a failed matrix names the first ``where`` it happens at.
+
+    A catalog chart's matrices come from its closed form, and its jets are evaluated only
+    for ``order`` >= 1; at order 0 the jets are None."""
     rows = np.reshape(at, (-1, chart.dim))
-    # a potential's own value may overflow, unread; its derivatives are checked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        jets = chart.metric_jets(at, order)
-    bad = first_bad(~all_finite([entry for line in jets for entry in line]))
-    if bad is not None:
-        raise DomainError(f"{chart.label}: the metric overflows at the {where} "
-                          f"{rows[bad].tolist()}")
+    closed = chart._closed_metric
+    jets = None
+    if closed is None or order >= 1:
+        # a potential's own value may overflow, unread; its derivatives are checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                jets = chart.metric_jets(at, order)
+            except SingularJetError as err:
+                raise SingularJetError(f"{chart.label}: the metric is singular at the {where} "
+                                       f"{rows[err.index].tolist()} ({err})", err.index) from None
+        _require_finite(chart, all_finite([entry for line in jets for entry in line]), rows, where)
+    if closed is None:
+        values = _metric_matrix(jets)
+    else:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = closed(np.reshape(chart.require_inside(at), (-1, chart.dim)))
+        _require_finite(chart, np.isfinite(values).all(axis=(-2, -1)), rows, where)
+        if np.ndim(at) == 1:
+            values = values[0]
     try:
-        return jets, check_positive_definite(_metric_matrix(jets), f"{chart.label}: metric")
+        return jets, check_positive_definite(values, f"{chart.label}: metric")
     except MetricError as err:
         raise MetricError(f"{err} at the {where} {rows[err.index].tolist()}",
                           err.index) from None
+
+
+def _require_finite(chart: KahlerChart, finite, rows: np.ndarray, where: str) -> None:
+    """An overflow at the first point of ``rows`` whose ``finite`` flag is False."""
+    bad = first_bad(~finite)
+    if bad is not None:
+        raise DomainError(f"{chart.label}: the metric overflows at the {where} "
+                          f"{rows[bad].tolist()}")
 
 
 def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:
@@ -488,12 +516,30 @@ def _abs2_sum(zs) -> WirtingerJet:
     return acc
 
 
-# Each family maps its parameters to its chart and the chart's closed-form facts.
+def _abs2_columns(z: np.ndarray) -> np.ndarray:
+    """|z_k|² per coordinate of a (k, dim) stack, rounded as the constant term of the jet
+    z·z̄ is: near a bounded edge 1 − |z|² magnifies a one-ulp difference a millionfold."""
+    return (z * np.conj(z)).real
 
 
-def _flat(dim: int = 1) -> tuple[KahlerChart, CurvatureFacts]:
+def _row_sum(columns: np.ndarray) -> np.ndarray:
+    """Σ_k of a (k, dim) stack's columns, added in coordinate order as ``_abs2_sum`` adds."""
+    return sum(columns.T[1:], columns.T[0])
+
+
+# Each family maps its parameters to its chart, the chart's closed-form facts and its
+# metric matrices in closed form.  Every entry of a matrix is computed point by point,
+# so a point's matrix is the same bit for bit alone or in any stack.
+
+Family = tuple[KahlerChart, CurvatureFacts, Callable[[np.ndarray], np.ndarray]]
+
+
+def _flat(dim: int = 1) -> Family:
+    def matrices(z):
+        return np.broadcast_to(np.eye(dim, dtype=complex), (len(z), dim, dim))
+
     return (PotentialChart(dim, _abs2_sum, FullSpace(dim), label=f"flat({dim})"),
-            CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim))
+            CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim), matrices)
 
 
 def _disk_entry(a: float, k: int) -> Callable:
@@ -504,13 +550,24 @@ def _disk_entry(a: float, k: int) -> Callable:
     return entry
 
 
-def _poincare_disk(a: float = 1.0) -> tuple[KahlerChart, CurvatureFacts]:
+def _polydisk_matrices(a: float) -> Callable[[np.ndarray], np.ndarray]:
+    """diag(a/(1 − |z_k|²)²), the matrices of ``_disk_entry`` on the diagonal."""
+    def matrices(z):
+        dim = z.shape[-1]
+        g = np.zeros((len(z), dim, dim), dtype=complex)
+        g[:, range(dim), range(dim)] = a / (1.0 - _abs2_columns(z)) ** 2
+        return g
+
+    return matrices
+
+
+def _poincare_disk(a: float = 1.0) -> Family:
     h = -2.0 / a
     return (ComponentChart(1, [[_disk_entry(a, 0)]], Ball(1), label=f"poincare_disk(a={a:g})"),
-            CurvatureFacts(h, h, h, h, h, (h,)))
+            CurvatureFacts(h, h, h, h, h, (h,)), _polydisk_matrices(a))
 
 
-def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> tuple[KahlerChart, CurvatureFacts]:
+def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> Family:
     entries = [[_disk_entry(a, i) if i == j else 0.0 for j in range(dim)] for i in range(dim)]
     chart = ComponentChart(dim, entries, Polydisk(dim, (1.0,) * dim),
                            label=f"poincare_polydisk({dim}, a={a:g})")
@@ -518,10 +575,42 @@ def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> tuple[KahlerChart, Curva
     # is largest on m − 1 axes plus the diagonal of the remaining factors
     ricci_m = tuple(-2.0 / (a * (dim - m + 1)) for m in range(1, dim + 1))
     return chart, CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a,
-                                 ricci_m)
+                                 ricci_m), _polydisk_matrices(a)
 
 
-def _complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> tuple[KahlerChart, CurvatureFacts]:
+def _ball_matrices(c: float) -> Callable[[np.ndarray], np.ndarray]:
+    """g_{a b̄} = c·(δ_ab·s + w̄_a·w_b) with s = 1/(1 − |z|²) and w = s·z, the mixed Hessian
+    of −c·log(1 − |z|²)."""
+    def matrices(z):
+        s = 1.0 / (1.0 - _row_sum(_abs2_columns(z)))
+        w = s[:, None] * z
+        outer = np.conj(w)[:, :, None] * w[:, None, :]
+        return c * (np.eye(z.shape[-1]) * s[:, None, None] + outer)
+
+    return matrices
+
+
+def _fubini_study_matrices(c: float) -> Callable[[np.ndarray], np.ndarray]:
+    """g_{a b̄} = c·(δ_ab·s − w̄_a·w_b) with s = 1/(1 + |z|²) and w = s·z, the mixed Hessian
+    of c·log(1 + |z|²).
+
+    w is formed first, so a far point's metric underflows to zero, not to NaN.  The
+    diagonal s − |w_a|² is summed as s² + Σ_{k≠a} |w_k|², from terms that do not cancel;
+    the difference would lose six digits at |z| = 1e3, where it is a millionth of s."""
+    def matrices(z):
+        s = 1.0 / (1.0 + _row_sum(_abs2_columns(z)))
+        w = s[:, None] * z
+        g = -(np.conj(w)[:, :, None] * w[:, None, :])
+        w2 = _abs2_columns(w)
+        dim = z.shape[-1]
+        for a in range(dim):
+            g[:, a, a] = sum((w2[:, k] for k in range(dim) if k != a), s * s)
+        return c * g
+
+    return matrices
+
+
+def _complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> Family:
     def potential(zs):
         return (1.0 - _abs2_sum(zs)).log() * (-c)
 
@@ -530,17 +619,19 @@ def _complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> tuple[KahlerChart,
     ricci_m = tuple(-(m + 1.0) / c for m in range(1, dim + 1))
     chart = PotentialChart(dim, potential, Ball(dim),
                            label=f"complex_hyperbolic_ball({dim}, c={c:g})")
-    return chart, CurvatureFacts(-2.0 / c, -2.0 / c, ric, ric, dim * ric, ricci_m)
+    return (chart, CurvatureFacts(-2.0 / c, -2.0 / c, ric, ric, dim * ric, ricci_m),
+            _ball_matrices(c))
 
 
-def _fubini_study(dim: int = 1, c: float = 1.0) -> tuple[KahlerChart, CurvatureFacts]:
+def _fubini_study(dim: int = 1, c: float = 1.0) -> Family:
     def potential(zs):
         return (1.0 + _abs2_sum(zs)).log() * c
 
     ric = (dim + 1.0) / c
     ricci_m = tuple((m + 1.0) / c for m in range(1, dim + 1))
     return (PotentialChart(dim, potential, FullSpace(dim), label=f"fubini_study({dim}, c={c:g})"),
-            CurvatureFacts(2.0 / c, 2.0 / c, ric, ric, dim * ric, ricci_m))
+            CurvatureFacts(2.0 / c, 2.0 / c, ric, ric, dim * ric, ricci_m),
+            _fubini_study_matrices(c))
 
 
 @dataclass(frozen=True)
@@ -548,7 +639,7 @@ class CatalogEntry:
     name: str
     description: str
     params: str
-    build: Callable[..., tuple[KahlerChart, CurvatureFacts]]
+    build: Callable[..., Family]
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -581,10 +672,10 @@ def catalog(name: str, **params) -> KahlerChart:
         if key in params:
             params[key] = _finite(params[key], f"parameter {key}", positive=True)
     try:
-        chart, facts = CATALOG[name].build(**params)
+        chart, facts, matrices = CATALOG[name].build(**params)
     except TypeError:
         raise ConfigurationError(
             f"invalid parameters {sorted(params)} for catalog chart {name!r}"
         ) from None
-    chart.family, chart.facts = name, facts
+    chart.family, chart.facts, chart._closed_metric = name, facts, matrices
     return chart

@@ -384,7 +384,8 @@ class WirtingerJet:
         bad = first_bad(abs(c0) <= SINGULAR_FLOOR)
         if bad is not None:
             raise SingularJetError(f"cannot {what} a jet with constant term "
-                                   f"{complex(np.ravel(c0)[bad])!r}{at_point(self.points, bad)}")
+                                   f"{complex(np.ravel(c0)[bad])!r}{at_point(self.points, bad)}",
+                                   bad)
         return c0
 
     # -- differentiation -----------------------------------------------------------

@@ -197,15 +197,17 @@ class PointStack:
     """The local data of one map at up to ``STACK_CHUNK`` domain points, evaluated once for all.
 
     Each piece is computed on first use for every point and kept: the
-    component jets of order ``order``, each chart's metric jets (the domain's
-    at the points, the target's at the images) and curvature, f*h, the
-    covariant Hessian of f, the stretch data, the jets of g^{-1}, and the energy,
-    log(1 + energy), log-volume and log-W jets.  Arrays and jets carry the point
+    component jets of order ``order``, each chart's metric matrices, metric jets
+    and curvature (the domain's at the points, the target's at the images), f*h,
+    the covariant Hessian of f, the stretch data, the jets of g^{-1}, and the
+    energy, log(1 + energy), log-volume and log-W jets.  Arrays and jets carry the point
     axis (first for arrays, last for jet coefficients); only the skip rules of
     log D and log W go row by row.  Every validity check runs at every point and
-    names the first bad one.  A chart's metric jets are evaluated
-    once, at the order first asked for; curvature reads order 2, so on a stack
-    of order below 4 it must come before the stretch.
+    names the first bad one.  A chart's metric is evaluated once, at the
+    order first asked for; curvature reads order 2, so on a stack of order
+    below 4 it must come before the stretch.  A catalog chart's matrices come
+    from its closed form at every order, and its metric jets are evaluated only
+    for order 1 and above, so the stretch of an order-2 stack evaluates none.
     """
 
     def __init__(self, f: HoloMap, points: np.ndarray, order: int):
@@ -235,18 +237,24 @@ class PointStack:
         return ((self.map.domain, self.points) if role == "domain"
                 else (self.map.target, self.image))
 
-    def metric(self, role: str, order: int = 0) -> tuple[list[list[WirtingerJet]], np.ndarray]:
+    def metric(self, role: str, order: int = 0) -> tuple[list[list[WirtingerJet]] | None,
+                                                         np.ndarray]:
         """Metric jets of the domain at the points or of the target at the images, of
         order ``max(order, self.order - 2, 0)`` at the first request, with the validated
-        stack of metric matrices; asking later for more than that raises ``OrderError``."""
+        stack of metric matrices; asking later for more than that raises ``OrderError``.
+
+        A catalog chart's matrices come from its closed form, and its jets are None at
+        order 0: a check that reads only g and h evaluates no metric jets there."""
         have = self._metrics.get(role)
         if have is None:
             chart, at = self._chart(role)
             have = self._metrics[role] = _checked_metric(
                 chart, at, max(order, self.order - 2, 0), f"{role} point")
-        elif have[0][0][0].order < order:
-            raise OrderError(f"the stack holds {role} metric jets of order "
-                             f"{have[0][0][0].order}, order {order} was asked")
+        else:
+            held = 0 if have[0] is None else have[0][0][0].order
+            if held < order:
+                raise OrderError(f"the stack holds {role} metric jets of order {held}, "
+                                 f"order {order} was asked")
         return have
 
     def curvature(self, role: str) -> CurvaturePoint:

@@ -1,11 +1,16 @@
-"""The model catalog pinned exactly: curvature facts, labels, listing, bad parameters."""
+"""The model catalog pinned exactly: curvature facts, labels, listing, bad parameters, and
+each family's closed-form metric against its jets and, for Fubini–Study, exact arithmetic."""
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlercheck.cli import chart_from_spec, main
-from kahlercheck.geometry import catalog
+from kahlercheck.geometry import CATALOG, _metric_matrix, catalog
 
 D7 = -2.857142857142857  # -2/0.7
 B13 = 1.5384615384615383  # 2/1.3
@@ -99,3 +104,73 @@ def test_bad_catalog_parameter_message_is_pinned(tmp_path, capsys, family, param
 def test_an_expression_chart_has_no_family_or_facts(spec):
     chart = chart_from_spec(spec, "domain")
     assert (chart.family, chart.facts) == (None, None)
+
+
+# a bounded family's points reach 1e-6 of its edge, where (1 - |z|^2)^2 is still above the
+# jets' singular floor; Fubini-Study's and the flat chart's reach radius 1e3
+_EDGE_GAPS = st.one_of(st.just(1e-6), st.floats(1e-6, 1.0))
+_FAR_RADII = st.one_of(st.just(1e3), st.floats(0.0, 1e3))
+
+
+def _directions(dim: int):
+    """Unit vectors of C^dim: moduli in [0.01, 1] normalized, and any phases."""
+    moduli = st.lists(st.floats(0.01, 1.0), min_size=dim, max_size=dim)
+    phases = st.lists(st.floats(0.0, 2 * np.pi), min_size=dim, max_size=dim)
+    return st.builds(lambda r, t: np.array(r) / np.linalg.norm(r) * np.exp(1j * np.array(t)),
+                     moduli, phases)
+
+
+@st.composite
+def catalog_points(draw):
+    family = draw(st.sampled_from(sorted(CATALOG)))
+    params = {} if family == "poincare_disk" else {"dim": draw(st.integers(1, 4))}
+    if family != "flat":
+        params["a" if family.startswith("poincare") else "c"] = draw(st.floats(0.3, 3.0))
+    chart = catalog(family, **params)
+    unit = draw(_directions(chart.dim))
+    if family == "poincare_polydisk":  # each coordinate its own distance from the edge
+        gaps = np.array([draw(_EDGE_GAPS) for _ in range(chart.dim)])
+        return chart, params, (1.0 - gaps) * unit / np.abs(unit)
+    radius = draw(_FAR_RADII) if family in ("flat", "fubini_study") else 1.0 - draw(_EDGE_GAPS)
+    return chart, params, radius * unit
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalog_points())
+def test_the_closed_form_metric_is_the_one_read_off_the_jets(case):
+    chart, params, point = case
+    read = _metric_matrix(chart.metric_jets(point, 0))
+    read = 0.5 * (read + read.conj().T)  # the part _checked_metric keeps
+    closed = chart._closed_metric(point[None])[0]
+    scale = np.max(np.abs(read))
+    if chart.family == "fubini_study":
+        # the jets' ∂∂̄ log(1 + |z|²) subtracts two terms of size c·s, s = 1/(1 + |z|²), and
+        # rounds in their scale: in dim 1 at |z| = 1e3 the entry c·s² is a millionth of it
+        scale = max(scale, params["c"] / (1.0 + np.vdot(point, point).real))
+    assert np.max(np.abs(closed - read)) <= 1e-13 * scale
+
+
+def _exact_fubini_study(point, c: float) -> np.ndarray:
+    """c·(δ_ab·s − s²·z̄_a·z_b), s = 1/(1 + |z|²), in exact rational arithmetic, then rounded."""
+    re = [Fraction(float(x)) for x in point.real]
+    im = [Fraction(float(y)) for y in point.imag]
+    s = 1 / (1 + sum(x * x + y * y for x, y in zip(re, im)))
+    dim = len(point)
+    g = np.zeros((dim, dim), dtype=complex)
+    for a in range(dim):
+        for b in range(dim):
+            # z̄_a·z_b
+            real, imag = re[a] * re[b] + im[a] * im[b], re[a] * im[b] - im[a] * re[b]
+            g[a, b] = complex(float(Fraction(c) * ((a == b) * s - s * s * real)),
+                              float(-Fraction(c) * s * s * imag))
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.floats(0.3, 3.0), _FAR_RADII, st.data())
+def test_the_fubini_study_closed_form_keeps_its_digits_far_out(dim, c, radius, data):
+    # the diagonal s − s²|z_a|² is summed as s² + Σ_{k≠a} s²|z_k|², so it does not cancel
+    point = radius * data.draw(_directions(dim))
+    exact = _exact_fubini_study(point, c)
+    closed = catalog("fubini_study", dim=dim, c=c)._closed_metric(point[None])[0]
+    assert np.max(np.abs(closed - exact)) <= 1e-13 * np.max(np.abs(exact))

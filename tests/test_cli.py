@@ -782,6 +782,50 @@ def test_an_overflow_at_a_sample_point_exits_two_naming_it(tmp_path, capsys, com
     assert err == f"error: toy: {where} overflows at the domain point {first.tolist()}\n"
 
 
+_BARE_BOUNDS = [{"kind": "schwarz"}, {"kind": "volume"}, {"kind": "royden"}]
+
+
+@pytest.mark.parametrize("chart, sampler, bounds", [
+    ({"catalog": "poincare_disk"}, {"count": 20, "radius": 0.9999999, "seed": 1}, [1, 1, 1]),
+    ({"catalog": "complex_hyperbolic_ball", "params": {"dim": 2}},
+     {"count": 8, "radius": 0.9999999, "seed": 68}, [1, 1, 2]),
+], ids=["disk", "ball"])
+def test_a_model_identity_near_its_edge_meets_its_bounds(tmp_path, chart, sampler, bounds):
+    # the bounds read the metric matrices, which come from the closed form; jets of its
+    # potential or entries would be singular or fail the realness check this close
+    dim = chart.get("params", {}).get("dim", 1)
+    doc = manifest(domain=chart, target=chart, map=[f"z{k}" for k in range(1, dim + 1)],
+                   sampler=sampler, checks=_BARE_BOUNDS)
+    path = tmp_path / "near_edge.json"
+    path.write_text(json.dumps(doc))
+    import_root = str(Path(kahlercheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "kahlercheck", "run", str(path)],
+        capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    checks = json.loads(proc.stdout)["checks"]
+    assert [check["verdict"] for check in checks] == ["passed"] * 3
+    assert [check["bound"] for check in checks] == bounds
+    assert [check["observed"] for check in checks] == bounds
+
+
+def test_a_singular_expression_metric_names_its_chart_and_point(tmp_path, capsys):
+    disk = {"dim": 1, "metric": [["1/(1 - abs2(z1))^2"]], "region": {"kind": "ball"},
+            "label": "disk_expr"}
+    doc = manifest(domain=disk, target=disk, map=["z1"],
+                   sampler={"count": 20, "radius": 0.9999999, "seed": 1},
+                   checks=[{"kind": "schwarz", "K": 2, "kappa": 2}])
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    point = sample_points(load_scenario(doc))[5]
+    assert err.startswith(f"error: disk_expr: the metric is singular at the domain point "
+                          f"{point.tolist()} (cannot divide by a jet with constant term ")
+    assert err.endswith(" at point 5 of the stack)\n") and err.count("\n") == 1
+
+
 _FLAT1 = {"catalog": "flat", "params": {"dim": 1}}
 _FS2 = {"catalog": "fubini_study", "params": {"dim": 2}}
 _FAR_AVERAGING = {"kind": "averaging", "weights": [1.0, 1.0], "point": [1e200, 0.0], "count": 100}

@@ -97,3 +97,33 @@ def test_a_relative_1e_9_change_to_an_observed_bound_is_moved(tree, tmp_path):
     assert status == 1
     assert out.startswith("moved: run/schwarz_disk_equality.json:/checks[0]/observed")
     assert "rounding-level" not in out
+
+
+def _slack_tree(tmp_path: Path, observed: float, bound: float, slack: float) -> Path:
+    """A one-report tree whose bound check carries the given numbers."""
+    root = tmp_path / f"slack-{slack!r}"
+    path = root / "run" / "equality.json"
+    path.parent.mkdir(parents=True)
+    check = {"type": "bound", "kind": "volume", "observed": observed, "bound": bound,
+             "slack": slack, "verdict": "passed"}
+    path.write_text(f"exit 0\n{json.dumps({'checks': [check]}, indent=2)}\n", encoding="utf-8")
+    return root
+
+
+def test_a_four_ulp_move_of_an_equality_slack_is_rounding_level(tmp_path):
+    # the slack is bound − observed, so near an equality case it is noise around 0: its
+    # move is counted in ulps of the bound, not of the slack itself
+    old = _slack_tree(tmp_path, 1.0 + 4 * 2**-52, 1.0, -4 * 2**-52)
+    new = _slack_tree(tmp_path, 1.0 + 8 * 2**-52, 1.0, -8 * 2**-52)
+    status, out = _run(_tool(), old, new)
+    assert status == 0
+    assert "  volume slack: 1 values in 1 reports" in out
+    assert "volume observed: 1 values in 1 reports" in out
+
+
+def test_a_relative_1e_9_move_of_a_slack_is_moved(tmp_path):
+    old = _slack_tree(tmp_path, 0.6, 1.0, 0.4)
+    new = _slack_tree(tmp_path, 0.6 * (1.0 - 1e-9), 1.0, 0.4 * (1.0 + 1e-9))
+    status, out = _run(_tool(), old, new)
+    assert status == 1
+    assert "moved: run/equality.json:/checks[0]/slack" in out

@@ -11,11 +11,13 @@ that differs is classed
 - **rounding-level** when it moved by at most ``ROUNDING_ULPS`` ulps of
   its own scale: 1 for the residuals of the ∂∂̄ identities boch1, boch2
   and log_w (``max_abs_residual`` and ``residuals``, already divided by
-  1 + |LHS| + |RHS|), and the larger magnitude of the two values for any
-  other number.  Such a check's ``worst_point`` is the argmax of noise,
-  and counts as rounding-level, only when the check's
-  ``max_abs_residual`` is itself within ``ROUNDING_ULPS`` ulps of zero on
-  both sides;
+  1 + |LHS| + |RHS|), the largest of |observed| and |bound| of its own
+  check on both sides for a bound check's ``slack`` (bound − observed,
+  which near an equality case is rounding noise around 0), and the larger
+  magnitude of the two values for any other number.  Such a check's
+  ``worst_point`` is the argmax of noise, and counts as rounding-level,
+  only when the check's ``max_abs_residual`` is itself within
+  ``ROUNDING_ULPS`` ulps of zero on both sides;
 - **moved** otherwise.
 
 The tool prints every exact-field change and every moved number, one a
@@ -37,18 +39,33 @@ SCALED_IDENTITIES = ("boch1", "boch2", "log_w")
 UNIT_SCALE_FIELDS = ("max_abs_residual", "residuals")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _is_float_pair(a, b) -> bool:
-    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
-    return numbers and (isinstance(a, float) or isinstance(b, float))
+    return _is_number(a) and _is_number(b) and (isinstance(a, float) or isinstance(b, float))
 
 
 def _scaled_identity(check) -> bool:
     return check is not None and check.get("kind") in SCALED_IDENTITIES
 
 
+def _scale(field: str, a, b, check) -> float:
+    """The scale a float's ulps are counted in; ``check`` is the (old, new) pair of the
+    check holding it, or None."""
+    if field in UNIT_SCALE_FIELDS and check is not None and _scaled_identity(check[0]):
+        return 1.0
+    if field == "slack" and check is not None:
+        sides = [side.get(key) for side in check for key in ("observed", "bound")]
+        if all(_is_number(x) for x in sides):
+            return max(abs(x) for x in sides)
+    return max(abs(a), abs(b))
+
+
 def _noise(value) -> bool:
     """A scaled residual within rounding of zero."""
-    return isinstance(value, (int, float)) and abs(value) <= ROUNDING_ULPS * EPS
+    return _is_number(value) and abs(value) <= ROUNDING_ULPS * EPS
 
 
 class Diff:
@@ -97,7 +114,7 @@ class Diff:
             if list(a) != list(b):
                 self.exact.append(f"{rel}:{path or '/'}: keys {list(a)} -> {list(b)}")
                 return
-            check = a if "kind" in a else check
+            check = (a, b) if "kind" in a else check
             for key in a:
                 if key == "worst_point" and a[key] != b[key] and _scaled_identity(a):
                     self._worst_point(rel, f"{path}/{key}", a, b)
@@ -117,12 +134,11 @@ class Diff:
 
     def _number(self, rel, path, a, b, check) -> None:
         field = path.rsplit("/", 1)[-1].split("[", 1)[0]
-        unit = field in UNIT_SCALE_FIELDS and _scaled_identity(check)
-        scale = 1.0 if unit else max(abs(a), abs(b))
+        scale = _scale(field, a, b, check)
         change = abs(b - a)
         ulps = change / (EPS * scale) if scale else float("inf")
         if ulps <= ROUNDING_ULPS:
-            kind = check.get("kind", "?") if check is not None else "-"
+            kind = check[0].get("kind", "?") if check is not None else "-"
             self.rounding[(str(kind), field)].append((rel, change, ulps))
         else:
             self.moved.append(f"{rel}:{path}: {a!r} -> {b!r} ({ulps:.3g} ulps of {scale:.3g})")

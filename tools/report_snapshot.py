@@ -18,9 +18,10 @@ and where the benchmark's manifests are built
   ``--details``, and ``kahlercheck curvature``, on each fixed manifest in
   ``snapshot_manifests/`` beside this script.  They reach what the other
   jobs do not: expression charts (potentials with ``exp``, ``log`` and
-  ``/``, ``"metric"`` charts on ball, polydisk and full regions) and
+  ``/``, ``"metric"`` charts on ball, polydisk and full regions),
   sampled hypothesis constants on schwarz, volume, royden and both hoop
-  modes.
+  modes, model charts near their edge and far out, and the exit-2 lines
+  of a singular and of a not positive definite metric.
 
 The fixed manifests are read from this script's directory, not from
 CHECKOUT, so two checkouts run the same jobs.
