@@ -150,7 +150,7 @@ def _boch1(stack: PointStack, k: int, v) -> tuple[float, float]:
     lhs = _levi_form(stack.energy_jet.at(k), v)
 
     data = stack.stretch.at(k)
-    g_inv = np.linalg.inv(data.g)
+    g_inv = stack.curvature("domain").g_inv[k]
     p_mat = data.pushforward
     pv = p_mat @ v
 

@@ -14,7 +14,8 @@ that row of any stack, bit for bit.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
-g-unitary when ``E.T @ G @ conj(E) = I``.
+g-unitary when ``E.T @ G @ conj(E) = I``.  The adapted frames are the
+SVD's own, each column fixed only up to a unit phase that no check reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import expressions
 from .errors import (ConfigurationError, DomainError, HolomorphyError, MultiplicityError,
-                     OrderError, RankError)
+                     RankError)
 from .geometry import (
     CurvaturePoint,
     KahlerChart,
@@ -134,10 +135,9 @@ class MapPointData:
     ``singular_sq`` holds |λ_α|² in descending order (length m, padded
     with zeros when n < m).  ``domain_frame``/``target_frame`` are the
     adapted unitary frames: columns are g- resp. h-orthonormal and
-    ``inv(T) @ P @ E`` is diag(λ) padded with zero rows.  Deterministic
-    up to exactly repeated singular values: each domain-frame column
-    has its first significant entry rotated to the positive real axis.
-    :meth:`at` gives one point's data.
+    ``inv(T) @ P @ E`` is diag(λ) padded with zero rows; each column is
+    fixed only up to a unit phase, shared by a paired domain and target
+    column.  :meth:`at` gives one point's data.
     """
 
     point: np.ndarray
@@ -150,30 +150,10 @@ class MapPointData:
     g: np.ndarray
     h: np.ndarray
     rank: np.ndarray
-    threshold: np.ndarray
 
     def at(self, index: int) -> "MapPointData":
         """The data at point ``index`` of a stack."""
         return MapPointData(*(getattr(self, name)[index] for name in self.__dataclass_fields__))
-
-
-def _lead_phases(cols: np.ndarray) -> np.ndarray:
-    """Per column of a stack of matrices, the phase of its first entry above 1e-12 in
-    modulus, and 1 for a column with none."""
-    significant = np.abs(cols) > 1e-12
-    lead = np.take_along_axis(cols, significant.argmax(axis=-2)[..., None, :], axis=-2)[..., 0, :]
-    lead = np.where(significant.any(axis=-2), lead, 1.0)
-    # hypot rounds like abs() of one complex number; np.abs of an array may not
-    return lead / np.hypot(lead.real, lead.imag)
-
-
-def _phase_normalized(u: np.ndarray, vh: np.ndarray, paired: int):
-    """First significant entry of each right vector made real positive, over a stack of SVDs;
-    the left vectors turn with their right vector or, unpaired, by their own first entry."""
-    v = vh.conj().swapaxes(-1, -2)
-    v_phases = _lead_phases(v)
-    u_phases = np.concatenate([v_phases[..., :paired], _lead_phases(u[..., paired:])], axis=-1)
-    return u / u_phases[..., None, :], v / v_phases[..., None, :]
 
 
 def map_point_data(f: HoloMap, point) -> MapPointData:
@@ -203,11 +183,11 @@ class PointStack:
     energy, log(1 + energy), log-volume and log-W jets.  Arrays and jets carry the point
     axis (first for arrays, last for jet coefficients); only the skip rules of
     log D and log W go row by row.  Every validity check runs at every point and
-    names the first bad one.  A chart's metric is evaluated once, at the
-    order first asked for; curvature reads order 2, so on a stack of order
-    below 4 it must come before the stretch.  A catalog chart's matrices come
-    from its closed form at every order, and its metric jets are evaluated only
-    for order 1 and above, so the stretch of an order-2 stack evaluates none.
+    names the first bad one.  A chart's metric jets are of order
+    ``max(order - 2, 0)``; curvature reads order 2, so below order 4 it evaluates
+    its own.  A catalog chart's matrices come from its closed form at every order,
+    and its metric jets are evaluated only for order 1 and above, so the stretch of
+    an order-2 stack evaluates none.
     """
 
     def __init__(self, f: HoloMap, points: np.ndarray, order: int):
@@ -237,31 +217,25 @@ class PointStack:
         return ((self.map.domain, self.points) if role == "domain"
                 else (self.map.target, self.image))
 
-    def metric(self, role: str, order: int = 0) -> tuple[list[list[WirtingerJet]] | None,
-                                                         np.ndarray]:
+    def metric(self, role: str) -> tuple[list[list[WirtingerJet]] | None, np.ndarray]:
         """Metric jets of the domain at the points or of the target at the images, of
-        order ``max(order, self.order - 2, 0)`` at the first request, with the validated
-        stack of metric matrices; asking later for more than that raises ``OrderError``.
+        order ``max(self.order - 2, 0)``, with the validated stack of metric matrices.
 
         A catalog chart's matrices come from its closed form, and its jets are None at
         order 0: a check that reads only g and h evaluates no metric jets there."""
-        have = self._metrics.get(role)
-        if have is None:
+        if role not in self._metrics:
             chart, at = self._chart(role)
-            have = self._metrics[role] = _checked_metric(
-                chart, at, max(order, self.order - 2, 0), f"{role} point")
-        else:
-            held = 0 if have[0] is None else have[0][0][0].order
-            if held < order:
-                raise OrderError(f"the stack holds {role} metric jets of order {held}, "
-                                 f"order {order} was asked")
-        return have
+            self._metrics[role] = _checked_metric(chart, at, max(self.order - 2, 0),
+                                                  f"{role} point")
+        return self._metrics[role]
 
     def curvature(self, role: str) -> CurvaturePoint:
         """Curvature of the domain at the points or of the target at the images."""
         if role not in self._curvature:
-            jets, g = self.metric(role, 2)
-            self._curvature[role] = _curvature_point(*self._chart(role), jets, g)
+            chart, at = self._chart(role)
+            jets, g = (self.metric(role) if self.order >= 4
+                       else _checked_metric(chart, at, 2, f"{role} point"))
+            self._curvature[role] = _curvature_point(chart, at, jets, g)
         return self._curvature[role]
 
     @cached_property
@@ -282,7 +256,7 @@ class PointStack:
     @cached_property
     def metric_inverse_jets(self) -> list[list[WirtingerJet]]:
         """Jets of the domain's g^{-1} (order 2), the matrix inverse of its metric jets."""
-        return jet_mat_inv(self.metric("domain", 2)[0])
+        return jet_mat_inv(self.metric("domain")[0])
 
     @cached_property
     def energy_jet(self) -> WirtingerJet:
@@ -306,7 +280,7 @@ class PointStack:
                  for rank, point in zip(self.stretch.rank, self.points)]
         return self._logs(skips, "log D", lambda a, b: a.log() - b.log(), lambda rows: [
             jet_mat_det([[entry.at(rows) for entry in line] for line in grid])
-            for grid in (self.pullback_jets, self.metric("domain", 2)[0])])
+            for grid in (self.pullback_jets, self.metric("domain")[0])])
 
     @cached_property
     def log_w_jets(self) -> list:
@@ -364,9 +338,9 @@ class PointStack:
     def stretch(self) -> MapPointData:
         """Pullback form, stretch spectrum and adapted frames of ∂f at every point.
 
-        f*h, the Cholesky frames, the solve, the SVD, the phase normalization and
-        the rank rule each run once over the stack and treat every point alike, so
-        a point's data does not depend on the points stacked with it.
+        f*h, the Cholesky frames, the solve, the SVD and the rank rule each run once
+        over the stack and treat every point alike, so a point's data does not depend
+        on the points stacked with it.
         """
         m = self.map.m
         p_mat = self.pushforward
@@ -385,7 +359,6 @@ class PointStack:
             raise DomainError(f"{self.map.label}: the stretch of ∂f overflows at the domain "
                               f"point {self.points[bad].tolist()}")
         u, s, vh = np.linalg.svd(scaled)
-        u, v = _phase_normalized(u, vh, paired=s.shape[-1])
         singular_sq = np.zeros((len(self), m))
         singular_sq[:, : s.shape[-1]] = s[:, :m] ** 2
         threshold = RANK_RELATIVE_FLOOR * np.maximum(singular_sq[:, 0], RANK_ABSOLUTE_FLOOR)
@@ -395,12 +368,11 @@ class PointStack:
             pushforward=p_mat,
             pullback=pullback,
             singular_sq=singular_sq,
-            domain_frame=cg @ v,
+            domain_frame=cg @ vh.conj().swapaxes(-1, -2),
             target_frame=ch @ u,
             g=g,
             h=h,
             rank=np.count_nonzero(singular_sq > threshold[:, None], axis=-1),
-            threshold=threshold,
         )
 
 

@@ -235,7 +235,6 @@ class StretchBarrier:
     def __init__(self, holo_map: HoloMap, anchor):
         self.map = holo_map
         (stack,) = point_stacks(holo_map, anchor, 1)
-        # curvature first: its order-2 metric jets then serve the stretch as well
         curvature = stack.curvature("domain").at(0)
         self.anchor_data = stack.stretch.at(0)
         self.domain_chart = _normal_chart_at(holo_map.domain, curvature,

@@ -7,6 +7,8 @@ energy for the rescaled-disk identity map, zero curvature for flat
 charts, and the CHB bisectional table for the averaging identity.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from kahlercheck.errors import (
 from kahlercheck.geometry import ChartMap, catalog, curvature_tensor
 from kahlercheck.identities import (
     CheckReport,
+    _boch2,
+    _log_w,
     averaging_form,
     averaging_identity_check,
     boch1_sides,
@@ -32,9 +36,9 @@ from kahlercheck.identities import (
     verify_log_w,
 )
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, map_point_data
+from kahlercheck.maps import HoloMap, PointStack, kept_jet, map_point_data
 from reference import sandwich_check
-from test_maps import precompose
+from test_maps import LOG_W_CASES, precompose, random_points
 
 FLAT1 = catalog("flat", dim=1)
 FLAT2 = catalog("flat", dim=2)
@@ -217,6 +221,33 @@ def test_log_w_tied_top_value_skips():
         log_w_sides(f, [0.1, 0.2], [1.0, 1.0])
     report = verify_log_w(f, seeded_points(0.5, 3, 2, seed=2), [1.0, 1.0])
     assert report.status == "skipped" and report.skipped_points == 3
+
+
+# -- the frames' phases ------------------------------------------------------------
+
+PHASE_CASES = {**LOG_W_CASES, "generic_surface": generic_surface_map()}  # each with m ≤ n
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_CASES))
+def test_identities_do_not_read_the_phases_of_the_adapted_frames(name):
+    # each column of the SVD's frames is fixed only up to a unit phase, shared by a paired
+    # domain and target column: turn every column and no side of an identity may move
+    f = PHASE_CASES[name]
+    points = random_points(0.3, 5, f.m, seed=23)
+    stack, turned = PointStack(f, points, 4), PointStack(f, points, 4)
+    data = stack.stretch
+    # m ≤ n: target column α < m turns with domain column α, the rest each by its own
+    phases = np.exp(2j * np.pi * rng_for(41, 3).uniform(size=(len(points), 1, f.n)))
+    turned.__dict__["stretch"] = dataclasses.replace(
+        data, domain_frame=data.domain_frame * phases[..., : f.m],
+        target_frame=data.target_frame * phases)
+    v = np.array([0.6, -0.8j])[: f.m]
+    for k in range(len(points)):
+        got, want = kept_jet(turned.log_w_jets[k]).coeffs, kept_jet(stack.log_w_jets[k]).coeffs
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+        for sides in (_boch2, _log_w):
+            for got, want in zip(sides(turned, k, v), sides(stack, k, v), strict=True):
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (sides.__name__, k)
 
 
 # -- complex directions ------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Oracles: the same jets evaluated at each point alone (bit for bit), the
 curvature, map Hessian, stretch data, identity checks' scalar jets and
-chart changes of each point alone (bit for bit), the phase normalization
-of one SVD column by column, the point named by a validation error, the
-same stretch data however the points are cut into stacks, and the energy
-jet as the trace of the whole product g⁻¹·f*h.
+chart changes of each point alone (bit for bit), the point named by a
+validation error, the same stretch data however the points are cut into
+stacks, and the energy jet as the trace of the whole product g⁻¹·f*h.
 """
 
 import numpy as np
@@ -14,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlercheck import maps
-from kahlercheck.errors import (DomainError, HolomorphyError, MetricError, OrderError,
-                               SingularJetError)
+from kahlercheck.errors import DomainError, HolomorphyError, MetricError, SingularJetError
 from kahlercheck.geometry import (
     CATALOG,
     ChartMap,
@@ -27,13 +25,12 @@ from kahlercheck.geometry import (
 )
 from kahlercheck.jets import jet_mat_mul, variable_jets
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, PointStack, _phase_normalized, point_stacks
+from kahlercheck.maps import HoloMap, PointStack, point_stacks
 from reference import jet_mat_trace
-from test_maps import phase_normalized_per_column
 
 FLAT1 = catalog("flat", dim=1)
 DATA_FIELDS = ("point", "image", "pushforward", "pullback", "singular_sq", "domain_frame",
-               "target_frame", "g", "h", "rank", "threshold")
+               "target_frame", "g", "h", "rank")
 
 # holomorphic terms for map components and real terms for potentials; at |z_k| <= 0.25
 # and coefficients of at most 0.12 (maps) or 0.2 (potentials, at most two terms beside
@@ -121,15 +118,11 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
             assert np.array_equal(matrices[row], _checked_metric(chart, at[row], metric_order)[1])
         if order == 4:
             assert _same_rows(stack.pullback_jets, pullback_metric_jets(f.target, alone, 2), row)
-    # a fresh stack first asked for order 2, as curvature asks: all rows are bit-for-bit
-    # the one-point jets of that order, and the metric matrices do not move
+    # curvature reads order-2 metric jets (below order 4 its own), and its g is bit for
+    # bit the stack's metric matrices
     fresh = PointStack(f, points, order)
-    for role, (chart, at) in roles.items():
-        jets, matrices = fresh.metric(role, 2)
-        assert fresh.metric(role) is fresh.metric(role, 2)
-        for row in range(len(points)):
-            assert _same_rows(jets, chart.metric_jets(at[row], 2), row)
-            assert np.array_equal(matrices[row], metrics[role][1][row])
+    for role in roles:
+        assert np.array_equal(fresh.curvature(role).g, metrics[role][1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -141,17 +134,17 @@ def test_the_energy_jet_is_the_trace_of_the_whole_product_bit_for_bit(case):
     assert np.array_equal(stack.energy_jet.coeffs, whole.coeffs)
 
 
-def test_a_stack_asked_for_more_metric_order_than_it_holds_raises():
+def test_curvature_read_after_the_stretch_equals_curvature_read_first():
     f = HoloMap(catalog("poincare_disk"), catalog("complex_hyperbolic_ball", dim=2),
                 ["z1/2", "z1^2/3"])
-    stack = PointStack(f, np.array([[0.1], [0.2j]]), 1)
-    stack.metric("domain")  # an order-1 stack's metric jets are of order 0
-    with pytest.raises(OrderError, match="holds domain metric jets of order 0, order 2 was asked"):
-        stack.curvature("domain")
-    # curvature first, and the stretch reads the same order-2 jets
-    ordered = PointStack(f, stack.points, 1)
-    ordered.curvature("domain")
-    assert np.array_equal(ordered.stretch.singular_sq, stack.stretch.singular_sq)
+    late = PointStack(f, np.array([[0.1], [0.2j]]), 1)
+    late.stretch  # an order-1 stack's metric jets are of order 0
+    early = PointStack(f, late.points, 1)
+    for role in ("domain", "target"):
+        got, want = late.curvature(role), early.curvature(role)
+        for name in ("point", "g", "g_inv", "gamma", "riem"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (role, name)
+    assert np.array_equal(early.stretch.singular_sq, late.stretch.singular_sq)
 
 
 def test_an_order_one_stack_evaluates_metric_jets_on_expression_charts_only(monkeypatch):
@@ -220,32 +213,6 @@ def test_stacked_chart_changes_equal_each_change_alone(dim, count, seed):
     for row in range(count):
         change = ChartMap(base[..., row], linear[..., row], quad[..., row])
         assert _same_rows(stacked, change.on_jets(variable_jets(np.zeros(dim), dim, 3)), row)
-
-
-@st.composite
-def svd_stacks(draw):
-    """Stacks of (u, vh) shaped like the SVD of k n×m matrices, with some entries at or
-    near zero, so leads move down and whole columns can have none."""
-    k, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    rng = rng_for(draw(st.integers(0, 2**16)), 9)
-
-    def sparse(*shape):
-        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        return values * rng.choice([0.0, 1e-13, 1.0, 1.0], size=shape)
-
-    u, vh = sparse(k, n, n), sparse(k, m, m)
-    vh[:, 0, :] = 0.0  # the first right vector is a zero column
-    return u, vh, min(n, m)
-
-
-@settings(max_examples=100, deadline=None)
-@given(svd_stacks())
-def test_phase_normalization_of_a_stack_equals_the_per_column_loop(case):
-    u, vh, paired = case
-    got_u, got_v = _phase_normalized(u, vh, paired)
-    for row in range(len(u)):
-        want_u, want_v = phase_normalized_per_column(u[row], vh[row], paired)
-        assert np.array_equal(got_u[row], want_u) and np.array_equal(got_v[row], want_v)
 
 
 def test_a_one_point_stack_keeps_one_point_jets_apart():

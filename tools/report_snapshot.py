@@ -20,8 +20,9 @@ and where the benchmark's manifests are built
   jobs do not: expression charts (potentials with ``exp``, ``log`` and
   ``/``, ``"metric"`` charts on ball, polydisk and full regions),
   sampled hypothesis constants on schwarz, volume, royden and both hoop
-  modes, model charts near their edge and far out, and the exit-2 lines
-  of a singular and of a not positive definite metric.
+  modes, model charts near their edge and far out, the exit-2 lines
+  of a singular and of a not positive definite metric, and the exit-1
+  line of a failed bound and of a failed identity.
 
 The fixed manifests are read from this script's directory, not from
 CHECKOUT, so two checkouts run the same jobs.
