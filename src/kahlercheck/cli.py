@@ -558,8 +558,8 @@ def run_scenario(scenario: Scenario, details: bool = False) -> tuple[dict, int]:
     # evaluation of a stack validates both charts at all of its points
     stacks = point_stacks(scenario.holo_map, points, _scenario_jet_order(scenario))
     # the curvature probe of sampled constants, built on first need and shared by every
-    # bound check; its own stacks read order-2 metric jets, the sample stacks only what
-    # their checks need
+    # bound check; its own stacks read an expression chart's order-2 metric jets, the sample
+    # stacks only what their checks need
     probe = functools.cache(
         lambda: point_stacks(scenario.holo_map, points[:CONSTANT_PROBE_POINTS], 0))
     checks_json = []

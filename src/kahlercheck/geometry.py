@@ -2,13 +2,12 @@
 
 A chart is a single coordinate patch carrying a Hermitian metric, given
 either by a real potential (g is its mixed Hessian) or by an explicit
-matrix of component functions.  Christoffel symbols, curvature and the
-higher derivatives the identity checks need are read off the metric's
-jets.  The metric values are too, except on the model charts of the
-catalog: each family also gives its metric matrix in closed form, and a
-catalog chart's matrices come from that form at every order, so a check
-that needs only metric values (every Schwarz-type bound) evaluates no
-metric jets there.
+matrix of component functions.  On such a chart the metric values,
+Christoffel symbols and curvature are read off the metric's jets.  The
+model charts of the catalog give theirs in closed form: each family has
+its metric matrices and, from them, g⁻¹, Γ and R, so a catalog chart
+evaluates metric jets only where jets are read, as the domain of the
+identity checks (its g⁻¹ and log det g jets).
 
 Index conventions for the arrays produced here::
 
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -138,11 +138,12 @@ class KahlerChart:
     concurrent use at distinct points is safe.
     """
 
-    # the catalog family, its closed-form facts and its metric matrices in closed form (a
-    # (k, dim) stack of points to a (k, dim, dim) stack); None for a chart not built by ``catalog``
+    # the catalog family, its closed-form facts and, on a (k, dim) stack of points, its metric
+    # matrices and g⁻¹, Γ and R (given the matrices) in closed form; None off the catalog
     family: str | None = None
     facts: CurvatureFacts | None = None
     _closed_metric: Callable[[np.ndarray], np.ndarray] | None = None
+    _closed_curvature: Callable[[np.ndarray, np.ndarray], tuple] | None = None
 
     def __init__(self, dim: int, domain: Domain | None, label: str):
         if not 1 <= dim <= MAX_HOLOMORPHIC_VARS:
@@ -353,9 +354,9 @@ def _metric_matrix(gjets) -> np.ndarray:
 
 
 def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
-    """Metric jets of ``order`` at a point or a (k, dim) stack of points, checked finite, and
-    the metric matrices, checked positive definite and symmetrized; an overflow, a singular
-    metric or a failed matrix names the first ``where`` it happens at.
+    """Metric jets of ``order`` at a point or a (k, dim) stack of points, checked finite and,
+    from order 1, Kähler, and the metric matrices, checked positive definite and symmetrized;
+    an overflow, a singular metric or a failed matrix names the first ``where`` it happens at.
 
     A catalog chart's matrices come from its closed form, and its jets are evaluated only
     for ``order`` >= 1; at order 0 the jets are None."""
@@ -371,6 +372,8 @@ def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
                 raise SingularJetError(f"{chart.label}: the metric is singular at the {where} "
                                        f"{rows[err.index].tolist()} ({err})", err.index) from None
         _require_finite(chart, all_finite([entry for line in jets for entry in line]), rows, where)
+        if order >= 1:
+            _metric_gradient(chart, jets)  # the Kähler check
     if closed is None:
         values = _metric_matrix(jets)
     else:
@@ -407,21 +410,34 @@ def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:
     return dg
 
 
-def _curvature_point(chart: KahlerChart, point, gjets, g: np.ndarray) -> CurvaturePoint:
-    """Curvature data from metric jets of order >= 2 and the validated metric ``g``, at one
-    point or at every point of stacked jets."""
+def _curvature_point(chart: KahlerChart, point, gjets, g: np.ndarray,
+                     where: str = "point") -> CurvaturePoint:
+    """Curvature data at one point or at every point of a stack, with the validated metric
+    ``g``: a catalog chart's g⁻¹, Γ and R from its closed form, any other chart's from its
+    metric jets ``gjets`` of order >= 2."""
+    point = np.asarray(point, dtype=complex)
+    if chart._closed_curvature is not None:
+        rows = np.reshape(point, (-1, chart.dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = chart._closed_curvature(rows, np.reshape(g, (-1, chart.dim, chart.dim)))
+        # g⁻¹ and Γ are finite where g is finite and positive definite; R ~ g²/c may overflow
+        _require_finite(chart, np.isfinite(data[2]).all(axis=(1, 2, 3, 4)), rows, where)
+        g_inv, gamma, riem = data if point.ndim == 2 else (v[0] for v in data)
+        return CurvaturePoint(point=point, g=g, g_inv=g_inv, gamma=gamma, riem=riem)
     dg = _metric_gradient(chart, gjets)
     g_inv = np.linalg.inv(g)
     ddg = derivative_block(gjets, "levi")
     correction = np.einsum("...gam,...mr,...dbr->...abgd", dg, g_inv, np.conj(dg))
-    return CurvaturePoint(point=np.asarray(point, dtype=complex), g=g, g_inv=g_inv,
+    return CurvaturePoint(point=point, g=g, g_inv=g_inv,
                           gamma=np.einsum("...gad,...db->...bag", dg, g_inv),
                           riem=-ddg + correction)
 
 
 def curvature_tensor(chart: KahlerChart, point) -> CurvaturePoint:
-    """Curvature data at a point, with the lowered tensor R_{a b̄ c d̄}."""
-    return _curvature_point(chart, point, *_checked_metric(chart, point, 2))
+    """Curvature data at a point, with the lowered tensor R_{a b̄ c d̄}; a catalog chart's
+    comes from its closed form, with no metric jets."""
+    order = 0 if chart._closed_curvature else 2
+    return _curvature_point(chart, point, *_checked_metric(chart, point, order))
 
 
 def normal_chart(chart: KahlerChart, point, frame: np.ndarray | None = None) -> PulledBackChart:
@@ -527,19 +543,22 @@ def _row_sum(columns: np.ndarray) -> np.ndarray:
     return sum(columns.T[1:], columns.T[0])
 
 
-# Each family maps its parameters to its chart, the chart's closed-form facts and its
-# metric matrices in closed form.  Every entry of a matrix is computed point by point,
-# so a point's matrix is the same bit for bit alone or in any stack.
+# Each family maps its parameters to its chart, the chart's closed-form facts and its metric
+# matrices and g⁻¹, Γ and R (given the matrices) in closed form.  Every entry is computed
+# point by point, so a point's data is the same bit for bit alone or in any stack.
 
-Family = tuple[KahlerChart, CurvatureFacts, Callable[[np.ndarray], np.ndarray]]
+Family = tuple[KahlerChart, CurvatureFacts, Callable, Callable]
 
 
 def _flat(dim: int = 1) -> Family:
     def matrices(z):
         return np.broadcast_to(np.eye(dim, dtype=complex), (len(z), dim, dim))
 
+    def curvature(z, g):  # g⁻¹ = g = I, Γ = 0 and R = 0
+        return (g, *(np.zeros((len(z),) + (dim,) * n, complex) for n in (3, 4)))
+
     return (PotentialChart(dim, _abs2_sum, FullSpace(dim), label=f"flat({dim})"),
-            CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim), matrices)
+            CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim), matrices, curvature)
 
 
 def _disk_entry(a: float, k: int) -> Callable:
@@ -561,10 +580,23 @@ def _polydisk_matrices(a: float) -> Callable[[np.ndarray], np.ndarray]:
     return matrices
 
 
+def _polydisk_curvature(a: float, z: np.ndarray, g: np.ndarray) -> tuple:
+    """g⁻¹ = diag((1 − |z_k|²)²/a), Γ^k_{kk} = 2z̄_k/(1 − |z_k|²) and R_{kk̄kk̄} = −(2/a)·g_{kk̄}²;
+    every other entry of Γ and R is 0."""
+    d = range(z.shape[-1])
+    g_inv, gamma, riem = (np.zeros((len(z),) + (len(d),) * n, complex) for n in (2, 3, 4))
+    gap = 1.0 - _abs2_columns(z)
+    g_inv[:, d, d] = gap**2 / a
+    gamma[:, d, d, d] = 2.0 * np.conj(z) / gap
+    riem[:, d, d, d, d] = (-2.0 / a) * g[:, d, d] * g[:, d, d]
+    return g_inv, gamma, riem
+
+
 def _poincare_disk(a: float = 1.0) -> Family:
     h = -2.0 / a
     return (ComponentChart(1, [[_disk_entry(a, 0)]], Ball(1), label=f"poincare_disk(a={a:g})"),
-            CurvatureFacts(h, h, h, h, h, (h,)), _polydisk_matrices(a))
+            CurvatureFacts(h, h, h, h, h, (h,)), _polydisk_matrices(a),
+            partial(_polydisk_curvature, a))
 
 
 def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> Family:
@@ -574,8 +606,8 @@ def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> Family:
     # H is minimized on a single factor and maximized on the diagonal; Ric_m
     # is largest on m − 1 axes plus the diagonal of the remaining factors
     ricci_m = tuple(-2.0 / (a * (dim - m + 1)) for m in range(1, dim + 1))
-    return chart, CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a,
-                                 ricci_m), _polydisk_matrices(a)
+    return (chart, CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a,
+                                  ricci_m), _polydisk_matrices(a), partial(_polydisk_curvature, a))
 
 
 def _ball_matrices(c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -610,6 +642,21 @@ def _fubini_study_matrices(c: float) -> Callable[[np.ndarray], np.ndarray]:
     return matrices
 
 
+def _constant_h_curvature(c: float, sign: int, z: np.ndarray, g: np.ndarray) -> tuple:
+    """g⁻¹, Γ and R of the ball (sign −1) and Fubini–Study (sign +1), H = 2·sign/c: with
+    s = 1/(1 + sign·|z|²), g⁻¹ = (δ_ab + sign·z̄_a·z_b)/(c·s), Γ^b_{ac} = −sign·s·(z̄_a·δ_bc +
+    z̄_c·δ_ab) and R_{ab̄cd̄} = (H/2)·(g_{ab̄}·g_{cd̄} + g_{ad̄}·g_{cb̄}), none of which cancels."""
+    gap = 1.0 + sign * _row_sum(_abs2_columns(z))  # 1/s, as the metric's s rounds it
+    z_bar = np.conj(z)
+    eye = np.eye(z.shape[-1])
+    g_inv = (gap / c)[:, None, None] * (eye + sign * (z_bar[:, :, None] * z[:, None, :]))
+    t = (-sign / gap)[:, None] * z_bar
+    gamma = t[:, None, :, None] * eye[:, None, :] + eye[:, :, None] * t[:, None, None, :]
+    h = (sign / c) * g  # scaled first, so R ~ g²/c overflows only where it is that large
+    riem = np.einsum("kab,kcd->kabcd", h, g) + np.einsum("kad,kcb->kabcd", h, g)
+    return g_inv, gamma, riem
+
+
 def _complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> Family:
     def potential(zs):
         return (1.0 - _abs2_sum(zs)).log() * (-c)
@@ -620,7 +667,7 @@ def _complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> Family:
     chart = PotentialChart(dim, potential, Ball(dim),
                            label=f"complex_hyperbolic_ball({dim}, c={c:g})")
     return (chart, CurvatureFacts(-2.0 / c, -2.0 / c, ric, ric, dim * ric, ricci_m),
-            _ball_matrices(c))
+            _ball_matrices(c), partial(_constant_h_curvature, c, -1))
 
 
 def _fubini_study(dim: int = 1, c: float = 1.0) -> Family:
@@ -631,7 +678,7 @@ def _fubini_study(dim: int = 1, c: float = 1.0) -> Family:
     ricci_m = tuple((m + 1.0) / c for m in range(1, dim + 1))
     return (PotentialChart(dim, potential, FullSpace(dim), label=f"fubini_study({dim}, c={c:g})"),
             CurvatureFacts(2.0 / c, 2.0 / c, ric, ric, dim * ric, ricci_m),
-            _fubini_study_matrices(c))
+            _fubini_study_matrices(c), partial(_constant_h_curvature, c, 1))
 
 
 @dataclass(frozen=True)
@@ -672,10 +719,11 @@ def catalog(name: str, **params) -> KahlerChart:
         if key in params:
             params[key] = _finite(params[key], f"parameter {key}", positive=True)
     try:
-        chart, facts, matrices = CATALOG[name].build(**params)
+        chart, facts, matrices, curvature = CATALOG[name].build(**params)
     except TypeError:
         raise ConfigurationError(
             f"invalid parameters {sorted(params)} for catalog chart {name!r}"
         ) from None
-    chart.family, chart.facts, chart._closed_metric = name, facts, matrices
+    chart.family, chart.facts = name, facts
+    chart._closed_metric, chart._closed_curvature = matrices, curvature
     return chart

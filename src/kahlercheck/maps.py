@@ -184,10 +184,10 @@ class PointStack:
     axis (first for arrays, last for jet coefficients); only the skip rules of
     log D and log W go row by row.  Every validity check runs at every point and
     names the first bad one.  A chart's metric jets are of order
-    ``max(order - 2, 0)``; curvature reads order 2, so below order 4 it evaluates
-    its own.  A catalog chart's matrices come from its closed form at every order,
-    and its metric jets are evaluated only for order 1 and above, so the stretch of
-    an order-2 stack evaluates none.
+    ``max(order - 2, 0)``; an expression chart's curvature reads order 2, so below
+    order 4 it evaluates its own.  A catalog chart's matrices, g⁻¹, Γ and R come from
+    its closed form, and only the domain's g⁻¹ and log det g jets read its metric jets:
+    a catalog target evaluates none, and no stack below order 3 evaluates any.
     """
 
     def __init__(self, f: HoloMap, points: np.ndarray, order: int):
@@ -222,20 +222,20 @@ class PointStack:
         order ``max(self.order - 2, 0)``, with the validated stack of metric matrices.
 
         A catalog chart's matrices come from its closed form, and its jets are None at
-        order 0: a check that reads only g and h evaluates no metric jets there."""
+        order 0 and on the target, whose curvature reads no jets either."""
         if role not in self._metrics:
             chart, at = self._chart(role)
-            self._metrics[role] = _checked_metric(chart, at, max(self.order - 2, 0),
-                                                  f"{role} point")
+            order = 0 if role == "target" and chart._closed_curvature else max(self.order - 2, 0)
+            self._metrics[role] = _checked_metric(chart, at, order, f"{role} point")
         return self._metrics[role]
 
     def curvature(self, role: str) -> CurvaturePoint:
         """Curvature of the domain at the points or of the target at the images."""
         if role not in self._curvature:
             chart, at = self._chart(role)
-            jets, g = (self.metric(role) if self.order >= 4
+            jets, g = (self.metric(role) if self.order >= 4 or chart._closed_curvature
                        else _checked_metric(chart, at, 2, f"{role} point"))
-            self._curvature[role] = _curvature_point(chart, at, jets, g)
+            self._curvature[role] = _curvature_point(chart, at, jets, g, f"{role} point")
         return self._curvature[role]
 
     @cached_property

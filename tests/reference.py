@@ -16,6 +16,9 @@ Nothing here is reached by a check, the CLI or the benchmark:
 - :func:`sandwich_check`, the Rayleigh sandwich behind an acceptance
   criterion;
 - :func:`jet_mat_trace`, the trace of a matrix of jets;
+- :func:`expression_twin`, an expression chart with a catalog family's
+  potential or metric, whose Γ and R come from its metric jets where the
+  catalog chart's come from its closed form;
 - :func:`psh_hypotheses`, :func:`three_circle_refuted` and
   :func:`sampled_range`, the curvature sampling of psh, three_circle and
   sampled constants point by point and sample by sample, one functional
@@ -39,7 +42,17 @@ from kahlercheck.functionals import (
     ricci,
     scalar_curvature,
 )
-from kahlercheck.geometry import ChartMap, CurvaturePoint, KahlerChart, _normal_chart_at
+from kahlercheck.geometry import (
+    Ball,
+    ChartMap,
+    ComponentChart,
+    CurvaturePoint,
+    FullSpace,
+    KahlerChart,
+    PotentialChart,
+    Polydisk,
+    _normal_chart_at,
+)
 from kahlercheck.jets import JetMatrix, WirtingerJet, _as_multi_index, jet_constant
 from kahlercheck.linalg import (
     check_hermitian,
@@ -327,6 +340,25 @@ def jet_mat_trace(A: JetMatrix) -> WirtingerJet:
     for i in range(1, len(A)):
         acc = acc + A[i][i]
     return acc
+
+
+# -- catalog families as expression charts -------------------------------------------
+
+
+def expression_twin(family: str, dim: int = 1, scale: float = 1.0) -> KahlerChart:
+    """The catalog ``family`` (with ``dim`` and a or c = ``scale``) as an expression chart:
+    the same potential or metric, and the same domain."""
+    abs2 = " + ".join(f"abs2(z{k})" for k in range(1, dim + 1))
+    label = f"{family}_expr"
+    if family == "flat":
+        return PotentialChart(dim, abs2, FullSpace(dim), label)
+    if family == "complex_hyperbolic_ball":
+        return PotentialChart(dim, f"-{scale!r}*log(1 - ({abs2}))", Ball(dim), label)
+    if family == "fubini_study":
+        return PotentialChart(dim, f"{scale!r}*log(1 + {abs2})", FullSpace(dim), label)
+    entries = [[f"{scale!r}/(1 - abs2(z{i + 1}))^2" if i == j else "0" for j in range(dim)]
+               for i in range(dim)]
+    return ComponentChart(dim, entries, Polydisk(dim, (1.0,) * dim), label)
 
 
 # -- curvature sampling, one point and one sample at a time ------------------------

@@ -1,5 +1,7 @@
 """The model catalog pinned exactly: curvature facts, labels, listing, bad parameters, and
-each family's closed-form metric against its jets and, for Fubini–Study, exact arithmetic."""
+each family's closed forms against jets: the metric against the chart's own jets and, for
+Fubini–Study, exact arithmetic; g⁻¹, Γ and R against the jet path of an expression chart
+with the same potential or metric."""
 
 import json
 from fractions import Fraction
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlercheck.cli import chart_from_spec, main
-from kahlercheck.geometry import CATALOG, _metric_matrix, catalog
+from kahlercheck.geometry import CATALOG, _metric_matrix, catalog, curvature_tensor
+from reference import expression_twin
 
 D7 = -2.857142857142857  # -2/0.7
 B13 = 1.5384615384615383  # 2/1.3
@@ -174,3 +177,53 @@ def test_the_fubini_study_closed_form_keeps_its_digits_far_out(dim, c, radius, d
     exact = _exact_fubini_study(point, c)
     closed = catalog("fubini_study", dim=dim, c=c)._closed_metric(point[None])[0]
     assert np.max(np.abs(closed - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+# family, dim, scale (a or c), radius of the sample points
+CLOSED_FORM_CASES = [(family, dim, scale, radius)
+                     for family, radius in (("flat", 2.0), ("poincare_disk", 0.9),
+                                            ("poincare_polydisk", 0.9),
+                                            ("complex_hyperbolic_ball", 0.9),
+                                            ("fubini_study", 3.0))
+                     for dim in ((1,) if family == "poincare_disk" else (1, 2, 3))
+                     for scale in (0.4, 1.0, 2.5)
+                     if not (family == "flat" and scale != 1.0)]
+
+
+@pytest.mark.parametrize("family, dim, scale, radius", CLOSED_FORM_CASES)
+def test_the_closed_forms_equal_the_jet_path_of_the_same_potential_or_metric(family, dim, scale,
+                                                                              radius):
+    params = {} if family == "poincare_disk" else {"dim": dim}
+    if family != "flat":
+        params["a" if family.startswith("poincare") else "c"] = scale
+    closed, jets = catalog(family, **params), expression_twin(family, dim, scale)
+    rng = np.random.default_rng([dim, int(10 * scale), len(family)])
+    raw = rng.normal(size=(8, dim)) + 1j * rng.normal(size=(8, dim))
+    unit = raw / np.abs(raw) if family == "poincare_polydisk" else raw / np.linalg.norm(
+        raw, axis=1, keepdims=True)
+    points = radius * rng.uniform(0.05, 1.0, size=(8, 1)) * unit
+    got, want = curvature_tensor(closed, points), curvature_tensor(jets, points)
+    for name in ("g", "g_inv", "gamma", "riem"):
+        a, b = getattr(got, name), getattr(want, name)
+        for row in range(len(points)):
+            assert np.max(np.abs(a[row] - b[row])) <= 1e-12 * np.max(np.abs(b[row])), (name, row)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("radius", [10.0, 100.0])
+def test_fubini_study_curvature_is_exact_far_out(dim, radius):
+    # R/g² along the first axis is H = 2; the jet path's ∂∂̄ log(1 + |z|²) cancels out
+    # there, and read 2.00000007 at |z| = 100
+    cp = curvature_tensor(catalog("fubini_study", dim=dim), np.full(dim, radius / np.sqrt(dim)))
+    assert abs(cp.riem[0, 0, 0, 0] / cp.g[0, 0] ** 2 - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["poincare_polydisk", "complex_hyperbolic_ball", "fubini_study"])
+def test_the_closed_curvature_of_a_large_scale_stays_finite(family):
+    # R ~ g²/a: the entries are near 1e200, and their squares would overflow
+    chart = catalog(family, dim=2, **{"a" if family.startswith("poincare") else "c": 1e200})
+    cp = curvature_tensor(chart, [0.3, 0.4j])
+    assert np.isfinite(cp.riem).all()
+    # H along the first axis: constant on the ball and Fubini–Study, −2/a on the polydisk
+    h = cp.riem[0, 0, 0, 0] / cp.g[0, 0] / cp.g[0, 0]
+    assert h == pytest.approx(chart.facts.hol_sec_min, rel=1e-12)

@@ -527,6 +527,19 @@ def test_main_curvature_subcommand(capsys):
     assert doc["charts"][0]["facts"]["scalar"] == -6.0
 
 
+@pytest.mark.parametrize("name", ["near_edge_disk_identity", "near_edge_ball_identity"])
+def test_curvature_near_a_bounded_edge_reads_the_closed_form(capsys, name):
+    # sample points at radius 1 − 1e-7, where the metric jets' curvature gave up: the disk's
+    # metric jets were singular there and the ball's potential was not real-valued
+    manifest_path = Path(__file__).resolve().parents[1] / "tools" / "snapshot_manifests"
+    assert main(["curvature", str(manifest_path / f"{name}.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for chart in json.loads(out)["charts"]:
+        hol_sec = chart["sampled"]["hol_sec"]
+        assert abs(hol_sec["min"] + 2.0) <= 1e-12 and abs(hol_sec["max"] + 2.0) <= 1e-12
+
+
 def test_successive_main_calls_give_what_fresh_runs_give(capsys):
     # main builds its parser once; no flag of one call may reach the next
     import_root = str(Path(kahlercheck.__file__).resolve().parents[1])

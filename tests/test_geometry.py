@@ -3,7 +3,10 @@
 Expected values come from independent closed-form work: Taylor
 expansions of the model potentials around the origin, the conformal
 factor of the disk metric, and the covariant transformation law of the
-lowered tensor under a change of frame.
+lowered tensor under a change of frame.  A catalog chart's Γ and R come
+from its closed form, so each curvature test also runs on the expression
+chart with the same potential or metric, whose Γ and R come from its
+metric jets.
 """
 
 import numpy as np
@@ -24,7 +27,21 @@ from kahlercheck.geometry import (
 )
 from kahlercheck.jets import compose, jet_constant, variable_jets
 from kahlercheck.linalg import g_orthonormalize
-from reference import apply_point, jacobian
+from reference import apply_point, expression_twin, jacobian
+
+
+def model(family, dim=1, scale=1.0, kind="catalog"):
+    """The catalog chart, or its expression twin (the jet path)."""
+    if kind == "expression":
+        return expression_twin(family, dim, scale)
+    params = {} if family == "poincare_disk" else {"dim": dim}
+    if family != "flat":
+        params["a" if family.startswith("poincare") else "c"] = scale
+    return catalog(family, **params)
+
+
+# each curvature test runs on a catalog chart (the closed form) and its expression twin
+KINDS = ("catalog", "expression")
 
 
 def sample_points(rng, dim, radius, count):
@@ -37,14 +54,14 @@ def sample_points(rng, dim, radius, count):
     return pts
 
 
-def chart_roster():
-    """(chart, safe sampling radius) for every catalog family."""
+def chart_roster(kind="catalog"):
+    """(chart, safe sampling radius) for every catalog family, or for its expression twin."""
     return [
-        (catalog("flat", dim=2), 2.0),
-        (catalog("poincare_disk", a=4.0), 0.85),
-        (catalog("poincare_polydisk", dim=2, a=1.5), 0.6),
-        (catalog("complex_hyperbolic_ball", dim=2, c=2.0), 0.8),
-        (catalog("fubini_study", dim=2, c=1.0), 2.0),
+        (model("flat", 2, kind=kind), 2.0),
+        (model("poincare_disk", 1, 4.0, kind), 0.85),
+        (model("poincare_polydisk", 2, 1.5, kind), 0.6),
+        (model("complex_hyperbolic_ball", 2, 2.0, kind), 0.8),
+        (model("fubini_study", 2, 1.0, kind), 2.0),
     ]
 
 
@@ -88,103 +105,114 @@ def test_domain_is_enforced():
 
 
 def test_flat_christoffel_vanishes():
-    gamma = curvature_tensor(catalog("flat", dim=2), [0.3 + 0.1j, -0.2j]).gamma
-    np.testing.assert_allclose(gamma, 0, atol=1e-13)
+    for kind in KINDS:
+        gamma = curvature_tensor(model("flat", 2, kind=kind), [0.3 + 0.1j, -0.2j]).gamma
+        np.testing.assert_allclose(gamma, 0, atol=1e-13)
 
 
 def test_disk_christoffel_closed_form():
     # Γ¹₁₁ = 2 z̄ / (1 - |z|²), independent of the scale a
-    for a in (1.0, 4.0):
-        chart = catalog("poincare_disk", a=a)
-        for z in (0.5, 0.2 - 0.3j):
-            got = curvature_tensor(chart, [z]).gamma[0, 0, 0]
-            want = 2 * np.conj(z) / (1 - abs(z) ** 2)
-            assert got == pytest.approx(want, rel=1e-12)
+    for kind in KINDS:
+        for a in (1.0, 4.0):
+            chart = model("poincare_disk", 1, a, kind)
+            for z in (0.5, 0.2 - 0.3j):
+                got = curvature_tensor(chart, [z]).gamma[0, 0, 0]
+                want = 2 * np.conj(z) / (1 - abs(z) ** 2)
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_ball_christoffel_vanishes_at_origin():
-    gamma = curvature_tensor(catalog("complex_hyperbolic_ball", dim=2, c=1.0), [0.0, 0.0]).gamma
-    np.testing.assert_allclose(gamma, 0, atol=1e-13)
+    for kind in KINDS:
+        gamma = curvature_tensor(model("complex_hyperbolic_ball", 2, kind=kind), [0.0, 0.0]).gamma
+        np.testing.assert_allclose(gamma, 0, atol=1e-13)
 
 
 def test_christoffel_symmetric_in_lower_indices():
-    chart = catalog("complex_hyperbolic_ball", dim=3, c=1.0)
-    rng = np.random.default_rng(1)
-    for pt in sample_points(rng, 3, 0.7, 5):
-        gamma = curvature_tensor(chart, pt).gamma
-        np.testing.assert_allclose(gamma, gamma.transpose(0, 2, 1), atol=1e-12)
+    for kind in KINDS:
+        chart = model("complex_hyperbolic_ball", 3, kind=kind)
+        rng = np.random.default_rng(1)
+        for pt in sample_points(rng, 3, 0.7, 5):
+            gamma = curvature_tensor(chart, pt).gamma
+            np.testing.assert_allclose(gamma, gamma.transpose(0, 2, 1), atol=1e-12)
 
 
 # -- curvature tensor ------------------------------------------------------------
 
 
 def test_flat_curvature_vanishes():
-    cp = curvature_tensor(catalog("flat", dim=3), [0.1, 0.2j, -0.3])
-    np.testing.assert_allclose(cp.riem, 0, atol=1e-12)
+    for kind in KINDS:
+        cp = curvature_tensor(model("flat", 3, kind=kind), [0.1, 0.2j, -0.3])
+        np.testing.assert_allclose(cp.riem, 0, atol=1e-12)
 
 
 def test_ball_curvature_at_origin():
     # quartic expansion of -log(1-|z|²) gives -(δ_ab δ_cd + δ_ad δ_cb)
-    cp = curvature_tensor(catalog("complex_hyperbolic_ball", dim=2, c=1.0), [0.0, 0.0])
-    assert cp.riem[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
-    assert cp.riem[0, 0, 1, 1] == pytest.approx(-1.0, abs=1e-12)
-    assert cp.riem[0, 1, 1, 0] == pytest.approx(-1.0, abs=1e-12)
-    want = -(
-        np.einsum("ab,cd->abcd", np.eye(2), np.eye(2))
-        + np.einsum("ad,cb->abcd", np.eye(2), np.eye(2))
-    )
-    np.testing.assert_allclose(cp.riem, want, atol=1e-12)
+    for kind in KINDS:
+        cp = curvature_tensor(model("complex_hyperbolic_ball", 2, kind=kind), [0.0, 0.0])
+        assert cp.riem[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
+        assert cp.riem[0, 0, 1, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert cp.riem[0, 1, 1, 0] == pytest.approx(-1.0, abs=1e-12)
+        want = -(
+            np.einsum("ab,cd->abcd", np.eye(2), np.eye(2))
+            + np.einsum("ad,cb->abcd", np.eye(2), np.eye(2))
+        )
+        np.testing.assert_allclose(cp.riem, want, atol=1e-12)
 
 
 def test_fubini_study_flips_the_sign():
-    cp = curvature_tensor(catalog("fubini_study", dim=2, c=1.0), [0.0, 0.0])
-    assert cp.riem[0, 0, 0, 0] == pytest.approx(2.0, abs=1e-12)
-    ball = curvature_tensor(catalog("complex_hyperbolic_ball", dim=2, c=1.0), [0.0, 0.0])
-    np.testing.assert_allclose(cp.riem, -ball.riem, atol=1e-12)
+    for kind in KINDS:
+        cp = curvature_tensor(model("fubini_study", 2, kind=kind), [0.0, 0.0])
+        assert cp.riem[0, 0, 0, 0] == pytest.approx(2.0, abs=1e-12)
+        ball = curvature_tensor(model("complex_hyperbolic_ball", 2, kind=kind), [0.0, 0.0])
+        np.testing.assert_allclose(cp.riem, -ball.riem, atol=1e-12)
 
 
 def test_curvature_symmetries_on_catalog_charts():
-    rng = np.random.default_rng(2)
-    for chart, radius in chart_roster():
-        for pt in sample_points(rng, chart.dim, radius, 200):
-            riem = curvature_tensor(chart, pt).riem
-            np.testing.assert_allclose(riem, riem.transpose(2, 1, 0, 3), atol=1e-9)
-            np.testing.assert_allclose(riem, riem.transpose(0, 3, 2, 1), atol=1e-9)
-            np.testing.assert_allclose(
-                riem, np.conj(riem.transpose(1, 0, 3, 2)), atol=1e-9
-            )
+    for kind in KINDS:
+        rng = np.random.default_rng(2)
+        for chart, radius in chart_roster(kind):
+            for pt in sample_points(rng, chart.dim, radius, 200):
+                riem = curvature_tensor(chart, pt).riem
+                np.testing.assert_allclose(riem, riem.transpose(2, 1, 0, 3), atol=1e-9)
+                np.testing.assert_allclose(riem, riem.transpose(0, 3, 2, 1), atol=1e-9)
+                np.testing.assert_allclose(
+                    riem, np.conj(riem.transpose(1, 0, 3, 2)), atol=1e-9
+                )
 
 
 def test_gamma_is_exactly_symmetric_for_potential_charts():
-    chart = catalog("complex_hyperbolic_ball", dim=2, c=1.0)
-    cp = curvature_tensor(chart, [0.2, 0.1 - 0.2j])
-    np.testing.assert_allclose(cp.gamma, cp.gamma.transpose(0, 2, 1), atol=1e-13)
+    for kind in KINDS:
+        chart = model("complex_hyperbolic_ball", 2, kind=kind)
+        cp = curvature_tensor(chart, [0.2, 0.1 - 0.2j])
+        np.testing.assert_allclose(cp.gamma, cp.gamma.transpose(0, 2, 1), atol=1e-13)
 
 
 def test_disk_normalized_h_is_constant():
     # normalized H = R(v,v̄,v,v̄)/|v|⁴ = -2/a at every point
-    for a in (1.0, 4.0):
-        chart = catalog("poincare_disk", a=a)
-        rng = np.random.default_rng(3)
-        values = []
-        for pt in sample_points(rng, 1, 0.9, 40):
-            cp = curvature_tensor(chart, pt)
-            values.append((cp.riem[0, 0, 0, 0] / cp.g[0, 0] ** 2).real)
-        values = np.array(values)
-        assert np.max(values) - np.min(values) <= 1e-8
-        np.testing.assert_allclose(values, -2.0 / a, atol=1e-9)
+    for kind in KINDS:
+        for a in (1.0, 4.0):
+            chart = model("poincare_disk", 1, a, kind)
+            rng = np.random.default_rng(3)
+            values = []
+            for pt in sample_points(rng, 1, 0.9, 40):
+                cp = curvature_tensor(chart, pt)
+                values.append((cp.riem[0, 0, 0, 0] / cp.g[0, 0] ** 2).real)
+            values = np.array(values)
+            assert np.max(values) - np.min(values) <= 1e-8
+            np.testing.assert_allclose(values, -2.0 / a, atol=1e-9)
 
 
 def test_disk_agrees_with_hyperbolic_ball_dim1():
     # same metric up to a constant factor; the factor is measured, not assumed
-    disk = catalog("poincare_disk", a=1.0)
-    ball = catalog("complex_hyperbolic_ball", dim=1, c=1.0)
-    rng = np.random.default_rng(4)
-    for pt in sample_points(rng, 1, 0.85, 10):
-        cp_d = curvature_tensor(disk, pt)
-        cp_b = curvature_tensor(ball, pt)
-        factor = (cp_d.g[0, 0] / cp_b.g[0, 0]).real
-        np.testing.assert_allclose(cp_d.riem, factor * cp_b.riem, atol=1e-10)
+    for kind in KINDS:
+        disk = model("poincare_disk", kind=kind)
+        ball = model("complex_hyperbolic_ball", kind=kind)
+        rng = np.random.default_rng(4)
+        for pt in sample_points(rng, 1, 0.85, 10):
+            cp_d = curvature_tensor(disk, pt)
+            cp_b = curvature_tensor(ball, pt)
+            factor = (cp_d.g[0, 0] / cp_b.g[0, 0]).real
+            np.testing.assert_allclose(cp_d.riem, factor * cp_b.riem, atol=1e-10)
 
 
 def test_kahler_condition_rejected_when_violated():

@@ -2,13 +2,16 @@
 
 ``tests/golden`` holds the ``run`` and ``curvature`` reports of every
 shipped scenario as ``kahlercheck run NAME`` and ``kahlercheck
-curvature NAME`` printed them.  A refactor must leave verdicts,
-statuses, strings, booleans and counts as they are; floats may move at
-rounding level only.
+curvature NAME`` printed them.  A fresh report must be the same report
+by ``tools/report_diff.py``'s one rule: verdicts, statuses, strings,
+booleans and counts exactly as they are, and floats moved at rounding
+level only.  The mutation table checks that the tool and this test give
+the same answer.
 """
 
+import copy
+import importlib.util
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -22,28 +25,14 @@ from kahlercheck.cli import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-# rel_tol is rounding level; the absolute floor is there because residuals and
-# slacks are rounding noise near zero (~1e-16), far below every check's tolerance,
-# and their relative change between two correct builds can be of order one
-REL_TOL = ABS_TOL = 1e-12
+_SPEC = importlib.util.spec_from_file_location(
+    "report_diff", Path(__file__).resolve().parents[1] / "tools" / "report_diff.py")
+report_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(report_diff)
 
 
-def _assert_same(want, got, path="report"):
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and list(got) == list(want), path
-        for key in want:
-            _assert_same(want[key], got[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), path
-        for k, (a, b) in enumerate(zip(want, got)):
-            _assert_same(a, b, f"{path}[{k}]")
-    elif isinstance(want, bool) or isinstance(got, bool) or want is None or isinstance(want, str):
-        assert got == want and type(got) is type(want), path
-    elif isinstance(want, int) and isinstance(got, int):
-        assert got == want, path  # counts, and floats that print as integers both times
-    else:
-        assert isinstance(got, (int, float)), path
-        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_TOL), f"{path}: {got!r} != {want!r}"
+def _golden(stem: str) -> dict:
+    return json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
 
 
 def _fresh(doc) -> dict:
@@ -51,20 +40,71 @@ def _fresh(doc) -> dict:
     return json.loads(render_json(doc))
 
 
+def _assert_same_report(stem: str, want: dict, got: dict) -> None:
+    diff = report_diff.Diff().compare_reports(stem, want, got)
+    assert not diff.failed, diff.summary()
+
+
 @pytest.mark.parametrize("name", sorted(shipped_scenarios()))
 def test_run_report_matches_golden(name):
-    want = json.loads((GOLDEN / f"{name}.run.json").read_text(encoding="utf-8"))
+    want = _golden(f"{name}.run")
     got, status = run_scenario(shipped_scenario(name))
-    _assert_same(want, _fresh(got))
+    _assert_same_report(f"{name}.run", want, _fresh(got))
     assert status == (0 if want["summary"]["failed"] == 0 else 1)
 
 
 @pytest.mark.parametrize("name", sorted(shipped_scenarios()))
 def test_curvature_report_matches_golden(name):
-    want = json.loads((GOLDEN / f"{name}.curvature.json").read_text(encoding="utf-8"))
-    _assert_same(want, _fresh(curvature_report(shipped_scenario(name))))
+    want = _golden(f"{name}.curvature")
+    _assert_same_report(f"{name}.curvature", want,
+                        _fresh(curvature_report(shipped_scenario(name))))
 
 
 def test_every_shipped_scenario_has_golden_reports():
     names = {path.name.split(".")[0] for path in GOLDEN.glob("*.json")}
     assert names == set(shipped_scenarios())
+
+
+def _observed_moved(doc):
+    doc["checks"][0]["observed"] *= 1.0 + 1e-10
+
+
+def _verdict_changed(doc):
+    doc["checks"][0]["verdict"] = "failed"
+
+
+def _note_changed(doc):
+    doc["checks"][0]["notes"][0] += " "
+
+
+def _noise_worst_point_moved(doc):
+    check = doc["checks"][0]
+    assert abs(check["max_abs_residual"]) <= report_diff.ROUNDING_ULPS * report_diff.EPS
+    check["worst_point"][0][0] += 0.25
+
+
+# (golden, mutation, whether the report is still the same)
+MUTATIONS = [
+    ("schwarz_disk_equality.run", _observed_moved, False),
+    ("schwarz_disk_equality.run", _verdict_changed, False),
+    ("schwarz_disk_equality.run", _note_changed, False),
+    ("boch1_flat_to_ball.run", _noise_worst_point_moved, True),
+]
+
+
+@pytest.mark.parametrize("stem, mutate, same", MUTATIONS,
+                         ids=[f"{stem}-{mutate.__name__[1:]}" for stem, mutate, _ in MUTATIONS])
+def test_the_tool_and_the_golden_test_give_the_same_answer(tmp_path, stem, mutate, same):
+    want = _golden(stem)
+    got = copy.deepcopy(want)
+    mutate(got)
+    for side, doc in (("old", want), ("new", got)):
+        (tmp_path / side / "run").mkdir(parents=True)
+        (tmp_path / side / "run" / f"{stem}.json").write_text(
+            f"exit 0\n{json.dumps(doc, indent=2)}\n", encoding="utf-8")
+    assert (report_diff.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0) == same
+    if same:
+        _assert_same_report(stem, want, got)
+    else:
+        with pytest.raises(AssertionError):
+            _assert_same_report(stem, want, got)

@@ -111,15 +111,17 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
         assert np.array_equal(stack.image[row], image)
         for role, (chart, at) in roles.items():
             jets, matrices = metrics[role]
-            if chart.family is not None and metric_order == 0:
-                assert jets is None  # a catalog chart's matrices come from its closed form
+            # a catalog chart's matrices come from its closed form, and its jets are read
+            # only by the domain's g^{-1} and log det g jets
+            if chart.family is not None and (metric_order == 0 or role == "target"):
+                assert jets is None
             else:
                 assert _same_rows(jets, chart.metric_jets(at[row], metric_order), row)
             assert np.array_equal(matrices[row], _checked_metric(chart, at[row], metric_order)[1])
         if order == 4:
             assert _same_rows(stack.pullback_jets, pullback_metric_jets(f.target, alone, 2), row)
-    # curvature reads order-2 metric jets (below order 4 its own), and its g is bit for
-    # bit the stack's metric matrices
+    # an expression chart's curvature reads order-2 metric jets (below order 4 its own), a
+    # catalog chart's its closed form, and its g is bit for bit the stack's metric matrices
     fresh = PointStack(f, points, order)
     for role in roles:
         assert np.array_equal(fresh.curvature(role).g, metrics[role][1])
@@ -168,6 +170,27 @@ def test_an_order_one_stack_evaluates_metric_jets_on_expression_charts_only(monk
     (stack,) = point_stacks(HoloMap(potential, entries, ["z1/2", "z1*z2/3"]), points, 1)
     assert stack.stretch.rank.tolist() == [2, 2]
     assert calls == [("bumped", 0), ("bidisk_by_metric", 0)]  # one per expression chart
+
+
+def test_catalog_charts_evaluate_metric_jets_only_for_the_domains_jets(monkeypatch):
+    calls = []
+    for cls in (PotentialChart, ComponentChart):
+        def counted(self, point, order, original=cls.metric_jets):
+            calls.append((self.label, order))
+            return original(self, point, order)
+
+        monkeypatch.setattr(cls, "metric_jets", counted)
+    points = np.array([[0.1, 0.2j], [0.3, -0.1]])
+    models = HoloMap(catalog("fubini_study", dim=2), catalog("complex_hyperbolic_ball", dim=3),
+                     ["z1/2", "z1*z2/3", "z2/4"])
+    (probe,) = point_stacks(models, points, 0)
+    for role in ("domain", "target"):
+        probe.curvature(role)  # g⁻¹, Γ and R from the closed form
+    assert calls == []
+    (stack,) = point_stacks(models, points, 4)
+    stack.map_hessian, stack.stretch, stack.energy_jet, stack.log_volume_jets, stack.log_w_jets
+    # the domain's, with its metric matrices, for g^{-1} and log det g; the target's none
+    assert calls == [("fubini_study(2, c=1)", 2)]
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,7 +24,9 @@ The tool prints every exact-field change and every moved number, one a
 line, then the rounding-level moves grouped by check kind and field.  It
 exits 1 when anything is an exact-field change or moved, and 0 when the
 trees match or differ only at rounding level.  ``diff -r OLD NEW`` stays
-the byte check; this tool only names what moved.
+the byte check; this tool only names what moved.  ``Diff().compare_reports``
+applies the same rule to two parsed reports, and ``tests/test_golden.py``
+holds the golden reports to it.
 """
 
 import json
@@ -107,7 +109,13 @@ class Diff:
             return
         if old_rest != new_rest:
             self.exact.append(f"{rel}: text after the report differs")
-        self._walk(rel, "", old_doc, new_doc, None)
+        self.compare_reports(rel, old_doc, new_doc)
+
+    def compare_reports(self, rel: str, old: dict, new: dict) -> "Diff":
+        """Class every change between two parsed reports, named ``rel`` in the lines.  This is
+        the one rule for "the same report": ``tests/test_golden.py`` calls it too."""
+        self._walk(rel, "", old, new, None)
+        return self
 
     def _walk(self, rel, path, a, b, check) -> None:
         if isinstance(a, dict) and isinstance(b, dict):
