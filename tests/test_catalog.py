@@ -213,7 +213,7 @@ def test_the_closed_forms_equal_the_jet_path_of_the_same_potential_or_metric(fam
 @pytest.mark.parametrize("radius", [10.0, 100.0])
 def test_fubini_study_curvature_is_exact_far_out(dim, radius):
     # R/g² along the first axis is H = 2; the jet path's ∂∂̄ log(1 + |z|²) cancels out
-    # there, and read 2.00000007 at |z| = 100
+    # there, and read 2.000000007 at this point at |z| = 100 in dim 1
     cp = curvature_tensor(catalog("fubini_study", dim=dim), np.full(dim, radius / np.sqrt(dim)))
     assert abs(cp.riem[0, 0, 0, 0] / cp.g[0, 0] ** 2 - 2.0) <= 1e-12
 
