@@ -106,7 +106,10 @@ def holo_sectional(cp: CurvaturePoint, z):
     """
     z, norm_sq = _nonzero(cp, z, "Z")
     raw = _real(_contract(cp.riem, z, z, z, z), "H raw")
-    return raw, raw / norm_sq**2
+    with np.errstate(over="ignore"):  # past a metric scale of about 1e154; divide twice there
+        square = np.square(norm_sq)
+    normalized = np.where(np.isfinite(square), raw / square, raw / norm_sq / norm_sq)
+    return raw, normalized if normalized.ndim else float(normalized)
 
 
 def bisectional(cp: CurvaturePoint, x, y):

@@ -7,7 +7,8 @@ Christoffel symbols and curvature are read off the metric's jets.  The
 model charts of the catalog give theirs in closed form: each family has
 its metric matrices and, from them, g⁻¹, Γ and R, so a catalog chart
 evaluates metric jets only where jets are read, as the domain of the
-identity checks (its g⁻¹ and log det g jets).
+identity checks (its g⁻¹ and log det g jets).  :func:`curvature_tensor`
+takes a point or a stack of points, and a stack's metric.
 
 Index conventions for the arrays produced here::
 
@@ -410,34 +411,32 @@ def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:
     return dg
 
 
-def _curvature_point(chart: KahlerChart, point, gjets, g: np.ndarray,
-                     where: str = "point") -> CurvaturePoint:
-    """Curvature data at one point or at every point of a stack, with the validated metric
-    ``g``: a catalog chart's g⁻¹, Γ and R from its closed form, any other chart's from its
-    metric jets ``gjets`` of order >= 2."""
-    point = np.asarray(point, dtype=complex)
-    if chart._closed_curvature is not None:
-        rows = np.reshape(point, (-1, chart.dim))
+def curvature_tensor(chart: KahlerChart, at, metric=None, where: str = "point") -> CurvaturePoint:
+    """Curvature data, with the lowered tensor R_{a b̄ c d̄}, at a point or at every point of
+    a (k, dim) stack: a catalog chart's g⁻¹, Γ and R from its closed form, any other chart's
+    from its metric jets of order 2.  ``metric``, the (jets, g) pair of :func:`_checked_metric`
+    at ``at``, is reused when the chart reads no jets or its jets reach order 2; an overflow
+    names the first ``where`` it happens at."""
+    at = np.asarray(at, dtype=complex)
+    closed = chart._closed_curvature
+    if metric is None or not (closed or metric[0][0][0].order >= 2):
+        metric = _checked_metric(chart, at, 0 if closed else 2, where)
+    gjets, g = metric
+    if closed is not None:
+        rows = np.reshape(at, (-1, chart.dim))
         with np.errstate(over="ignore", invalid="ignore"):
-            data = chart._closed_curvature(rows, np.reshape(g, (-1, chart.dim, chart.dim)))
+            data = closed(rows, np.reshape(g, (-1, chart.dim, chart.dim)))
         # g⁻¹ and Γ are finite where g is finite and positive definite; R ~ g²/c may overflow
         _require_finite(chart, np.isfinite(data[2]).all(axis=(1, 2, 3, 4)), rows, where)
-        g_inv, gamma, riem = data if point.ndim == 2 else (v[0] for v in data)
-        return CurvaturePoint(point=point, g=g, g_inv=g_inv, gamma=gamma, riem=riem)
+        g_inv, gamma, riem = data if at.ndim == 2 else (v[0] for v in data)
+        return CurvaturePoint(point=at, g=g, g_inv=g_inv, gamma=gamma, riem=riem)
     dg = _metric_gradient(chart, gjets)
     g_inv = np.linalg.inv(g)
     ddg = derivative_block(gjets, "levi")
     correction = np.einsum("...gam,...mr,...dbr->...abgd", dg, g_inv, np.conj(dg))
-    return CurvaturePoint(point=point, g=g, g_inv=g_inv,
+    return CurvaturePoint(point=at, g=g, g_inv=g_inv,
                           gamma=np.einsum("...gad,...db->...bag", dg, g_inv),
                           riem=-ddg + correction)
-
-
-def curvature_tensor(chart: KahlerChart, point) -> CurvaturePoint:
-    """Curvature data at a point, with the lowered tensor R_{a b̄ c d̄}; a catalog chart's
-    comes from its closed form, with no metric jets."""
-    order = 0 if chart._closed_curvature else 2
-    return _curvature_point(chart, point, *_checked_metric(chart, point, order))
 
 
 def normal_chart(chart: KahlerChart, point, frame: np.ndarray | None = None) -> PulledBackChart:

@@ -552,17 +552,12 @@ def compose(outer: WirtingerJet, inner: Sequence[WirtingerJet]) -> WirtingerJet:
 # -- coefficient access ------------------------------------------------------------
 
 
-def _as_multi_index(a, num_vars: int) -> tuple[int, ...]:
-    t = tuple(int(x) for x in a)
-    if len(t) != num_vars or any(x < 0 for x in t):
-        raise ConfigurationError(f"multi-index {a!r} invalid for m={num_vars}")
-    return t
-
-
 def derivative(jet: WirtingerJet, a: Sequence[int], b: Sequence[int]) -> complex:
     """Mixed partial d^{|a|+|b|} F / dz^a dzbar^b at the base point."""
-    ta = _as_multi_index(a, jet.num_vars)
-    tb = _as_multi_index(b, jet.num_vars)
+    ta, tb = tuple(map(int, a)), tuple(map(int, b))
+    for given, t in ((a, ta), (b, tb)):
+        if len(t) != jet.num_vars or min(t) < 0:
+            raise ConfigurationError(f"multi-index {given!r} invalid for m={jet.num_vars}")
     if sum(ta) + sum(tb) > jet.order:
         raise OrderError(
             f"jet of order {jet.order} does not carry the ({sum(ta)},{sum(tb)}) derivative"

@@ -10,7 +10,9 @@ all of its points, as jets with a trailing point axis (see the jets
 module) or arrays with a leading one, validated at every point; the
 checks read a point's row, and the curvature and stretch data give one
 point's data by ``.at(k)``.  A one-point stack holds the same data as
-that row of any stack, bit for bit.
+that row of any stack, bit for bit.  Its stretch data, covariant Hessian
+and curvature are :func:`map_point_data`, :func:`map_hessian` and
+:func:`~kahlercheck.geometry.curvature_tensor`, called by module name.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
@@ -32,8 +34,8 @@ from .geometry import (
     KahlerChart,
     _as_jet_function,
     _checked_metric,
-    _curvature_point,
     _normal_chart_parts,
+    curvature_tensor,
     pullback_metric_jets,
 )
 from .jets import (
@@ -156,18 +158,60 @@ class MapPointData:
         return MapPointData(*(getattr(self, name)[index] for name in self.__dataclass_fields__))
 
 
-def map_point_data(f: HoloMap, point) -> MapPointData:
-    """Pullback form, stretch spectrum, and adapted frames at a point."""
-    return point_stacks(f, point, 1)[0].stretch.at(0)
+def map_point_data(stack: "PointStack") -> MapPointData:
+    """Pullback form, stretch spectrum and adapted frames of ∂f at every point of a stack.
+
+    f*h, the Cholesky frames, the solve, the SVD and the rank rule each run once
+    over the stack and treat every point alike, so a point's data does not depend
+    on the points stacked with it.
+    """
+    m = stack.map.m
+    p_mat = stack.pushforward
+    g = stack.metric("domain")[1]
+    h = stack.metric("target")[1]
+    cg = cholesky_frame(g)
+    ch = cholesky_frame(h)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        pullback = p_mat.swapaxes(-1, -2) @ h @ np.conj(p_mat)
+        pullback = 0.5 * (pullback + np.conj(pullback).swapaxes(-1, -2))
+        scaled = np.linalg.solve(ch, p_mat @ cg)
+        # the Frobenius norm bounds the top singular value, so |λ_1|² is finite below it
+        size = np.abs(pullback).sum(axis=(-2, -1)) + (np.abs(scaled) ** 2).sum(axis=(-2, -1))
+    bad = first_bad(~np.isfinite(size))
+    if bad is not None:
+        raise DomainError(f"{stack.map.label}: the stretch of ∂f overflows at the domain "
+                          f"point {stack.points[bad].tolist()}")
+    u, s, vh = np.linalg.svd(scaled)
+    singular_sq = np.zeros((len(stack), m))
+    singular_sq[:, : s.shape[-1]] = s[:, :m] ** 2
+    threshold = RANK_RELATIVE_FLOOR * np.maximum(singular_sq[:, 0], RANK_ABSOLUTE_FLOOR)
+    return MapPointData(
+        point=stack.points,
+        image=stack.image,
+        pushforward=p_mat,
+        pullback=pullback,
+        singular_sq=singular_sq,
+        domain_frame=cg @ vh.conj().swapaxes(-1, -2),
+        target_frame=ch @ u,
+        g=g,
+        h=h,
+        rank=np.count_nonzero(singular_sq > threshold[:, None], axis=-1),
+    )
 
 
-def map_hessian(f: HoloMap, point) -> np.ndarray:
-    """Covariant Hessian f^i_{α,β}, symmetric in (α, β); zero iff totally geodesic here.
+def map_hessian(stack: "PointStack") -> np.ndarray:
+    """Covariant Hessian H[j, i, α, β] = f^i_{α,β} at every point j of a stack, symmetric in
+    (α, β); zero at a point iff f is totally geodesic there.
 
     f^i_{α,β} = ∂²f^i/∂z^α∂z^β − Γ^γ_{αβ} ∂f^i/∂z^γ + Γ^i_{jk} f^j_α f^k_β,
     with the target symbols contracted symmetrically on both derivative slots.
     """
-    return point_stacks(f, point, 2)[0].map_hessian[0]
+    p_mat = stack.pushforward
+    raw = derivative_block(stack.component_jets, "hess")
+    correction_dom = np.einsum("...gab,...ig->...iab", stack.curvature("domain").gamma, p_mat)
+    correction_tgt = np.einsum("...ijk,...ja,...kb->...iab", stack.curvature("target").gamma,
+                               p_mat, p_mat)
+    return raw - correction_dom + correction_tgt
 
 
 # -- the local data of a map at a stack of points -----------------------------------
@@ -232,21 +276,14 @@ class PointStack:
     def curvature(self, role: str) -> CurvaturePoint:
         """Curvature of the domain at the points or of the target at the images."""
         if role not in self._curvature:
-            chart, at = self._chart(role)
-            jets, g = (self.metric(role) if self.order >= 4 or chart._closed_curvature
-                       else _checked_metric(chart, at, 2, f"{role} point"))
-            self._curvature[role] = _curvature_point(chart, at, jets, g, f"{role} point")
+            self._curvature[role] = curvature_tensor(*self._chart(role), self.metric(role),
+                                                     f"{role} point")
         return self._curvature[role]
 
     @cached_property
     def map_hessian(self) -> np.ndarray:
-        """H[j, i, α, β] = f^i_{α,β} at point j (see :func:`map_hessian`)."""
-        p_mat = self.pushforward
-        raw = derivative_block(self.component_jets, "hess")
-        correction_dom = np.einsum("...gab,...ig->...iab", self.curvature("domain").gamma, p_mat)
-        correction_tgt = np.einsum("...ijk,...ja,...kb->...iab", self.curvature("target").gamma,
-                                   p_mat, p_mat)
-        return raw - correction_dom + correction_tgt
+        """The covariant Hessian at every point (see :func:`map_hessian`)."""
+        return map_hessian(self)
 
     @cached_property
     def pullback_jets(self) -> list[list[WirtingerJet]]:
@@ -336,44 +373,8 @@ class PointStack:
 
     @cached_property
     def stretch(self) -> MapPointData:
-        """Pullback form, stretch spectrum and adapted frames of ∂f at every point.
-
-        f*h, the Cholesky frames, the solve, the SVD and the rank rule each run once
-        over the stack and treat every point alike, so a point's data does not depend
-        on the points stacked with it.
-        """
-        m = self.map.m
-        p_mat = self.pushforward
-        g = self.metric("domain")[1]
-        h = self.metric("target")[1]
-        cg = cholesky_frame(g)
-        ch = cholesky_frame(h)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            pullback = p_mat.swapaxes(-1, -2) @ h @ np.conj(p_mat)
-            pullback = 0.5 * (pullback + np.conj(pullback).swapaxes(-1, -2))
-            scaled = np.linalg.solve(ch, p_mat @ cg)
-            # the Frobenius norm bounds the top singular value, so |λ_1|² is finite below it
-            size = np.abs(pullback).sum(axis=(-2, -1)) + (np.abs(scaled) ** 2).sum(axis=(-2, -1))
-        bad = first_bad(~np.isfinite(size))
-        if bad is not None:
-            raise DomainError(f"{self.map.label}: the stretch of ∂f overflows at the domain "
-                              f"point {self.points[bad].tolist()}")
-        u, s, vh = np.linalg.svd(scaled)
-        singular_sq = np.zeros((len(self), m))
-        singular_sq[:, : s.shape[-1]] = s[:, :m] ** 2
-        threshold = RANK_RELATIVE_FLOOR * np.maximum(singular_sq[:, 0], RANK_ABSOLUTE_FLOOR)
-        return MapPointData(
-            point=self.points,
-            image=self.image,
-            pushforward=p_mat,
-            pullback=pullback,
-            singular_sq=singular_sq,
-            domain_frame=cg @ vh.conj().swapaxes(-1, -2),
-            target_frame=ch @ u,
-            g=g,
-            h=h,
-            rank=np.count_nonzero(singular_sq > threshold[:, None], axis=-1),
-        )
+        """The stretch data at every point (see :func:`map_point_data`)."""
+        return map_point_data(self)
 
 
 def _log_w_skip(data: MapPointData, m: int):

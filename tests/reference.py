@@ -4,6 +4,8 @@ Nothing here is reached by a check, the CLI or the benchmark:
 
 - :func:`fd_cross_check`, a finite-difference oracle for jet derivatives
   that shares no code with the jets;
+- :func:`point_data` and :func:`point_hessian`, the stretch data and the
+  covariant Hessian of a map at one point: row 0 of a one-point stack;
 - :func:`apply_point` and :func:`jacobian`, a chart change
   (:class:`~kahlercheck.geometry.ChartMap`) at one point in closed form;
 - :func:`postcompose` and :func:`catalog_isometry`, which build g ∘ f and
@@ -53,7 +55,7 @@ from kahlercheck.geometry import (
     Polydisk,
     _normal_chart_at,
 )
-from kahlercheck.jets import JetMatrix, WirtingerJet, _as_multi_index, jet_constant
+from kahlercheck.jets import JetMatrix, WirtingerJet, jet_constant
 from kahlercheck.linalg import (
     check_hermitian,
     check_positive_definite,
@@ -62,7 +64,7 @@ from kahlercheck.linalg import (
     rng_for,
 )
 from kahlercheck.identities import PSH_HYPOTHESIS_SAMPLES
-from kahlercheck.maps import HoloMap, map_point_data, point_stacks
+from kahlercheck.maps import HoloMap, MapPointData, point_stacks
 
 # -- independent finite-difference oracle ----------------------------------------------
 
@@ -103,8 +105,9 @@ def fd_cross_check(
     supported (the stencil error grows too fast beyond that).
     """
     pt = np.asarray(point, dtype=complex)
-    ta = _as_multi_index(a, len(pt))
-    tb = _as_multi_index(b, len(pt))
+    ta, tb = tuple(map(int, a)), tuple(map(int, b))
+    if len(ta) != len(pt) or len(tb) != len(pt) or min(ta + tb) < 0:
+        raise ConfigurationError(f"multi-indices {a!r}, {b!r} invalid for m={len(pt)}")
     if step <= 0:
         raise ConfigurationError("finite-difference step must be positive")
     if sum(ta) + sum(tb) > 2:
@@ -117,6 +120,19 @@ def fd_cross_check(
         for _ in range(reps):
             f = _wirtinger_op(f, k, step, +1.0)
     return f(pt)
+
+
+# -- one point of a stack ------------------------------------------------------------------
+
+
+def point_data(f: HoloMap, point) -> MapPointData:
+    """The stretch data of ``f`` at one point: row 0 of its one-point stack."""
+    return point_stacks(f, point, 1)[0].stretch.at(0)
+
+
+def point_hessian(f: HoloMap, point) -> np.ndarray:
+    """The covariant Hessian f^i_{α,β} of ``f`` at one point: row 0 of its one-point stack."""
+    return point_stacks(f, point, 2)[0].map_hessian[0]
 
 
 # -- a chart change at one point ----------------------------------------------------------
@@ -261,7 +277,7 @@ class StretchBarrier:
         """W at the anchored coordinates w."""
         change = self.domain_chart.change
         w = np.asarray(w, dtype=complex)
-        data = map_point_data(self.map, apply_point(change, w))
+        data = point_data(self.map, apply_point(change, w))
         jac = jacobian(change, w)
         a_here = jac.T @ data.pullback @ np.conj(jac)
         g_here = jac.T @ data.g @ np.conj(jac)
@@ -272,7 +288,7 @@ class StretchBarrier:
 
     def max_norm_at(self, w) -> float:
         """True ‖∂f‖²_m at the chart point behind w (pencil invariant)."""
-        return float(map_point_data(self.map, self.chart_point(w)).singular_sq[0])
+        return float(point_data(self.map, self.chart_point(w)).singular_sq[0])
 
 
 # -- k-scalar quadrature -------------------------------------------------------------

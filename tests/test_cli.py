@@ -540,6 +540,20 @@ def test_curvature_near_a_bounded_edge_reads_the_closed_form(capsys, name):
         assert abs(hol_sec["min"] + 2.0) <= 1e-12 and abs(hol_sec["max"] + 2.0) <= 1e-12
 
 
+def test_curvature_at_a_metric_scale_of_1e300_reads_h_from_the_facts(capsys):
+    # |Z|⁴ overflows past a metric scale of about 1e154: numpy warned, which this test
+    # suite turns into an error, and the sampled H read 0
+    manifest_path = (Path(__file__).resolve().parents[1] / "tools" / "snapshot_manifests"
+                     / "huge_metric_scale_disk_into_projective.json")
+    assert main(["curvature", str(manifest_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for chart in json.loads(out)["charts"]:
+        want = chart["facts"]["hol_sec_min"]
+        for got in chart["sampled"]["hol_sec"].values():
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_successive_main_calls_give_what_fresh_runs_give(capsys):
     # main builds its parser once; no flag of one call may reach the next
     import_root = str(Path(kahlercheck.__file__).resolve().parents[1])
@@ -1157,14 +1171,14 @@ def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkey
         counted(cls, "metric_jets")
     counted(maps.HoloMap, "component_jets")
     counted(maps.HoloMap, "__init__")
-    curvature_point = geometry._curvature_point
+    curvature_tensor = geometry.curvature_tensor
 
     def counted_curvature(*args):
         calls["curvature"] += 1
-        return curvature_point(*args)
+        return curvature_tensor(*args)
 
     for module in (geometry, maps):
-        monkeypatch.setattr(module, "_curvature_point", counted_curvature)
+        monkeypatch.setattr(module, "curvature_tensor", counted_curvature)
     direction = [1.0, [0.5, -0.25]]
     checks = [{"kind": kind, "direction": direction} for kind in ("boch1", "boch2", "log_w")]
     checks.append({"kind": "psh", "quantity": "log1p_energy"})
@@ -1182,6 +1196,39 @@ def test_each_identity_point_evaluates_the_charts_and_the_map_a_few_times(monkey
         assert calls["curvature"] <= 2
         assert calls["component_jets"] == 1
         assert calls["__init__"] == 1  # one HoloMap per scenario
+
+
+def test_each_stack_reaches_curvature_stretch_and_hessian_through_their_module_names(monkeypatch):
+    # the benchmark times these layers by swapping the maps module's attributes, so each
+    # stack must call them there: both curvatures, the stretch and the Hessian once each
+    from kahlercheck import maps
+
+    calls = {}
+
+    def counted(name):
+        original = getattr(maps, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        calls[name] = 0
+        monkeypatch.setattr(maps, name, wrapper)
+
+    for name in ("curvature_tensor", "map_point_data", "map_hessian"):
+        counted(name)
+    monkeypatch.setattr(maps, "STACK_CHUNK", 4)
+    doc, status = run_scenario(load_scenario(manifest(
+        domain={"catalog": "flat", "params": {"dim": 2}},
+        target={"catalog": "complex_hyperbolic_ball", "params": {"dim": 3}},
+        map=["0.4*z1 + 0.1*z2^2", "0.25*z2", "0.1*z1*z2"],
+        sampler={"count": 10, "radius": 0.7, "seed": 3},
+        checks=[{"kind": kind} for kind in ("boch1", "boch2", "log_w")])))
+    assert status == 0
+    assert all(entry["points_checked"] == 10 for entry in doc["checks"])
+    stacks = 3  # 10 points in stacks of at most 4
+    assert calls == {"curvature_tensor": 2 * stacks, "map_point_data": stacks,
+                     "map_hessian": stacks}
 
 
 def test_a_tiny_full_rank_map_skips_the_singular_logs_loudly():

@@ -61,6 +61,9 @@ def test_ball_holo_sectional_at_origin():
     raw2, normalized2 = holo_sectional(cp, [2.0, 0.0])
     assert raw2 == pytest.approx(-32.0, abs=1e-11)  # |Z|⁴ = 16
     assert normalized2 == pytest.approx(-2.0, abs=1e-12)
+    # |Z|⁴ overflows past a metric scale of about 1e154, H = −2/a does not
+    _, huge = holo_sectional(cp_at("poincare_disk", [0.3], a=1e300), [1.0])
+    assert huge == pytest.approx(-2e-300, rel=1e-12)
 
 
 def test_holo_sectional_homogeneity():
@@ -115,6 +118,14 @@ def test_ricci_matches_log_det_identity():
         [[derivative(log_det, units[c], units[d]) for d in range(2)] for c in range(2)]
     )
     np.testing.assert_allclose(ricci(cp), want, atol=1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 14")
+def test_ricci_near_the_ball_edge_keeps_the_einstein_constant():
+    # R is exact in closed form here; contracting it with g⁻¹ entry by entry cancels
+    cp = cp_at("complex_hyperbolic_ball", (1 - 1e-7) * np.array([0.6, 0.8j]), dim=2)
+    eigenvalues, _ = pencil_eigh(ricci(cp), cp.g)
+    np.testing.assert_allclose(eigenvalues, -3.0, rtol=0, atol=1e-9)
 
 
 # -- stacked curvature data ------------------------------------------------------

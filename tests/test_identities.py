@@ -36,8 +36,8 @@ from kahlercheck.identities import (
     verify_log_w,
 )
 from kahlercheck.linalg import rng_for
-from kahlercheck.maps import HoloMap, PointStack, kept_jet, map_point_data
-from reference import sandwich_check
+from kahlercheck.maps import HoloMap, PointStack, kept_jet
+from reference import point_data, sandwich_check
 from test_maps import LOG_W_CASES, precompose, random_points
 
 FLAT1 = catalog("flat", dim=1)
@@ -140,7 +140,7 @@ def test_boch2_positively_curved_target():
         lhs, rhs = boch2_sides(f, [z], [1.0])
         assert abs(lhs - rhs) <= 1e-6
         # the target curvature term is positive here, pulling log D down
-        data = map_point_data(f, [z])
+        data = point_data(f, [z])
         cp_n = curvature_tensor(f.target, data.image)
         t1 = data.target_frame[:, 0]
         pv = data.pushforward @ np.array([1.0 + 0j])

@@ -127,6 +127,9 @@ def test_order_and_variable_limits():
     j = jet_variable(0, 1.0, 1, 2)
     with pytest.raises(OrderError):
         derivative(j, (2,), (1,))
+    for a, b in (((1, 0), (0,)), ((-1,), (1,))):  # a wrong length, a negative entry
+        with pytest.raises(ConfigurationError, match="invalid for m=1"):
+            derivative(j, a, b)
     with pytest.raises(ConfigurationError):
         jet_variable(3, 0.0, 2, 2)
 
@@ -182,6 +185,9 @@ def test_fd_oracle_rejects_high_orders_and_bad_steps():
         fd_cross_check(CHART_FIELDS["flat2"], [0.1, 0.1], (2,0), (1,0))
     with pytest.raises(ConfigurationError):
         fd_cross_check(CHART_FIELDS["flat2"], [0.1, 0.1], (1,0), (0,0), step=0.0)
+    for a, b in (((1,), (0, 0)), ((-1, 0), (1, 0))):  # a wrong length, a negative entry
+        with pytest.raises(ConfigurationError, match="invalid for m=2"):
+            fd_cross_check(CHART_FIELDS["flat2"], [0.1, 0.1], a, b)
 
 
 # -- jet matrices -------------------------------------------------------------------------

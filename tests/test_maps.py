@@ -28,9 +28,9 @@ from kahlercheck.geometry import (
 )
 from kahlercheck.jets import derivative_block, jet_mat_inv
 from kahlercheck.linalg import pencil_eigh, rng_for
-from kahlercheck.maps import HoloMap, kept_jet, map_hessian, map_point_data, point_stacks
-from reference import (StretchBarrier, apply_point, catalog_isometry, postcompose,
-                       rayleigh_quotient)
+from kahlercheck.maps import HoloMap, kept_jet, point_stacks
+from reference import (StretchBarrier, apply_point, catalog_isometry, point_data, point_hessian,
+                       postcompose, rayleigh_quotient)
 
 FLAT1 = catalog("flat", dim=1)
 FLAT2 = catalog("flat", dim=2)
@@ -62,13 +62,13 @@ def precompose(f, change):
 
 def test_pushforward_square_map():
     f = HoloMap(FLAT1, FLAT1, ["z1^2"])
-    assert map_point_data(f, [3.0]).pushforward == pytest.approx(np.array([[6.0]]))
+    assert point_data(f, [3.0]).pushforward == pytest.approx(np.array([[6.0]]))
 
 
 def test_pushforward_curve_into_ball():
     f = HoloMap(catalog("poincare_disk", a=1.0), catalog("complex_hyperbolic_ball", dim=2, c=1.0),
                 ["z1/2", "z1^2/2"])
-    np.testing.assert_allclose(map_point_data(f, [0.0]).pushforward, [[0.5], [0.0]], atol=1e-14)
+    np.testing.assert_allclose(point_data(f, [0.0]).pushforward, [[0.5], [0.0]], atol=1e-14)
 
 
 def test_component_count_must_match_target():
@@ -86,15 +86,15 @@ def test_antiholomorphic_expression_rejected_at_build():
 def test_callable_component_checked_pointwise():
     f = HoloMap(FLAT1, FLAT1, [lambda zs: zs[0].conj()])
     with pytest.raises(HolomorphyError):
-        map_point_data(f, [0.5])
+        point_data(f, [0.5])
 
 
 def test_image_must_stay_inside_target_domain():
     disk = catalog("poincare_disk", a=1.0)
     f = HoloMap(disk, disk, ["2*z1"])
     with pytest.raises(DomainError):
-        map_point_data(f, [0.6])
-    assert map_point_data(f, [0.3]).singular_sq[0] > 0  # image 0.6 is fine
+        point_data(f, [0.6])
+    assert point_data(f, [0.3]).singular_sq[0] > 0  # image 0.6 is fine
 
 
 # -- stretch spectrum ------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_image_must_stay_inside_target_domain():
 
 def test_diagonal_map_spectrum():
     f = HoloMap(FLAT2, FLAT2, ["z1", "2*z2"])
-    data = map_point_data(f, [0.4, -0.7j])
+    data = point_data(f, [0.4, -0.7j])
     np.testing.assert_allclose(data.singular_sq, [4.0, 1.0], atol=1e-14)
     assert energy(data) == pytest.approx(5.0, abs=1e-12)
     assert np.prod(data.singular_sq) == pytest.approx(4.0, abs=1e-12)
@@ -114,22 +114,22 @@ def test_diagonal_map_spectrum():
 def test_identity_between_rescaled_disks():
     f = HoloMap(catalog("poincare_disk", a=1.0), catalog("poincare_disk", a=2.0), ["z1"])
     for z in (0.0, 0.3, -0.2 + 0.4j):
-        data = map_point_data(f, [z])
+        data = point_data(f, [z])
         assert data.singular_sq[0] == pytest.approx(2.0, abs=1e-12)
         assert energy(data) == pytest.approx(2.0, abs=1e-12)
-    np.testing.assert_allclose(map_hessian(f, [0.3 - 0.1j]), 0, atol=1e-12)
+    np.testing.assert_allclose(point_hessian(f, [0.3 - 0.1j]), 0, atol=1e-12)
 
 
 def test_rank_deficient_projection():
     f = HoloMap(FLAT2, FLAT2, ["z1", "0"])
-    data = map_point_data(f, [0.5, 0.5])
+    data = point_data(f, [0.5, 0.5])
     np.testing.assert_allclose(data.singular_sq, [1.0, 0.0], atol=1e-14)
     assert data.rank == 1  # below m, so the volume checks read D = 0 here
 
 
 def test_constant_map_has_zero_energy():
     f = HoloMap(FLAT2, FLAT2, [0.3, "0"])
-    data = map_point_data(f, [1.0, 2.0])
+    data = point_data(f, [1.0, 2.0])
     assert energy(data) == 0.0
     assert data.singular_sq[0] == 0.0 and data.rank == 0
 
@@ -152,7 +152,7 @@ def test_adapted_frames_generic_map():
         ["z1/2 + z2^2/5", "z2/2", "z1*z2/3"],
     )
     p = [0.2 - 0.1j, 0.3 + 0.25j]
-    data = map_point_data(f, p)
+    data = point_data(f, p)
     m, n = 2, 3
     e, t = data.domain_frame, data.target_frame
     np.testing.assert_allclose(e.T @ data.g @ e.conj(), np.eye(m), atol=1e-12)
@@ -174,7 +174,7 @@ def test_scalar_invariants_are_consistent():
         ["z1/2 + z2^2/5", "z2/2", "z1*z2/3"],
     )
     for p in random_points(0.4, 5, 2, seed=21):
-        data = map_point_data(f, p)
+        data = point_data(f, p)
         assert energy(data) == pytest.approx(float(np.sum(data.singular_sq)), abs=1e-10)
         vals, _ = pencil_eigh(data.pullback, data.g)
         assert vals[-1] == pytest.approx(float(data.singular_sq[0]), abs=1e-12)
@@ -187,7 +187,7 @@ def test_scalar_invariants_are_consistent():
 
 def test_hessian_square_map():
     f = HoloMap(FLAT1, FLAT1, ["z1^2"])
-    np.testing.assert_allclose(map_hessian(f, [1.7 - 0.4j]), [[[2.0]]], atol=1e-13)
+    np.testing.assert_allclose(point_hessian(f, [1.7 - 0.4j]), [[[2.0]]], atol=1e-13)
 
 
 def test_hessian_flat_to_flat_is_raw_second_derivative():
@@ -196,13 +196,13 @@ def test_hessian_flat_to_flat_is_raw_second_derivative():
     want = np.zeros((2, 2, 2), dtype=complex)
     want[0] = [[2.0, 3.0], [3.0, 0.0]]
     want[1, 1, 1] = 6.0 * z[1]
-    np.testing.assert_allclose(map_hessian(f, z), want, atol=1e-12)
+    np.testing.assert_allclose(point_hessian(f, z), want, atol=1e-12)
 
 
 def test_hessian_symmetric_with_curved_target():
     f = HoloMap(FLAT2, catalog("fubini_study", dim=2, c=1.0),
                 ["z1^2/4 + z2/3", "z1*z2/5"])
-    hess = map_hessian(f, [0.4 - 0.3j, 0.2 + 0.5j])
+    hess = point_hessian(f, [0.4 - 0.3j, 0.2 + 0.5j])
     np.testing.assert_allclose(hess, hess.transpose(0, 2, 1), atol=1e-12)
     assert np.max(np.abs(hess)) > 0.1  # not vacuous
 
@@ -229,8 +229,8 @@ def test_singular_values_survive_domain_renormalization():
     for w in random_points(0.05, 4, 2, seed=3):
         z = apply_point(nc.change, w)
         np.testing.assert_allclose(
-            map_point_data(fh, w).singular_sq,
-            map_point_data(f, z).singular_sq,
+            point_data(fh, w).singular_sq,
+            point_data(f, z).singular_sq,
             atol=1e-8,
         )
 
@@ -254,8 +254,8 @@ def test_singular_values_survive_linear_target_change():
     f2 = HoloMap(f.domain, target2, [component(0), component(1)])
     for p in random_points(0.3, 4, 2, seed=5):
         np.testing.assert_allclose(
-            map_point_data(f2, p).singular_sq,
-            map_point_data(f, p).singular_sq,
+            point_data(f2, p).singular_sq,
+            point_data(f, p).singular_sq,
             atol=1e-8,
         )
 
@@ -276,8 +276,8 @@ def test_singular_values_survive_target_renormalization_at_anchor():
 
     f2 = HoloMap(f.domain, nc_t, [component(0), component(1)])
     np.testing.assert_allclose(
-        map_point_data(f2, p).singular_sq,
-        map_point_data(f, p).singular_sq,
+        point_data(f2, p).singular_sq,
+        point_data(f, p).singular_sq,
         atol=1e-8,
     )
 
@@ -296,7 +296,7 @@ def test_catalog_isometries_have_unit_stretch(name, params, scale):
     chart = catalog(name, **params)
     iso = catalog_isometry(chart, seed=3)
     for p in random_points(scale, 3, chart.dim, seed=7):
-        data = map_point_data(iso, p)
+        data = point_data(iso, p)
         np.testing.assert_allclose(data.singular_sq, 1.0, atol=1e-8)
 
 
@@ -307,11 +307,11 @@ def test_target_isometry_preserves_invariants():
     f2 = postcompose(iso, f)
     for z in (0.0, 0.2, -0.3 + 0.4j, 0.55j):
         np.testing.assert_allclose(
-            map_point_data(f2, [z]).singular_sq,
-            map_point_data(f, [z]).singular_sq,
+            point_data(f2, [z]).singular_sq,
+            point_data(f, [z]).singular_sq,
             atol=1e-8,
         )
-        data2, data = map_point_data(f2, [z]), map_point_data(f, [z])
+        data2, data = point_data(f2, [z]), point_data(f, [z])
         assert energy(data2) == pytest.approx(energy(data), abs=1e-8)
         assert np.prod(data2.singular_sq) == pytest.approx(np.prod(data.singular_sq), abs=1e-8)
 
@@ -346,7 +346,7 @@ def test_barrier_touches_max_norm_at_anchor():
                 ["z1/2", "z1^2/2"])
     anchor = [0.25 - 0.1j]
     bar = StretchBarrier(f, anchor)
-    assert abs(bar.value([0.0]) - map_point_data(f, anchor).singular_sq[0]) <= 1e-10
+    assert abs(bar.value([0.0]) - point_data(f, anchor).singular_sq[0]) <= 1e-10
     # m = 1: the quotient has nothing to vary over, so W is the norm itself
     for w in random_points(0.1, 20, 1, seed=17):
         assert bar.value(w) <= bar.max_norm_at(w) + 1e-12
@@ -358,7 +358,7 @@ def test_barrier_minorizes_max_norm_nearby():
                 ["z1/2", "z2/2 + z1^2/4"])
     anchor = [0.1 + 0.05j, -0.2]
     bar = StretchBarrier(f, anchor)
-    assert abs(bar.value([0.0, 0.0]) - map_point_data(f, anchor).singular_sq[0]) <= 1e-10
+    assert abs(bar.value([0.0, 0.0]) - point_data(f, anchor).singular_sq[0]) <= 1e-10
     slack = []
     for w in random_points(0.08, 20, 2, seed=19):
         w_val = bar.value(w)
@@ -368,24 +368,10 @@ def test_barrier_minorizes_max_norm_nearby():
     assert max(slack) > 1e-8  # strict somewhere, the bound is not vacuous
 
 
-def test_point_stack_reads_what_the_public_functions_compute():
-    f = HoloMap(catalog("fubini_study", dim=2, c=1.1), catalog("complex_hyperbolic_ball", dim=3),
-                ["0.3*z1 + 0.1*z2^2", "0.2*z2", "0.1*z1*z2 - 0.05*z1^2"])
-    point = np.array([0.2 - 0.1j, -0.15 + 0.3j])
-    (stack,) = point_stacks(f, point, 4)
-    data, want = stack.stretch.at(0), map_point_data(f, point)
-    for field in ("image", "pushforward", "pullback", "singular_sq", "domain_frame",
-                  "target_frame", "g", "h"):
-        assert np.array_equal(getattr(data, field), getattr(want, field)), field
-    assert np.array_equal(stack.map_hessian[0], map_hessian(f, point))
-    assert np.array_equal(stack.pushforward, point_stacks(f, point, 1)[0].pushforward)
-    assert stack.stretch is stack.stretch and stack.component_jets[0].order == 4
-
-
 def _log_w_alone(f, point):
     """log W at one point in the normal chart whose axes are the adapted frame, on the
     precomposed map at w = 0: the map and both charts evaluated again in that chart."""
-    nc = normal_chart(f.domain, point, frame=map_point_data(f, point).domain_frame)
+    nc = normal_chart(f.domain, point, frame=point_data(f, point).domain_frame)
     origin = np.zeros(f.m)
     a_jets = pullback_metric_jets(f.target, precompose(f, nc.change).component_jets(origin, 4), 2)
     c_jets = [[entry.conj() for entry in row] for row in jet_mat_inv(nc.metric_jets(origin, 2))]
@@ -465,7 +451,7 @@ STRETCH_CASES = {
 
 def _per_point_reference(f, point):
     """The one-point computation of the stretch data with scipy's per-matrix calls."""
-    data = map_point_data(f, point)
+    data = point_data(f, point)
     p_mat, g, h = data.pushforward, data.g, data.h
     pullback = p_mat.T @ h @ np.conj(p_mat)
     eye = np.eye(len(g), dtype=complex)
@@ -491,7 +477,7 @@ def test_stretch_data_on_k_points_matches_one_point_contexts(name):
         points[2, 0] = 0.0  # ∂f drops to rank 1 here
     (stack,) = point_stacks(f, points, 1)
     for k, point in enumerate(points):
-        data, alone = stack.stretch.at(k), map_point_data(f, point)
+        data, alone = stack.stretch.at(k), point_data(f, point)
         for field in DATA_FIELDS:
             assert np.array_equal(getattr(data, field), getattr(alone, field)), field
         pullback, s, domain_frame, target_frame = _per_point_reference(f, point)
@@ -501,17 +487,6 @@ def test_stretch_data_on_k_points_matches_one_point_contexts(name):
         _assert_close_up_to_column_phases(data.target_frame, target_frame, atol=1e-12)
     if name == "fold":
         assert list(stack.stretch.rank).count(1) == 1 and stack.stretch.rank[2] == 1
-
-
-def test_stretch_data_of_one_context_is_the_one_point_wrapper():
-    f = HoloMap(catalog("complex_hyperbolic_ball", dim=2), catalog("fubini_study", dim=3),
-                ["0.3*z1", "0.2*z2", "0.1*z1*z2"])
-    point = np.array([0.1 + 0.2j, -0.3j])
-    (stack,) = point_stacks(f, point, 1)
-    assert stack.stretch.singular_sq.shape == (1, 2)  # the point axis first
-    data, want = stack.stretch.at(0), map_point_data(f, point)
-    for field in DATA_FIELDS:
-        assert np.array_equal(getattr(data, field), getattr(want, field)), field
 
 
 def test_stretch_data_keeps_what_contexts_already_carry(monkeypatch):

@@ -26,7 +26,7 @@ from kahlercheck.geometry import (
 from kahlercheck.jets import jet_mat_mul, variable_jets
 from kahlercheck.linalg import rng_for
 from kahlercheck.maps import HoloMap, PointStack, point_stacks
-from reference import jet_mat_trace
+from reference import jet_mat_trace, point_data
 
 FLAT1 = catalog("flat", dim=1)
 DATA_FIELDS = ("point", "image", "pushforward", "pullback", "singular_sq", "domain_frame",
@@ -162,7 +162,7 @@ def test_an_order_one_stack_evaluates_metric_jets_on_expression_charts_only(monk
                      ["z1/2", "z1*z2/3"])
     (stack,) = point_stacks(models, points, 1)
     assert stack.stretch.rank.tolist() == [2, 2]
-    assert maps.map_point_data(models, points[0]).rank == 2
+    assert point_data(models, points[0]).rank == 2
     assert calls == []  # the catalog charts' g and h come from their closed forms
     potential = PotentialChart(2, "abs2(z1) + abs2(z2) + 0.1*abs2(z1)^2", None, "bumped")
     entries = ComponentChart(2, [["1/(1 - abs2(z1))^2", "0"], ["0", "1/(1 - abs2(z2))^2"]],

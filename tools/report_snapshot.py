@@ -20,7 +20,8 @@ and where the benchmark's manifests are built
   jobs do not: expression charts (potentials with ``exp``, ``log`` and
   ``/``, ``"metric"`` charts on ball, polydisk and full regions),
   sampled hypothesis constants on schwarz, volume, royden and both hoop
-  modes, model charts near their edge and far out, the exit-2 lines
+  modes, model charts near their edge, far out and at a metric scale of
+  1e300, the exit-2 lines
   of a singular and of a not positive definite metric, and the exit-1
   line of a failed bound and of a failed identity.
 
