@@ -5,10 +5,10 @@ either by a real potential (g is its mixed Hessian) or by an explicit
 matrix of component functions.  On such a chart the metric values,
 Christoffel symbols and curvature are read off the metric's jets.  The
 model charts of the catalog give theirs in closed form: each family has
-its metric matrices and, from them, g⁻¹, Γ and R, so a catalog chart
-evaluates metric jets only where jets are read, as the domain of the
-identity checks (its g⁻¹ and log det g jets).  :func:`curvature_tensor`
-takes a point or a stack of points, and a stack's metric.
+its metric matrices, g⁻¹, Γ and R from them, and the jets of g⁻¹ and
+log det g that the identity checks read on a domain, so no catalog chart
+evaluates metric jets.  :func:`curvature_tensor` takes a point or a
+stack of points, and a stack's metric.
 
 Index conventions for the arrays produced here::
 
@@ -25,6 +25,7 @@ the tensor invariant under passage to normal coordinates.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -139,12 +140,14 @@ class KahlerChart:
     concurrent use at distinct points is safe.
     """
 
-    # the catalog family, its closed-form facts and, on a (k, dim) stack of points, its metric
-    # matrices and g⁻¹, Γ and R (given the matrices) in closed form; None off the catalog
+    # the catalog family, its closed-form facts and, in closed form, its metric matrices and
+    # g⁻¹, Γ and R (given the matrices) on a (k, dim) stack of points, and its g⁻¹ grid and
+    # log det g jet on coordinate jets; None off the catalog
     family: str | None = None
     facts: CurvatureFacts | None = None
     _closed_metric: Callable[[np.ndarray], np.ndarray] | None = None
     _closed_curvature: Callable[[np.ndarray, np.ndarray], tuple] | None = None
+    _closed_jets: Callable[[list[WirtingerJet]], tuple] | None = None
 
     def __init__(self, dim: int, domain: Domain | None, label: str):
         if not 1 <= dim <= MAX_HOLOMORPHIC_VARS:
@@ -359,23 +362,16 @@ def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
     from order 1, Kähler, and the metric matrices, checked positive definite and symmetrized;
     an overflow, a singular metric or a failed matrix names the first ``where`` it happens at.
 
-    A catalog chart's matrices come from its closed form, and its jets are evaluated only
-    for ``order`` >= 1; at order 0 the jets are None."""
+    A catalog chart's matrices come from its closed form, and its jets are None."""
     rows = np.reshape(at, (-1, chart.dim))
     closed = chart._closed_metric
     jets = None
-    if closed is None or order >= 1:
+    if closed is None:
         # a potential's own value may overflow, unread; its derivatives are checked below
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                jets = chart.metric_jets(at, order)
-            except SingularJetError as err:
-                raise SingularJetError(f"{chart.label}: the metric is singular at the {where} "
-                                       f"{rows[err.index].tolist()} ({err})", err.index) from None
+        jets = _named_singular(chart, rows, where, chart.metric_jets, at, order)
         _require_finite(chart, all_finite([entry for line in jets for entry in line]), rows, where)
         if order >= 1:
             _metric_gradient(chart, jets)  # the Kähler check
-    if closed is None:
         values = _metric_matrix(jets)
     else:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -388,6 +384,29 @@ def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
     except MetricError as err:
         raise MetricError(f"{err} at the {where} {rows[err.index].tolist()}",
                           err.index) from None
+
+
+def _closed_inverse_jets(chart: KahlerChart, at, order: int, where: str = "point") -> tuple:
+    """A catalog chart's g⁻¹ grid and log det g jet of ``order`` at a point or a (k, dim) stack
+    of points, from its closed form, checked finite; an overflow or a singular jet names the
+    first ``where`` it happens at."""
+    rows = np.reshape(at, (-1, chart.dim))
+    zs = variable_jets(chart.require_inside(at), chart.dim, order)
+    g_inv, log_det = _named_singular(chart, rows, where, chart._closed_jets, zs)
+    _require_finite(chart, all_finite([entry for line in g_inv for entry in line] + [log_det]),
+                    rows, where)
+    return g_inv, log_det
+
+
+def _named_singular(chart: KahlerChart, rows: np.ndarray, where: str, evaluate, *args):
+    """``evaluate(*args)``, its overflows left to a finiteness check and a singular jet named
+    by the first ``where`` it happens at."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return evaluate(*args)
+        except SingularJetError as err:
+            raise SingularJetError(f"{chart.label}: the metric is singular at the {where} "
+                                   f"{rows[err.index].tolist()} ({err})", err.index) from None
 
 
 def _require_finite(chart: KahlerChart, finite, rows: np.ndarray, where: str) -> None:
@@ -420,7 +439,7 @@ def curvature_tensor(chart: KahlerChart, at, metric=None, where: str = "point") 
     at = np.asarray(at, dtype=complex)
     closed = chart._closed_curvature
     if metric is None or not (closed or metric[0][0][0].order >= 2):
-        metric = _checked_metric(chart, at, 0 if closed else 2, where)
+        metric = _checked_metric(chart, at, 2, where)
     gjets, g = metric
     if closed is not None:
         rows = np.reshape(at, (-1, chart.dim))
@@ -542,11 +561,17 @@ def _row_sum(columns: np.ndarray) -> np.ndarray:
     return sum(columns.T[1:], columns.T[0])
 
 
-# Each family maps its parameters to its chart, the chart's closed-form facts and its metric
-# matrices and g⁻¹, Γ and R (given the matrices) in closed form.  Every entry is computed
-# point by point, so a point's data is the same bit for bit alone or in any stack.
+def _constant_jet(zs, value) -> WirtingerJet:
+    """The constant ``value`` as a jet of the coordinate jets' variables, order and points."""
+    return jet_constant(value, zs[0].num_vars, zs[0].order, zs[0].points)
 
-Family = tuple[KahlerChart, CurvatureFacts, Callable, Callable]
+
+# Each family maps its parameters to its chart, the chart's closed-form facts and, in closed
+# form, its metric matrices, g⁻¹, Γ and R (given the matrices), and the jets of g⁻¹ and
+# log det g on coordinate jets.  Every entry is computed point by point, so a point's data
+# is the same bit for bit alone or in any stack.
+
+Family = tuple[KahlerChart, CurvatureFacts, Callable, Callable, Callable]
 
 
 def _flat(dim: int = 1) -> Family:
@@ -556,8 +581,12 @@ def _flat(dim: int = 1) -> Family:
     def curvature(z, g):  # g⁻¹ = g = I, Γ = 0 and R = 0
         return (g, *(np.zeros((len(z),) + (dim,) * n, complex) for n in (3, 4)))
 
+    def jets(zs):  # g⁻¹ = I and log det g = 0
+        one, zero = _constant_jet(zs, 1.0), _constant_jet(zs, 0.0)
+        return [[one if a == b else zero for b in range(dim)] for a in range(dim)], zero
+
     return (PotentialChart(dim, _abs2_sum, FullSpace(dim), label=f"flat({dim})"),
-            CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim), matrices, curvature)
+            CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim), matrices, curvature, jets)
 
 
 def _disk_entry(a: float, k: int) -> Callable:
@@ -591,11 +620,21 @@ def _polydisk_curvature(a: float, z: np.ndarray, g: np.ndarray) -> tuple:
     return g_inv, gamma, riem
 
 
+def _polydisk_jets(a: float, zs) -> tuple:
+    """Jets of g⁻¹ = diag((1 − |z_k|²)²/a) and log det g = Σ_k (log a − 2·log(1 − |z_k|²))."""
+    gaps = [1.0 - z * z.conj() for z in zs]
+    zero = _constant_jet(zs, 0.0)
+    g_inv = [[gap * gap * (1.0 / a) if j == k else zero for k in range(len(zs))]
+             for j, gap in enumerate(gaps)]
+    logs = sum((gap.log() for gap in gaps[1:]), gaps[0].log())
+    return g_inv, logs * -2.0 + len(zs) * math.log(a)
+
+
 def _poincare_disk(a: float = 1.0) -> Family:
     h = -2.0 / a
     return (ComponentChart(1, [[_disk_entry(a, 0)]], Ball(1), label=f"poincare_disk(a={a:g})"),
             CurvatureFacts(h, h, h, h, h, (h,)), _polydisk_matrices(a),
-            partial(_polydisk_curvature, a))
+            partial(_polydisk_curvature, a), partial(_polydisk_jets, a))
 
 
 def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> Family:
@@ -606,7 +645,8 @@ def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> Family:
     # is largest on m − 1 axes plus the diagonal of the remaining factors
     ricci_m = tuple(-2.0 / (a * (dim - m + 1)) for m in range(1, dim + 1))
     return (chart, CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a,
-                                  ricci_m), _polydisk_matrices(a), partial(_polydisk_curvature, a))
+                                  ricci_m), _polydisk_matrices(a), partial(_polydisk_curvature, a),
+            partial(_polydisk_jets, a))
 
 
 def _ball_matrices(c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -656,6 +696,18 @@ def _constant_h_curvature(c: float, sign: int, z: np.ndarray, g: np.ndarray) -> 
     return g_inv, gamma, riem
 
 
+def _constant_h_jets(c: float, sign: int, zs) -> tuple:
+    """Jets of g⁻¹ = (1 + sign·|z|²)·(δ_ab + sign·z̄_a·z_b)/c and log det g = m·log c −
+    (m + 1)·log(1 + sign·|z|²), on the ball (sign −1) and Fubini–Study (sign +1)."""
+    dim = len(zs)
+    gap = 1.0 + sign * _abs2_sum(zs)
+    scaled = gap * (1.0 / c)
+    signed_bar = [z.conj() * sign for z in zs]
+    g_inv = [[scaled * (float(a == b) + signed_bar[a] * zs[b]) for b in range(dim)]
+             for a in range(dim)]
+    return g_inv, gap.log() * -(dim + 1.0) + dim * math.log(c)
+
+
 def _complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> Family:
     def potential(zs):
         return (1.0 - _abs2_sum(zs)).log() * (-c)
@@ -666,7 +718,8 @@ def _complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> Family:
     chart = PotentialChart(dim, potential, Ball(dim),
                            label=f"complex_hyperbolic_ball({dim}, c={c:g})")
     return (chart, CurvatureFacts(-2.0 / c, -2.0 / c, ric, ric, dim * ric, ricci_m),
-            _ball_matrices(c), partial(_constant_h_curvature, c, -1))
+            _ball_matrices(c), partial(_constant_h_curvature, c, -1),
+            partial(_constant_h_jets, c, -1))
 
 
 def _fubini_study(dim: int = 1, c: float = 1.0) -> Family:
@@ -677,7 +730,8 @@ def _fubini_study(dim: int = 1, c: float = 1.0) -> Family:
     ricci_m = tuple((m + 1.0) / c for m in range(1, dim + 1))
     return (PotentialChart(dim, potential, FullSpace(dim), label=f"fubini_study({dim}, c={c:g})"),
             CurvatureFacts(2.0 / c, 2.0 / c, ric, ric, dim * ric, ricci_m),
-            _fubini_study_matrices(c), partial(_constant_h_curvature, c, 1))
+            _fubini_study_matrices(c), partial(_constant_h_curvature, c, 1),
+            partial(_constant_h_jets, c, 1))
 
 
 @dataclass(frozen=True)
@@ -718,11 +772,11 @@ def catalog(name: str, **params) -> KahlerChart:
         if key in params:
             params[key] = _finite(params[key], f"parameter {key}", positive=True)
     try:
-        chart, facts, matrices, curvature = CATALOG[name].build(**params)
+        chart, facts, matrices, curvature, jets = CATALOG[name].build(**params)
     except TypeError:
         raise ConfigurationError(
             f"invalid parameters {sorted(params)} for catalog chart {name!r}"
         ) from None
     chart.family, chart.facts = name, facts
-    chart._closed_metric, chart._closed_curvature = matrices, curvature
+    chart._closed_metric, chart._closed_curvature, chart._closed_jets = matrices, curvature, jets
     return chart

@@ -92,21 +92,22 @@ class _JetSpace:
 
     @property
     def mul_table(self):
+        """(I, J, K): monomial I times monomial J is monomial K, for every pair whose degrees
+        sum to at most the order, I ascending and J ascending within each I."""
         if self._mul_table is None:
-            I, J, K = [], [], []
-            arr = np.array(self.monomials, dtype=np.intp)
-            for i, ei in enumerate(self.monomials):
-                cut = self._deg_start[self.order - sum(ei) + 1]
-                sums = arr[:cut] + np.array(ei, dtype=np.intp)
-                for j in range(cut):
-                    I.append(i)
-                    J.append(j)
-                    K.append(self.index[tuple(sums[j])])
-            self._mul_table = (
-                np.array(I, dtype=np.intp),
-                np.array(J, dtype=np.intp),
-                np.array(K, dtype=np.intp),
-            )
+            exps = np.array(self.monomials, dtype=np.intp).reshape(self.size, self.nslots)
+            # rank i pairs with the ranks below the first one of degree order − deg(i) + 1
+            cuts = self._deg_start[self.order - self.degree + 1]
+            I = np.repeat(np.arange(self.size), cuts)
+            J = np.arange(len(I)) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+            # exponents are digits below base order + 1, first slot most significant, under the
+            # degree: the keys ascend with the rank (degree, then exponent tuple), and a
+            # product's exponents stay at most the order, so its key is its factors' keys' sum
+            base = self.order + 1
+            keys = (self.degree * base ** self.nslots
+                    + exps @ base ** np.arange(self.nslots - 1, -1, -1, dtype=np.intp))
+            K = np.searchsorted(keys, keys[I] + keys[J])
+            self._mul_table = (I, J, K)
         return self._mul_table
 
     def flat_mul_table(self, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

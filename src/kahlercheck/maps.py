@@ -13,6 +13,9 @@ point's data by ``.at(k)``.  A one-point stack holds the same data as
 that row of any stack, bit for bit.  Its stretch data, covariant Hessian
 and curvature are :func:`map_point_data`, :func:`map_hessian` and
 :func:`~kahlercheck.geometry.curvature_tensor`, called by module name.
+A catalog chart gives its metric matrices, its curvature and, as a
+domain, its g⁻¹ and log det g jets in closed form, so a stack evaluates
+metric jets only on expression charts.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
@@ -34,6 +37,7 @@ from .geometry import (
     KahlerChart,
     _as_jet_function,
     _checked_metric,
+    _closed_inverse_jets,
     _normal_chart_parts,
     curvature_tensor,
     pullback_metric_jets,
@@ -227,11 +231,10 @@ class PointStack:
     energy, log(1 + energy), log-volume and log-W jets.  Arrays and jets carry the point
     axis (first for arrays, last for jet coefficients); only the skip rules of
     log D and log W go row by row.  Every validity check runs at every point and
-    names the first bad one.  A chart's metric jets are of order
-    ``max(order - 2, 0)``; an expression chart's curvature reads order 2, so below
-    order 4 it evaluates its own.  A catalog chart's matrices, g⁻¹, Γ and R come from
-    its closed form, and only the domain's g⁻¹ and log det g jets read its metric jets:
-    a catalog target evaluates none, and no stack below order 3 evaluates any.
+    names the first bad one.  An expression chart's metric jets are of order
+    ``max(order - 2, 0)``, or 2 when its curvature reads them first.  A catalog
+    chart's matrices, g⁻¹, Γ and R come from its closed form, and so do a catalog
+    domain's jets of g⁻¹ and log det g: no catalog chart evaluates metric jets.
     """
 
     def __init__(self, f: HoloMap, points: np.ndarray, order: int):
@@ -261,22 +264,22 @@ class PointStack:
         return ((self.map.domain, self.points) if role == "domain"
                 else (self.map.target, self.image))
 
-    def metric(self, role: str) -> tuple[list[list[WirtingerJet]] | None, np.ndarray]:
+    def metric(self, role: str, least: int = 0) -> tuple[list | None, np.ndarray]:
         """Metric jets of the domain at the points or of the target at the images, of
-        order ``max(self.order - 2, 0)``, with the validated stack of metric matrices.
-
-        A catalog chart's matrices come from its closed form, and its jets are None at
-        order 0 and on the target, whose curvature reads no jets either."""
+        order ``max(self.order - 2, least)`` when first asked for, with the validated stack
+        of metric matrices.  A catalog chart's matrices come from its closed form, and
+        its jets are None."""
         if role not in self._metrics:
             chart, at = self._chart(role)
-            order = 0 if role == "target" and chart._closed_curvature else max(self.order - 2, 0)
-            self._metrics[role] = _checked_metric(chart, at, order, f"{role} point")
+            self._metrics[role] = _checked_metric(chart, at, max(self.order - 2, least),
+                                                  f"{role} point")
         return self._metrics[role]
 
     def curvature(self, role: str) -> CurvaturePoint:
-        """Curvature of the domain at the points or of the target at the images."""
+        """Curvature of the domain at the points or of the target at the images; an
+        expression chart's reads the stack's metric jets when they reach order 2."""
         if role not in self._curvature:
-            self._curvature[role] = curvature_tensor(*self._chart(role), self.metric(role),
+            self._curvature[role] = curvature_tensor(*self._chart(role), self.metric(role, 2),
                                                      f"{role} point")
         return self._curvature[role]
 
@@ -291,9 +294,20 @@ class PointStack:
         return pullback_metric_jets(self.map.target, self.component_jets, 2)
 
     @cached_property
+    def _closed_domain_jets(self) -> tuple | None:
+        """A catalog domain's g^{-1} grid and log det g jet (order 2) from its closed form;
+        None on an expression chart."""
+        if self.map.domain._closed_jets is None:
+            return None
+        return _closed_inverse_jets(self.map.domain, self.points, max(self.order - 2, 0),
+                                    "domain point")
+
+    @cached_property
     def metric_inverse_jets(self) -> list[list[WirtingerJet]]:
-        """Jets of the domain's g^{-1} (order 2), the matrix inverse of its metric jets."""
-        return jet_mat_inv(self.metric("domain")[0])
+        """Jets of the domain's g^{-1} (order 2): a catalog chart's closed form, any other
+        chart's the matrix inverse of its metric jets."""
+        closed = self._closed_domain_jets
+        return closed[0] if closed else jet_mat_inv(self.metric("domain")[0])
 
     @cached_property
     def energy_jet(self) -> WirtingerJet:
@@ -310,14 +324,21 @@ class PointStack:
 
     @cached_property
     def log_volume_jets(self) -> list:
-        """Per point, the jet of log D = log det(f*h) − log det g (order 2), or why not."""
+        """Per point, the jet of log D = log det(f*h) − log det g (order 2), or why not.
+
+        A catalog domain's log det g is its closed form, so only det(f*h) can be singular."""
         m = self.map.m
         skips = [None if rank >= m else
                  (RankError, f"rank {rank} < {m} at {point}; log D is singular here")
                  for rank, point in zip(self.stretch.rank, self.points)]
-        return self._logs(skips, "log D", lambda a, b: a.log() - b.log(), lambda rows: [
-            jet_mat_det([[entry.at(rows) for entry in line] for line in grid])
-            for grid in (self.pullback_jets, self.metric("domain")[0])])
+        closed = self._closed_domain_jets
+        grids = [self.pullback_jets] + ([] if closed else [self.metric("domain")[0]])
+
+        def log_d(rows, det_h, det_g=None):
+            return det_h.log() - (closed[1].at(rows) if det_g is None else det_g.log())
+
+        return self._logs(skips, "log D", log_d, lambda rows: [
+            jet_mat_det([[entry.at(rows) for entry in line] for line in grid]) for grid in grids])
 
     @cached_property
     def log_w_jets(self) -> list:
@@ -336,7 +357,7 @@ class PointStack:
             return [numerator[0][0] / jet_mat_mul(y_bar, [[t] for t in theta])[0][0]]
 
         return self._logs([_log_w_skip(self.stretch.at(k), self.map.m) for k in range(len(self))],
-                          "log W", WirtingerJet.log, w_jet)
+                          "log W", lambda rows, w: w.log(), w_jet)
 
     def _top_covector_jets(self, rows) -> list[WirtingerJet]:
         """θ_b = ∂w¹/∂z^b at the given rows, as holomorphic order-2 jets in z.
@@ -355,9 +376,10 @@ class PointStack:
         return [quadratic_jet(m_inv[:, 0, b], lin[:, b], sq[:, b]) for b in range(self.map.m)]
 
     def _logs(self, skips: list, what: str, log, build) -> list:
-        """``skips`` with ``log(*build(rows))`` filled in at the rows it leaves None, where
-        ``build`` stacks the log's arguments.  A row where an argument's constant term is
-        at or below ``SINGULAR_FLOOR`` is skipped as singular, so the log meets none."""
+        """``skips`` with the log filled in at the rows it leaves None: ``build(rows)`` stacks
+        the log's arguments, and ``log(kept, *arguments)`` takes them at the stack rows
+        ``kept``.  A row where an argument's constant term is at or below ``SINGULAR_FLOOR``
+        is skipped as singular, so the log meets none."""
         rows = [k for k, skip in enumerate(skips) if skip is None]
         if rows:
             stacked = build(rows)
@@ -366,7 +388,7 @@ class PointStack:
                 skips[rows[j]] = (RankError, f"{what} is singular at {self.points[rows[j]]} "
                                              f"(log argument {low[j]:.3e} <= {SINGULAR_FLOOR:g})")
             kept = np.flatnonzero(low > SINGULAR_FLOOR)
-            jet = log(*(arg.at(kept) for arg in stacked)) if kept.size else None
+            jet = log(np.asarray(rows)[kept], *(a.at(kept) for a in stacked)) if kept.size else None
             for j, col in enumerate(kept):
                 skips[rows[col]] = jet.at(j)
         return skips

@@ -17,7 +17,9 @@ Nothing here is reached by a check, the CLI or the benchmark:
   :func:`~kahlercheck.functionals.k_scalar`;
 - :func:`sandwich_check`, the Rayleigh sandwich behind an acceptance
   criterion;
-- :func:`jet_mat_trace`, the trace of a matrix of jets;
+- :func:`jet_mat_trace`, the trace of a matrix of jets, and
+  :func:`mul_table_by_pairs`, a jet space's multiplication table built
+  pair by pair;
 - :func:`expression_twin`, an expression chart with a catalog family's
   potential or metric, whose Γ and R come from its metric jets where the
   catalog chart's come from its closed form;
@@ -356,6 +358,21 @@ def jet_mat_trace(A: JetMatrix) -> WirtingerJet:
     for i in range(1, len(A)):
         acc = acc + A[i][i]
     return acc
+
+
+def mul_table_by_pairs(space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I, J, K) of ``space.mul_table``, one pair of monomials at a time: each rank i
+    paired with every rank j whose degree fits, and K looked up by exponent tuple."""
+    I, J, K = [], [], []
+    arr = np.array(space.monomials, dtype=np.intp)
+    for i, ei in enumerate(space.monomials):
+        cut = space._deg_start[space.order - sum(ei) + 1]
+        sums = arr[:cut] + np.array(ei, dtype=np.intp)
+        for j in range(cut):
+            I.append(i)
+            J.append(j)
+            K.append(space.index[tuple(sums[j])])
+    return tuple(np.array(t, dtype=np.intp) for t in (I, J, K))
 
 
 # -- catalog families as expression charts -------------------------------------------

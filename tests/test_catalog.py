@@ -1,7 +1,8 @@
 """The model catalog pinned exactly: curvature facts, labels, listing, bad parameters, and
 each family's closed forms against jets: the metric against the chart's own jets and, for
 Fubini–Study, exact arithmetic; g⁻¹, Γ and R against the jet path of an expression chart
-with the same potential or metric."""
+with the same potential or metric; the jets of g⁻¹ and log det g against the inverse and
+determinant of the chart's own metric jets."""
 
 import json
 from fractions import Fraction
@@ -12,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlercheck.cli import chart_from_spec, main
-from kahlercheck.geometry import CATALOG, _metric_matrix, catalog, curvature_tensor
+from kahlercheck.errors import DomainError, SingularJetError
+from kahlercheck.geometry import (
+    CATALOG,
+    _closed_inverse_jets,
+    _metric_matrix,
+    catalog,
+    curvature_tensor,
+)
+from kahlercheck.jets import jet_mat_det, jet_mat_inv
 from reference import expression_twin
 
 D7 = -2.857142857142857  # -2/0.7
@@ -190,23 +199,54 @@ CLOSED_FORM_CASES = [(family, dim, scale, radius)
                      if not (family == "flat" and scale != 1.0)]
 
 
-@pytest.mark.parametrize("family, dim, scale, radius", CLOSED_FORM_CASES)
-def test_the_closed_forms_equal_the_jet_path_of_the_same_potential_or_metric(family, dim, scale,
-                                                                              radius):
+def _closed_form_case(family, dim, scale, radius):
+    """The catalog chart and 8 seeded interior points within ``radius``."""
     params = {} if family == "poincare_disk" else {"dim": dim}
     if family != "flat":
         params["a" if family.startswith("poincare") else "c"] = scale
-    closed, jets = catalog(family, **params), expression_twin(family, dim, scale)
     rng = np.random.default_rng([dim, int(10 * scale), len(family)])
     raw = rng.normal(size=(8, dim)) + 1j * rng.normal(size=(8, dim))
     unit = raw / np.abs(raw) if family == "poincare_polydisk" else raw / np.linalg.norm(
         raw, axis=1, keepdims=True)
-    points = radius * rng.uniform(0.05, 1.0, size=(8, 1)) * unit
+    return catalog(family, **params), radius * rng.uniform(0.05, 1.0, size=(8, 1)) * unit
+
+
+@pytest.mark.parametrize("family, dim, scale, radius", CLOSED_FORM_CASES)
+def test_the_closed_forms_equal_the_jet_path_of_the_same_potential_or_metric(family, dim, scale,
+                                                                              radius):
+    closed, points = _closed_form_case(family, dim, scale, radius)
+    jets = expression_twin(family, dim, scale)
     got, want = curvature_tensor(closed, points), curvature_tensor(jets, points)
     for name in ("g", "g_inv", "gamma", "riem"):
         a, b = getattr(got, name), getattr(want, name)
         for row in range(len(points)):
             assert np.max(np.abs(a[row] - b[row])) <= 1e-12 * np.max(np.abs(b[row])), (name, row)
+
+
+@pytest.mark.parametrize("family, dim, scale, radius", CLOSED_FORM_CASES)
+def test_the_closed_inverse_and_log_det_jets_equal_the_metric_jets_own(family, dim, scale,
+                                                                        radius):
+    chart, points = _closed_form_case(family, dim, scale, radius)
+    g_inv, log_det = _closed_inverse_jets(chart, points, 2)
+    metric = chart.metric_jets(points, 2)
+    pairs = [(log_det, jet_mat_det(metric).log())]
+    pairs += [(a, b) for got, want in zip(g_inv, jet_mat_inv(metric)) for a, b in zip(got, want)]
+    for got, want in pairs:  # every coefficient through order 2, point by point
+        assert got.order == want.order == 2 and got.points == want.points
+        size = np.max(np.abs(want.coeffs), axis=0)
+        assert (np.max(np.abs(got.coeffs - want.coeffs), axis=0) <= 1e-12 * size).all()
+
+
+@pytest.mark.parametrize("family, far, error, text", [
+    ("fubini_study", 1e200, DomainError, "the metric overflows"),  # 1 + |z|² overflows
+    ("complex_hyperbolic_ball", 1.0 - 1e-13, SingularJetError, "the metric is singular"),
+])
+def test_the_closed_inverse_jets_name_the_first_bad_point(family, far, error, text):
+    chart = catalog(family, dim=1)
+    with pytest.raises(error, match=f"{text} at the domain point " + r"\[\(") as err:
+        _closed_inverse_jets(chart, np.array([[0.5], [far]], dtype=complex), 2, "domain point")
+    assert repr(complex(far)) in str(err.value)
+    _closed_inverse_jets(chart, np.array([[0.5]]), 2, "domain point")  # the first point is fine
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -554,6 +554,31 @@ def test_curvature_at_a_metric_scale_of_1e300_reads_h_from_the_facts(capsys):
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+NEAR_EDGE_BOCH1 = (Path(__file__).resolve().parents[1] / "tools" / "snapshot_manifests"
+                   / "near_edge_ball_boch1_rounding.json")
+
+
+def test_boch1_near_the_ball_edge_passes(capsys):
+    # an identity cannot fail; at radius 1 − 4.6e-6 the residual read off the metric jets'
+    # g⁻¹ and log det g was 1.3e-6, and the closed-form jets bring it to 8.2e-8
+    assert main(["run", str(NEAR_EDGE_BOCH1)]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["verdict"] == "passed" and check["max_abs_residual"] <= 1e-7
+
+
+def test_a_planted_boch1_defect_near_the_ball_edge_still_fails(monkeypatch, capsys):
+    sides = identities._boch1
+
+    def planted(stack, k, v):  # a relative 0.1 offset on the right side
+        lhs, rhs = sides(stack, k, v)
+        return lhs, rhs + 0.1 * (1.0 + abs(rhs))
+
+    monkeypatch.setattr(identities, "_boch1", planted)
+    assert main(["run", str(NEAR_EDGE_BOCH1)]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["verdict"] == "failed" and check["max_abs_residual"] > 0.01
+
+
 def test_successive_main_calls_give_what_fresh_runs_give(capsys):
     # main builds its parser once; no flag of one call may reach the next
     import_root = str(Path(kahlercheck.__file__).resolve().parents[1])

@@ -8,6 +8,7 @@ import pytest
 from kahlercheck.errors import ConfigurationError, OrderError, SingularJetError
 from kahlercheck.jets import (
     WirtingerJet,
+    _JetSpace,
     derivative,
     derivative_block,
     jet_constant,
@@ -18,7 +19,7 @@ from kahlercheck.jets import (
     quadratic_jet,
     variable_jets,
 )
-from reference import fd_cross_check, jet_mat_trace
+from reference import fd_cross_check, jet_mat_trace, mul_table_by_pairs
 
 
 def random_jet(rng, m, order, scale=1.0):
@@ -242,6 +243,15 @@ def test_derivative_block_needs_the_order():
         derivative_block(jet, "levi")
     with pytest.raises(ConfigurationError):
         derivative_block(jet, "curl")
+
+
+@pytest.mark.parametrize("num_vars, order",
+                         [(m, n) for m in range(1, 5) for n in range(5)] + [(2, 8)])
+def test_the_multiplication_table_is_the_pair_by_pair_one(num_vars, order):
+    got = _JetSpace(num_vars, order).mul_table
+    want = mul_table_by_pairs(_JetSpace(num_vars, order))
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_antiholomorphic_ranks_mark_barred_monomials():

@@ -14,14 +14,20 @@ DISK = {"catalog": "poincare_disk", "params": {"a": 1.0}}
 BARE_BOUNDS = [{"kind": "schwarz"}, {"kind": "volume"}, {"kind": "royden"}]
 
 
-def _run(domain, target, components, radius, checks):
+BALL2 = {"catalog": "complex_hyperbolic_ball", "params": {"dim": 2}}
+# the boch1 manifest of tools/snapshot_manifests/near_edge_ball_boch1_rounding.json
+NEAR_EDGE_BOCH1 = (BALL2, {"catalog": "flat", "params": {"dim": 2}},
+                   ["(-0.711533)*z2^1", "(-0.0906319)*z2^2"])
+
+
+def _run(domain, target, components, radius, checks, count=6, seed=7):
     return run_scenario(load_scenario({
         "schema": 1,
         "name": "open_defect",
         "domain": domain,
         "target": target,
         "map": components,
-        "sampler": {"count": 6, "radius": radius, "seed": 7},
+        "sampler": {"count": count, "radius": radius, "seed": seed},
         "checks": checks,
     }))
 
@@ -29,6 +35,11 @@ def _run(domain, target, components, radius, checks):
 def _does_not_exit_one(result):
     _, status = result
     assert status != 1
+
+
+def _exits_zero(result):
+    _, status = result
+    assert status == 0
 
 
 def _volume_bound_is_one(result):
@@ -56,6 +67,14 @@ OPEN = [
          ["z1", "z2", "0"], 0.5, [{"kind": "volume"}]),
         _volume_bound_is_one, id="sampled_volume_kappa",
         marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
+    pytest.param(  # boch1 is an identity; its left side, the energy jet's Levi form, rounds
+        (*NEAR_EDGE_BOCH1, 1 - 1e-6, [{"kind": "boch1"}], 8, 68),
+        _exits_zero, id="boch1_near_the_ball_edge_1e-6",
+        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 14")),
+    pytest.param(
+        (*NEAR_EDGE_BOCH1, 1 - 1e-7, [{"kind": "boch1"}], 8, 68),
+        _exits_zero, id="boch1_near_the_ball_edge_1e-7",
+        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 14")),
 ]
 
 

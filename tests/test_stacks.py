@@ -4,8 +4,11 @@ Oracles: the same jets evaluated at each point alone (bit for bit), the
 curvature, map Hessian, stretch data, identity checks' scalar jets and
 chart changes of each point alone (bit for bit), the point named by a
 validation error, the same stretch data however the points are cut into
-stacks, and the energy jet as the trace of the whole product g⁻¹·f*h.
+stacks, the energy jet as the trace of the whole product g⁻¹·f*h, and
+the metric jets each stack evaluates, counted.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlercheck import maps
+from kahlercheck.cli import main
 from kahlercheck.errors import DomainError, HolomorphyError, MetricError, SingularJetError
 from kahlercheck.geometry import (
     CATALOG,
@@ -20,6 +24,7 @@ from kahlercheck.geometry import (
     ComponentChart,
     PotentialChart,
     _checked_metric,
+    _closed_inverse_jets,
     catalog,
     pullback_metric_jets,
 )
@@ -29,6 +34,7 @@ from kahlercheck.maps import HoloMap, PointStack, point_stacks
 from reference import jet_mat_trace, point_data
 
 FLAT1 = catalog("flat", dim=1)
+MANIFESTS = Path(__file__).resolve().parents[1] / "tools" / "snapshot_manifests"
 DATA_FIELDS = ("point", "image", "pushforward", "pullback", "singular_sq", "domain_frame",
                "target_frame", "g", "h", "rank")
 
@@ -111,17 +117,20 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
         assert np.array_equal(stack.image[row], image)
         for role, (chart, at) in roles.items():
             jets, matrices = metrics[role]
-            # a catalog chart's matrices come from its closed form, and its jets are read
-            # only by the domain's g^{-1} and log det g jets
-            if chart.family is not None and (metric_order == 0 or role == "target"):
+            # a catalog chart's matrices come from its closed form, and it has no metric jets
+            if chart.family is not None:
                 assert jets is None
             else:
                 assert _same_rows(jets, chart.metric_jets(at[row], metric_order), row)
             assert np.array_equal(matrices[row], _checked_metric(chart, at[row], metric_order)[1])
+        if f.domain.family is not None:  # and so are a catalog domain's g⁻¹ and log det g jets
+            closed = _closed_inverse_jets(f.domain, point, metric_order)
+            assert _same_rows(list(stack._closed_domain_jets), list(closed), row)
         if order == 4:
             assert _same_rows(stack.pullback_jets, pullback_metric_jets(f.target, alone, 2), row)
-    # an expression chart's curvature reads order-2 metric jets (below order 4 its own), a
-    # catalog chart's its closed form, and its g is bit for bit the stack's metric matrices
+    # an expression chart's curvature reads order-2 metric jets (read first, they become the
+    # fresh stack's own), a catalog chart's its closed form, and its g is bit for bit the
+    # metric matrices of a stack whose metric was read first
     fresh = PointStack(f, points, order)
     for role in roles:
         assert np.array_equal(fresh.curvature(role).g, metrics[role][1])
@@ -149,7 +158,8 @@ def test_curvature_read_after_the_stretch_equals_curvature_read_first():
     assert np.array_equal(early.stretch.singular_sq, late.stretch.singular_sq)
 
 
-def test_an_order_one_stack_evaluates_metric_jets_on_expression_charts_only(monkeypatch):
+def _counted_metric_jets(monkeypatch) -> list:
+    """The (chart label, order) of every ``metric_jets`` call from here on, in order."""
     calls = []
     for cls in (PotentialChart, ComponentChart):
         def counted(self, point, order, original=cls.metric_jets):
@@ -157,6 +167,18 @@ def test_an_order_one_stack_evaluates_metric_jets_on_expression_charts_only(monk
             return original(self, point, order)
 
         monkeypatch.setattr(cls, "metric_jets", counted)
+    return calls
+
+
+EXPRESSION_PAIR = (
+    PotentialChart(2, "abs2(z1) + abs2(z2) + 0.1*abs2(z1)^2", None, "bumped"),
+    ComponentChart(2, [["1/(1 - abs2(z1))^2", "0"], ["0", "1/(1 - abs2(z2))^2"]], None,
+                   "bidisk_by_metric"),
+)
+
+
+def test_an_order_one_stack_evaluates_metric_jets_on_expression_charts_only(monkeypatch):
+    calls = _counted_metric_jets(monkeypatch)
     points = np.array([[0.1, 0.2j], [0.3, -0.1]])
     models = HoloMap(catalog("fubini_study", dim=2), catalog("complex_hyperbolic_ball", dim=2),
                      ["z1/2", "z1*z2/3"])
@@ -164,33 +186,36 @@ def test_an_order_one_stack_evaluates_metric_jets_on_expression_charts_only(monk
     assert stack.stretch.rank.tolist() == [2, 2]
     assert point_data(models, points[0]).rank == 2
     assert calls == []  # the catalog charts' g and h come from their closed forms
-    potential = PotentialChart(2, "abs2(z1) + abs2(z2) + 0.1*abs2(z1)^2", None, "bumped")
-    entries = ComponentChart(2, [["1/(1 - abs2(z1))^2", "0"], ["0", "1/(1 - abs2(z2))^2"]],
-                             None, "bidisk_by_metric")
-    (stack,) = point_stacks(HoloMap(potential, entries, ["z1/2", "z1*z2/3"]), points, 1)
+    (stack,) = point_stacks(HoloMap(*EXPRESSION_PAIR, ["z1/2", "z1*z2/3"]), points, 1)
     assert stack.stretch.rank.tolist() == [2, 2]
     assert calls == [("bumped", 0), ("bidisk_by_metric", 0)]  # one per expression chart
 
 
-def test_catalog_charts_evaluate_metric_jets_only_for_the_domains_jets(monkeypatch):
-    calls = []
-    for cls in (PotentialChart, ComponentChart):
-        def counted(self, point, order, original=cls.metric_jets):
-            calls.append((self.label, order))
-            return original(self, point, order)
+def test_curvature_read_first_evaluates_each_expression_metric_once(monkeypatch):
+    calls = _counted_metric_jets(monkeypatch)
+    points = np.array([[0.1, 0.2j], [0.3, -0.1]])
+    (probe,) = point_stacks(HoloMap(*EXPRESSION_PAIR, ["z1/2", "z1*z2/3"]), points, 1)
+    for role in ("domain", "target"):
+        probe.curvature(role)
+    probe.stretch  # reads the matrices of the order-2 jets the curvature read
+    assert calls == [("bumped", 2), ("bidisk_by_metric", 2)]
+    # the curvature report reads each chart's curvature alone, from one evaluation each
+    calls.clear()
+    assert main(["curvature", str(MANIFESTS / "metric_ball_region_sampled_constants.json")]) == 0
+    assert [order for _, order in calls] == [2, 2]
 
-        monkeypatch.setattr(cls, "metric_jets", counted)
+
+def test_catalog_charts_evaluate_no_metric_jets(monkeypatch):
+    calls = _counted_metric_jets(monkeypatch)
     points = np.array([[0.1, 0.2j], [0.3, -0.1]])
     models = HoloMap(catalog("fubini_study", dim=2), catalog("complex_hyperbolic_ball", dim=3),
                      ["z1/2", "z1*z2/3", "z2/4"])
     (probe,) = point_stacks(models, points, 0)
     for role in ("domain", "target"):
         probe.curvature(role)  # g⁻¹, Γ and R from the closed form
-    assert calls == []
     (stack,) = point_stacks(models, points, 4)
     stack.map_hessian, stack.stretch, stack.energy_jet, stack.log_volume_jets, stack.log_w_jets
-    # the domain's, with its metric matrices, for g^{-1} and log det g; the target's none
-    assert calls == [("fubini_study(2, c=1)", 2)]
+    assert calls == []  # the domain's g⁻¹ and log det g jets come from the closed form too
 
 
 @settings(max_examples=30, deadline=None)
