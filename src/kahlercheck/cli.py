@@ -614,38 +614,59 @@ def curvature_report(scenario: Scenario) -> dict:
 def render_json(obj) -> str:
     """JSON with floats at 17 significant digits, keys in insertion order."""
     out: list[str] = []
-    _render_into(out, obj, "\n")
+    append, isfinite = out.append, math.isfinite
+
+    def emit(obj, pad: str) -> None:
+        # pad is the line break and indent before the closing bracket of obj; the exact
+        # types a report holds dispatch first, a subclass or numpy scalar after them
+        kind = type(obj)
+        if kind is float:
+            if not isfinite(obj):
+                raise ConfigurationError(f"cannot serialize non-finite value {obj}")
+            append(format(obj, ".17g"))
+        elif kind is str:
+            append(_quote(obj))
+        elif kind is dict or kind is list or kind is tuple:
+            if not obj:
+                append("{}" if kind is dict else "[]")
+                return
+            inner = pad + "  "
+            if kind is dict:
+                opening = "{" + inner
+                for key, value in obj.items():
+                    append(opening + _quote(str(key)) + ": ")
+                    opening = "," + inner
+                    emit(value, inner)
+                append(pad + "}")
+            else:
+                opening = "[" + inner
+                for value in obj:
+                    append(opening)
+                    opening = "," + inner
+                    emit(value, inner)
+                append(pad + "]")
+        elif kind is int:
+            append(str(obj))
+        elif kind is bool or obj is None:
+            append("null" if obj is None else "true" if obj else "false")
+        elif isinstance(obj, dict):
+            emit(dict(obj), pad)
+        elif isinstance(obj, (list, tuple)):
+            emit(list(obj), pad)
+        elif isinstance(obj, (int, np.integer)):
+            append(str(int(obj)))
+        elif isinstance(obj, (float, np.floating)):
+            emit(float(obj), pad)
+        elif isinstance(obj, str):
+            append(_quote(obj))
+        else:
+            raise ConfigurationError(f"cannot serialize {type(obj).__name__} into a report")
+
+    try:
+        emit(obj, "\n")
+    finally:
+        del emit  # it calls itself through its closure: a cycle that would keep out alive
     return "".join(out)
-
-
-def _render_into(out: list[str], obj, pad: str) -> None:
-    # pad is the line break and indent before the closing bracket of obj
-    if isinstance(obj, (dict, list, tuple)):
-        is_dict = isinstance(obj, dict)
-        opening, closing = "{}" if is_dict else "[]"
-        rows = ([(_quote(str(key)) + ": ", value) for key, value in obj.items()] if is_dict
-                else [("", value) for value in obj])
-        if not rows:
-            out.append(opening + closing)
-            return
-        inner = pad + "  "
-        for i, (label, value) in enumerate(rows):
-            out.append(("," if i else opening) + inner + label)
-            _render_into(out, value, inner)
-        out.append(pad + closing)
-    elif isinstance(obj, bool) or obj is None:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not math.isfinite(value):
-            raise ConfigurationError(f"cannot serialize non-finite value {value}")
-        out.append(format(value, ".17g"))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    else:
-        raise ConfigurationError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def write_report(doc: dict, output: str | None):

@@ -106,19 +106,22 @@ class Polydisk(Domain):
 # -- charts --------------------------------------------------------------------
 
 
-def _as_jet_function(source, dim: int, what: str, check: Callable) -> Callable:
+def _as_jet_function(source, dim: int, what: str, holomorphic: bool = False) -> Callable:
     """Normalize an expression AST / text / number / callable to a callable
-    returning jets; ``check(ast, dim, what)`` validates expressions."""
+    returning jets; an expression is checked by :func:`expressions.checked`, and a
+    division of it by a zero constant is a :class:`ConfigurationError` naming it."""
     if isinstance(source, (int, float, complex)) and not isinstance(source, bool):
         value = complex(source)
         return lambda zs: jet_constant(value, zs[0].num_vars, zs[0].order, zs[0].points)
-    if isinstance(source, str):
-        source = expressions.parse(source)
-    if isinstance(source, expressions.Node):
-        check(source, dim, what)
+    if isinstance(source, (str, expressions.Node)):
+        node = expressions.checked(source, dim, what, holomorphic)
 
         def fn(zs):
-            return expressions.evaluate(source, zs)
+            try:
+                return expressions.evaluate(node, zs)
+            except ZeroDivisionError:  # only a Python scalar divides by raising
+                text = source if isinstance(source, str) else expressions.to_text(node)
+                raise ConfigurationError(f"{what} {text!r} divides by zero") from None
     elif callable(source):
         fn = source
     else:
@@ -195,7 +198,7 @@ class PotentialChart(KahlerChart):
 
     def __init__(self, dim: int, potential, domain: Domain | None = None, label: str = "chart"):
         super().__init__(dim, domain, label)
-        self._potential = _as_jet_function(potential, dim, "potential", expressions.check_dimension)
+        self._potential = _as_jet_function(potential, dim, "potential")
 
     def _potential_on(self, zs: Sequence[WirtingerJet]) -> WirtingerJet:
         phi = self._potential(zs)
@@ -232,8 +235,7 @@ class ComponentChart(KahlerChart):
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise ConfigurationError(f"{label}: component matrix must be {dim}x{dim}")
         self._entries = [
-            [_as_jet_function(entry, dim, f"metric component ({a + 1},{b + 1})",
-                              expressions.check_dimension)
+            [_as_jet_function(entry, dim, f"metric component ({a + 1},{b + 1})")
              for b, entry in enumerate(row)]
             for a, row in enumerate(entries)
         ]

@@ -28,6 +28,11 @@ constant built inside an operation takes its operand's point shape
 (:attr:`WirtingerJet.points`), and jets of different orders or point
 shapes do not mix.  A check on the values (a singular constant term)
 runs at every point and names the first bad one.
+
+Besides the coordinate functions (:func:`jet_variable`), the
+constructors give a quadratic in the displacement
+(:func:`quadratic_jet`) and polynomials from their monomials
+(:func:`polynomial_jets`), in closed form and point by point.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ MAX_ORDER = 8
 
 # Constant terms smaller than this make division and log ill-posed.
 SINGULAR_FLOOR = 1e-12
+_EPS = np.finfo(float).eps
 # flattened multiplication tables are kept for stacks up to this many coefficient
 # products, and for this many stack sizes per space
 _KEPT_TABLE_ENTRIES = 1 << 16
@@ -490,6 +496,74 @@ def quadratic_jet(value, grad, quad) -> WirtingerJet:
     np.add.at(coeffs, space.block_table("hess")[0].ravel(),
               np.reshape(quad, (count, num_vars * num_vars)).T)
     return WirtingerJet(space, coeffs)
+
+
+@lru_cache(maxsize=4096)
+def _monomial_table(num_vars: int, order: int, beta: tuple[int, ...]):
+    """(rank, C(β, α), β − α) over the holomorphic α ≤ β with |α| ≤ order: the jet of z^β
+    at p is Σ_α C(β, α)·p^(β−α)·Δz^α."""
+    if len(beta) != num_vars:
+        raise ConfigurationError(f"exponent {beta} does not match a point with {num_vars} "
+                                 f"coordinates")
+    space = _space(num_vars, order)
+    pad = (0,) * num_vars
+    ranks, binomials, shifts = [], [], []
+    for alpha in _bounded_exponents(num_vars, min(order, sum(beta))):
+        if all(a <= b for a, b in zip(alpha, beta)):
+            ranks.append(space.index[alpha + pad])
+            binomials.append(math.prod(map(math.comb, beta, alpha)))
+            shifts.append([b - a for a, b in zip(alpha, beta)])
+    return (np.array(ranks, dtype=np.intp), np.array(binomials, dtype=np.float64),
+            np.array(shifts, dtype=np.intp).reshape(-1, num_vars))
+
+
+def polynomial_jets(polys, point, order: int) -> list[WirtingerJet]:
+    """The jets of polynomials Σ_β c_β z^β at one point (shape (m,)) or a stack of k points
+    (shape (k, m)), in closed form.
+
+    ``polys`` holds each polynomial as ``{β: c_β}`` with exponent tuples of length m.
+    The coefficient of Δz^α, |α| ≤ ``order``, is Σ_{β ≥ α} c_β·C(β, α)·p^(β−α), with
+    p^(β−α) taken from a table of powers built by repeated products.  Every step acts on
+    each point alone, on arrays even at one point, so a point's jet is the same bits in
+    any stack.
+    """
+    pt = np.asarray(point, dtype=complex)
+    if pt.ndim not in (1, 2):
+        raise ConfigurationError(f"expected one point or a stack of points, got {pt.shape}")
+    num_vars = pt.shape[-1]
+    space = _space(num_vars, order)
+    tables = [_monomial_table(num_vars, order, beta) for poly in polys for beta in poly]
+    counts = [len(table[0]) for table in tables]
+    ranks = (np.concatenate([table[0] for table in tables])
+             + np.repeat([i * space.size for i, poly in enumerate(polys) for _ in poly], counts))
+    weights = (np.repeat(np.array([c for poly in polys for c in poly.values()], dtype=complex),
+                         counts)
+               * np.concatenate([table[1] for table in tables]))
+    shifts = np.concatenate([table[2] for table in tables])
+    z = pt.reshape(-1, num_vars).T  # (m, k): one point is a stack of one
+    powers = np.empty((num_vars, int(shifts.max(initial=0)) + 1, z.shape[1]), dtype=complex)
+    powers[:, 0] = 1.0
+    for e in range(1, powers.shape[1]):
+        powers[:, e] = powers[:, e - 1] * z
+    terms = weights[:, None] * powers[0, shifts[:, 0]]
+    for k in range(1, num_vars):
+        if shifts[:, k].any():
+            terms = terms * powers[k, shifts[:, k]]
+    out = np.zeros((len(polys) * space.size, z.shape[1]), dtype=complex)
+    np.add.at(out, ranks, terms)
+    # a coefficient below the rounding of its own sum, count + m + 1 ulps of the terms'
+    # magnitudes for count products of m + 1 factors, is zero: so ∂f at a critical point of
+    # a factored text, such as (z1 - 0.1)^2 at 0.1, vanishes as the text's tree gives it.
+    # A coefficient of one term is never below that bound.
+    counts = np.bincount(ranks, minlength=len(out))
+    if counts.max() > 1:
+        scale = np.zeros(out.shape)
+        np.add.at(scale, ranks, np.abs(terms))
+        out[np.abs(out) < ((counts + num_vars + 1) * _EPS)[:, None] * scale] = 0.0
+    if pt.ndim == 1:
+        out.shape = (len(out),)
+    return [WirtingerJet(space, out[i * space.size:(i + 1) * space.size])
+            for i in range(len(polys))]
 
 
 def compose(outer: WirtingerJet, inner: Sequence[WirtingerJet]) -> WirtingerJet:

@@ -1,7 +1,13 @@
 """Holomorphic maps between charts and their pointwise invariants.
 
 A map is stored as jet callables for its target components, so one
-object yields the pushforward, f*h and the covariant Hessian.
+object yields the pushforward, f*h and the covariant Hessian.  A map
+whose components are all polynomials also keeps their monomials
+(``HoloMap.monomials``), and its component jets at sample points come
+from them in closed form (:func:`~kahlercheck.jets.polynomial_jets`);
+any other map is evaluated as expression trees or callables on
+coordinate jets.  Either way the jets are checked finite, holomorphic
+and inside the target at every point.
 
 Sample points are handled in stacks.  :func:`point_stacks` groups
 consecutive points into stacks (:class:`PointStack`) of at most
@@ -26,7 +32,7 @@ SVD's own, each column fixed only up to a unit phase that no check reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 import numpy as np
 
 from . import expressions
@@ -45,14 +51,15 @@ from .geometry import (
 from .jets import (
     SINGULAR_FLOOR,
     WirtingerJet,
-    all_finite,
     at_point,
     derivative_block,
     first_bad,
+    jet_constant,
     jet_mat_det,
     jet_mat_inv,
     jet_mat_mul,
     jet_values,
+    polynomial_jets,
     quadratic_jet,
     variable_jets,
 )
@@ -68,7 +75,14 @@ STACK_CHUNK = 1024
 
 
 class HoloMap:
-    """Holomorphic map f: domain chart (dim m) → target chart (dim n)."""
+    """Holomorphic map f: domain chart (dim m) → target chart (dim n).
+
+    When every component is a polynomial (expression text :func:`expressions.polynomial`
+    expands, or a number), ``monomials`` holds each one as ``{exponent tuple: coefficient}``
+    with one exponent per domain variable, and the component jets at sample points come from
+    them in closed form.  Otherwise ``monomials`` is None and every component is evaluated
+    as an expression tree or a callable.
+    """
 
     def __init__(self, domain: KahlerChart, target: KahlerChart, components,
                  label: str = "f"):
@@ -80,11 +94,20 @@ class HoloMap:
         self.domain = domain
         self.target = target
         self.label = label
-        self._components = [
-            _as_jet_function(c, domain.dim, f"{label} component {i + 1}",
-                             expressions.check_holomorphic)
-            for i, c in enumerate(components)
-        ]
+        labels = [f"{label} component {i + 1}" for i in range(len(components))]
+        monomials = []
+        for source, what in zip(components, labels):
+            poly = _monomials(source, domain.dim, what)
+            if poly is None:  # the tree path reports the components' errors in order
+                break
+            monomials.append(poly)
+        if len(monomials) == len(components):
+            self.monomials: list[dict] | None = monomials
+            self._components = [partial(_monomial_jet, poly) for poly in monomials]
+        else:
+            self.monomials = None
+            self._components = [_as_jet_function(c, domain.dim, what, holomorphic=True)
+                                for c, what in zip(components, labels)]
 
     @property
     def m(self) -> int:
@@ -95,25 +118,41 @@ class HoloMap:
         return self.target.dim
 
     def component_jets(self, point, order: int) -> list[WirtingerJet]:
-        """Jets of the target components at ``point``, or stacked at a (k, m) stack of points."""
-        return self.on_jets(variable_jets(self.domain.require_inside(point), self.m, order))
+        """Jets of the target components at ``point``, or stacked at a (k, m) stack of points:
+        a polynomial map's from its monomials, any other's on coordinate jets."""
+        point = self.domain.require_inside(point)
+        if self.monomials is None:
+            return self.on_jets(variable_jets(point, self.m, order))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            jets = polynomial_jets(self.monomials, point, order)
+        return self._validated(jets, point)
 
     def on_jets(self, zs) -> list[WirtingerJet]:
-        """The target components on jets ``zs`` of the domain coordinates, finite, with
-        holomorphy and the image validated at every point; an error names the first bad one."""
+        """The target components on jets ``zs`` of the domain coordinates (see
+        :meth:`_validated`)."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             jets = [fn(zs) for fn in self._components]
-        bad = first_bad(~all_finite(jets))
+        return self._validated(jets, jet_values(zs))
+
+    def _validated(self, jets: list[WirtingerJet], points) -> list[WirtingerJet]:
+        """``jets`` of the components at the domain ``points``, finite, with holomorphy and
+        the image validated at every point; an error names the first bad one."""
+        coeffs = np.stack([jet.coeffs for jet in jets])  # (n, size, *points)
+        bad = first_bad(~np.isfinite(coeffs).all(axis=(0, 1)))
         if bad is not None:
             raise DomainError(f"{self.label}: the map overflows at the domain point "
-                              f"{jet_values(zs).reshape(-1, self.m)[bad].tolist()}")
-        for i, val in enumerate(jets):
-            bar_mass = _antiholomorphic_mass(val)
-            bad = first_bad(bar_mass > HOLOMORPHY_TOL * (1.0 + np.max(np.abs(val.coeffs), axis=0)))
-            if bad is not None:
+                              f"{np.reshape(points, (-1, self.m))[bad].tolist()}")
+        bar_mass = np.max(np.abs(coeffs[:, jets[0].space.antiholomorphic]), axis=1,
+                          initial=0.0)  # (n, *points)
+        if bar_mass.any():  # a holomorphic expression gives exact zeros
+            unholomorphic = bar_mass > HOLOMORPHY_TOL * (1.0 + np.max(np.abs(coeffs), axis=1))
+            bad_components = np.flatnonzero(unholomorphic.reshape(len(jets), -1).any(axis=1))
+            if bad_components.size:
+                i = bad_components[0]
+                bad = first_bad(unholomorphic[i])
                 raise HolomorphyError(
                     f"{self.label} component {i + 1} is not holomorphic (antiholomorphic "
-                    f"coefficient {np.ravel(bar_mass)[bad]:.3e}){at_point(val.points, bad)}"
+                    f"coefficient {np.ravel(bar_mass[i])[bad]:.3e}){at_point(jets[i].points, bad)}"
                 )
         images = jet_values(jets).reshape(-1, self.n)
         bad = first_bad(~self.target.domain.inside(images))
@@ -128,10 +167,33 @@ class HoloMap:
         return f"<HoloMap {self.label!r} {self.domain.label} -> {self.target.label}>"
 
 
-def _antiholomorphic_mass(jet: WirtingerJet):
-    """Largest barred coefficient, one per point of a stack."""
-    ranks = jet.space.antiholomorphic
-    return np.max(np.abs(jet.coeffs[ranks]), axis=0) if ranks.size else np.zeros(jet.points)
+def _monomials(source, dim: int, label: str) -> dict | None:
+    """A component's monomials with one exponent per domain variable, or None if it is not a
+    polynomial: a callable, an AST, or text :func:`expressions.polynomial` does not expand."""
+    if isinstance(source, (int, float, complex)) and not isinstance(source, bool):
+        return {(0,) * dim: complex(source)}
+    poly = expressions.polynomial(source, label) if isinstance(source, str) else None
+    if poly is None:
+        return None
+    count = len(next(iter(poly)))
+    expressions.require_dimension(count - 1, dim, label)
+    pad = (0,) * (dim - count)
+    return {beta + pad: c for beta, c in poly.items()}
+
+
+def _monomial_jet(poly: dict, zs) -> WirtingerJet:
+    """Σ c_β z^β on coordinate jets ``zs``, from jet products."""
+    powers: dict = {}
+    acc = jet_constant(0.0, zs[0].num_vars, zs[0].order, zs[0].points)
+    for beta, c in poly.items():
+        monomial = None
+        for k, e in enumerate(beta):
+            if e:
+                if (k, e) not in powers:
+                    powers[k, e] = zs[k] ** e
+                monomial = powers[k, e] if monomial is None else monomial * powers[k, e]
+        acc = acc + (c if monomial is None else monomial * c)
+    return acc
 
 
 @dataclass(frozen=True)

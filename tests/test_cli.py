@@ -862,6 +862,31 @@ def test_a_model_identity_near_its_edge_meets_its_bounds(tmp_path, chart, sample
     assert [check["observed"] for check in checks] == bounds
 
 
+_DISK = {"catalog": "poincare_disk"}
+
+
+@pytest.mark.parametrize("domain, components, named", [
+    (_DISK, ["z1/0"], "zero_division component 1 'z1/0'"),
+    ({"dim": 1, "potential": "abs2(z1)/0"}, ["z1/2"], "potential 'abs2(z1)/0'"),
+    ({"dim": 1, "potential": "abs2(z1) + 0/0"}, ["z1/2"], "potential 'abs2(z1) + 0/0'"),
+    (_DISK, ["z1/2 + exp(z1)/0"], "zero_division component 1 'z1/2 + exp(z1)/0'"),
+], ids=["monomial_map", "potential", "constant_potential_term", "tree_map"])
+def test_a_division_by_zero_names_its_expression_and_exits_2(tmp_path, domain, components,
+                                                              named):
+    doc = manifest(name="zero_division", domain=domain, target=_DISK, map=components,
+                   sampler={"count": 4, "radius": 0.5, "seed": 5},
+                   checks=[{"kind": "boch1"}, {"kind": "schwarz", "K": 1, "kappa": 1}])
+    path = tmp_path / "zero_division.json"
+    path.write_text(json.dumps(doc))
+    import_root = str(Path(kahlercheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "kahlercheck", "run", str(path)],
+        capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {named} divides by zero\n"
+
+
 def test_a_singular_expression_metric_names_its_chart_and_point(tmp_path, capsys):
     disk = {"dim": 1, "metric": [["1/(1 - abs2(z1))^2"]], "region": {"kind": "ball"},
             "label": "disk_expr"}

@@ -1,11 +1,13 @@
 """Parser, printer, and evaluator tests for the expression grammar."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlercheck.errors import HolomorphyError, ParseError
+from kahlercheck.errors import ConfigurationError, HolomorphyError, ParseError
 from kahlercheck import expressions
 from kahlercheck.expressions import (
     BinOp,
@@ -20,6 +22,7 @@ from kahlercheck.expressions import (
     evaluate,
     max_variable,
     parse,
+    polynomial,
     to_text,
 )
 from kahlercheck.jets import variable_jets
@@ -75,6 +78,7 @@ def test_scientific_notation_numbers():
         "2 ^ 3 ^ 2",  # no power chaining
         "",
         "#",
+        "1e999*z1",  # a literal that overflows would print as 'inf'
     ],
 )
 def test_parse_errors(bad):
@@ -85,6 +89,9 @@ def test_parse_errors(bad):
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("z1 + q7")
+    assert exc.value.position == 5
+    with pytest.raises(ParseError, match="too large") as exc:
+        parse("z1 + 2e400*z2")
     assert exc.value.position == 5
 
 
@@ -271,11 +278,14 @@ def outcome(fn, *args):
 def test_one_scan_reads_what_the_tree_walks_read(node, dim):
     text = to_text(node)
     assert expressions._tokenize(text) == tokenize_by_match(text)
-    depth, top, _ = expressions._scan(node)
-    assert depth == walked_depth(node)
+    assert expressions._token_texts(text) == [token[1] for token in tokenize_by_match(text)]
+    parsed, top, bad = expressions._read(text)
+    assert parsed == node
     assert max_variable(node) == top == walked_max_variable(node)
+    assert expressions._scan(node) == (top, bad)
     assert (outcome(check_holomorphic, node, dim)
-            == outcome(walked_check_holomorphic, node, dim))
+            == outcome(walked_check_holomorphic, node, dim)
+            == outcome(lambda: expressions.checked(text, dim, "map component", True) and None))
 
 
 def nested(levels: int) -> list:
@@ -286,18 +296,131 @@ def nested(levels: int) -> list:
     return [pytest.param(text, id=f"{name}-{levels}") for name, text in texts.items()]
 
 
+def reference_parse(text: str):
+    """The former route: tokens by match, then the tree's levels by walking it."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(expressions, "_tokenize", tokenize_by_match)
+        node = expressions._Parser(text, expressions._TreeBuilder).parse()[0]
+    if walked_depth(node) > expressions.MAX_NESTING:
+        raise ParseError(f"expression nests deeper than {expressions.MAX_NESTING} levels",
+                         position=0)
+    return node
+
+
 # abs2(z1) + conj(z2) must name abs2: the first offending call in left-to-right preorder
 @pytest.mark.parametrize("text", [
     "z1 $ z2", "z1 +  #", "1..2", "z0", "(z1", "z1 + q7", "z1   ", "  z1 * z2  \t\n", "  ",
     "#", "", "z1 ^ 2.5", "abs2(z1) + conj(z2)", "z1 + conj(abs2(z2))", "exp(z1) * z3",
-    *nested(99), *nested(100), *nested(101)])
-def test_parse_and_checks_match_the_references_on_malformed_input(monkeypatch, text):
-    with monkeypatch.context() as patched:
-        patched.setattr(expressions, "_tokenize", tokenize_by_match)
-        patched.setattr(expressions, "_scan", lambda node: (walked_depth(node), None, None))
-        want = outcome(parse, text)
+    "1e999 * z1", "z1 / 0 + q7", "exp(z1) + )", *nested(99), *nested(100), *nested(101)])
+def test_parse_and_checks_match_the_references_on_malformed_input(text):
+    assert (outcome(expressions._token_texts, text)
+            == outcome(lambda: [token[1] for token in tokenize_by_match(text)]))
+    want = outcome(reference_parse, text)
     assert outcome(parse, text) == want
     if want[0] == "value":
         node = parse(text)
         assert outcome(check_holomorphic, node, 2) == outcome(walked_check_holomorphic, node, 2)
+    elif "nests deeper" not in want[1] or want[2] != 0:
+        # the monomial path gives the same grammar error, or None when a call comes first
+        # and the tree reports it; only the tree's levels count toward no nesting there
+        assert outcome(polynomial, text) in (want, ("value", None))
 
+
+# -- monomials ---------------------------------------------------------------------------
+
+_coefficients = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+_exponents = st.lists(st.integers(0, 3), min_size=1, max_size=4)
+
+
+def coefficient_text(c: complex) -> str:
+    return f"({c.real!r} {'-' if c.imag < 0 else '+'} {abs(c.imag)!r}*i)"
+
+
+def polynomial_text(poly: dict) -> str:
+    """Σ c_β z^β written term by term."""
+    return " + ".join("*".join([coefficient_text(c)] + [
+        f"z{k + 1}" + (f"^{e}" if e > 1 else "") for k, e in enumerate(beta) if e])
+        for beta, c in poly.items())
+
+
+def padded(poly: dict, count: int) -> dict:
+    return {beta + (0,) * (count - len(beta)): c for beta, c in poly.items()}
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda m: st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * m), _coefficients, min_size=1, max_size=12)))
+def test_polynomial_reads_back_the_text_of_its_monomials(poly):
+    count = len(next(iter(poly)))
+    got = polynomial(to_text(parse(polynomial_text(poly))))
+    assert padded(got, count) == poly
+
+
+def degree_bound(node) -> int:
+    """An upper bound on the degree of a tree of +, -, *, / by a constant and powers."""
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Neg):
+        return degree_bound(node.arg)
+    if isinstance(node, Pow):
+        return degree_bound(node.base) * node.exponent
+    if isinstance(node, BinOp):
+        left, right = degree_bound(node.left), degree_bound(node.right)
+        return {"+": max, "-": max, "*": int.__add__, "/": lambda a, b: a}[node.op](left, right)
+    return 0
+
+
+# +, -, *, / by a nonzero constant and small powers of numbers, i and variables
+_polynomial_asts = st.recursive(
+    st.one_of(st.floats(0.05, 2.0).map(Num), _variables, st.just(Imag())),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from("+-*"), children, children).map(lambda t: BinOp(*t)),
+        st.tuples(children, st.floats(0.5, 4.0).map(Num)).map(lambda t: BinOp("/", *t)),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: Pow(*t)),
+        children.map(Neg)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_polynomial_asts, st.integers(0, 2**16))
+def test_polynomial_agrees_with_the_tree_at_random_points(node, seed):
+    text = to_text(node)
+    poly = polynomial(text)
+    if poly is None:  # only past the caps: 256 monomials in 4 variables need degree 7
+        assert degree_bound(node) >= 7
+        return
+    rng = np.random.default_rng(seed)
+    point = rng.normal(size=4) + 1j * rng.normal(size=4)
+    terms = [c * np.prod([point[k] ** e for k, e in enumerate(beta)]) for beta, c in poly.items()]
+    want = evaluate(node, list(point))
+    assert abs(sum(terms) - want) <= 1e-13 * max(sum(map(abs, terms)), abs(want), 1e-300)
+
+
+@pytest.mark.parametrize("text", [
+    "exp(z1)", "1/(1 - z1)", "log(1 + z1)", "conj(z1)", "abs2(z1) + z2", "z1^2/(1 + 0*z1)",
+    "(z2 + 0.3*z1^2)/(1.5 + 0.5*z1)", "(1 + z1 + z2)^300", f"z1^{expressions.MAX_DEGREE + 1}",
+    "z5", "z1 + z99999999",
+    " * ".join(["z1"] * (expressions.MAX_DEGREE + 1))])
+def test_polynomial_gives_none_off_its_grammar_and_past_its_caps(text):
+    assert polynomial(text) is None
+
+
+def test_the_monomial_caps_bound_each_step_of_the_expansion():
+    assert polynomial(f"z1^{expressions.MAX_DEGREE}") == {(expressions.MAX_DEGREE,): 1}
+    # 16 + 15 + ... + 1 monomials of degree at most 15 in two variables
+    assert len(polynomial("(1 + z1 + z2)^15")) == 136
+    assert len(polynomial("(1 + z1 + z2 + z3 + z4)^6")) == 210
+    assert polynomial("(1 + z1 + z2 + z3 + z4)^7") is None  # 330 monomials
+    # only parenthesis and call nesting count: a flat sum is no deeper than its terms
+    terms = " + ".join(["0.001*z1"] * 120)
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse(terms)
+    assert polynomial(terms) == {(1,): pytest.approx(0.12)}
+
+
+def test_a_division_by_zero_names_the_text():
+    for text in ("z1/0", "z1 + 0/0", "(z1 - z1)/(2 - 2)"):
+        with pytest.raises(ConfigurationError, match=re.escape(f"f {text!r} divides by zero")):
+            polynomial(text, "f")
+    with pytest.raises(ParseError):  # a later grammar error is still the one reported
+        polynomial("z1/0 + q7")

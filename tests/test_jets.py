@@ -16,9 +16,11 @@ from kahlercheck.jets import (
     jet_mat_inv,
     jet_mat_mul,
     jet_variable,
+    polynomial_jets,
     quadratic_jet,
     variable_jets,
 )
+from kahlercheck.expressions import evaluate, parse, polynomial
 from reference import fd_cross_check, jet_mat_trace, mul_table_by_pairs
 
 
@@ -276,3 +278,60 @@ def test_quadratic_jet_is_the_polynomial_in_the_displacement():
     got = quadratic_jet(value, grad, quad)
     np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-14)
     assert got.order == 2 and got.points == (3,)
+
+
+def random_polynomial(rng, m: int, degree: int) -> dict:
+    """About half of the monomials of degree <= ``degree`` in m variables, random coefficients."""
+    betas = [beta for beta in _JetSpace(m, degree).monomials if not any(beta[m:])]
+    keep = [beta[:m] for beta in betas if rng.uniform() < 0.5] or [betas[-1][:m]]
+    return {beta: complex(rng.normal(), rng.normal()) for beta in keep}
+
+
+def tree_text(poly: dict) -> str:
+    return " + ".join("*".join([f"({c.real!r} {'-' if c.imag < 0 else '+'} {abs(c.imag)!r}*i)"]
+                               + [f"z{k + 1}^{e}" for k, e in enumerate(beta) if e])
+                      for beta, c in poly.items())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_polynomial_jets_are_the_trees_jets(m, order):
+    rng = np.random.default_rng(10 * m + order)
+    for _ in range(4):
+        poly = random_polynomial(rng, m, int(rng.integers(0, 4)))
+        points = rng.normal(size=(5, m)) + 1j * rng.normal(size=(5, m))
+        (got,) = polynomial_jets([poly], points, order)
+        want = evaluate(parse(tree_text(poly)), variable_jets(points, m, order))
+        if not isinstance(want, WirtingerJet):  # a constant text evaluates to a number
+            want = jet_constant(want, m, order, (5,))
+        assert got.order == want.order and got.points == (5,)
+        scale = np.max(np.abs(want.coeffs), axis=0)
+        assert np.all(np.abs(got.coeffs - want.coeffs) <= 1e-13 * scale)
+
+
+def test_polynomial_jets_at_one_point_are_a_row_of_the_stack_bit_for_bit():
+    rng = np.random.default_rng(3)
+    polys = [random_polynomial(rng, 3, 3) for _ in range(2)]
+    points = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    stacked = polynomial_jets(polys, points, 4)
+    for row, point in enumerate(points):
+        for jet, alone in zip(stacked, polynomial_jets(polys, point, 4), strict=True):
+            assert alone.points == () and np.array_equal(jet.coeffs[:, row], alone.coeffs)
+
+
+def test_polynomial_jets_set_a_coefficient_within_rounding_of_zero_to_zero():
+    # expanded, ∂/∂z2 at the critical point (0.1, 0.2) sums 0.16, −0.18000000000000005 and
+    # 0.02, which round to −1.4e-17 rather than 0; a step of 1e-9 away is no rounding
+    poly = polynomial("0.4*(z2 - 0.2)^2 + 0.2*(z1 - 0.1)*(z2 - 0.2)")
+    points = np.array([[0.1, 0.2], [0.1, 0.2 + 1e-9]], dtype=complex)
+    (jet,) = polynomial_jets([poly], points, 2)
+    grad = derivative_block(jet, "grad")
+    assert np.array_equal(grad[0], [0, 0])
+    assert abs(grad[1, 1] - 0.8e-9) <= 1e-16 and abs(grad[1, 0] - 0.2e-9) <= 1e-16
+
+
+def test_polynomial_jets_check_the_exponents_against_the_point():
+    with pytest.raises(ConfigurationError):
+        polynomial_jets([{(1, 0): 1.0}], np.zeros(3), 2)
+    with pytest.raises(ConfigurationError):
+        polynomial_jets([{(1,): 1.0}], np.zeros((2, 2, 1)), 2)

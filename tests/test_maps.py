@@ -6,17 +6,24 @@ metric ratio), raw second derivatives for flat-to-flat Hessians, and
 congruence invariance of the pencil (A, g) under chart changes.
 """
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from kahlercheck.cli import load_scenario, shipped_scenarios
 from kahlercheck.errors import (
     ConfigurationError,
     DomainError,
     HolomorphyError,
     MetricError,
+    ParseError,
     RankError,
 )
+from kahlercheck.expressions import evaluate, parse
 from kahlercheck.geometry import (
     ChartMap,
     ComponentChart,
@@ -26,7 +33,7 @@ from kahlercheck.geometry import (
     normal_chart,
     pullback_metric_jets,
 )
-from kahlercheck.jets import derivative_block, jet_mat_inv
+from kahlercheck.jets import derivative_block, jet_mat_inv, variable_jets
 from kahlercheck.linalg import pencil_eigh, rng_for
 from kahlercheck.maps import HoloMap, kept_jet, point_stacks
 from reference import (StretchBarrier, apply_point, catalog_isometry, point_data, point_hessian,
@@ -513,3 +520,82 @@ def test_stretch_data_names_the_first_point_with_a_bad_metric():
     (stack,) = point_stacks(f, np.array([[0.1], [0.2], [0.6], [0.7]]), 1)
     with pytest.raises(MetricError, match=r"bent: metric \(matrix 2\) is not positive definite"):
         stack.stretch
+
+
+# -- polynomial maps ---------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+MANIFESTS = ROOT / "tools" / "snapshot_manifests"
+# the snapshot's maps that are not polynomials, on purpose
+TREE_MANIFESTS = {"exp_and_log_in_the_map", "quotient_map_into_projective",
+                  "power_over_the_monomial_cap"}
+
+
+def workload_docs(monkeypatch) -> list[dict]:
+    if not (ROOT / "bench" / "workloads.py").is_file():
+        pytest.skip("bench/ is not part of this checkout")
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    return [case.doc for name in workloads.WORKLOADS for seed in (1, 2, 3)
+            for case in workloads.BUILDERS[name](seed)]
+
+
+def test_every_shipped_snapshot_and_workload_map_is_a_polynomial(monkeypatch):
+    snapshot = {path.stem: json.loads(path.read_text(encoding="utf-8"))
+                for path in sorted(MANIFESTS.glob("*.json"))}
+    docs = [*shipped_scenarios().values(), *workload_docs(monkeypatch),
+            *(doc for name, doc in snapshot.items()
+              if name not in TREE_MANIFESTS | {"map_divides_by_zero"})]
+    assert len(docs) > 600
+    for doc in docs:
+        f = load_scenario(doc).holo_map
+        assert f.monomials is not None and len(f.monomials) == f.n, doc["name"]
+    for name in TREE_MANIFESTS:
+        assert load_scenario(snapshot[name]).holo_map.monomials is None, name
+    with pytest.raises(ConfigurationError, match="'z1/0' divides by zero"):
+        load_scenario(snapshot["map_divides_by_zero"])
+
+
+def test_a_quotient_map_stays_on_the_tree_path():
+    # a reading of the divisor's constant term alone would give the jets of the numerator / 1.5
+    texts = ["z1/(2 - z2)", "(z2 + 0.3*z1^2)/(1.5 + 0.5*z1)"]
+    points = random_points(0.5, 4, 2, seed=9)
+    for components in (texts, [texts[1], "0.5*z1 + z2^2"]):
+        f = HoloMap(FLAT2, FLAT2, components)
+        assert f.monomials is None
+        got = f.component_jets(points, 4)
+        for jet, text in zip(got, components):
+            want = evaluate(parse(text), variable_jets(points, 2, 4))
+            assert np.array_equal(jet.coeffs, want.coeffs)
+
+
+def test_a_map_of_126_monomials_loads_and_its_jets_sum_its_terms():
+    doc = json.loads((MANIFESTS / "full_quintic_map_in_four_variables.json").read_text())
+    text = doc["map"][0]
+    with pytest.raises(ParseError, match="nests deeper"):  # the tree counts every '+'
+        parse(text)
+    f = load_scenario(doc).holo_map
+    assert [len(poly) for poly in f.monomials] == [126, 2]
+    points = random_points(0.3, 3, 4, seed=126)
+    got = f.component_jets(points, 4)[0]
+    zs = variable_jets(points, 4, 4)
+    terms = re.split(r" \+ (?=\()", text)  # a term starts with its parenthesized coefficient
+    assert len(terms) == 126
+    want = sum((evaluate(parse(term), zs) for term in terms[1:]), evaluate(parse(terms[0]), zs))
+    scale = np.max(np.abs(want.coeffs), axis=0)
+    assert np.all(np.abs(got.coeffs - want.coeffs) <= 1e-13 * scale)
+
+
+def test_a_polynomial_map_on_jets_evaluates_its_monomials():
+    texts = ["0.5*(z1 - 0.1)^2 + 0.3*z2", "(0.2 - 0.1*i)*z1*z2^3 - 2", "0.25"]
+    f = HoloMap(FLAT2, catalog("flat", dim=3), texts)
+    assert f.monomials[2] == {(0, 0): 0.25}
+    w = variable_jets(random_points(0.4, 3, 2, seed=4), 2, 3)
+    ws = [w[0] + 0.3 * w[1] * w[1], w[1] - 0.2 * w[0]]  # a holomorphic change of coordinates
+    for got, text in zip(f.on_jets(ws), texts, strict=True):
+        want = evaluate(parse(text), ws)
+        if isinstance(want, float):
+            want = ws[0] * 0.0 + want
+        scale = np.max(np.abs(want.coeffs), axis=0)
+        assert np.all(np.abs(got.coeffs - want.coeffs) <= 1e-13 * scale)

@@ -21,9 +21,10 @@ and where the benchmark's manifests are built
   ``/``, ``"metric"`` charts on ball, polydisk and full regions),
   sampled hypothesis constants on schwarz, volume, royden and both hoop
   modes, model charts near their edge (boch1 on the ball among them), far
-  out and at a metric scale of 1e300, the exit-2 lines
-  of a singular and of a not positive definite metric, and the exit-1
-  line of a failed bound and of a failed identity.
+  out and at a metric scale of 1e300, a map of 126 monomials and one
+  past the monomial cap, the exit-2 lines of a singular and of a not
+  positive definite metric and of a map that divides by zero, and the
+  exit-1 line of a failed bound and of a failed identity.
 
 The fixed manifests are read from this script's directory, not from
 CHECKOUT, so two checkouts run the same jobs.

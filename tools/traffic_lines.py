@@ -2,7 +2,7 @@
 
     python tools/traffic_lines.py OUTFILE [CHECKOUT]
 
-Runs every job of ``tools/report_snapshot.py`` (902 reports: the shipped
+Runs every job of ``tools/report_snapshot.py`` (911 reports: the shipped
 scenarios, both benchmark workloads at seeds 1 and 3 and the fixed
 manifests in ``tools/snapshot_manifests/``) into a
 temporary directory under ``sys.settrace``, with line tracing limited to
