@@ -171,7 +171,7 @@ def royden_bound_report(f: HoloMap, points, k: Constant, kappa: Constant,
 
 
 def _require_flat_domain(f: HoloMap, what: str):
-    if f.domain.family != "flat":
+    if getattr(f.domain.model, "family", None) != "flat":
         raise ConfigurationError(f"{what} needs a flat domain chart (|x| must be the distance)")
 
 

@@ -360,8 +360,8 @@ def _resolve_constant(scenario, check, const_name, rule, role, probe):
         return bounds_mod.Constant.analytic(const_name, scenario.constants[const_name])
     facts_field, sign = rule
     chart = scenario.domain if role == "domain" else scenario.target
-    if chart.facts is not None:
-        value = getattr(chart.facts, facts_field)
+    if chart.model is not None:
+        value = getattr(chart.model.facts, facts_field)
         if facts_field == "ricci_m_max":  # m = domain dimension; the volume check rejects m > n
             value = value[min(scenario.domain.dim, chart.dim) - 1]
         return bounds_mod.Constant.analytic(const_name, sign * value)
@@ -589,12 +589,12 @@ def curvature_report(scenario: Scenario) -> dict:
     charts = []
     for role, chart in (("domain", scenario.domain), ("target", scenario.target)):
         entry = {"role": role, "label": chart.label, "dim": chart.dim}
-        if chart.family is not None:
-            entry["family"] = chart.family
-        facts = chart.facts
-        if facts is not None:
-            entry["facts"] = {name: getattr(facts, name) for name in ("hol_sec_min", "hol_sec_max",
-                              "ricci_min", "ricci_max", "scalar", "constant_hol_sec", "einstein")}
+        model = chart.model
+        if model is not None:
+            entry["family"] = model.family
+            entry["facts"] = {name: getattr(model.facts, name) for name in (
+                "hol_sec_min", "hol_sec_max", "ricci_min", "ricci_max", "scalar",
+                "constant_hol_sec", "einstein")}
         entry["sampled"] = {
             name: dict(zip(("min", "max"), _sampled_range(probe, role, name, scenario.seed)))
             for name in ("hol_sec", "ricci", "scalar")}

@@ -4,10 +4,11 @@ A chart is a single coordinate patch carrying a Hermitian metric, given
 either by a real potential (g is its mixed Hessian) or by an explicit
 matrix of component functions.  On such a chart the metric values,
 Christoffel symbols and curvature are read off the metric's jets.  The
-model charts of the catalog give theirs in closed form: each family has
-its metric matrices, g⁻¹, Γ and R from them, and the jets of g⁻¹ and
-log det g that the identity checks read on a domain, so no catalog chart
-evaluates metric jets.  :func:`curvature_tensor` takes a point or a
+model charts of the catalog give theirs in closed form: each chart built
+by :func:`catalog` carries its family's :class:`Model`, with the metric
+matrices, g⁻¹, Γ and R from them, and the jets of g⁻¹ and log det g that
+the identity checks read on a domain, so no catalog chart evaluates
+metric jets.  :func:`curvature_tensor` takes a point or a
 stack of points, and a stack's metric.
 
 Index conventions for the arrays produced here::
@@ -139,20 +140,12 @@ def _as_jet_function(source, dim: int, what: str, holomorphic: bool = False) -> 
 class KahlerChart:
     """One coordinate patch with a Kähler metric.
 
-    Immutable after construction; all evaluation methods are pure, so
-    concurrent use at distinct points is safe.
+    ``model`` is the :class:`Model` of a catalog chart's family, its facts and closed
+    forms, and None on any other chart.  Immutable after construction; all evaluation
+    methods are pure, so concurrent use at distinct points is safe.
     """
 
-    # the catalog family, its closed-form facts and, in closed form, its metric matrices and
-    # g⁻¹, Γ and R (given the matrices) on a (k, dim) stack of points, and its g⁻¹ grid and
-    # log det g jet on coordinate jets; None off the catalog
-    family: str | None = None
-    facts: CurvatureFacts | None = None
-    _closed_metric: Callable[[np.ndarray], np.ndarray] | None = None
-    _closed_curvature: Callable[[np.ndarray, np.ndarray], tuple] | None = None
-    _closed_jets: Callable[[list[WirtingerJet]], tuple] | None = None
-
-    def __init__(self, dim: int, domain: Domain | None, label: str):
+    def __init__(self, dim: int, domain: Domain | None, label: str, model: Model | None = None):
         if not 1 <= dim <= MAX_HOLOMORPHIC_VARS:
             raise ConfigurationError(
                 f"chart dimension must be between 1 and {MAX_HOLOMORPHIC_VARS}, got {dim}"
@@ -160,6 +153,7 @@ class KahlerChart:
         self.dim = dim
         self.domain = domain if domain is not None else FullSpace(dim)
         self.label = label
+        self.model = model
 
     def require_inside(self, point) -> np.ndarray:
         """``point`` of shape (dim,), or a stack of shape (k, dim), checked inside the domain."""
@@ -196,8 +190,9 @@ class KahlerChart:
 class PotentialChart(KahlerChart):
     """Chart whose metric is the mixed Hessian of a real potential."""
 
-    def __init__(self, dim: int, potential, domain: Domain | None = None, label: str = "chart"):
-        super().__init__(dim, domain, label)
+    def __init__(self, dim: int, potential, domain: Domain | None = None, label: str = "chart",
+                 model: Model | None = None):
+        super().__init__(dim, domain, label, model)
         self._potential = _as_jet_function(potential, dim, "potential")
 
     def _potential_on(self, zs: Sequence[WirtingerJet]) -> WirtingerJet:
@@ -229,8 +224,9 @@ class PotentialChart(KahlerChart):
 class ComponentChart(KahlerChart):
     """Chart whose metric entries are given directly as functions of (z, z̄)."""
 
-    def __init__(self, dim: int, entries, domain: Domain | None = None, label: str = "chart"):
-        super().__init__(dim, domain, label)
+    def __init__(self, dim: int, entries, domain: Domain | None = None, label: str = "chart",
+                 model: Model | None = None):
+        super().__init__(dim, domain, label, model)
         entries = list(entries)
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise ConfigurationError(f"{label}: component matrix must be {dim}x{dim}")
@@ -364,11 +360,10 @@ def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
     from order 1, Kähler, and the metric matrices, checked positive definite and symmetrized;
     an overflow, a singular metric or a failed matrix names the first ``where`` it happens at.
 
-    A catalog chart's matrices come from its closed form, and its jets are None."""
+    A catalog chart's matrices come from its model, and its jets are None."""
     rows = np.reshape(at, (-1, chart.dim))
-    closed = chart._closed_metric
     jets = None
-    if closed is None:
+    if chart.model is None:
         # a potential's own value may overflow, unread; its derivatives are checked below
         jets = _named_singular(chart, rows, where, chart.metric_jets, at, order)
         _require_finite(chart, all_finite([entry for line in jets for entry in line]), rows, where)
@@ -377,7 +372,7 @@ def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
         values = _metric_matrix(jets)
     else:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            values = closed(np.reshape(chart.require_inside(at), (-1, chart.dim)))
+            values = chart.model.matrices(np.reshape(chart.require_inside(at), (-1, chart.dim)))
         _require_finite(chart, np.isfinite(values).all(axis=(-2, -1)), rows, where)
         if np.ndim(at) == 1:
             values = values[0]
@@ -390,11 +385,11 @@ def _checked_metric(chart: KahlerChart, at, order: int, where: str = "point"):
 
 def _closed_inverse_jets(chart: KahlerChart, at, order: int, where: str = "point") -> tuple:
     """A catalog chart's g⁻¹ grid and log det g jet of ``order`` at a point or a (k, dim) stack
-    of points, from its closed form, checked finite; an overflow or a singular jet names the
+    of points, from its model, checked finite; an overflow or a singular jet names the
     first ``where`` it happens at."""
     rows = np.reshape(at, (-1, chart.dim))
     zs = variable_jets(chart.require_inside(at), chart.dim, order)
-    g_inv, log_det = _named_singular(chart, rows, where, chart._closed_jets, zs)
+    g_inv, log_det = _named_singular(chart, rows, where, chart.model.inverse_jets, zs)
     _require_finite(chart, all_finite([entry for line in g_inv for entry in line] + [log_det]),
                     rows, where)
     return g_inv, log_det
@@ -434,19 +429,19 @@ def _metric_gradient(chart: KahlerChart, gjets) -> np.ndarray:
 
 def curvature_tensor(chart: KahlerChart, at, metric=None, where: str = "point") -> CurvaturePoint:
     """Curvature data, with the lowered tensor R_{a b̄ c d̄}, at a point or at every point of
-    a (k, dim) stack: a catalog chart's g⁻¹, Γ and R from its closed form, any other chart's
+    a (k, dim) stack: a catalog chart's g⁻¹, Γ and R from its model, any other chart's
     from its metric jets of order 2.  ``metric``, the (jets, g) pair of :func:`_checked_metric`
     at ``at``, is reused when the chart reads no jets or its jets reach order 2; an overflow
     names the first ``where`` it happens at."""
     at = np.asarray(at, dtype=complex)
-    closed = chart._closed_curvature
-    if metric is None or not (closed or metric[0][0][0].order >= 2):
+    model = chart.model
+    if metric is None or not (model is not None or metric[0][0][0].order >= 2):
         metric = _checked_metric(chart, at, 2, where)
     gjets, g = metric
-    if closed is not None:
+    if model is not None:
         rows = np.reshape(at, (-1, chart.dim))
         with np.errstate(over="ignore", invalid="ignore"):
-            data = closed(rows, np.reshape(g, (-1, chart.dim, chart.dim)))
+            data = model.curvature(rows, np.reshape(g, (-1, chart.dim, chart.dim)))
         # g⁻¹ and Γ are finite where g is finite and positive definite; R ~ g²/c may overflow
         _require_finite(chart, np.isfinite(data[2]).all(axis=(1, 2, 3, 4)), rows, where)
         g_inv, gamma, riem = data if at.ndim == 2 else (v[0] for v in data)
@@ -526,6 +521,23 @@ class CurvatureFacts:
         return self.ricci_min == self.ricci_max
 
 
+@dataclass(frozen=True)
+class Model:
+    """A catalog family's facts and closed forms, which each of its charts carries.
+
+    ``matrices`` gives the metric matrices on a (k, dim) stack of points, ``curvature``
+    g⁻¹, Γ and R there given the matrices, and ``inverse_jets`` the g⁻¹ grid and the
+    log det g jet on coordinate jets.  Every entry is computed point by point, so a point's
+    data is the same bit for bit alone or in any stack.
+    """
+
+    family: str
+    facts: CurvatureFacts
+    matrices: Callable[[np.ndarray], np.ndarray]
+    curvature: Callable[[np.ndarray, np.ndarray], tuple]
+    inverse_jets: Callable[[list[WirtingerJet]], tuple]
+
+
 def _finite(value, what: str, positive: bool = False) -> float:
     """The one validator of a real number read from a manifest, a flag or chart parameters."""
     # the magnitude limit also rejects NaN, inf and integers too large for a float
@@ -568,15 +580,7 @@ def _constant_jet(zs, value) -> WirtingerJet:
     return jet_constant(value, zs[0].num_vars, zs[0].order, zs[0].points)
 
 
-# Each family maps its parameters to its chart, the chart's closed-form facts and, in closed
-# form, its metric matrices, g⁻¹, Γ and R (given the matrices), and the jets of g⁻¹ and
-# log det g on coordinate jets.  Every entry is computed point by point, so a point's data
-# is the same bit for bit alone or in any stack.
-
-Family = tuple[KahlerChart, CurvatureFacts, Callable, Callable, Callable]
-
-
-def _flat(dim: int = 1) -> Family:
+def _flat(dim: int = 1) -> KahlerChart:
     def matrices(z):
         return np.broadcast_to(np.eye(dim, dtype=complex), (len(z), dim, dim))
 
@@ -587,20 +591,13 @@ def _flat(dim: int = 1) -> Family:
         one, zero = _constant_jet(zs, 1.0), _constant_jet(zs, 0.0)
         return [[one if a == b else zero for b in range(dim)] for a in range(dim)], zero
 
-    return (PotentialChart(dim, _abs2_sum, FullSpace(dim), label=f"flat({dim})"),
-            CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim), matrices, curvature, jets)
-
-
-def _disk_entry(a: float, k: int) -> Callable:
-    """g_{k k̄} = a/(1 − |z_k|²)², the disk's metric and each polydisk factor's."""
-    def entry(zs):
-        return a * ((1.0 - zs[k] * zs[k].conj()) ** 2).reciprocal()
-
-    return entry
+    facts = CurvatureFacts(0.0, 0.0, 0.0, 0.0, 0.0, (0.0,) * dim)
+    return PotentialChart(dim, _abs2_sum, FullSpace(dim), f"flat({dim})",
+                          Model("flat", facts, matrices, curvature, jets))
 
 
 def _polydisk_matrices(a: float) -> Callable[[np.ndarray], np.ndarray]:
-    """diag(a/(1 − |z_k|²)²), the matrices of ``_disk_entry`` on the diagonal."""
+    """diag(a/(1 − |z_k|²)²), the matrices of the entries ``_poincare`` gives its chart."""
     def matrices(z):
         dim = z.shape[-1]
         g = np.zeros((len(z), dim, dim), dtype=complex)
@@ -632,23 +629,28 @@ def _polydisk_jets(a: float, zs) -> tuple:
     return g_inv, logs * -2.0 + len(zs) * math.log(a)
 
 
-def _poincare_disk(a: float = 1.0) -> Family:
-    h = -2.0 / a
-    return (ComponentChart(1, [[_disk_entry(a, 0)]], Ball(1), label=f"poincare_disk(a={a:g})"),
-            CurvatureFacts(h, h, h, h, h, (h,)), _polydisk_matrices(a),
-            partial(_polydisk_curvature, a), partial(_polydisk_jets, a))
+def _poincare(family: str, dim: int, a: float, domain: Domain, label: str) -> KahlerChart:
+    """The disk (dim 1) and the polydisk, g_{kk̄} = a/(1 − |z_k|²)².  H is minimized on a
+    single factor and maximized on the diagonal; Ric_m is largest on m − 1 axes plus the
+    diagonal of the remaining factors."""
+    def entry(k):
+        return lambda zs: a * ((1.0 - zs[k] * zs[k].conj()) ** 2).reciprocal()
 
-
-def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> Family:
-    entries = [[_disk_entry(a, i) if i == j else 0.0 for j in range(dim)] for i in range(dim)]
-    chart = ComponentChart(dim, entries, Polydisk(dim, (1.0,) * dim),
-                           label=f"poincare_polydisk({dim}, a={a:g})")
-    # H is minimized on a single factor and maximized on the diagonal; Ric_m
-    # is largest on m − 1 axes plus the diagonal of the remaining factors
+    entries = [[entry(i) if i == j else 0.0 for j in range(dim)] for i in range(dim)]
     ricci_m = tuple(-2.0 / (a * (dim - m + 1)) for m in range(1, dim + 1))
-    return (chart, CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a,
-                                  ricci_m), _polydisk_matrices(a), partial(_polydisk_curvature, a),
-            partial(_polydisk_jets, a))
+    facts = CurvatureFacts(-2.0 / a, -2.0 / (dim * a), -2.0 / a, -2.0 / a, -2.0 * dim / a, ricci_m)
+    model = Model(family, facts, _polydisk_matrices(a), partial(_polydisk_curvature, a),
+                  partial(_polydisk_jets, a))
+    return ComponentChart(dim, entries, domain, label, model)
+
+
+def _poincare_disk(a: float = 1.0) -> KahlerChart:
+    return _poincare("poincare_disk", 1, a, Ball(1), f"poincare_disk(a={a:g})")
+
+
+def _poincare_polydisk(dim: int = 2, a: float = 1.0) -> KahlerChart:
+    return _poincare("poincare_polydisk", dim, a, Polydisk(dim, (1.0,) * dim),
+                     f"poincare_polydisk({dim}, a={a:g})")
 
 
 def _ball_matrices(c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -710,30 +712,22 @@ def _constant_h_jets(c: float, sign: int, zs) -> tuple:
     return g_inv, gap.log() * -(dim + 1.0) + dim * math.log(c)
 
 
-def _complex_hyperbolic_ball(dim: int = 1, c: float = 1.0) -> Family:
-    def potential(zs):
-        return (1.0 - _abs2_sum(zs)).log() * (-c)
+def _constant_h(sign: int, dim: int = 1, c: float = 1.0) -> KahlerChart:
+    """The ball (sign −1) and Fubini–Study (sign +1), potential sign·c·log(1 + sign·|z|²) and
+    constant H = 2·sign/c, so Ric_m = (m + 1)·H/2 on every m-dimensional subspace."""
+    def potential(zs):  # 1 − |z|² is not formed as 1 + (−1)·|z|², one more jet multiply
+        s = _abs2_sum(zs)
+        return (1.0 - s if sign < 0 else 1.0 + s).log() * (sign * c)
 
-    ric = -(dim + 1.0) / c
-    # constant H: Ric_m = (m + 1)·H/2 on every m-dimensional subspace
-    ricci_m = tuple(-(m + 1.0) / c for m in range(1, dim + 1))
-    chart = PotentialChart(dim, potential, Ball(dim),
-                           label=f"complex_hyperbolic_ball({dim}, c={c:g})")
-    return (chart, CurvatureFacts(-2.0 / c, -2.0 / c, ric, ric, dim * ric, ricci_m),
-            _ball_matrices(c), partial(_constant_h_curvature, c, -1),
-            partial(_constant_h_jets, c, -1))
-
-
-def _fubini_study(dim: int = 1, c: float = 1.0) -> Family:
-    def potential(zs):
-        return (1.0 + _abs2_sum(zs)).log() * c
-
-    ric = (dim + 1.0) / c
-    ricci_m = tuple((m + 1.0) / c for m in range(1, dim + 1))
-    return (PotentialChart(dim, potential, FullSpace(dim), label=f"fubini_study({dim}, c={c:g})"),
-            CurvatureFacts(2.0 / c, 2.0 / c, ric, ric, dim * ric, ricci_m),
-            _fubini_study_matrices(c), partial(_constant_h_curvature, c, 1),
-            partial(_constant_h_jets, c, 1))
+    family = "complex_hyperbolic_ball" if sign < 0 else "fubini_study"
+    ric = sign * (dim + 1.0) / c
+    ricci_m = tuple(sign * (m + 1.0) / c for m in range(1, dim + 1))
+    facts = CurvatureFacts(sign * 2.0 / c, sign * 2.0 / c, ric, ric, dim * ric, ricci_m)
+    matrices = (_ball_matrices if sign < 0 else _fubini_study_matrices)(c)
+    model = Model(family, facts, matrices, partial(_constant_h_curvature, c, sign),
+                  partial(_constant_h_jets, c, sign))
+    return PotentialChart(dim, potential, Ball(dim) if sign < 0 else FullSpace(dim),
+                          f"{family}({dim}, c={c:g})", model)
 
 
 @dataclass(frozen=True)
@@ -741,7 +735,7 @@ class CatalogEntry:
     name: str
     description: str
     params: str
-    build: Callable[..., Family]
+    build: Callable[..., KahlerChart]
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -753,9 +747,9 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry("poincare_polydisk", "product of dim Poincaré disks",
                      "dim (default 2), a > 0 (default 1)", _poincare_polydisk),
         CatalogEntry("complex_hyperbolic_ball", "unit ball with potential -c*log(1-|z|^2)",
-                     "dim (default 1), c > 0 (default 1)", _complex_hyperbolic_ball),
+                     "dim (default 1), c > 0 (default 1)", partial(_constant_h, -1)),
         CatalogEntry("fubini_study", "C^dim chart of projective space, potential c*log(1+|z|^2)",
-                     "dim (default 1), c > 0 (default 1)", _fubini_study),
+                     "dim (default 1), c > 0 (default 1)", partial(_constant_h, 1)),
     )
 }
 
@@ -774,11 +768,8 @@ def catalog(name: str, **params) -> KahlerChart:
         if key in params:
             params[key] = _finite(params[key], f"parameter {key}", positive=True)
     try:
-        chart, facts, matrices, curvature, jets = CATALOG[name].build(**params)
+        return CATALOG[name].build(**params)
     except TypeError:
         raise ConfigurationError(
             f"invalid parameters {sorted(params)} for catalog chart {name!r}"
         ) from None
-    chart.family, chart.facts = name, facts
-    chart._closed_metric, chart._closed_curvature, chart._closed_jets = matrices, curvature, jets
-    return chart

@@ -19,9 +19,9 @@ point's data by ``.at(k)``.  A one-point stack holds the same data as
 that row of any stack, bit for bit.  Its stretch data, covariant Hessian
 and curvature are :func:`map_point_data`, :func:`map_hessian` and
 :func:`~kahlercheck.geometry.curvature_tensor`, called by module name.
-A catalog chart gives its metric matrices, its curvature and, as a
-domain, its g⁻¹ and log det g jets in closed form, so a stack evaluates
-metric jets only on expression charts.
+A catalog chart's ``model`` gives its metric matrices, its curvature
+and, as a domain, its g⁻¹ and log det g jets in closed form, so a stack
+evaluates metric jets only on expression charts.
 
 Frame conventions follow the linalg module: metric matrices pair as
 ``u @ G @ conj(v)``, frames are matrix columns, and a frame ``E`` is
@@ -295,7 +295,7 @@ class PointStack:
     log D and log W go row by row.  Every validity check runs at every point and
     names the first bad one.  An expression chart's metric jets are of order
     ``max(order - 2, 0)``, or 2 when its curvature reads them first.  A catalog
-    chart's matrices, g⁻¹, Γ and R come from its closed form, and so do a catalog
+    chart's matrices, g⁻¹, Γ and R come from its model, and so do a catalog
     domain's jets of g⁻¹ and log det g: no catalog chart evaluates metric jets.
     """
 
@@ -329,7 +329,7 @@ class PointStack:
     def metric(self, role: str, least: int = 0) -> tuple[list | None, np.ndarray]:
         """Metric jets of the domain at the points or of the target at the images, of
         order ``max(self.order - 2, least)`` when first asked for, with the validated stack
-        of metric matrices.  A catalog chart's matrices come from its closed form, and
+        of metric matrices.  A catalog chart's matrices come from its model, and
         its jets are None."""
         if role not in self._metrics:
             chart, at = self._chart(role)
@@ -357,16 +357,16 @@ class PointStack:
 
     @cached_property
     def _closed_domain_jets(self) -> tuple | None:
-        """A catalog domain's g^{-1} grid and log det g jet (order 2) from its closed form;
+        """A catalog domain's g^{-1} grid and log det g jet (order 2) from its model;
         None on an expression chart."""
-        if self.map.domain._closed_jets is None:
+        if self.map.domain.model is None:
             return None
         return _closed_inverse_jets(self.map.domain, self.points, max(self.order - 2, 0),
                                     "domain point")
 
     @cached_property
     def metric_inverse_jets(self) -> list[list[WirtingerJet]]:
-        """Jets of the domain's g^{-1} (order 2): a catalog chart's closed form, any other
+        """Jets of the domain's g^{-1} (order 2): a catalog chart's from its model, any other
         chart's the matrix inverse of its metric jets."""
         closed = self._closed_domain_jets
         return closed[0] if closed else jet_mat_inv(self.metric("domain")[0])

@@ -181,7 +181,7 @@ def catalog_isometry(chart: KahlerChart, seed: int = 0) -> HoloMap:
     for the disk (factorwise on the polydisk), unitary motions for the
     flat chart.
     """
-    family = chart.family
+    family = getattr(chart.model, "family", None)
     m = chart.dim
     rng = rng_for(seed, 929)
 

@@ -48,8 +48,8 @@ def clamped_points(count, dim, seed, cap):
 
 
 def hol_sec_constants(dom_name, dom_params, tgt_name, tgt_params):
-    k = -catalog(dom_name, **dom_params).facts.hol_sec_min
-    kappa = -catalog(tgt_name, **tgt_params).facts.hol_sec_max
+    k = -catalog(dom_name, **dom_params).model.facts.hol_sec_min
+    kappa = -catalog(tgt_name, **tgt_params).model.facts.hol_sec_max
     return Constant.analytic("K", k), Constant.analytic("kappa", kappa)
 
 
@@ -126,7 +126,7 @@ def test_schwarz_strict_contraction():
 
 def test_schwarz_zero_k_forces_constant():
     f = HoloMap(FLAT1, disk(1.0), ["z1/2"])
-    k = Constant.analytic("K", -catalog("flat", dim=1).facts.hol_sec_min)
+    k = Constant.analytic("K", -catalog("flat", dim=1).model.facts.hol_sec_min)
     rep = schwarz_bound_report(f, clamped_points(6, 1, 2, 0.9), k,
                                Constant.analytic("kappa", 2.0))
     assert k.value == 0.0 and rep.bound == 0.0
@@ -174,8 +174,8 @@ def test_schwarz_observed_invariant_under_domain_isometry():
 
 def test_volume_disk_identity_equality():
     f = HoloMap(disk(1.0), disk(2.0), ["z1"])
-    k = Constant.analytic("K", -catalog("poincare_disk", a=1.0).facts.scalar)
-    kappa = Constant.analytic("kappa", -catalog("poincare_disk", a=2.0).facts.ricci_max)
+    k = Constant.analytic("K", -catalog("poincare_disk", a=1.0).model.facts.scalar)
+    kappa = Constant.analytic("kappa", -catalog("poincare_disk", a=2.0).model.facts.ricci_max)
     rep = volume_bound_report(f, clamped_points(10, 1, 4, 0.9), k, kappa)
     assert (k.value, kappa.value) == (2.0, 1.0)
     assert rep.bound == pytest.approx(2.0)
@@ -184,8 +184,8 @@ def test_volume_disk_identity_equality():
 
 def test_volume_rescaled_ball_equality():
     f = HoloMap(ball(2, 1.0), ball(2, 2.0), ["z1", "z2"])
-    k = Constant.analytic("K", -catalog("complex_hyperbolic_ball", dim=2, c=1.0).facts.scalar)
-    kappa = Constant.analytic("kappa", -catalog("complex_hyperbolic_ball", dim=2, c=2.0).facts.ricci_max)
+    k = Constant.analytic("K", -catalog("complex_hyperbolic_ball", dim=2, c=1.0).model.facts.scalar)
+    kappa = Constant.analytic("kappa", -catalog("complex_hyperbolic_ball", dim=2, c=2.0).model.facts.ricci_max)
     assert (k.value, kappa.value) == (6.0, 1.5)
     rep = volume_bound_report(f, clamped_points(40, 2, 8, 0.7), k, kappa)
     assert rep.bound == pytest.approx(4.0)
@@ -210,8 +210,8 @@ def test_volume_needs_m_at_most_n():
 
 def test_royden_rank_one_equality():
     f = HoloMap(disk(1.0), disk(2.0), ["z1"])
-    k = Constant.analytic("K", -catalog("poincare_disk", a=1.0).facts.ricci_min)
-    kappa = Constant.analytic("kappa", -catalog("poincare_disk", a=2.0).facts.hol_sec_max)
+    k = Constant.analytic("K", -catalog("poincare_disk", a=1.0).model.facts.ricci_min)
+    kappa = Constant.analytic("kappa", -catalog("poincare_disk", a=2.0).model.facts.hol_sec_max)
     rep = royden_bound_report(f, clamped_points(8, 1, 7, 0.9), k, kappa)
     assert rep.coefficient == "1"
     assert rep.bound == pytest.approx(2.0)
@@ -220,8 +220,8 @@ def test_royden_rank_one_equality():
 
 def test_royden_rank_two_coefficient():
     f = HoloMap(ball(2, 1.0), ball(2, 2.0), ["z1", "z2"])
-    k = Constant.analytic("K", -catalog("complex_hyperbolic_ball", dim=2, c=1.0).facts.ricci_min)
-    kappa = Constant.analytic("kappa", -catalog("complex_hyperbolic_ball", dim=2, c=2.0).facts.hol_sec_max)
+    k = Constant.analytic("K", -catalog("complex_hyperbolic_ball", dim=2, c=1.0).model.facts.ricci_min)
+    kappa = Constant.analytic("kappa", -catalog("complex_hyperbolic_ball", dim=2, c=2.0).model.facts.hol_sec_max)
     assert (k.value, kappa.value) == (3.0, 1.0)
     rep = royden_bound_report(f, clamped_points(20, 2, 12, 0.7), k, kappa)
     assert rep.coefficient == "4/3"
@@ -357,8 +357,8 @@ def test_three_circle_takes_one_count_or_three(counts):
 @pytest.mark.parametrize("mode", ["volume", "stretching"])
 def test_hoop_rescaled_projective_equality(mode):
     f = HoloMap(proj(1, 1.0), proj(1, 2.0), ["z1"])
-    facts1 = catalog("fubini_study", dim=1, c=1.0).facts
-    facts2 = catalog("fubini_study", dim=1, c=2.0).facts
+    facts1 = catalog("fubini_study", dim=1, c=1.0).model.facts
+    facts2 = catalog("fubini_study", dim=1, c=2.0).model.facts
     if mode == "volume":
         k, kappa = facts1.ricci_min, facts2.ricci_max
     else:

@@ -16,10 +16,16 @@ from kahlercheck.cli import chart_from_spec, main
 from kahlercheck.errors import DomainError, SingularJetError
 from kahlercheck.geometry import (
     CATALOG,
+    Ball,
+    ComponentChart,
+    FullSpace,
+    Polydisk,
+    PotentialChart,
     _closed_inverse_jets,
     _metric_matrix,
     catalog,
     curvature_tensor,
+    normal_chart,
 )
 from kahlercheck.jets import jet_mat_det, jet_mat_inv
 from reference import expression_twin
@@ -53,12 +59,20 @@ CATALOG_TABLE = (
 )
 
 
+# each family's chart class and domain type: the class picks how a target pulls back
+BUILT_AS = {"flat": (PotentialChart, FullSpace), "poincare_disk": (ComponentChart, Ball),
+            "poincare_polydisk": (ComponentChart, Polydisk),
+            "complex_hyperbolic_ball": (PotentialChart, Ball),
+            "fubini_study": (PotentialChart, FullSpace)}
+
+
 @pytest.mark.parametrize("family, params, label, facts, constant_hol_sec, einstein", CATALOG_TABLE,
                          ids=[f"{row[0]}-{row[1]}" for row in CATALOG_TABLE])
 def test_catalog_families_are_pinned(family, params, label, facts, constant_hol_sec, einstein):
     chart = catalog(family, **params)
-    got = chart.facts
-    assert chart.family == family and chart.label == label
+    got = chart.model.facts
+    assert chart.model.family == family and chart.label == label
+    assert (type(chart), type(chart.domain)) == BUILT_AS[family]
     assert (got.hol_sec_min, got.hol_sec_max, got.ricci_min, got.ricci_max, got.scalar,
             got.ricci_m_max) == facts
     assert (got.constant_hol_sec, got.einstein) == (constant_hol_sec, einstein)
@@ -112,10 +126,12 @@ def test_bad_catalog_parameter_message_is_pinned(tmp_path, capsys, family, param
 
 
 @pytest.mark.parametrize("spec", [{"dim": 1, "potential": "abs2(z1)"},
-                                  {"dim": 2, "metric": [["1", "0"], ["0", "1"]]}])
+                                  {"dim": 2, "metric": [["1", "0"], ["0", "1"]]}, None])
 def test_an_expression_chart_has_no_family_or_facts(spec):
-    chart = chart_from_spec(spec, "domain")
-    assert (chart.family, chart.facts) == (None, None)
+    # a normal chart (spec None) is in coordinates where its source's closed forms do not hold
+    chart = (chart_from_spec(spec, "domain") if spec is not None
+             else normal_chart(catalog("complex_hyperbolic_ball", dim=2), [0.3, -0.2j]))
+    assert chart.model is None
 
 
 # a bounded family's points reach 1e-6 of its edge, where (1 - |z|^2)^2 is still above the
@@ -153,9 +169,9 @@ def test_the_closed_form_metric_is_the_one_read_off_the_jets(case):
     chart, params, point = case
     read = _metric_matrix(chart.metric_jets(point, 0))
     read = 0.5 * (read + read.conj().T)  # the part _checked_metric keeps
-    closed = chart._closed_metric(point[None])[0]
+    closed = chart.model.matrices(point[None])[0]
     scale = np.max(np.abs(read))
-    if chart.family == "fubini_study":
+    if chart.model.family == "fubini_study":
         # the jets' ∂∂̄ log(1 + |z|²) subtracts two terms of size c·s, s = 1/(1 + |z|²), and
         # rounds in their scale: in dim 1 at |z| = 1e3 the entry c·s² is a millionth of it
         scale = max(scale, params["c"] / (1.0 + np.vdot(point, point).real))
@@ -184,7 +200,7 @@ def test_the_fubini_study_closed_form_keeps_its_digits_far_out(dim, c, radius, d
     # the diagonal s − s²|z_a|² is summed as s² + Σ_{k≠a} s²|z_k|², so it does not cancel
     point = radius * data.draw(_directions(dim))
     exact = _exact_fubini_study(point, c)
-    closed = catalog("fubini_study", dim=dim, c=c)._closed_metric(point[None])[0]
+    closed = catalog("fubini_study", dim=dim, c=c).model.matrices(point[None])[0]
     assert np.max(np.abs(closed - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
@@ -266,4 +282,4 @@ def test_the_closed_curvature_of_a_large_scale_stays_finite(family):
     assert np.isfinite(cp.riem).all()
     # H along the first axis: constant on the ball and Fubini–Study, −2/a on the polydisk
     h = cp.riem[0, 0, 0, 0] / cp.g[0, 0] / cp.g[0, 0]
-    assert h == pytest.approx(chart.facts.hol_sec_min, rel=1e-12)
+    assert h == pytest.approx(chart.model.facts.hol_sec_min, rel=1e-12)

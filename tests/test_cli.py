@@ -78,7 +78,7 @@ def test_load_scenario_rejects_bad_manifests(breakage, needle):
 def test_chart_from_spec_catalog_and_expressions():
     ball = chart_from_spec({"catalog": "complex_hyperbolic_ball",
                             "params": {"dim": 1, "c": 1.0}}, "domain")
-    assert ball.family == "complex_hyperbolic_ball"
+    assert ball.model.family == "complex_hyperbolic_ball"
     custom = chart_from_spec({"dim": 1, "potential": "-log(1 - abs2(z1))",
                               "region": {"kind": "ball"}, "label": "hand-rolled"}, "domain")
     assert isinstance(custom, PotentialChart)

@@ -362,7 +362,7 @@ def test_k_ricci_result_frames_are_orthonormal():
     ("fubini_study", {"dim": 3, "c": 1.5}, [0.5, -0.4j, 0.3]),
 ])
 def test_catalog_m_ricci_facts_match_search(name, params, point):
-    facts = catalog(name, **params).facts
+    facts = catalog(name, **params).model.facts
     cp = cp_at(name, point, **params)
     dim = len(point)
     assert len(facts.ricci_m_max) == dim

@@ -441,7 +441,7 @@ def test_catalog_rejects_bad_input():
 def test_catalog_facts_match_measured_curvature():
     # spot-check the closed-form constants against the tensor at a point
     chart = catalog("complex_hyperbolic_ball", dim=2, c=2.0)
-    facts = chart.facts
+    facts = chart.model.facts
     cp = curvature_tensor(chart, [0.2, -0.1j])
     v = np.array([0.7, 0.3 + 0.2j])
     norm_sq = (v @ cp.g @ np.conj(v)).real

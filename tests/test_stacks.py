@@ -117,13 +117,13 @@ def test_stacked_jets_equal_per_point_jets_bit_for_bit(case):
         assert np.array_equal(stack.image[row], image)
         for role, (chart, at) in roles.items():
             jets, matrices = metrics[role]
-            # a catalog chart's matrices come from its closed form, and it has no metric jets
-            if chart.family is not None:
+            # a catalog chart's matrices come from its model, and it has no metric jets
+            if chart.model is not None:
                 assert jets is None
             else:
                 assert _same_rows(jets, chart.metric_jets(at[row], metric_order), row)
             assert np.array_equal(matrices[row], _checked_metric(chart, at[row], metric_order)[1])
-        if f.domain.family is not None:  # and so are a catalog domain's g⁻¹ and log det g jets
+        if f.domain.model is not None:  # and so are a catalog domain's g⁻¹ and log det g jets
             closed = _closed_inverse_jets(f.domain, point, metric_order)
             assert _same_rows(list(stack._closed_domain_jets), list(closed), row)
         if order == 4:
