@@ -339,12 +339,13 @@ def _product(left: dict, right: dict) -> dict:
 class _MonomialBuilder:
     """Expands into ``{monomial key: coefficient}``; constants fold as the tree's scalars do.
 
-    A division by a constant zero is recorded and the parse goes on, so a later
-    grammar error is still the one reported.
+    A division by a constant zero, or a constant power that overflows a float, is
+    recorded as ``fault`` and the parse goes on, so a later grammar error is still the one
+    reported.
     """
 
     def __init__(self):
-        self.divides_by_zero = False
+        self.fault: str | None = None
 
     @staticmethod
     def number(value):
@@ -372,7 +373,7 @@ class _MonomialBuilder:
                 raise _NotPolynomial
             divisor = right[0]
             if divisor == 0:
-                self.divides_by_zero = True
+                self.fault = "divides by zero"
                 return left
             if _is_constant(left):
                 return {0: left[0] / divisor}
@@ -386,12 +387,15 @@ class _MonomialBuilder:
                 left[key] = c if op == "+" else -c
         return _capped(left)
 
-    @staticmethod
-    def power(base, exponent):
+    def power(self, base, exponent):
         if exponent == 0:
             return {0: 1.0}
         if _is_constant(base):
-            return {0: base[0] ** exponent}
+            try:
+                return {0: base[0] ** exponent}
+            except OverflowError:
+                self.fault = "overflows"
+                return base
         if _degree(base) * exponent > MAX_DEGREE:
             raise _NotPolynomial
         # square-and-multiply, the product started from its first factor
@@ -430,15 +434,15 @@ def polynomial(text: str, label: str = "expression") -> dict[tuple[int, ...], co
     call nesting count toward ``MAX_NESTING``: no tree is built.  Raises
     :class:`ParseError` as :func:`parse` does, and a
     :class:`ConfigurationError` naming ``label`` and the text when it
-    divides by zero.
+    divides by zero or a constant power overflows.
     """
     parser = _Parser(text, _MonomialBuilder())
     try:
         terms = parser.parse()
     except _NotPolynomial:
         return None
-    if parser.builder.divides_by_zero:
-        raise ConfigurationError(f"{label} {text!r} divides by zero")
+    if parser.builder.fault:
+        raise ConfigurationError(f"{label} {text!r} {parser.builder.fault}")
     return {_exponents(key, parser.top + 1): complex(c) for key, c in terms.items()}
 
 

@@ -110,7 +110,8 @@ class Polydisk(Domain):
 def _as_jet_function(source, dim: int, what: str, holomorphic: bool = False) -> Callable:
     """Normalize an expression AST / text / number / callable to a callable
     returning jets; an expression is checked by :func:`expressions.checked`, and a
-    division of it by a zero constant is a :class:`ConfigurationError` naming it."""
+    division of it by a zero constant, or a constant power of it that overflows, is a
+    :class:`ConfigurationError` naming it."""
     if isinstance(source, (int, float, complex)) and not isinstance(source, bool):
         value = complex(source)
         return lambda zs: jet_constant(value, zs[0].num_vars, zs[0].order, zs[0].points)
@@ -120,9 +121,10 @@ def _as_jet_function(source, dim: int, what: str, holomorphic: bool = False) -> 
         def fn(zs):
             try:
                 return expressions.evaluate(node, zs)
-            except ZeroDivisionError:  # only a Python scalar divides by raising
+            except (ZeroDivisionError, OverflowError) as err:  # only Python scalars raise
                 text = source if isinstance(source, str) else expressions.to_text(node)
-                raise ConfigurationError(f"{what} {text!r} divides by zero") from None
+                fault = "overflows" if isinstance(err, OverflowError) else "divides by zero"
+                raise ConfigurationError(f"{what} {text!r} {fault}") from None
     elif callable(source):
         fn = source
     else:

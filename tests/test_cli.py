@@ -866,11 +866,17 @@ _DISK = {"catalog": "poincare_disk"}
 
 
 @pytest.mark.parametrize("domain, components, named", [
-    (_DISK, ["z1/0"], "zero_division component 1 'z1/0'"),
-    ({"dim": 1, "potential": "abs2(z1)/0"}, ["z1/2"], "potential 'abs2(z1)/0'"),
-    ({"dim": 1, "potential": "abs2(z1) + 0/0"}, ["z1/2"], "potential 'abs2(z1) + 0/0'"),
-    (_DISK, ["z1/2 + exp(z1)/0"], "zero_division component 1 'z1/2 + exp(z1)/0'"),
-], ids=["monomial_map", "potential", "constant_potential_term", "tree_map"])
+    (_DISK, ["z1/0"], "zero_division component 1 'z1/0' divides by zero"),
+    ({"dim": 1, "potential": "abs2(z1)/0"}, ["z1/2"], "potential 'abs2(z1)/0' divides by zero"),
+    ({"dim": 1, "potential": "abs2(z1) + 0/0"}, ["z1/2"],
+     "potential 'abs2(z1) + 0/0' divides by zero"),
+    (_DISK, ["z1/2 + exp(z1)/0"], "zero_division component 1 'z1/2 + exp(z1)/0' divides by zero"),
+    # a constant power that overflows a float is a fault of the text as well
+    (_DISK, ["2^2000*z1"], "zero_division component 1 '2^2000*z1' overflows"),
+    (_DISK, ["exp(z1)*2^2000"], "zero_division component 1 'exp(z1)*2^2000' overflows"),
+    ({"dim": 1, "potential": "2^2000*abs2(z1)"}, ["z1/2"], "potential '2^2000*abs2(z1)' overflows"),
+], ids=["monomial_map", "potential", "constant_potential_term", "tree_map",
+        "overflowing_monomial_map", "overflowing_tree_map", "overflowing_potential"])
 def test_a_division_by_zero_names_its_expression_and_exits_2(tmp_path, domain, components,
                                                               named):
     doc = manifest(name="zero_division", domain=domain, target=_DISK, map=components,
@@ -884,7 +890,7 @@ def test_a_division_by_zero_names_its_expression_and_exits_2(tmp_path, domain, c
         capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: {named} divides by zero\n"
+    assert proc.stderr == f"error: {named}\n"
 
 
 def test_a_singular_expression_metric_names_its_chart_and_point(tmp_path, capsys):

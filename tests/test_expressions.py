@@ -419,8 +419,11 @@ def test_the_monomial_caps_bound_each_step_of_the_expansion():
 
 
 def test_a_division_by_zero_names_the_text():
-    for text in ("z1/0", "z1 + 0/0", "(z1 - z1)/(2 - 2)"):
-        with pytest.raises(ConfigurationError, match=re.escape(f"f {text!r} divides by zero")):
+    for text, fault in (("z1/0", "divides by zero"), ("z1 + 0/0", "divides by zero"),
+                        ("(z1 - z1)/(2 - 2)", "divides by zero"), ("2^2000*z1", "overflows"),
+                        ("z1 + (1 + i)^3000", "overflows")):
+        with pytest.raises(ConfigurationError, match=re.escape(f"f {text!r} {fault}")):
             polynomial(text, "f")
-    with pytest.raises(ParseError):  # a later grammar error is still the one reported
-        polynomial("z1/0 + q7")
+    for text in ("z1/0 + q7", "2^2000*z1 + q7"):  # a later grammar error is still the one reported
+        with pytest.raises(ParseError):
+            polynomial(text)

@@ -23,8 +23,10 @@ and where the benchmark's manifests are built
   modes, model charts near their edge (boch1 on the ball among them), far
   out and at a metric scale of 1e300, a map of 126 monomials and one
   past the monomial cap, the exit-2 lines of a singular and of a not
-  positive definite metric and of a map that divides by zero, and the
-  exit-1 line of a failed bound and of a failed identity.
+  positive definite metric, of a map that divides by zero
+  (``map_divides_by_zero``) and of one whose constant power overflows
+  (``map_constant_power_overflows``), and the exit-1 line of a failed
+  bound and of a failed identity.
 
 The fixed manifests are read from this script's directory, not from
 CHECKOUT, so two checkouts run the same jobs.
